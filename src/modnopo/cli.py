@@ -135,6 +135,8 @@ def cmd_variance(args) -> int:
 
 def _parse_grid(text: str) -> np.ndarray:
     lo, hi, step = (float(x) for x in text.split(":"))
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf):
+        raise ValueError(f"grid {text!r} needs finite lo:hi and a positive finite step")
     n = int(round((hi - lo) / step))
     return np.round(np.linspace(lo, lo + n * step, n + 1), 12)
 

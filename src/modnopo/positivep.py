@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import SALT_PHASE_SPACE, trajectory_stream
-from .errors import DivergenceBudgetError, DivergenceError
+from .errors import DivergenceBudgetError, DivergenceError, InvalidParameterError
 from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
 from .semiclassical import periodic_steady_state
 
@@ -368,6 +368,8 @@ def simulate_ensemble(
     """
     if n_traj < 2:
         raise ValueError(f"need at least 2 trajectories, got {n_traj}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a nonempty 1-d array")

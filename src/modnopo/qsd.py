@@ -165,43 +165,54 @@ def expectation(psi: FockState, op) -> complex:
 def _step_batch(psi, eps_t, ops, dt, xi):
     """One Euler-Maruyama diffusion step on a (dim, batch) state block.
 
-    xi holds six standard normals per trajectory, shape (6, batch).
-    Returns the unnormalized updated block; callers renormalize and check
-    tails so that scalar and ensemble paths share the same kernel.
+    The Gisin-Percival update
+    psi + [-iH - 1/2 sum L^dag L + sum <L>* L - 1/2 sum |<L>|^2] psi dt
+        + sum (L - <L>) psi dxi
+    is folded into one linear combination of psi and its four sparse images,
+    psi k0 - dt loss psi + k1 a1 psi + k2 a2 psi + k3 pair psi + k4 pair^dag psi,
+    whose coefficients are per-trajectory scalars.  xi holds six standard
+    normals per trajectory, shape (6, batch), and dxi_k = sqrt(dt/2) times
+    (xi[2k] + i xi[2k+1]).  Returns the unnormalized updated block; callers
+    renormalize and check tails so that scalar and ensemble paths share the
+    same kernel.
     """
     a1p = ops.a1 @ psi
     a2p = ops.a2 @ psi
     prp = ops.pair @ psi
     pdp = ops.pair_dag @ psi
 
-    e_a1 = np.einsum("ib,ib->b", psi.conj(), a1p)
-    e_a2 = np.einsum("ib,ib->b", psi.conj(), a2p)
-    e_pr = np.einsum("ib,ib->b", psi.conj(), prp)
+    psi_c = psi.conj()
+    e_a1 = np.einsum("ib,ib->b", psi_c, a1p)
+    e_a2 = np.einsum("ib,ib->b", psi_c, a2p)
+    e_pr = np.einsum("ib,ib->b", psi_c, prp)
 
     two_g = 2.0 * ops.gamma
     two_l = 2.0 * ops.lam
-    scalar = 0.5 * (
+    # sqrt(2 rate) dxi per channel
+    root = math.sqrt(0.5 * dt)
+    w1 = (math.sqrt(two_g) * root) * (xi[0] + 1j * xi[1])
+    w2 = (math.sqrt(two_g) * root) * (xi[2] + 1j * xi[3])
+    w3 = (math.sqrt(two_l) * root) * (xi[4] + 1j * xi[5])
+    half_sq = 0.5 * (
         two_g * (np.abs(e_a1) ** 2 + np.abs(e_a2) ** 2) + two_l * np.abs(e_pr) ** 2
     )
 
-    drift = eps_t * (pdp - prp)
-    drift += (two_g * e_a1.conj()) * a1p
-    drift += (two_g * e_a2.conj()) * a2p
-    drift += (two_l * e_pr.conj()) * prp
-    drift -= ops.loss_diag[:, None] * psi
-    drift -= scalar * psi
+    k0 = 1.0 - dt * half_sq - w1 * e_a1 - w2 * e_a2 - w3 * e_pr
+    k1 = (dt * two_g) * e_a1.conj() + w1
+    k2 = (dt * two_g) * e_a2.conj() + w2
+    k3 = dt * (two_l * e_pr.conj() - eps_t) + w3
+    k4 = dt * eps_t
 
-    root = math.sqrt(0.5 * dt)
-    xi1 = root * (xi[0] + 1j * xi[1])
-    xi2 = root * (xi[2] + 1j * xi[3])
-    xi3 = root * (xi[4] + 1j * xi[5])
-    rg = math.sqrt(two_g)
-    rl = math.sqrt(two_l)
-    noise = (rg * xi1) * (a1p - e_a1 * psi)
-    noise += (rg * xi2) * (a2p - e_a2 * psi)
-    noise += (rl * xi3) * (prp - e_pr * psi)
-
-    return psi + drift * dt + noise
+    out = (k0 - dt * ops.loss_diag[:, None]) * psi
+    a1p *= k1
+    out += a1p
+    a2p *= k2
+    out += a2p
+    prp *= k3
+    out += prp
+    pdp *= k4
+    out += pdp
+    return out
 
 
 def qsd_step(
@@ -212,8 +223,8 @@ def qsd_step(
     tail_tol: float = TAIL_TOL,
 ) -> FockState:
     """Advance one trajectory by dt and renormalize."""
-    if dt <= 0.0:
-        raise InvalidParameterError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     v = psi.amplitudes.reshape(-1, 1)
     if v.shape[0] != ops.dim:
         raise FockDimensionError(
@@ -273,35 +284,19 @@ def auto_n_max(p: ModelParams) -> int:
     return int(math.ceil(4.0 * _classical_orbit_max(p) + 10.0))
 
 
-def _batch_indices(n_traj: int, batch: int):
-    return [
-        np.arange(lo, min(lo + batch, n_traj)) for lo in range(0, n_traj, batch)
-    ]
+def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol):
+    """Run one batch of trajectories; returns partial sums.
 
-
-def _run_batch(
-    indices,
-    ops,
-    seed,
-    eps_steps,
-    n_relax,
-    spi,
-    n_grid,
-    dt,
-    t_start,
-    tail_tol,
-    collect,
-):
-    """Run one batch of trajectories; returns partial sums or a trip flag.
-
-    All trajectories start from vacuum at t_start.  Dead (non-finite)
-    trajectories are zeroed and excluded from every accumulator.
+    All trajectories start from vacuum at the first step.  Raises
+    _TailTripped once a live trajectory's tail population passes tail_tol.
+    Dead (non-finite) trajectories are zeroed and excluded from every
+    accumulator.
     """
     nb = len(indices)
-    dim = ops.dim
-    psi = np.zeros((dim, nb), dtype=np.complex128)
+    psi = np.zeros((ops.dim, nb), dtype=np.complex128)
     psi[0, :] = 1.0
     alive = np.ones(nb, dtype=bool)
+    tail_rows = ops.tail_mask.astype(float)
 
     rngs = [trajectory_stream(seed, int(i), SALT_STATE_DIFFUSION) for i in indices]
     n_steps = n_relax + (n_grid - 1) * spi
@@ -325,7 +320,7 @@ def _run_batch(
         n1 = ops.n1_diag @ w
         n2 = ops.n2_diag @ w
         pair = np.einsum("ib,ib->b", psi.conj(), ops.pair @ psi)
-        tail = w[ops.tail_mask, :].sum(axis=0)
+        tail = tail_rows @ w
         v = 1.0 + n1 + n2 - 2.0 * pair.real
         m = alive
         out["count"][j] += m.sum()
@@ -349,23 +344,21 @@ def _run_batch(
         xis = np.stack([g.standard_normal((take, 6)) for g in rngs], axis=-1)
         for k in range(take):
             psi = _step_batch(psi, eps_steps[step], ops, dt, xis[k])
-            nrm = np.linalg.norm(psi, axis=0)
-            bad = ~np.isfinite(nrm) | (nrm <= 0.0)
+            # One pass of weights gives both the norm and the tail.
+            w = np.abs(psi) ** 2
+            nrm2 = w.sum(axis=0)
+            bad = ~np.isfinite(nrm2) | (nrm2 <= 0.0)
             if bad.any():
                 alive &= ~bad
-                nrm[bad] = 1.0
+                nrm2[bad] = 1.0
                 psi[:, bad] = 0.0
-            psi /= nrm
-            if alive.any():
-                w_tail = np.abs(psi[ops.tail_mask, :][:, alive]) ** 2
-                if w_tail.sum(axis=0).max() > tail_tol:
-                    raise _TailTripped
+            if ((tail_rows @ w > tail_tol * nrm2) & alive).any():
+                raise _TailTripped
+            psi *= 1.0 / np.sqrt(nrm2)  # far cheaper than complex division
             step += 1
             past_relax = step - n_relax
-            if past_relax >= 0 and past_relax % spi == 0:
-                j = past_relax // spi
-                if collect and j < n_grid:
-                    record_at(j)
+            if past_relax >= 0 and past_relax % spi == 0 and past_relax // spi < n_grid:
+                record_at(past_relax // spi)
     out["dead"] = int((~alive).sum())
     return out
 
@@ -385,11 +378,17 @@ def simulate_qsd_ensemble(
 
     The cutoff starts at ``n_max`` (or an automatic classical estimate) and
     grows by GROW_STEP whenever any trajectory pushes population past the
-    tail bound; growth reruns the whole ensemble with the same per-trajectory
-    noise streams, so results depend only on (params, seed, final cutoff).
+    tail bound.  At each cutoff a pilot batch of the leading trajectories
+    runs first, so an undersized cutoff is found cheaply, and then the rest
+    in batches; the pilot's sums count toward the ensemble.  Growth reruns
+    the whole ensemble with the same per-trajectory noise streams and a
+    batch layout fixed by (n_traj, cutoff), so results depend only on
+    (params, seed, final cutoff) and not on n_workers.
     """
     if n_traj < 2:
         raise InvalidParameterError("need at least 2 trajectories")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise InvalidParameterError("t_grid must be a 1-D array of times")
@@ -415,62 +414,31 @@ def simulate_qsd_ensemble(
         d.eps(t_start + dt_eff * np.arange(max(n_steps, 1))), dtype=float
     )
 
-    def run_all(ops, indices_list, collect, workers):
-        if workers > 1 and len(indices_list) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                parts = list(
-                    ex.map(
-                        lambda idx: _run_batch(
-                            idx, ops, seed, eps_steps, n_relax, spi,
-                            n_grid, dt_eff, t_start, tail_tol, collect,
-                        ),
-                        indices_list,
-                    )
-                )
-        else:
-            parts = [
-                _run_batch(
-                    idx, ops, seed, eps_steps, n_relax, spi,
-                    n_grid, dt_eff, t_start, tail_tol, collect,
-                )
-                for idx in indices_list
-            ]
-        return parts
+    def run(ops, indices):
+        return _run_batch(
+            indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt_eff, tail_tol
+        )
 
-    # Pilot probe on the leading trajectories settles the cutoff cheaply
-    # before the full ensemble commits to it.
-    grown = 0
-    while True:
+    n_pilot = min(_PILOT_TRAJ, n_traj)
+    for _ in range(_MAX_GROW_ROUNDS + 1):
         ops = build_operators(p, n_here)
         batch = min(64, max(1, _BATCH_ELEMENTS // ops.dim))
-        pilot = [np.arange(min(_PILOT_TRAJ, n_traj))]
+        rest = [
+            np.arange(lo, min(lo + batch, n_traj))
+            for lo in range(n_pilot, n_traj, batch)
+        ]
         try:
-            run_all(ops, pilot, collect=False, workers=1)
+            parts = [run(ops, np.arange(n_pilot))]
+            if n_workers > 1 and len(rest) > 1:
+                with ThreadPoolExecutor(max_workers=n_workers) as ex:
+                    parts += ex.map(lambda idx: run(ops, idx), rest)
+            else:
+                parts += [run(ops, idx) for idx in rest]
+            break
         except _TailTripped:
             n_here += GROW_STEP
-            grown += 1
-            if grown > _MAX_GROW_ROUNDS:
-                raise TruncationError(
-                    "tail bound still violated after repeated cutoff growth"
-                )
-            continue
-        break
-
-    while True:
-        indices_list = _batch_indices(n_traj, batch)
-        try:
-            parts = run_all(ops, indices_list, collect=True, workers=n_workers)
-        except _TailTripped:
-            n_here += GROW_STEP
-            grown += 1
-            if grown > _MAX_GROW_ROUNDS:
-                raise TruncationError(
-                    "tail bound still violated after repeated cutoff growth"
-                )
-            ops = build_operators(p, n_here)
-            batch = min(64, max(1, _BATCH_ELEMENTS // ops.dim))
-            continue
-        break
+    else:
+        raise TruncationError("tail bound still violated after repeated cutoff growth")
 
     total: dict = {}
     for part in parts:

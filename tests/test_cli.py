@@ -234,9 +234,27 @@ def test_missing_output_directory_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _one_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_bad_grid_string_fails(tmp_path, capsys):
-    assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", "1::"]) == 1
-    assert "error:" in capsys.readouterr().err
+    # malformed text, and zero, negative or non-finite steps or ends
+    for grid in ("1::", "1:2:0", "1:2:-0.5", "1:2:nan", "1:inf:0.5"):
+        assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", grid]) == 1
+        assert _one_error_line(capsys), grid
+
+
+@pytest.mark.parametrize("command", ["qsd", "positivep"])
+@pytest.mark.parametrize("dt", ["-1", "0", "nan"])
+def test_bad_dt_fails_cleanly(tmp_path, capsys, command, dt):
+    # a bad step must not fall back to the grid spacing and exit 0
+    assert main([command, "--out", str(tmp_path), "--traj", "8",
+                 "--grid-points", "3", "--relax", "0.5", "--lam", "0.1",
+                 "--fbar", "0.3", "--dt", dt]) == 1
+    assert _one_error_line(capsys)
+    assert not list(tmp_path.iterdir())
 
 
 def test_version_flag():

@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 
 from modnopo import (
     DivergenceBudgetError,
+    InvalidParameterError,
     check_moment_equations,
     derive_params,
     integrate_variance,
@@ -218,3 +219,7 @@ class TestGuards:
         with pytest.raises(ValueError, match="grid points"):
             simulate_ensemble(p, 8, np.array([0.0, 0.1]), seed=0,
                               collect_extended=True)
+        # a non-positive dt must not silently become the grid spacing
+        for dt in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="dt"):
+                simulate_ensemble(p, 8, np.linspace(0.0, 1.0, 3), seed=0, dt=dt)

@@ -25,7 +25,8 @@ from modnopo import (
     simulate_qsd_ensemble,
     vacuum_state,
 )
-from modnopo.qsd import FockState, auto_n_max, ladder
+import modnopo.qsd as qsd
+from modnopo.qsd import FockState, _step_batch, auto_n_max, ladder
 
 LAM = 0.1  # nonlinearity-to-damping ratio for the stochastic test runs
 
@@ -161,6 +162,38 @@ class TestGeneratorConsistency:
         assert ddt(P.conj().T) == pytest.approx(np.conj(ddt(P)), abs=1e-12)
 
 
+class TestStepKernel:
+    def test_kernel_matches_dense_generator_form(self):
+        # the folded per-trajectory coefficients of the fused kernel must
+        # reproduce psi + [-iH - 1/2 sum L^dag L + sum <L>* L
+        # - 1/2 sum |<L>|^2] psi dt + sum (L - <L>) psi dxi, built densely
+        # from the module's Hamiltonian and jump operators
+        p = params_from_ratios(fbar_over_fth=0.8, f1_over_fbar=0.3,
+                               delta_over_gamma=1.7, phi=0.4,
+                               lam_over_gamma=0.05)
+        ops = build_operators(p, 4)
+        t, dt = 0.37, 1e-2
+        rng = np.random.default_rng(7)
+        psi = rng.standard_normal((ops.dim, 3)) + 1j * rng.standard_normal((ops.dim, 3))
+        psi /= np.linalg.norm(psi, axis=0)
+        xi = rng.standard_normal((6, 3))
+        got = _step_batch(psi, float(ops.eps(t)), ops, dt, xi)
+
+        H = ops.hamiltonian(t).toarray()
+        Ls = [L.toarray() for L in ops.lindblad_ops()]
+        for b in range(3):
+            v = psi[:, b]
+            means = [complex(v.conj() @ L @ v) for L in Ls]
+            gen = -1j * H - 0.5 * sum(np.abs(m) ** 2 for m in means) * np.eye(ops.dim)
+            want = v.copy()
+            for k, (L, m) in enumerate(zip(Ls, means)):
+                gen += -0.5 * L.conj().T @ L + np.conj(m) * L
+                dxi = math.sqrt(0.5 * dt) * (xi[2 * k, b] + 1j * xi[2 * k + 1, b])
+                want += (L @ v - m * v) * dxi
+            want += gen @ v * dt
+            np.testing.assert_allclose(got[:, b], want, rtol=0, atol=1e-13)
+
+
 class TestSingleTrajectory:
     def test_vacuum_is_fixed_without_pump(self):
         p = params_from_ratios(fbar_over_fth=0.0, lam_over_gamma=LAM)
@@ -272,14 +305,42 @@ class TestEnsemble:
         gate = 3.0 * np.sqrt(a.V_stderr**2 + c.V_stderr**2)
         assert np.all(np.abs(a.V_mean - c.V_mean) <= gate)
 
+    def test_each_trajectory_runs_once_at_final_cutoff(self, monkeypatch):
+        # the pilot is the first batch: at the settled cutoff the columns
+        # handed to the batch runner partition the ensemble exactly
+        calls = []
+        run_batch = qsd._run_batch
+
+        def recording(indices, ops, *args):
+            calls.append((ops.n_max, np.array(indices)))
+            return run_batch(indices, ops, *args)
+
+        monkeypatch.setattr(qsd, "_run_batch", recording)
+        p = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
+        ens = simulate_qsd_ensemble(p, n_max=6, n_traj=100,
+                                    t_grid=np.linspace(0.0, 1.0, 3), seed=3,
+                                    relax=1.0, n_workers=2)
+        assert min(n for n, _ in calls) < ens.n_max  # the cutoff grew
+        final = [idx for n, idx in calls if n == ens.n_max]
+        assert sum(idx.size for idx in final) == 100
+        np.testing.assert_array_equal(np.sort(np.concatenate(final)), np.arange(100))
+
     def test_workers_do_not_change_results(self):
+        # batch layout: a pilot of 32, then 64, then a ragged 4, whatever
+        # the worker count; results must agree byte for byte
         p = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
         t_grid = np.linspace(0.0, 1.0, 3)
-        one = simulate_qsd_ensemble(p, n_max=10, n_traj=32, t_grid=t_grid, seed=4)
-        three = simulate_qsd_ensemble(p, n_max=10, n_traj=32, t_grid=t_grid,
-                                      seed=4, n_workers=3)
-        np.testing.assert_array_equal(one.V_mean, three.V_mean)
-        np.testing.assert_array_equal(one.tail_max, three.tail_max)
+        runs = [
+            simulate_qsd_ensemble(p, n_max=10, n_traj=100, t_grid=t_grid,
+                                  seed=4, relax=1.0, n_workers=w)
+            for w in (1, 2, 3)
+        ]
+        fields = ("V_mean", "V_stderr", "n1_mean", "n2_mean", "diff_stderr",
+                  "pair_mean", "tail_max")
+        for ens in runs[1:]:
+            assert ens.n_max == runs[0].n_max
+            for f in fields:
+                assert getattr(ens, f).tobytes() == getattr(runs[0], f).tobytes(), f
 
     def test_auto_cutoff(self):
         below = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
@@ -295,3 +356,7 @@ class TestEnsemble:
             simulate_qsd_ensemble(p, n_traj=1, t_grid=np.linspace(0, 1, 3))
         with pytest.raises(InvalidParameterError):
             simulate_qsd_ensemble(p, n_traj=8, t_grid=np.array([0.0, 0.1, 0.5]))
+        # a non-positive dt must not silently become the grid spacing
+        for dt in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="dt"):
+                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3), dt=dt)
