@@ -14,7 +14,6 @@ wall-clock stamping is requested explicitly.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -35,6 +34,7 @@ from .model import (
     Regime,
     config_to_params,
     derive_params,
+    read_config,
     regime_classify,
 )
 from .positivep import simulate_ensemble
@@ -45,23 +45,12 @@ from ._output import metadata_lines, write_csv, write_gnuplot
 DEFAULT_SEED = 12345
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("configuration file must contain a JSON object")
-    unknown = sorted(set(cfg) - set(CONFIG_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown configuration keys: {', '.join(unknown)}")
-    return cfg
-
-
 def _resolve_model(args, overrides=None) -> tuple[ModelParams, dict]:
     """Merge defaults, config file, subcommand presets and explicit flags."""
     cfg = dict(CONFIG_DEFAULTS)
     cfg.update(overrides or {})
     if args.config:
-        cfg.update(_load_config_file(args.config))
+        cfg.update(read_config(args.config))
     if args.fbar is not None:
         cfg["fbar_over_fth"] = args.fbar
     if args.f1 is not None:

@@ -23,7 +23,6 @@ acceptance suite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,6 +31,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from . import _tailquad
+from ._ensemble import map_ordered
 from .errors import ConvergenceError
 from .model import (
     Harmonic,
@@ -495,10 +495,7 @@ def sweep_vmin(
     """
     if not isinstance(p.modulation, Harmonic):
         raise ValueError("sweep_vmin rescans harmonic pump families only")
-    jobs = [(float(level), float(ratio))
+    jobs = [(float(ratio), float(level))
             for level in f1_over_fbar_levels
             for ratio in fbar_over_fth_grid]
-    if n_workers <= 1:
-        return [_sweep_cell(p, ratio, level) for level, ratio in jobs]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(lambda j: _sweep_cell(p, j[1], j[0]), jobs))
+    return map_ordered(lambda job: _sweep_cell(p, *job), jobs, n_workers)

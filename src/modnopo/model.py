@@ -218,10 +218,6 @@ class DerivedParams:
         """Integral of eps over [t0, t1], exact up to profile interpolation."""
         return self._eps_scale * self._profile.integral(t0, t1)
 
-    @property
-    def profile(self) -> Harmonic | TabulatedPeriodic:
-        return self._profile
-
 
 def derive_params(p: ModelParams) -> DerivedParams:
     """Compute lam, f_th, eps_bar, and the period from their definitions."""
@@ -243,11 +239,6 @@ def derive_params(p: ModelParams) -> DerivedParams:
 def pump_amplitude(m: Harmonic | TabulatedPeriodic, t):
     """Instantaneous pump amplitude f(t)."""
     return m.value(t)
-
-
-def period_average(m: Harmonic | TabulatedPeriodic) -> float:
-    """Mean of f over one modulation period."""
-    return m.mean()
 
 
 def regime_classify(p: ModelParams, band: float = AT_THRESHOLD_BAND) -> Regime:
@@ -332,10 +323,15 @@ def config_to_params(cfg: dict) -> ModelParams:
     return params_from_ratios(**merged)
 
 
-def load_config(path: str | Path) -> ModelParams:
-    """Read a JSON configuration file (see CONFIG_DEFAULTS for the schema)."""
+def read_config(path: str | Path) -> dict:
+    """Read a JSON configuration file as a mapping (see CONFIG_DEFAULTS)."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise InvalidParameterError("configuration file must contain a JSON object")
-    return config_to_params(cfg)
+    return cfg
+
+
+def load_config(path: str | Path) -> ModelParams:
+    """Read a JSON configuration file and convert it to ModelParams."""
+    return config_to_params(read_config(path))

@@ -6,7 +6,7 @@ modes through the pump and the two-photon-absorption nonlinearity, and the
 noise is the characteristic cross-correlated pair: within the alpha group
 the two mode increments correlate as (eps - lam*alpha1*alpha2) dt while
 every self-correlation vanishes, and the beta group mirrors that with its
-own amplitudes.  The sum/difference construction in sample_noise realizes
+own amplitudes.  The sum/difference construction in _noise_batch realizes
 this covariance exactly, no matrix square root needed.
 
 Ensembles are Euler-Maruyama (Ito) with fixed step, per-trajectory
@@ -17,13 +17,13 @@ byte-identical for a given seed regardless of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._ensemble import check_workers, map_ordered, step_layout, std_error, sum_parts
 from ._streams import SALT_PHASE_SPACE, trajectory_stream
-from .errors import DivergenceBudgetError, DivergenceError, InvalidParameterError
+from .errors import DivergenceBudgetError, DivergenceError
 from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
 from .semiclassical import periodic_steady_state
 
@@ -56,36 +56,68 @@ class NoiseIncrement:
     dW_beta2: complex
 
 
-def divergence_guard(p: ModelParams) -> float:
+def divergence_guard(p: ModelParams | DerivedParams) -> float:
     """Amplitude bound past which a trajectory counts as diverged."""
-    d = derive_params(p)
+    d = p if isinstance(p, DerivedParams) else derive_params(p)
     return DIVERGENCE_GUARD_FACTOR * math.sqrt(d.gamma / d.lam)
 
 
-def sample_noise(
-    state: PPState, eps_t: float, lam: float, dt: float, rng: np.random.Generator
-) -> NoiseIncrement:
-    """Draw one set of noise increments at the current state.
+def _noise_batch(a1, a2, b1, b2, eps_t, lam, dt, eta):
+    """Correlated noise increments (dW_a1, dW_a2, dW_b1, dW_b2) of a batch.
 
     Within each group the construction sqrt(d/2)*(eta1 + i*eta2) and
     sqrt(d/2)*(eta1 - i*eta2) gives cross-correlation d*dt and vanishing
     self-correlations; d is complex in general and the principal branch of
     the square root is used (either branch gives identical statistics, the
-    sign folds into the Gaussians).
+    sign folds into the Gaussians).  eta holds four standard normals per
+    trajectory, shape (batch, 4).
     """
+    root_a = np.sqrt(0.5 * dt * (eps_t - lam * a1 * a2))
+    root_b = np.sqrt(0.5 * dt * (eps_t - lam * b1 * b2))
+    za = eta[:, 0] + 1j * eta[:, 1]
+    zb = eta[:, 2] + 1j * eta[:, 3]
+    return root_a * za, root_a * np.conj(za), root_b * zb, root_b * np.conj(zb)
+
+
+def _step_batch(a1, a2, b1, b2, eps_t, gamma, lam, dt, eta):
+    """Euler-Maruyama increments (da1, da2, db1, db2) of a batch of trajectories.
+
+    The drift plus, unless eta is None, the noise of _noise_batch.  The
+    ensemble and the scalar helpers share this one kernel.
+    """
+    g12 = gamma + lam * a2 * b2   # decay seen by mode 1
+    g21 = gamma + lam * a1 * b1   # decay seen by mode 2
+    u_a1 = (-g12 * a1 + eps_t * b2) * dt
+    u_a2 = (-g21 * a2 + eps_t * b1) * dt
+    u_b1 = (-g12 * b1 + eps_t * a2) * dt
+    u_b2 = (-g21 * b2 + eps_t * a1) * dt
+    if eta is not None:
+        w_a1, w_a2, w_b1, w_b2 = _noise_batch(a1, a2, b1, b2, eps_t, lam, dt, eta)
+        u_a1 += w_a1
+        u_a2 += w_a2
+        u_b1 += w_b1
+        u_b2 += w_b2
+    return u_a1, u_a2, u_b1, u_b2
+
+
+def _amplitudes(state: PPState) -> np.ndarray:
+    """The state as a batch of one: rows alpha1, alpha2, beta1, beta2."""
+    amps = [[state.alpha1], [state.alpha2], [state.beta1], [state.beta2]]
+    return np.array(amps, dtype=np.complex128)
+
+
+def _draw_eta(rng: np.random.Generator, dt: float) -> np.ndarray:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    eta = rng.standard_normal(4)
-    d_a = complex(eps_t) - lam * state.alpha1 * state.alpha2
-    d_b = complex(eps_t) - lam * state.beta1 * state.beta2
-    root_a = np.sqrt(0.5 * complex(d_a) * dt)
-    root_b = np.sqrt(0.5 * complex(d_b) * dt)
-    return NoiseIncrement(
-        dW_alpha1=root_a * (eta[0] + 1j * eta[1]),
-        dW_alpha2=root_a * (eta[0] - 1j * eta[1]),
-        dW_beta1=root_b * (eta[2] + 1j * eta[3]),
-        dW_beta2=root_b * (eta[2] - 1j * eta[3]),
-    )
+    return rng.standard_normal((1, 4))
+
+
+def sample_noise(
+    state: PPState, eps_t: float, lam: float, dt: float, rng: np.random.Generator
+) -> NoiseIncrement:
+    """Draw one set of noise increments at the current state."""
+    w = _noise_batch(*_amplitudes(state), eps_t, lam, dt, _draw_eta(rng, dt))
+    return NoiseIncrement(*(complex(x[0]) for x in w))
 
 
 def step_trajectory(
@@ -97,31 +129,21 @@ def step_trajectory(
 ) -> PPState:
     """One Euler-Maruyama step of a single trajectory.
 
-    Reference scalar implementation of the update used by the vectorized
-    ensemble; with_noise=False exposes the deterministic drift for the
+    The ensemble's batch kernel at batch size 1, plus the divergence guard;
+    with_noise=False exposes the deterministic drift for the
     classical-limit checks.
     """
     d = p if isinstance(p, DerivedParams) else derive_params(p)
-    eps_t = float(d.eps(state.t))
-    a1, a2, b1, b2 = state.alpha1, state.alpha2, state.beta1, state.beta2
-    g12 = d.gamma + d.lam * a2 * b2   # decay seen by mode 1
-    g21 = d.gamma + d.lam * a1 * b1   # decay seen by mode 2
-    na1 = a1 + (-g12 * a1 + eps_t * b2) * dt
-    nb1 = b1 + (-g12 * b1 + eps_t * a2) * dt
-    na2 = a2 + (-g21 * a2 + eps_t * b1) * dt
-    nb2 = b2 + (-g21 * b2 + eps_t * a1) * dt
-    if with_noise:
-        w = sample_noise(state, eps_t, d.lam, dt, rng)
-        na1 += w.dW_alpha1
-        na2 += w.dW_alpha2
-        nb1 += w.dW_beta1
-        nb2 += w.dW_beta2
-    guard = DIVERGENCE_GUARD_FACTOR * math.sqrt(d.gamma / d.lam)
-    if max(abs(na1), abs(na2), abs(nb1), abs(nb2)) > guard:
+    amps = _amplitudes(state)
+    eta = _draw_eta(rng, dt) if with_noise else None
+    incs = _step_batch(*amps, float(d.eps(state.t)), d.gamma, d.lam, dt, eta)
+    new = [complex(x[0] + u[0]) for x, u in zip(amps, incs)]
+    guard = divergence_guard(d)
+    if max(abs(z) for z in new) > guard:
         raise DivergenceError(
             f"trajectory amplitude exceeded {guard:.3e} at t={state.t + dt:.4f}"
         )
-    return PPState(alpha1=na1, alpha2=na2, beta1=nb1, beta2=nb2, t=state.t + dt)
+    return PPState(*new, t=state.t + dt)
 
 
 @dataclass
@@ -168,11 +190,6 @@ def _initial_amplitude(p: ModelParams, t_start: float) -> float:
         n0 = float(periodic_steady_state(p).interp(t_start))
         return math.sqrt(max(n0, 0.0))
     return 0.0
-
-
-def _batch_indices(n_traj: int) -> list[np.ndarray]:
-    edges = list(range(0, n_traj, BATCH)) + [n_traj]
-    return [np.arange(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
 def _run_batch(
@@ -294,6 +311,7 @@ def _run_batch(
         next_j = 1
         record_at = spi
 
+    eta = None
     for step in range(n_steps):
         if with_noise:
             if chunk_pos >= NOISE_CHUNK:
@@ -304,22 +322,9 @@ def _run_batch(
                 chunk_pos = 0
             eta = chunk_noise[:, chunk_pos, :]
             chunk_pos += 1
-        eps_t = float(d.eps(t))
-        g12 = gamma + lam * a2 * b2
-        g21 = gamma + lam * a1 * b1
-        u_a1 = (-g12 * a1 + eps_t * b2) * dt
-        u_b1 = (-g12 * b1 + eps_t * a2) * dt
-        u_a2 = (-g21 * a2 + eps_t * b1) * dt
-        u_b2 = (-g21 * b2 + eps_t * a1) * dt
-        if with_noise:
-            root_a = np.sqrt(0.5 * dt * (eps_t - lam * a1 * a2))
-            root_b = np.sqrt(0.5 * dt * (eps_t - lam * b1 * b2))
-            za = eta[:, 0] + 1j * eta[:, 1]
-            zb = eta[:, 2] + 1j * eta[:, 3]
-            u_a1 += root_a * za
-            u_a2 += root_a * np.conj(za)
-            u_b1 += root_b * zb
-            u_b2 += root_b * np.conj(zb)
+        u_a1, u_a2, u_b1, u_b2 = _step_batch(
+            a1, a2, b1, b2, float(d.eps(t)), gamma, lam, dt, eta
+        )
         af = alive.astype(np.complex128)
         a1 += u_a1 * af
         b1 += u_b1 * af
@@ -340,7 +345,6 @@ def _run_batch(
             record_at += spi
 
     acc["alive_final"] = int(alive.sum())
-    acc["n_in_batch"] = B
     return acc
 
 
@@ -368,48 +372,22 @@ def simulate_ensemble(
     """
     if n_traj < 2:
         raise ValueError(f"need at least 2 trajectories, got {n_traj}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+    check_workers(n_workers)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    if t_grid.size > 1:
-        steps = np.diff(t_grid)
-        h = float(steps[0])
-        if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(h, 1.0):
-            raise ValueError("t_grid must be uniform and increasing")
-        spi = max(1, math.ceil(h / dt - 1e-12))
-        dt_eff = h / spi
-    else:
-        spi = 1
-        dt_eff = dt
+    spi, dt_eff, n_relax, t_start = step_layout(t_grid, dt, relax)
     if collect_extended and t_grid.size < 3:
         raise ValueError("extended collection needs at least 3 grid points")
 
-    n_relax = math.ceil(max(relax, 0.0) / dt_eff - 1e-12)
-    t_start = float(t_grid[0]) - n_relax * dt_eff
-
     d = derive_params(p)
-    guard = DIVERGENCE_GUARD_FACTOR * math.sqrt(d.gamma / d.lam)
+    guard = divergence_guard(d)
     amp0 = _initial_amplitude(p, t_start)
-
-    batches = _batch_indices(n_traj)
 
     def job(idx: np.ndarray) -> dict:
         return _run_batch(idx, d, seed, amp0, t_start, n_relax, spi,
                           t_grid, dt_eff, guard, with_noise, collect_extended)
 
-    if n_workers <= 1:
-        results = [job(idx) for idx in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(job, batches))
-
-    # Fixed-order reduction across batches.
-    total: dict = {}
-    for racc in results:
-        for key, val in racc.items():
-            total[key] = total.get(key, 0) + val
+    batches = [np.arange(lo, min(lo + BATCH, n_traj)) for lo in range(0, n_traj, BATCH)]
+    total = sum_parts(map_ordered(job, batches, n_workers))
 
     cnt = total["count"].astype(float)
     if np.any(cnt < 2):
@@ -419,17 +397,14 @@ def simulate_ensemble(
 
     def mean_and_stderr(s_key: str, q_key: str):
         mean = total[s_key].real / cnt
-        var = (total[q_key] - cnt * mean**2) / (cnt - 1.0)
-        return mean, np.sqrt(np.maximum(var, 0.0) / cnt)
+        return mean, std_error(total[q_key], mean, cnt)
 
     np_mean, np_se = mean_and_stderr("sum_np", "sq_np")
     R_mean, R_se = mean_and_stderr("sum_R", "sq_R")
     Z_mean, Z_se = mean_and_stderr("sum_Z", "sq_Z")
     p1_mean = total["sum_p1"].real / cnt
     p2_mean = total["sum_p2"].real / cnt
-    pd_mean = p1_mean - p2_mean
-    pd_var = (total["sq_pd"] - cnt * pd_mean**2) / (cnt - 1.0)
-    pd_se = np.sqrt(np.maximum(pd_var, 0.0) / cnt)
+    pd_se = std_error(total["sq_pd"], p1_mean - p2_mean, cnt)
 
     discarded = n_traj - total["alive_final"]
     if discarded > DIVERGENCE_BUDGET * n_traj:
@@ -452,10 +427,8 @@ def simulate_ensemble(
         out.n_plus_sq_mean = total["sum_np2"].real / cnt
         out.n_plus_R_mean = total["sum_npR"].real / cnt
         rc = total["res_count"].astype(float)
-        r_mean = total["res_sum"] / rc
-        r_var = (total["res_sq"] - rc * r_mean**2) / (rc - 1.0)
-        out.residual_mean = r_mean
-        out.residual_stderr = np.sqrt(np.maximum(r_var, 0.0) / rc)
+        out.residual_mean = total["res_sum"] / rc
+        out.residual_stderr = std_error(total["res_sq"], out.residual_mean, rc)
     return out
 
 

@@ -14,7 +14,6 @@ until the population of the top few levels stays below a tail tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,10 @@ from .errors import (
     InvalidParameterError,
     TruncationError,
 )
+from ._ensemble import check_workers, map_ordered, step_layout, std_error, sum_parts
+from ._streams import SALT_STATE_DIFFUSION, trajectory_stream
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import periodic_steady_state
-from ._streams import SALT_STATE_DIFFUSION, trajectory_stream
 
 DEFAULT_DT = 1e-3
 RELAX_WINDOW = 5.0
@@ -387,22 +387,9 @@ def simulate_qsd_ensemble(
     """
     if n_traj < 2:
         raise InvalidParameterError("need at least 2 trajectories")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+    check_workers(n_workers)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise InvalidParameterError("t_grid must be a 1-D array of times")
-    if t_grid.size > 1:
-        h = np.diff(t_grid)
-        if h.min() <= 0 or (abs(h - h[0]) > 1e-9 * h[0]).any():
-            raise InvalidParameterError("t_grid must be uniform and increasing")
-        spi = max(1, math.ceil(h[0] / dt - 1e-12))
-        dt_eff = h[0] / spi
-    else:
-        spi = 1
-        dt_eff = dt
-    n_relax = math.ceil(relax / dt_eff - 1e-12) if relax > 0 else 0
-    t_start = float(t_grid[0]) - n_relax * dt_eff
+    spi, dt_eff, n_relax, t_start = step_layout(t_grid, dt, relax)
     n_grid = t_grid.size
 
     d = derive_params(p)
@@ -429,25 +416,14 @@ def simulate_qsd_ensemble(
         ]
         try:
             parts = [run(ops, np.arange(n_pilot))]
-            if n_workers > 1 and len(rest) > 1:
-                with ThreadPoolExecutor(max_workers=n_workers) as ex:
-                    parts += ex.map(lambda idx: run(ops, idx), rest)
-            else:
-                parts += [run(ops, idx) for idx in rest]
+            parts += map_ordered(lambda idx: run(ops, idx), rest, n_workers)
             break
         except _TailTripped:
             n_here += GROW_STEP
     else:
         raise TruncationError("tail bound still violated after repeated cutoff growth")
 
-    total: dict = {}
-    for part in parts:
-        for key, val in part.items():
-            if key == "tail_max":
-                total[key] = np.maximum(total[key], val) if key in total else val
-            else:
-                total[key] = total.get(key, 0) + val
-
+    total = sum_parts(parts)
     count = total["count"]
     dead = int(total["dead"])
     if (count < 2).any():
@@ -457,24 +433,17 @@ def simulate_qsd_ensemble(
             f"{dead} of {n_traj} trajectories lost ({dead / n_traj:.2%})"
         )
 
-    def mean_and_stderr(s, sq):
-        m = s / count
-        var = np.maximum(sq / count - m**2, 0.0) * count / (count - 1)
-        return m, np.sqrt(var / count)
-
-    v_mean, v_err = mean_and_stderr(total["sum_v"], total["sq_v"])
+    v_mean = total["sum_v"] / count
     n1_mean = total["sum_n1"] / count
     n2_mean = total["sum_n2"] / count
-    d_mean = n1_mean - n2_mean
-    d_var = np.maximum(total["sq_d"] / count - d_mean**2, 0.0) * count / (count - 1)
 
     return QsdEnsemble(
         t_grid=t_grid,
         V_mean=v_mean,
-        V_stderr=v_err,
+        V_stderr=std_error(total["sq_v"], v_mean, count),
         n1_mean=n1_mean,
         n2_mean=n2_mean,
-        diff_stderr=np.sqrt(d_var / count),
+        diff_stderr=std_error(total["sq_d"], n1_mean - n2_mean, count),
         pair_mean=total["sum_pair"] / count,
         tail_max=total["tail_max"],
         n_traj=n_traj,

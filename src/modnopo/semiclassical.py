@@ -39,10 +39,6 @@ CROSS_TOL = 1e-4
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
 
-# ln(n0) below this is treated as the empty cavity when seeding splines;
-# well below one photon yet far above float underflow.
-_LOG_FLOOR = -745.0
-
 
 @dataclass
 class SemiclassicalTrajectory:

@@ -257,6 +257,25 @@ def test_bad_dt_fails_cleanly(tmp_path, capsys, command, dt):
     assert not list(tmp_path.iterdir())
 
 
+_SMALL_RUN = {
+    "positivep": ["--traj", "8", "--grid-points", "3", "--lam", "0.1", "--fbar", "0.3"],
+    "qsd": ["--traj", "8", "--grid-points", "3", "--lam", "0.1", "--fbar", "0.3"],
+    "sweep": ["--fbar-grid", "1:2:0.5", "--f1-levels", "0"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *[(c, "--relax", v) for c in ("positivep", "qsd") for v in ("nan", "inf")],
+    *[(c, "--workers", v) for c in ("sweep", "positivep", "qsd") for v in ("0", "-2")],
+])
+def test_bad_relax_or_workers_fails_cleanly(tmp_path, capsys, command, flag, value):
+    # neither may run unrelaxed, overflow, or fall back to one worker
+    assert main([command, "--out", str(tmp_path), *_SMALL_RUN[command],
+                 flag, value]) == 1
+    assert _one_error_line(capsys)
+    assert not list(tmp_path.iterdir())
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -22,6 +22,7 @@ from modnopo import (
     INSEPARABILITY_BOUND,
     CriteriaReport,
     Harmonic,
+    InvalidParameterError,
     ModelParams,
     MomentSet,
     TabulatedPeriodic,
@@ -227,6 +228,9 @@ class TestSweep:
         )
         with pytest.raises(ValueError, match="harmonic"):
             sweep_vmin(p, [2.0], [0.5])
+        for n_workers in (0, -2):
+            with pytest.raises(InvalidParameterError, match="n_workers"):
+                sweep_vmin(params_from_ratios(), [2.0], [0.5], n_workers=n_workers)
 
 
 class TestPeriodicity:

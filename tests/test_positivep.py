@@ -20,8 +20,10 @@ from modnopo import (
     derive_params,
     integrate_variance,
     params_from_ratios,
+    periodic_steady_state,
     simulate_ensemble,
 )
+from modnopo._streams import SALT_PHASE_SPACE, trajectory_stream
 from modnopo.positivep import PPState, sample_noise, step_trajectory
 
 LAM = 1e-2  # nonlinearity-to-damping ratio for the stochastic test runs
@@ -120,6 +122,28 @@ class TestDriftLimit:
             for _ in range(m)
         )
         assert abs(acc.real / m / dt - eps0) < _stat_gate(eps0, m)
+
+
+class TestScalarIsBatchKernel:
+    def test_scalar_steps_reproduce_ensemble_means(self):
+        # step_trajectory on each trajectory's own stream retraces the
+        # ensemble: same kernel, same start point, same draws
+        p = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5,
+                               lam_over_gamma=LAM)
+        d = derive_params(p)
+        seed, t_grid = 13, np.array([0.0, 0.05])
+        ens = simulate_ensemble(p, 2, t_grid, seed=seed, relax=0.0)
+        amp = math.sqrt(float(periodic_steady_state(p).interp(0.0)))
+        n_plus, R = [], []
+        for i in range(2):
+            rng = trajectory_stream(seed, i, SALT_PHASE_SPACE)
+            s = PPState(*([amp + 0j] * 4), t=0.0)
+            while s.t < t_grid[-1] - 0.5 * ens.dt:
+                s = step_trajectory(s, d, ens.dt, rng)
+            n_plus.append(s.alpha1 * s.beta1 + s.alpha2 * s.beta2)
+            R.append((s.alpha1 - s.beta2) * (s.beta1 - s.alpha2))
+        assert np.mean(n_plus).real == pytest.approx(ens.n_plus_mean[-1], rel=1e-12)
+        assert np.mean(R).real == pytest.approx(ens.R_mean[-1], rel=1e-12)
 
 
 class TestEnsembleVsAnalytics:
@@ -223,3 +247,12 @@ class TestGuards:
         for dt in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidParameterError, match="dt"):
                 simulate_ensemble(p, 8, np.linspace(0.0, 1.0, 3), seed=0, dt=dt)
+        # a non-finite relaxation window has no step count
+        for relax in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="relax"):
+                simulate_ensemble(p, 8, np.linspace(0.0, 1.0, 3), seed=0,
+                                  relax=relax)
+        for n_workers in (0, -2):
+            with pytest.raises(InvalidParameterError, match="n_workers"):
+                simulate_ensemble(p, 8, np.linspace(0.0, 1.0, 3), seed=0,
+                                  n_workers=n_workers)

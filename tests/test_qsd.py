@@ -360,3 +360,13 @@ class TestEnsemble:
         for dt in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidParameterError, match="dt"):
                 simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3), dt=dt)
+        # a non-finite relaxation window has no step count
+        for relax in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="relax"):
+                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3),
+                                      relax=relax)
+        # a worker count below one is refused
+        for n_workers in (0, -2):
+            with pytest.raises(InvalidParameterError, match="n_workers"):
+                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3),
+                                      n_workers=n_workers)
