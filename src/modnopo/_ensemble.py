@@ -2,19 +2,26 @@
 
 Both stochastic routes (positive-P and state diffusion) lay their fixed
 Euler steps onto a uniform output grid the same way, run batches of
-trajectories through the same ordered worker map, and reduce the batches'
-partial sums in the same fixed order, so their results depend on the seed
-and never on the worker count.
+trajectories through the same ordered process pool (the V_min sweep runs
+its cells through it too), and reduce the batches' partial sums in the
+same fixed order, so their results depend on the seed and never on the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
 import numpy as np
 
 from .errors import InvalidParameterError
+
+# Euler steps one trajectory may take: 2000 times the default relaxation
+# window at the default step, and already minutes to hours per batch.
+MAX_STEPS = 10**7
 
 
 def step_layout(t_grid: np.ndarray, dt: float, relax: float):
@@ -43,6 +50,12 @@ def step_layout(t_grid: np.ndarray, dt: float, relax: float):
         spi = 1
         dt_eff = float(dt)
     n_relax = math.ceil(max(relax, 0.0) / dt_eff - 1e-12)
+    n_steps = n_relax + (t_grid.size - 1) * spi
+    if n_steps > MAX_STEPS:
+        raise InvalidParameterError(
+            f"relax={relax} and the grid at dt={dt} need {n_steps} steps per "
+            f"trajectory, more than {MAX_STEPS}; shorten relax or the grid, or raise dt"
+        )
     t_start = float(t_grid[0]) - n_relax * dt_eff
     return spi, dt_eff, n_relax, t_start
 
@@ -52,13 +65,37 @@ def check_workers(n_workers: int) -> None:
         raise InvalidParameterError(f"n_workers must be at least 1, got {n_workers}")
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_ordered(fn, jobs: list, n_workers: int) -> list:
-    """[fn(job) for job in jobs], on up to n_workers threads, in job order."""
+    """[fn(job) for job in jobs], on up to n_workers processes, in job order.
+
+    The pool holds min(n_workers, len(jobs), usable CPUs) processes; at one
+    it runs serially in this process.  fn, the jobs and the results must
+    pickle.  Workers are forked where the platform can, since a fresh
+    interpreter per pool re-imports numpy and scipy.  A failed job cancels
+    the jobs not yet started and its exception is raised: the first
+    failure in job order, as in a serial run.
+    """
     check_workers(n_workers)
-    if n_workers == 1 or len(jobs) <= 1:
+    size = min(n_workers, len(jobs), _usable_cpus())
+    if size <= 1:
         return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
-        return list(pool.map(fn, jobs))
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    ctx = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(max_workers=size, mp_context=ctx) as pool:
+        futures = [pool.submit(fn, job) for job in jobs]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # Jobs start in submission order, so every cancelled job comes
+            # after the failed one; an interrupt also stops the queue.
+            pool.shutdown(cancel_futures=True)
+        return [f.result() for f in futures]
 
 
 def sum_parts(parts) -> dict:

@@ -32,6 +32,7 @@ from .model import (
     CONFIG_DEFAULTS,
     ModelParams,
     Regime,
+    config_number,
     config_to_params,
     derive_params,
     read_config,
@@ -59,7 +60,8 @@ def _resolve_model(args, overrides=None) -> tuple[ModelParams, dict]:
         cfg["delta_over_gamma"] = args.delta
     if getattr(args, "lam", None) is not None:
         # lam/gamma is not itself a config key; it fixes the coupling k.
-        cfg["k_over_gamma"] = math.sqrt(args.lam * cfg["gamma3_over_gamma"])
+        g3 = config_number("gamma3_over_gamma", cfg["gamma3_over_gamma"])
+        cfg["k_over_gamma"] = math.sqrt(args.lam * g3)
     return config_to_params(cfg), cfg
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -448,7 +448,8 @@ class SweepCell:
     error: str | None = None
 
 
-def _sweep_cell(p: ModelParams, ratio: float, level: float) -> SweepCell:
+def _sweep_cell(p: ModelParams, cell: tuple[float, float]) -> SweepCell:
+    ratio, level = cell
     d = derive_params(p)
     m = p.modulation
     fbar = ratio * d.f_th
@@ -488,14 +489,14 @@ def sweep_vmin(
     """Minimum variance over a grid of pump strengths and modulation depths.
 
     Keeps gamma, gamma3, k, delta, and all phases of p fixed and rescans
-    (fbar, f1).  Cells are computed independently (optionally in a thread
-    pool) and always returned in grid order, levels outer, so output does
-    not depend on worker count.  Failed cells carry their error message
-    instead of poisoning the whole sweep.
+    (fbar, f1).  Cells are computed independently (on up to n_workers
+    processes) and always returned in grid order, levels outer, so output
+    does not depend on worker count.  Failed cells carry their error
+    message instead of poisoning the whole sweep.
     """
     if not isinstance(p.modulation, Harmonic):
         raise ValueError("sweep_vmin rescans harmonic pump families only")
     jobs = [(float(ratio), float(level))
             for level in f1_over_fbar_levels
             for ratio in fbar_over_fth_grid]
-    return map_ordered(lambda job: _sweep_cell(p, *job), jobs, n_workers)
+    return map_ordered(partial(_sweep_cell, p), jobs, n_workers)

@@ -317,10 +317,15 @@ def config_to_params(cfg: dict) -> ModelParams:
         )
     merged = dict(CONFIG_DEFAULTS)
     for key, value in cfg.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InvalidParameterError(f"configuration key {key} must be a number, got {value!r}")
-        merged[key] = float(value)
+        merged[key] = config_number(key, value)
     return params_from_ratios(**merged)
+
+
+def config_number(key: str, value) -> float:
+    """The configuration value of key as a float; anything else is refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidParameterError(f"configuration key {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def read_config(path: str | Path) -> dict:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -382,10 +383,9 @@ def simulate_ensemble(
     guard = divergence_guard(d)
     amp0 = _initial_amplitude(p, t_start)
 
-    def job(idx: np.ndarray) -> dict:
-        return _run_batch(idx, d, seed, amp0, t_start, n_relax, spi,
-                          t_grid, dt_eff, guard, with_noise, collect_extended)
-
+    job = partial(_run_batch, d=d, seed=seed, amp0=amp0, t_start=t_start,
+                  n_relax=n_relax, spi=spi, t_grid=t_grid, dt=dt_eff, guard=guard,
+                  with_noise=with_noise, extended=collect_extended)
     batches = [np.arange(lo, min(lo + BATCH, n_traj)) for lo in range(0, n_traj, BATCH)]
     total = sum_parts(map_ordered(job, batches, n_workers))
 

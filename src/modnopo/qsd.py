@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -363,6 +364,11 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
     return out
 
 
+def _batch_job(args: tuple, indices) -> dict:
+    """_run_batch(indices, *args), as a picklable worker job."""
+    return _run_batch(indices, *args)
+
+
 def simulate_qsd_ensemble(
     p: ModelParams,
     n_max: int | None = None,
@@ -401,22 +407,19 @@ def simulate_qsd_ensemble(
         d.eps(t_start + dt_eff * np.arange(max(n_steps, 1))), dtype=float
     )
 
-    def run(ops, indices):
-        return _run_batch(
-            indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt_eff, tail_tol
-        )
-
     n_pilot = min(_PILOT_TRAJ, n_traj)
     for _ in range(_MAX_GROW_ROUNDS + 1):
         ops = build_operators(p, n_here)
+        job = partial(_batch_job, (ops, seed, eps_steps, n_relax, spi, n_grid,
+                                   dt_eff, tail_tol))
         batch = min(64, max(1, _BATCH_ELEMENTS // ops.dim))
         rest = [
             np.arange(lo, min(lo + batch, n_traj))
             for lo in range(n_pilot, n_traj, batch)
         ]
         try:
-            parts = [run(ops, np.arange(n_pilot))]
-            parts += map_ordered(lambda idx: run(ops, idx), rest, n_workers)
+            parts = [job(np.arange(n_pilot))]
+            parts += map_ordered(job, rest, n_workers)
             break
         except _TailTripped:
             n_here += GROW_STEP

@@ -228,6 +228,18 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_numeric_config_with_lam_fails_cleanly(tmp_path, capsys):
+    # --lam reads gamma3 from the config before the config is checked
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"gamma3_over_gamma": "x"}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["variance", "--out", str(out), "--config", str(cfg),
+                 "--lam", "0.1"]) == 1
+    assert _one_error_line(capsys)
+    assert not list(out.iterdir())
+
+
 def test_missing_output_directory_fails(tmp_path, capsys):
     missing = tmp_path / "nope"
     assert main(["variance", "--out", str(missing), "--points", "9"]) == 1
@@ -265,11 +277,12 @@ _SMALL_RUN = {
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    *[(c, "--relax", v) for c in ("positivep", "qsd") for v in ("nan", "inf")],
+    *[(c, "--relax", v) for c in ("positivep", "qsd") for v in ("nan", "inf", "1e12")],
     *[(c, "--workers", v) for c in ("sweep", "positivep", "qsd") for v in ("0", "-2")],
 ])
 def test_bad_relax_or_workers_fails_cleanly(tmp_path, capsys, command, flag, value):
-    # neither may run unrelaxed, overflow, or fall back to one worker
+    # neither may run unrelaxed, overflow, step for hours, or fall back to
+    # one worker
     assert main([command, "--out", str(tmp_path), *_SMALL_RUN[command],
                  flag, value]) == 1
     assert _one_error_line(capsys)

@@ -305,14 +305,16 @@ class TestEnsemble:
         gate = 3.0 * np.sqrt(a.V_stderr**2 + c.V_stderr**2)
         assert np.all(np.abs(a.V_mean - c.V_mean) <= gate)
 
-    def test_each_trajectory_runs_once_at_final_cutoff(self, monkeypatch):
+    def test_each_trajectory_runs_once_at_final_cutoff(self, monkeypatch, tmp_path):
         # the pilot is the first batch: at the settled cutoff the columns
-        # handed to the batch runner partition the ensemble exactly
-        calls = []
+        # handed to the batch runner partition the ensemble exactly.  Batches
+        # run in worker processes, so each call appends a line to a file.
+        log = tmp_path / "calls.txt"
         run_batch = qsd._run_batch
 
         def recording(indices, ops, *args):
-            calls.append((ops.n_max, np.array(indices)))
+            with open(log, "a") as fh:
+                fh.write(" ".join(str(int(v)) for v in (ops.n_max, *indices)) + "\n")
             return run_batch(indices, ops, *args)
 
         monkeypatch.setattr(qsd, "_run_batch", recording)
@@ -320,6 +322,9 @@ class TestEnsemble:
         ens = simulate_qsd_ensemble(p, n_max=6, n_traj=100,
                                     t_grid=np.linspace(0.0, 1.0, 3), seed=3,
                                     relax=1.0, n_workers=2)
+        calls = [(n, np.array(idx, dtype=int))
+                 for n, *idx in (map(int, line.split())
+                                 for line in log.read_text().splitlines())]
         assert min(n for n, _ in calls) < ens.n_max  # the cutoff grew
         final = [idx for n, idx in calls if n == ens.n_max]
         assert sum(idx.size for idx in final) == 100
