@@ -1,81 +1,67 @@
-"""Chunked Gauss-Legendre evaluation of exponential-tail integrals.
+"""One-period Gauss-Legendre evaluation of exponential-tail integrals.
 
 Both closed-form routes (the periodic photon-number formula and the
 periodic variance formula) reduce to integrals of the shape
 
     I(t) = integral_0^inf  exp(g(t, s)) * b(t, s) ds,    b >= 0,
 
-where exp(g) decays like exp(-a*s) in envelope but can swing through many
-hundreds of nats within one modulation cycle when the pump dips below
-threshold for a long stretch.  Two consequences drive the implementation:
+whose kernel repeats itself each modulation period T up to a fixed decay:
+b(t, s + T) = b(t, s) and g(t, s + T) = g(t, s) - D with D > 0.  The tail
+is a geometric series of period integrals, so exactly
 
-* accumulation happens in shifted-exponent form (a running maximum M of g
-  is factored out, log-sum-exp style) so the partial sums stay inside the
-  float64 range no matter how violently the kernel swings;
+    I(t) = integral_0^T exp(g) b ds / (1 - exp(-D)).
 
-* the stopping rule never fires before one full modulation period has been
-  covered, on top of the "last chunk below stop_rel of the accumulated
-  value AND s past min_s" rule: the kernel can rebound far above its
-  early-s values within the first cycle, and only after a full period is
-  the per-period decay factor exp(-a*T) guaranteed to apply.
+Within the period the kernel can swing through hundreds of nats where the
+pump dips below threshold for long, so panels accumulate in shifted-exponent
+form (a running maximum M of g factored out, log-sum-exp style) and the
+partial sums stay inside the float64 range.  The period stops early only on
+a proven bound: past a node s, g climbs at most at rate slope, so the rest
+of the period is at most (T - s) * b_max * exp(g(s) + max(slope, 0) (T - s)).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import TruncationError
+# The rest of the period is dropped once bounded below this share of the
+# sum (as a logarithm) in every row: far below float64 rounding.
+LOG_STOP = -60.0 * math.log(2.0)
 
-# Relative size below which a chunk's contribution counts as negligible.
-STOP_REL = 1e-16
 
-
-def tail_integral(
-    g,
-    b,
-    n_t: int,
-    chunk: float,
-    nodes: int,
-    min_s: float,
-    max_s: float,
-    stop_rel: float = STOP_REL,
-):
+def period_integral(g, b, n_t: int, period: float, panel: float, decay: float,
+                    slope: float, b_max: float, nodes: int = 32):
     """Accumulate I(t) = int_0^inf exp(g(t,s)) b(t,s) ds for a grid of t.
 
-    g(s_nodes) and b(s_nodes) are callables receiving an array of s values
-    of shape (nq,) and returning arrays of shape (n_t, nq): the t grid is
-    baked into them by the caller.  b may return a scalar 1.0 for a pure
-    kernel integral.
+    g(s_nodes) and b(s_nodes) receive an array of s values of shape (nq,)
+    and return arrays of shape (n_t, nq): the caller bakes the t grid into
+    them.  b may return a scalar 1.0 for a pure kernel integral.  [0, period]
+    is tiled by ceil(period/panel) equal panels of the nodes-point
+    Gauss-Legendre rule.  decay is D; slope and b_max bound dg/ds and b
+    over the period.
 
     Returns (M, A) with I = exp(M) * A elementwise: callers that need the
     logarithm of I use log(A) + M directly and never materialize I when it
     would over- or underflow.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * chunk
+    n = math.ceil(period / panel)
+    half = 0.5 * period / n
     M = np.full(n_t, -np.inf)
     A = np.zeros(n_t)
-    s_lo = 0.0
-    rel = np.array([np.inf])
-    while True:
-        s_nodes = s_lo + half * (x + 1.0)
+    for k in range(n):
+        s_nodes = half * (2 * k + 1 + x)
         gv = g(s_nodes)
         bv = b(s_nodes) * (half * w)  # fold quadrature weights into b
-        m_chunk = gv.max(axis=1)
-        M_new = np.maximum(M, m_chunk)
-        # exp(-inf - -inf) would be nan; guard the first chunk explicitly.
+        M_new = np.maximum(M, gv.max(axis=1))
+        # exp(-inf - -inf) would be nan; guard the first panel explicitly.
         scale = np.where(np.isneginf(M), 0.0, np.exp(M - M_new))
-        contrib = (np.exp(gv - M_new[:, None]) * bv).sum(axis=1)
-        A = A * scale + contrib
+        A = A * scale + (np.exp(gv - M_new[:, None]) * bv).sum(axis=1)
         M = M_new
-        s_lo += chunk
-        if s_lo >= min_s:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rel = np.where(A > 0.0, contrib / A, 0.0)
-            if np.all(rel < stop_rel):
-                return M, A
-        if s_lo > max_s:
-            raise TruncationError(
-                f"tail integral not converged by s = {s_lo:.3g} "
-                f"(cap {max_s:.3g}); largest residual chunk fraction {np.max(rel):.3g}"
-            )
+        rest = period - s_nodes[-1]
+        with np.errstate(divide="ignore"):
+            log_rest = math.log(rest * b_max) + max(slope, 0.0) * rest + gv[:, -1]
+            if np.all(log_rest < M + np.log(A) + LOG_STOP):
+                break
+    return M, A / -math.expm1(-decay)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import InvalidParameterError
 from .fluctuations import (
     VALIDITY_MARGIN,
     asymptotic_variance,
@@ -60,6 +61,8 @@ def _resolve_model(args, overrides=None) -> tuple[ModelParams, dict]:
         cfg["delta_over_gamma"] = args.delta
     if getattr(args, "lam", None) is not None:
         # lam/gamma is not itself a config key; it fixes the coupling k.
+        if not (math.isfinite(args.lam) and args.lam > 0.0):
+            raise InvalidParameterError(f"--lam must be finite and > 0, got {args.lam}")
         g3 = config_number("gamma3_over_gamma", cfg["gamma3_over_gamma"])
         cfg["k_over_gamma"] = math.sqrt(args.lam * g3)
     return config_to_params(cfg), cfg
@@ -83,6 +86,14 @@ def _period_grid(p: ModelParams, points: int, periods: float = 1.0) -> np.ndarra
     return np.linspace(0.0, periods * T, points)
 
 
+def _curve_grid(p: ModelParams, points: int, periods: float = 1.0) -> np.ndarray:
+    """_period_grid for the curve subcommands, whose --points and --periods it checks."""
+    if not (points >= 2 and 0.0 < periods < math.inf):
+        raise InvalidParameterError(
+            f"need --points >= 2 and a finite --periods > 0, got {points} and {periods}")
+    return _period_grid(p, points, periods)
+
+
 def _variance_curve(p: ModelParams, t: np.ndarray):
     """V(t) and the matching photon-number orbit in any pump regime."""
     if regime_classify(p) is Regime.ABOVE_THRESHOLD:
@@ -104,8 +115,8 @@ def _warn_validity(p: ModelParams) -> float:
 
 def cmd_semiclassical(args) -> int:
     p, cfg = _resolve_model(args)
+    t = _curve_grid(p, args.points, args.periods)
     out = _out_dir(args)
-    t = _period_grid(p, args.points, args.periods)
     if regime_classify(p) is Regime.ABOVE_THRESHOLD:
         n0 = asymptotic_n0(p, t)
     else:
@@ -116,9 +127,9 @@ def cmd_semiclassical(args) -> int:
 
 def cmd_variance(args) -> int:
     p, cfg = _resolve_model(args)
+    t = _curve_grid(p, args.points, args.periods)
     out = _out_dir(args)
     _warn_validity(p)
-    t = _period_grid(p, args.points, args.periods)
     V, n0 = _variance_curve(p, t)
     write_csv(out / "variance.csv", ["t", "V", "n0"], [t, V, n0], _meta(args, cfg))
     return 0
@@ -136,35 +147,13 @@ def _parse_levels(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
+_SWEEP_FIELDS = ["fbar_over_fth", "f1_over_fbar", "v_min", "t0", "n0_at_t0", "inseparable",
+                 "epr", "validity_ratio"]
+
+
 def _sweep_csv(out, name, cells, meta):
-    cols = list(
-        zip(
-            *[
-                (
-                    c.fbar_over_fth,
-                    c.f1_over_fbar,
-                    c.v_min,
-                    c.t0,
-                    c.n0_at_t0,
-                    c.inseparable,
-                    c.epr,
-                    c.validity_ratio,
-                )
-                for c in cells
-            ]
-        )
-    )
-    header = [
-        "fbar_over_fth",
-        "f1_over_fbar",
-        "v_min",
-        "t0",
-        "n0_at_t0",
-        "inseparable",
-        "epr",
-        "validity_ratio",
-    ]
-    return write_csv(out / name, header, cols, meta)
+    cols = [[getattr(c, f) for c in cells] for f in _SWEEP_FIELDS]
+    return write_csv(out / name, _SWEEP_FIELDS, cols, meta)
 
 
 def cmd_sweep(args) -> int:
@@ -326,8 +315,8 @@ def cmd_compare(args) -> int:
 
 def cmd_fig1(args) -> int:
     p, cfg = _resolve_model(args)
+    t = _curve_grid(p, args.points, periods=2.0)
     out = _out_dir(args)
-    t = _period_grid(p, args.points, periods=2.0)
     meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
     curves = []
     for level in (0.0, 0.4, 1.2):
@@ -353,8 +342,8 @@ def cmd_fig1(args) -> int:
 
 def cmd_fig2(args) -> int:
     p, cfg = _resolve_model(args)
+    t = _curve_grid(p, args.points)
     out = _out_dir(args)
-    t = _period_grid(p, args.points)
     meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
     curves = []
     for level in (0.0, 0.4, 1.2):

@@ -11,9 +11,9 @@ class BelowThresholdError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """A tail bound was not met: either a quadrature tail failed to satisfy
-    its stopping criteria within the hard cap, or a truncated Fock state
-    accumulated too much population near the cutoff."""
+    """A truncated Fock state accumulated too much population near the
+    cutoff, or lost its norm.  The closed-form tail quadratures never raise
+    it: they integrate one period exactly and sum the rest in closed form."""
 
 
 class ConvergenceError(RuntimeError):

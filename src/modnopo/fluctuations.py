@@ -23,7 +23,7 @@ acceptance suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -34,12 +34,14 @@ from . import _tailquad
 from ._ensemble import map_ordered
 from .errors import ConvergenceError
 from .model import (
+    AT_THRESHOLD_BAND,
     Harmonic,
     ModelParams,
     Regime,
     TabulatedPeriodic,
     derive_params,
     regime_classify,
+    spline_min,
 )
 from .semiclassical import (
     MAX_PERIODS,
@@ -56,6 +58,11 @@ from .semiclassical import (
 INSEPARABILITY_BOUND = 2.0   # on the two-angle variance sum
 EPR_BOUND = 0.25             # on the two-angle variance product
 VALIDITY_MARGIN = 10.0       # default "much greater" factor
+# Bound on the tail integrands between grid points, over their grid peak.
+# They are periodic cubic splines (or the exponential of one) through smooth
+# data on N_GRID knots per period, which overshoot their knot values by far
+# less than this; the factor costs the early stop one bit of its 2^-60.
+B_MAX_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,14 @@ def integrate_variance(
     if n0_traj is None:
         n0_traj = _pick_n0(p)
     gamma, lam, T = d.gamma, d.lam, d.period
+    # V's period map multiplies deviations by exp(-2 T <gamma + eps + lam n0>);
+    # without net damping no periodic state attracts (V grows without end).
+    damping = gamma + d.eps_bar + lam * n0_traj.mean_n0()
+    if not damping > AT_THRESHOLD_BAND * gamma:
+        raise ConvergenceError(
+            f"variance has no periodic state: period-averaged damping {damping:.3g} "
+            "is not positive"
+        )
     offsets = np.linspace(0.0, T, n_grid, endpoint=False)
 
     def rhs(t, y):
@@ -220,14 +235,13 @@ def _variance_evaluator(p: ModelParams):
                 return np.exp(u_spl(np.mod(tau, T)))
 
         n0_grid = n0_at(tau_grid)
-        n0_mean = float(np.mean(n0_grid))
-        n0_peak = float(np.max(n0_grid))
 
         # Running integral of n0: periodic part by spline antiderivative,
         # plus the linear-in-time mean growth across whole periods.
         n0_spl = CubicSpline(t_ext, np.append(n0_grid, n0_grid[0]), bc_type="periodic")
         n0_anti = n0_spl.antiderivative()
         per_period = float(n0_anti(T))
+        n0_floor = spline_min(n0_spl)
 
         def n0_cumulative(tau):
             tau = np.asarray(tau, dtype=float)
@@ -241,38 +255,33 @@ def _variance_evaluator(p: ModelParams):
         def b_mem(s):
             return n0_at(tau_grid[:, None] - s[None, :])
 
-        M_mem, A_mem = _tailquad.tail_integral(
-            g_mem, b_mem, n_t=tau_grid.size,
-            chunk=min(T / 4.0, 1.0 / gamma),
-            nodes=32,
-            min_s=max(10.0 / (4.0 * gamma), T),
-            max_s=max(100.0 / (4.0 * gamma), T) + 2.0 * T,
+        M_mem, A_mem = _tailquad.period_integral(
+            g_mem, b_mem, n_t=tau_grid.size, period=T, panel=min(T / 4.0, 1.0 / gamma),
+            decay=4.0 * gamma * T, slope=-4.0 * gamma,
+            b_max=B_MAX_FACTOR * float(np.max(n0_grid)),
         )
         with np.errstate(under="ignore"):
             mem_grid = 2.0 * gamma * lam * np.exp(M_mem) * A_mem
-        mem_spl = CubicSpline(
-            t_ext, np.append(mem_grid, mem_grid[0]), bc_type="periodic"
-        )
+        mem_spl = CubicSpline(t_ext, np.append(mem_grid, mem_grid[0]), bc_type="periodic")
 
         def mem_at(tau):
             return mem_spl(np.mod(tau, T))
     else:
-        n0_mean = 0.0
-        n0_peak = 0.0
+        n0_grid = mem_grid = np.zeros(1)
+        per_period = n0_floor = 0.0
 
         def n0_at(tau):
             return np.zeros_like(np.asarray(tau, dtype=float))
 
-        def n0_cumulative(tau):
-            return np.zeros_like(np.asarray(tau, dtype=float))
+        n0_cumulative = mem_at = n0_at
 
-        def mem_at(tau):
-            return np.zeros_like(np.asarray(tau, dtype=float))
-
-    eps_grid = d.eps(np.linspace(0.0, T, 512, endpoint=False))
-    eps_peak = float(np.max(np.abs(eps_grid)))
-    decay = 2.0 * (gamma + d.eps_bar + lam * n0_mean)
-    rate_max = 2.0 * (gamma + eps_peak + lam * n0_peak)
+    eps_peak = float(np.max(np.abs(d.eps(np.linspace(0.0, T, 512, endpoint=False)))))
+    rate_max = 2.0 * (gamma + eps_peak + lam * float(np.max(n0_grid)))
+    # N(t) = n0_anti integrates the spline n0_spl, which can undershoot the
+    # grid values, so the exponent's slope is bounded with its exact minimum.
+    slope = -2.0 * (gamma + d.eps_min + lam * n0_floor)
+    decay = 2.0 * (gamma * T + float(d.eps_integral(0.0, T)) + lam * per_period)
+    b_max = B_MAX_FACTOR * float(np.max(gamma + lam * n0_grid + mem_grid))
 
     def evaluate(t: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -287,12 +296,9 @@ def _variance_evaluator(p: ModelParams):
             past = t[:, None] - s[None, :]
             return gamma + lam * n0_at(past) + mem_at(past)
 
-        M, A = _tailquad.tail_integral(
-            g, b, n_t=t.size,
-            chunk=min(T / 4.0, 4.0 / rate_max),
-            nodes=32,
-            min_s=max(10.0 / decay, T),
-            max_s=max(400.0 / decay, T) + 2.0 * T,
+        M, A = _tailquad.period_integral(
+            g, b, n_t=t.size, period=T, panel=min(T / 4.0, 4.0 / rate_max),
+            decay=decay, slope=slope, b_max=b_max,
         )
         return 2.0 * np.exp(M) * A
 
@@ -450,18 +456,11 @@ class SweepCell:
 
 def _sweep_cell(p: ModelParams, cell: tuple[float, float]) -> SweepCell:
     ratio, level = cell
-    d = derive_params(p)
-    m = p.modulation
-    fbar = ratio * d.f_th
-    f1 = level * fbar
-    phi = m.phi
+    fbar = ratio * derive_params(p).f_th
+    f1, phi = level * fbar, p.modulation.phi
     if f1 < 0:
         f1, phi = -f1, phi + math.pi
-    cell_p = ModelParams(
-        gamma=p.gamma, gamma3=p.gamma3, k=p.k,
-        modulation=Harmonic(fbar=fbar, f1=f1, delta=m.delta, phi=phi),
-        phi_L=p.phi_L, phi_K=p.phi_K,
-    )
+    cell_p = replace(p, modulation=Harmonic(fbar, f1, p.modulation.delta, phi))
     regime = regime_classify(cell_p).value
     try:
         r = find_vmin(cell_p)

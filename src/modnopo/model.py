@@ -46,6 +46,14 @@ MIN_TABULATED_SAMPLES = 64
 AT_THRESHOLD_BAND = 1e-9
 
 
+def spline_min(spl: CubicSpline) -> float:
+    """Exact minimum of a cubic spline over its knots' span: it sits at a
+    knot or where the derivative vanishes."""
+    crit = spl.derivative().roots(extrapolate=False)
+    crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
+    return float(min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf)))
+
+
 @dataclass(frozen=True)
 class Harmonic:
     """Harmonically modulated pump amplitude f(t) = fbar + f1*cos(delta*t + phi).
@@ -64,10 +72,15 @@ class Harmonic:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.f1 >= 0.0):
-            raise InvalidParameterError(f"modulation depth f1 must be >= 0, got {self.f1}")
-        if not (self.delta > 0.0):
-            raise InvalidParameterError(f"modulation frequency delta must be > 0, got {self.delta}")
+        if not (0.0 <= self.f1 < math.inf):
+            raise InvalidParameterError(
+                f"modulation depth f1 must be finite and >= 0, got {self.f1}")
+        if not (0.0 < self.delta < math.inf):
+            raise InvalidParameterError(
+                f"modulation frequency delta must be finite and > 0, got {self.delta}")
+        if not (math.isfinite(self.fbar) and math.isfinite(self.phi)):
+            raise InvalidParameterError(
+                f"fbar and phi must be finite, got {self.fbar} and {self.phi}")
 
     @property
     def period(self) -> float:
@@ -81,6 +94,10 @@ class Harmonic:
     def mean(self) -> float:
         """Average of f over one period (the cosine integrates to zero)."""
         return self.fbar
+
+    def minimum(self) -> float:
+        """Smallest value of f over a period."""
+        return self.fbar - self.f1
 
     def integral(self, t0, t1):
         """Exact integral of f over [t0, t1] from the closed-form antiderivative."""
@@ -138,6 +155,10 @@ class TabulatedPeriodic:
         # Uniform periodic samples: the plain mean equals the trapezoid
         # average because the wrap point is shared.
         return float(np.mean(self.samples))
+
+    def minimum(self) -> float:
+        """Smallest value of the interpolated f over a period."""
+        return spline_min(self._spline)
 
     def integral(self, t0, t1):
         """Integral of f over [t0, t1] via the spline antiderivative plus
@@ -213,6 +234,11 @@ class DerivedParams:
     def eps(self, t):
         """Effective pump eps(t) = k*f(t)/gamma3."""
         return self._eps_scale * self._profile.value(t)
+
+    @property
+    def eps_min(self) -> float:
+        """Smallest effective pump over a period."""
+        return self._eps_scale * self._profile.minimum()
 
     def eps_integral(self, t0, t1):
         """Integral of eps over [t0, t1], exact up to profile interpolation."""

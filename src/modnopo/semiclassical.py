@@ -237,22 +237,18 @@ def asymptotic_log_n0(p: ModelParams, t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     T = d.period
 
-    # Envelope decay rate of the kernel and the fastest its exponent can
-    # move; both set the chunking of the tail quadrature.
-    a = 2.0 * (d.eps_bar - gamma)
+    # Panels resolve the fastest the exponent can move.
     eps_peak = float(np.max(np.abs(d.eps(np.linspace(0.0, T, 512, endpoint=False)))))
     rate_max = 2.0 * (eps_peak + gamma)
-    chunk = min(T / 4.0, 4.0 / rate_max)
-    min_s = max(10.0 / a, T)
-    max_s = max(400.0 / a, min_s) + 2.0 * T
 
     def g(s):
         # -2 * int_0^s (eps(t-u) - gamma) du, shape (n_t, n_s)
         return -2.0 * (d.eps_integral(t[:, None] - s[None, :], t[:, None]) - gamma * s[None, :])
 
-    M, A = _tailquad.tail_integral(
-        g, lambda s: 1.0, n_t=t.size, chunk=chunk, nodes=32,
-        min_s=min_s, max_s=max_s,
+    M, A = _tailquad.period_integral(
+        g, lambda s: 1.0, n_t=t.size, period=T, panel=min(T / 4.0, 4.0 / rate_max),
+        decay=2.0 * (float(d.eps_integral(0.0, T)) - gamma * T),
+        slope=2.0 * (gamma - d.eps_min), b_max=1.0,
     )
     # 1/n0 = 2 lam exp(M) A  =>  ln n0 = -(M + ln(2 lam A))
     return -(M + np.log(2.0 * d.lam * A))

@@ -5,11 +5,17 @@ cross-worker byte-identity of the CLI surface is covered separately by
 the acceptance suite, which shells out for real.
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from modnopo.cli import main
 
@@ -238,6 +244,12 @@ def test_non_numeric_config_with_lam_fails_cleanly(tmp_path, capsys):
                  "--lam", "0.1"]) == 1
     assert _one_error_line(capsys)
     assert not list(out.iterdir())
+    # and a bad --lam itself is named, whatever the config
+    for lam in ("-0.1", "nan", "0", "inf"):
+        assert main(["variance", "--out", str(out), f"--lam={lam}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lam") and err.count("\n") == 1, lam
+        assert not list(out.iterdir())
 
 
 def test_missing_output_directory_fails(tmp_path, capsys):
@@ -256,6 +268,58 @@ def test_bad_grid_string_fails(tmp_path, capsys):
     for grid in ("1::", "1:2:0", "1:2:-0.5", "1:2:nan", "1:inf:0.5"):
         assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", grid]) == 1
         assert _one_error_line(capsys), grid
+
+
+@pytest.mark.parametrize("command", ["semiclassical", "variance", "fig1", "fig2"])
+def test_bad_point_grid_fails_cleanly(tmp_path, capsys, command):
+    # too few points or a non-finite or empty span used to write a
+    # header-only CSV or rows of nan, with exit 0
+    bad = [["--points", "0"], ["--points", "1"]]
+    if command in ("semiclassical", "variance"):
+        bad += [["--periods", p] for p in ("nan", "inf", "0", "-1")]
+    for flags in bad:
+        assert main([command, "--out", str(tmp_path), *flags]) == 1, flags
+        assert _one_error_line(capsys), flags
+        assert not list(tmp_path.iterdir())
+
+
+_FUZZ_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+def _fuzzed(lo, hi):
+    # about one draw in four is special, so some runs have none at all
+    return st.one_of(*[st.floats(lo, hi)] * 3, st.sampled_from(_FUZZ_SPECIALS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["semiclassical", "variance"]),
+    delta=_fuzzed(0.5, 50.0),
+    fbar=_fuzzed(0.0, 5.0),
+    f1=_fuzzed(0.0, 2.0),
+    lam=st.one_of(st.none(), _fuzzed(1e-6, 0.5)),
+    points=st.one_of(st.integers(2, 65), st.sampled_from([0, -1])),
+)
+def test_fuzzed_curve_flags_give_finite_csv_or_one_error(command, delta, fbar, f1,
+                                                         lam, points):
+    argv = [command, f"--delta={delta!r}", f"--fbar={fbar!r}", f"--f1={f1!r}",
+            f"--points={points}"]
+    if lam is not None:
+        argv.append(f"--lam={lam!r}")
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", out])
+        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
+        written = list(Path(out).iterdir())
+        event(f"exit {code}")
+        if code == 0:
+            assert not errors and len(written) == 1, argv
+            _, cols = read_output(written[0])
+            assert cols["t"].size == points, argv
+            assert all(np.isfinite(c).all() for c in cols.values()), argv
+        else:
+            assert code == 1 and len(errors) == 1 and not written, (argv, err.getvalue())
 
 
 @pytest.mark.parametrize("command", ["qsd", "positivep"])

@@ -48,6 +48,10 @@ class TestHarmonic:
             Harmonic(fbar=1.0, f1=-0.1, delta=1.0)
         with pytest.raises(InvalidParameterError):
             Harmonic(fbar=1.0, f1=0.1, delta=0.0)
+        for bad in (dict(fbar=math.nan), dict(f1=math.inf), dict(delta=math.inf),
+                    dict(phi=math.nan)):
+            with pytest.raises(InvalidParameterError):
+                Harmonic(**{"fbar": 1.0, "f1": 0.1, "delta": 1.0, **bad})
 
     @given(
         fbar=st.floats(0.0, 10.0),
@@ -78,6 +82,17 @@ class TestTabulatedPeriodic:
         s = np.linspace(0.0, h.period, 513, endpoint=False)
         m = TabulatedPeriodic(period=h.period, samples=h.value(s))
         assert m.integral(0.0, 4.0) == pytest.approx(h.integral(0.0, 4.0), abs=1e-7)
+
+    def test_minimum_is_the_spline_minimum(self):
+        # the cosine minimum falls between samples (phi shifts it off-grid)
+        h = Harmonic(fbar=2.0, f1=0.9, delta=2.0, phi=0.3)
+        s = np.linspace(0.0, h.period, 64, endpoint=False)
+        m = TabulatedPeriodic(period=h.period, samples=h.value(s))
+        dense = m.value(np.linspace(0.0, h.period, 200001))
+        assert m.minimum() <= dense.min() < min(m.samples)
+        assert m.minimum() == pytest.approx(dense.min(), abs=1e-9)
+        assert m.minimum() == pytest.approx(h.minimum(), abs=1e-4)
+        assert TabulatedPeriodic(period=1.0, samples=(3.0,) * 64).minimum() == 3.0
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidParameterError):

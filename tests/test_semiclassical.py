@@ -49,6 +49,10 @@ FIG_SETS = [
     dict(fbar_over_fth=3.0, f1_over_fbar=0.4, delta_over_gamma=2.0),
     dict(fbar_over_fth=3.0, f1_over_fbar=1.2, delta_over_gamma=2.0),
     dict(fbar_over_fth=2.0, f1_over_fbar=0.9, delta_over_gamma=1.3, phi=0.7),
+    # the ends of the benchmark's delta ladder: hundreds of panels per
+    # period at 0.05, hundreds of periods per decay length at 100
+    dict(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=0.05),
+    dict(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=100.0),
 ]
 
 

@@ -1,0 +1,105 @@
+"""One-period tail quadrature: panel budget, early stop, exactness, memory.
+
+The closed-form routes integrate one modulation period and sum the rest of
+the tail as a geometric series.  These tests pin the cost side (never more
+panels than tile one period, bounded memory) and check that the proven
+early stop changes nothing a float64 can show.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from modnopo import _tailquad, asymptotic_variance, derive_params, params_from_ratios
+from modnopo.fluctuations import _variance_evaluator
+from modnopo.semiclassical import asymptotic_log_n0
+
+DELTAS = (0.05, 0.3, 2.0, 15.0, 100.0)
+# At fbar = 1.5 f_th these depths put the pump minimum below gamma (0.5),
+# below zero (1.2) and far below it (2.0).
+DEPTHS = (0.5, 1.2, 2.0)
+
+
+def _closed_forms(p, t):
+    _variance_evaluator.cache_clear()
+    return np.exp(asymptotic_log_n0(p, t)), asymptotic_variance(p, t)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_panels_never_exceed_one_period(monkeypatch, delta):
+    seen = []
+    inner = _tailquad.period_integral
+
+    def counting(g, b, n_t, period, panel, **kw):
+        calls = [0]
+
+        def g_counted(s):
+            calls[0] += 1
+            return g(s)
+
+        out = inner(g_counted, b, n_t, period, panel, **kw)
+        seen.append((calls[0], math.ceil(period / panel)))
+        return out
+
+    monkeypatch.setattr(_tailquad, "period_integral", counting)
+    p = params_from_ratios(fbar_over_fth=1.5, f1_over_fbar=1.2, delta_over_gamma=delta)
+    _closed_forms(p, np.linspace(0.0, derive_params(p).period, 33))
+    # the orbit on t, then on V's set-up grid, the memory term and V
+    assert len(seen) == 4
+    assert all(0 < calls <= budget for calls, budget in seen), seen
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_early_stop_matches_full_period(monkeypatch, delta, depth):
+    p = params_from_ratios(fbar_over_fth=1.5, f1_over_fbar=depth,
+                           delta_over_gamma=delta, phi=0.3)
+    t = np.linspace(0.0, derive_params(p).period, 65)
+    n0, V = _closed_forms(p, t)
+    monkeypatch.setattr(_tailquad, "LOG_STOP", -math.inf)
+    n0_full, V_full = _closed_forms(p, t)
+    _variance_evaluator.cache_clear()
+    np.testing.assert_allclose(n0, n0_full, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(V, V_full, rtol=1e-15, atol=0.0)
+
+
+def test_early_stop_waits_for_a_rebound(monkeypatch):
+    # the kernel falls 60 nats by mid-period, far below the stop share,
+    # then climbs back: only the slope bound keeps the second half
+    T, D = 10.0, 1.0
+
+    def g(s):
+        return np.broadcast_to(-D * s / T - 60.0 * np.sin(np.pi * s / T) ** 2, (1, s.size))
+
+    kw = dict(n_t=1, period=T, panel=0.5, decay=D, slope=60.0 * np.pi / T, b_max=1.0)
+    M, A = _tailquad.period_integral(g, lambda s: 1.0, **kw)
+    monkeypatch.setattr(_tailquad, "LOG_STOP", -math.inf)
+    M_full, A_full = _tailquad.period_integral(g, lambda s: 1.0, **kw)
+    np.testing.assert_allclose(np.exp(M) * A, np.exp(M_full) * A_full, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("period", [0.03, 1.0, 40.0])
+def test_flat_pump_gives_inverse_rate(period):
+    a = 1.7
+    M, A = _tailquad.period_integral(
+        lambda s: np.broadcast_to(-a * s, (2, s.size)), lambda s: 1.0,
+        n_t=2, period=period, panel=min(period / 4.0, 1.0), decay=a * period,
+        slope=-a, b_max=1.0,
+    )
+    np.testing.assert_allclose(np.exp(M) * A, 1.0 / a, rtol=4e-16, atol=0.0)
+
+
+def test_slow_modulation_variance_memory_stays_small():
+    p = params_from_ratios(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=0.05)
+    t = np.linspace(0.0, derive_params(p).period, 513)
+    _variance_evaluator.cache_clear()
+    tracemalloc.start()
+    try:
+        asymptotic_variance(p, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _variance_evaluator.cache_clear()
+    assert peak < 16 * 2**20
