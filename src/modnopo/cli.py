@@ -39,6 +39,7 @@ from .model import (
     read_config,
     regime_classify,
 )
+from . import positivep, qsd
 from .positivep import simulate_ensemble
 from .qsd import MAX_PRODUCT_DIM, auto_n_max, simulate_qsd_ensemble
 from .semiclassical import asymptotic_n0
@@ -188,34 +189,11 @@ def cmd_positivep(args) -> int:
     )
     # worker count deliberately left out: results must not depend on it
     extra = {"dt": m.dt, "traj": m.n_traj}
+    cols = [f"{x}_{s}" for x in ("n_plus", "R", "Z", "V") for s in ("mean", "stderr")]
     write_csv(
         out / "positivep.csv",
-        [
-            "t",
-            "n_plus_mean",
-            "n_plus_stderr",
-            "R_mean",
-            "R_stderr",
-            "Z_mean",
-            "Z_stderr",
-            "V_mean",
-            "V_stderr",
-            "n_traj",
-            "discarded",
-        ],
-        [
-            m.t_grid,
-            m.n_plus_mean,
-            m.n_plus_stderr,
-            m.R_mean,
-            m.R_stderr,
-            m.Z_mean,
-            m.Z_stderr,
-            m.V_mean,
-            m.V_stderr,
-            m.alive,
-            m.n_traj - m.alive,
-        ],
+        ["t", *cols, "n_traj", "discarded"],
+        [m.t_grid, *(getattr(m, c) for c in cols), m.alive, m.n_traj - m.alive],
         _meta(args, cfg, extra),
     )
     return 0
@@ -264,7 +242,7 @@ def cmd_compare(args) -> int:
 
     pp = simulate_ensemble(
         p, n_traj=args.traj, t_grid=t, seed=args.seed, dt=args.dt,
-        n_workers=args.workers,
+        relax=args.relax, n_workers=args.workers,
     )
     dev_pp = np.abs(pp.V_mean - v_lin)
     pp_ok = bool((dev_pp <= np.maximum(3.0 * pp.V_stderr, tol)).all())
@@ -280,7 +258,7 @@ def cmd_compare(args) -> int:
     if (qsd_n0 + 1) ** 2 <= MAX_PRODUCT_DIM:
         ens = simulate_qsd_ensemble(
             p, n_traj=args.qsd_traj, t_grid=t, seed=args.seed, dt=args.dt,
-            n_workers=args.workers,
+            relax=args.relax, n_workers=args.workers,
         )
         v_qsd = ens.V_mean
         e_qsd = ens.V_stderr
@@ -412,7 +390,7 @@ def cmd_fig4(args) -> int:
     v_lin, _ = _variance_curve(p, t)
     ens = simulate_qsd_ensemble(
         p, n_max=args.nmax, n_traj=args.traj, t_grid=t, seed=args.seed,
-        dt=args.dt, n_workers=args.workers,
+        dt=args.dt, relax=args.relax, n_workers=args.workers,
     )
     meta = _meta(
         args,
@@ -458,10 +436,11 @@ def _add_model_flags(sp):
     )
 
 
-def _add_ensemble_flags(sp, traj_default):
+def _add_ensemble_flags(sp, traj_default, route):
+    """Ensemble flags; the step and relaxation defaults are the route module's."""
     sp.add_argument("--traj", type=int, default=traj_default)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--relax", type=float, default=5.0)
+    sp.add_argument("--dt", type=float, default=route.DEFAULT_DT)
+    sp.add_argument("--relax", type=float, default=route.RELAX_WINDOW)
     sp.add_argument("--grid-points", type=int, default=129)
     sp.add_argument("--workers", type=int, default=1)
 
@@ -496,18 +475,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("positivep", help="phase-space trajectory ensemble")
     _add_model_flags(sp)
-    _add_ensemble_flags(sp, traj_default=2000)
+    _add_ensemble_flags(sp, 2000, positivep)
     sp.set_defaults(func=cmd_positivep)
 
     sp = sub.add_parser("qsd", help="state-diffusion trajectory ensemble")
     _add_model_flags(sp)
-    _add_ensemble_flags(sp, traj_default=512)
+    _add_ensemble_flags(sp, 512, qsd)
     sp.add_argument("--nmax", type=int, default=None, help="starting Fock cutoff")
     sp.set_defaults(func=cmd_qsd)
 
     sp = sub.add_parser("compare", help="linearized vs both quantum ensembles")
     _add_model_flags(sp)
-    _add_ensemble_flags(sp, traj_default=4000)
+    _add_ensemble_flags(sp, 4000, positivep)
     sp.add_argument("--qsd-traj", type=int, default=256)
     sp.set_defaults(func=cmd_compare)
 
@@ -529,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fig4", help="state-diffusion vs linearized overlay")
     _add_model_flags(sp)
-    _add_ensemble_flags(sp, traj_default=512)
+    _add_ensemble_flags(sp, 512, qsd)
     sp.add_argument("--nmax", type=int, default=None)
     sp.add_argument(
         "--full", action="store_true",

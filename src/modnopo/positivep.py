@@ -6,7 +6,7 @@ modes through the pump and the two-photon-absorption nonlinearity, and the
 noise is the characteristic cross-correlated pair: within the alpha group
 the two mode increments correlate as (eps - lam*alpha1*alpha2) dt while
 every self-correlation vanishes, and the beta group mirrors that with its
-own amplitudes.  The sum/difference construction in _noise_batch realizes
+own amplitudes.  The conjugate-pair construction in _increments realizes
 this covariance exactly, no matrix square root needed.
 
 Ensembles are Euler-Maruyama (Ito) with fixed step, per-trajectory
@@ -30,6 +30,7 @@ from .semiclassical import periodic_steady_state
 
 BATCH = 256                 # trajectories stepped together; fixed for determinism
 NOISE_CHUNK = 1024          # steps of pre-drawn normals per trajectory
+DRAW_BLOCK = 16             # streams drawn between transposing copies
 DEFAULT_DT = 1e-3
 RELAX_WINDOW = 5.0          # discarded settling time before the grid, in 1/gamma
 DIVERGENCE_GUARD_FACTOR = 1e3
@@ -63,42 +64,49 @@ def divergence_guard(p: ModelParams | DerivedParams) -> float:
     return DIVERGENCE_GUARD_FACTOR * math.sqrt(d.gamma / d.lam)
 
 
-def _noise_batch(a1, a2, b1, b2, eps_t, lam, dt, eta):
-    """Correlated noise increments (dW_a1, dW_a2, dW_b1, dW_b2) of a batch.
+def _increments(amps, eps_t, gamma, lam, dt, noise):
+    """Euler-Maruyama increment of a batch of trajectories, and its noise part.
 
-    Within each group the construction sqrt(d/2)*(eta1 + i*eta2) and
-    sqrt(d/2)*(eta1 - i*eta2) gives cross-correlation d*dt and vanishing
+    amps holds the batch as a (4, B) array with rows alpha1, alpha2, beta1,
+    beta2, seen as A = [[alpha1, alpha2], [beta1, beta2]]; both increments
+    come back in the (2, 2, B) shape of A.  noise is one step of
+    _draw_noise's layout, or None for the drift alone (the noise part is
+    then None).  Within each group the pair sqrt(d dt/2)*z and
+    sqrt(d dt/2)*conj(z) has cross-correlation d*dt and vanishing
     self-correlations; d is complex in general and the principal branch of
     the square root is used (either branch gives identical statistics, the
-    sign folds into the Gaussians).  eta holds four standard normals per
-    trajectory, shape (batch, 4).
+    sign folds into the Gaussians).  The ensemble and the scalar helpers
+    share this one kernel.
     """
-    root_a = np.sqrt(0.5 * dt * (eps_t - lam * a1 * a2))
-    root_b = np.sqrt(0.5 * dt * (eps_t - lam * b1 * b2))
-    za = eta[:, 0] + 1j * eta[:, 1]
-    zb = eta[:, 2] + 1j * eta[:, 3]
-    return root_a * za, root_a * np.conj(za), root_b * zb, root_b * np.conj(zb)
+    A = amps.reshape(2, 2, -1)
+    la = lam * amps
+    g = gamma + la[:2] * amps[2:]   # decay seen by modes 2 and 1: [g21, g12]
+    drift = (-g[::-1] * A + eps_t * A[::-1, ::-1]) * dt
+    if noise is None:
+        return drift, None
+    root = np.sqrt(0.5 * dt * (eps_t - la[::2] * amps[1::2]))   # [alpha, beta] groups
+    w = root[:, None] * noise
+    drift += w
+    return drift, w
 
 
-def _step_batch(a1, a2, b1, b2, eps_t, gamma, lam, dt, eta):
-    """Euler-Maruyama increments (da1, da2, db1, db2) of a batch of trajectories.
+def _draw_noise(rngs: list, noise: np.ndarray) -> None:
+    """Fill noise, shape (steps, 2, 2, B), from the B trajectory streams.
 
-    The drift plus, unless eta is None, the noise of _noise_batch.  The
-    ensemble and the scalar helpers share this one kernel.
+    Each stream draws its four standard normals per step in order, and
+    step k of trajectory i becomes noise[k, ..., i] =
+    [[za, conj(za)], [zb, conj(zb)]] with za = eta0 + i*eta1 and
+    zb = eta2 + i*eta3.  Streams draw DRAW_BLOCK at a time into a small
+    buffer, so the transpose to trajectory-last order stays in cache.
     """
-    g12 = gamma + lam * a2 * b2   # decay seen by mode 1
-    g21 = gamma + lam * a1 * b1   # decay seen by mode 2
-    u_a1 = (-g12 * a1 + eps_t * b2) * dt
-    u_a2 = (-g21 * a2 + eps_t * b1) * dt
-    u_b1 = (-g12 * b1 + eps_t * a2) * dt
-    u_b2 = (-g21 * b2 + eps_t * a1) * dt
-    if eta is not None:
-        w_a1, w_a2, w_b1, w_b2 = _noise_batch(a1, a2, b1, b2, eps_t, lam, dt, eta)
-        u_a1 += w_a1
-        u_a2 += w_a2
-        u_b1 += w_b1
-        u_b2 += w_b2
-    return u_a1, u_a2, u_b1, u_b2
+    eta = np.empty((DRAW_BLOCK, noise.shape[0], 4))
+    for lo in range(0, len(rngs), DRAW_BLOCK):
+        group = rngs[lo:lo + DRAW_BLOCK]
+        for g, out in zip(group, eta):
+            g.standard_normal(out=out)
+        z = eta[:len(group)].view(np.complex128)
+        noise[:, :, 0, lo:lo + len(group)] = z.transpose(1, 2, 0)
+    np.conjugate(noise[:, :, 0], out=noise[:, :, 1])
 
 
 def _amplitudes(state: PPState) -> np.ndarray:
@@ -107,18 +115,21 @@ def _amplitudes(state: PPState) -> np.ndarray:
     return np.array(amps, dtype=np.complex128)
 
 
-def _draw_eta(rng: np.random.Generator, dt: float) -> np.ndarray:
+def _one_noise(rng: np.random.Generator, dt: float) -> np.ndarray:
+    """One step of noise for a batch of one, shape (2, 2, 1)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return rng.standard_normal((1, 4))
+    noise = np.empty((1, 2, 2, 1), dtype=np.complex128)
+    _draw_noise([rng], noise)
+    return noise[0]
 
 
 def sample_noise(
     state: PPState, eps_t: float, lam: float, dt: float, rng: np.random.Generator
 ) -> NoiseIncrement:
     """Draw one set of noise increments at the current state."""
-    w = _noise_batch(*_amplitudes(state), eps_t, lam, dt, _draw_eta(rng, dt))
-    return NoiseIncrement(*(complex(x[0]) for x in w))
+    _, w = _increments(_amplitudes(state), eps_t, 0.0, lam, dt, _one_noise(rng, dt))
+    return NoiseIncrement(*(complex(x) for x in w.ravel()))
 
 
 def step_trajectory(
@@ -136,9 +147,9 @@ def step_trajectory(
     """
     d = p if isinstance(p, DerivedParams) else derive_params(p)
     amps = _amplitudes(state)
-    eta = _draw_eta(rng, dt) if with_noise else None
-    incs = _step_batch(*amps, float(d.eps(state.t)), d.gamma, d.lam, dt, eta)
-    new = [complex(x[0] + u[0]) for x, u in zip(amps, incs)]
+    noise = _one_noise(rng, dt) if with_noise else None
+    u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt, noise)
+    new = [complex(x) for x in (amps.reshape(u.shape) + u).ravel()]
     guard = divergence_guard(d)
     if max(abs(z) for z in new) > guard:
         raise DivergenceError(
@@ -198,7 +209,7 @@ def _run_batch(
     d: DerivedParams,
     seed: int,
     amp0: float,
-    t_start: float,
+    eps_steps: list,
     n_relax: int,
     spi: int,
     t_grid: np.ndarray,
@@ -209,8 +220,9 @@ def _run_batch(
 ) -> dict:
     """Step one batch of trajectories and return its accumulated sums.
 
-    All trajectories in the batch advance in lockstep; diverged ones are
-    zeroed and masked out of every subsequent update and average.  Sums are
+    All trajectories in the batch advance in lockstep as one (4, B) array;
+    diverged ones are zeroed and masked out of every subsequent update and
+    average.  eps_steps[k] is the pump at the start of step k.  Sums are
     taken in fixed trajectory order so the reduction is deterministic.
     """
     B = indices.size
@@ -218,11 +230,11 @@ def _run_batch(
     gamma, lam = d.gamma, d.lam
     rngs = [trajectory_stream(seed, int(i), SALT_PHASE_SPACE) for i in indices]
 
-    a1 = np.full(B, amp0, dtype=np.complex128)
-    a2 = a1.copy()
-    b1 = a1.copy()
-    b2 = a1.copy()
+    amps = np.full((4, B), amp0, dtype=np.complex128)
+    A = amps.reshape(2, 2, B)
+    a1, a2, b1, b2 = amps   # row views, read by record
     alive = np.ones(B, dtype=bool)
+    mask = None             # alive as complex, once a trajectory has died
 
     n_steps = n_relax + (m - 1) * spi
     acc: dict = {
@@ -302,9 +314,6 @@ def _run_batch(
             acc["res_sq"][row, jc - 1] += (r ** 2).sum()
         acc["res_count"][jc - 1] += int(ok.sum())
 
-    chunk_noise = None
-    chunk_pos = NOISE_CHUNK
-    t = t_start
     record_at = n_relax   # step count at which the next grid point is hit
     next_j = 0
     if n_relax == 0:
@@ -312,34 +321,21 @@ def _run_batch(
         next_j = 1
         record_at = spi
 
-    eta = None
+    noise = np.empty((NOISE_CHUNK, 2, 2, B), dtype=np.complex128) if with_noise else None
     for step in range(n_steps):
-        if with_noise:
-            if chunk_pos >= NOISE_CHUNK:
-                take = min(NOISE_CHUNK, n_steps - step)
-                chunk_noise = np.stack(
-                    [g.standard_normal((take, 4)) for g in rngs], axis=0
-                )
-                chunk_pos = 0
-            eta = chunk_noise[:, chunk_pos, :]
-            chunk_pos += 1
-        u_a1, u_a2, u_b1, u_b2 = _step_batch(
-            a1, a2, b1, b2, float(d.eps(t)), gamma, lam, dt, eta
-        )
-        af = alive.astype(np.complex128)
-        a1 += u_a1 * af
-        b1 += u_b1 * af
-        a2 += u_a2 * af
-        b2 += u_b2 * af
-        t += dt
-        bad = alive & (
-            (np.abs(a1) > guard) | (np.abs(a2) > guard)
-            | (np.abs(b1) > guard) | (np.abs(b2) > guard)
-        )
-        if bad.any():
-            for arr in (a1, a2, b1, b2):
-                arr[bad] = 0.0
+        k = step % NOISE_CHUNK
+        if noise is not None and k == 0:
+            _draw_noise(rngs, noise[:n_steps - step])
+        u, _ = _increments(amps, eps_steps[step], gamma, lam, dt,
+                           None if noise is None else noise[k])
+        if mask is not None:
+            u *= mask
+        A += u
+        if (np.abs(amps) > guard).any():
+            bad = alive & (np.abs(amps) > guard).any(axis=0)
+            amps[:, bad] = 0.0
             alive &= ~bad
+            mask = alive.astype(np.complex128)
         if step + 1 == record_at:
             record(next_j)
             next_j += 1
@@ -383,7 +379,13 @@ def simulate_ensemble(
     guard = divergence_guard(d)
     amp0 = _initial_amplitude(p, t_start)
 
-    job = partial(_run_batch, d=d, seed=seed, amp0=amp0, t_start=t_start,
+    # The pump at the start of each step.  The step times are a running sum
+    # from t_start, as a step-by-step clock gives; t_start + k*dt_eff would
+    # differ in the last bits.
+    n_steps = n_relax + (t_grid.size - 1) * spi
+    times = np.add.accumulate(np.r_[t_start, np.full(max(n_steps - 1, 0), dt_eff)])
+    eps_steps = d.eps(times[:n_steps]).tolist()
+    job = partial(_run_batch, d=d, seed=seed, amp0=amp0, eps_steps=eps_steps,
                   n_relax=n_relax, spi=spi, t_grid=t_grid, dt=dt_eff, guard=guard,
                   with_noise=with_noise, extended=collect_extended)
     batches = [np.arange(lo, min(lo + BATCH, n_traj)) for lo in range(0, n_traj, BATCH)]

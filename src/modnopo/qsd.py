@@ -410,6 +410,14 @@ def simulate_qsd_ensemble(
     n_pilot = min(_PILOT_TRAJ, n_traj)
     for _ in range(_MAX_GROW_ROUNDS + 1):
         ops = build_operators(p, n_here)
+        # The explicit step damps the top Fock level by 1 - dt*loss; past
+        # dt*loss = 1 it overshoots and the run gives garbage.
+        dt_max = 1.0 / float(ops.loss_diag.max())
+        if dt_eff >= dt_max:
+            raise InvalidParameterError(
+                f"dt={dt_eff:.4g} is unstable at cutoff n_max={n_here}: the "
+                f"explicit step needs dt < {dt_max:.4g} there"
+            )
         job = partial(_batch_job, (ops, seed, eps_steps, n_relax, spi, n_grid,
                                    dt_eff, tail_tol))
         batch = min(64, max(1, _BATCH_ELEMENTS // ops.dim))

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from modnopo.cli import main
+from modnopo import positivep, qsd
+from modnopo.cli import build_parser, main
 
 
 def read_output(path):
@@ -331,6 +332,94 @@ def test_bad_dt_fails_cleanly(tmp_path, capsys, command, dt):
                  "--fbar", "0.3", "--dt", dt]) == 1
     assert _one_error_line(capsys)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("dt", ["0.3", "2"])
+def test_unstable_qsd_step_fails_cleanly(tmp_path, capsys, dt):
+    # past dt * (largest loss rate) = 1 the explicit step overshoots: this
+    # run used to report V_mean of 32-39 (0.77 is right) with exit 0
+    assert main(["qsd", "--out", str(tmp_path), "--lam", "0.1", "--fbar", "0.3",
+                 "--traj", "2", "--nmax", "4", "--grid-points", "3",
+                 "--dt", dt]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "dt=" in err and "n_max=4" in err and "dt < 0.1042" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,route", [
+    ("positivep", positivep), ("compare", positivep), ("qsd", qsd), ("fig4", qsd),
+])
+def test_ensemble_defaults_are_the_modules(monkeypatch, command, route):
+    # a changed module default must reach the command line
+    args = build_parser().parse_args([command])
+    assert (args.dt, args.relax) == (route.DEFAULT_DT, route.RELAX_WINDOW)
+    monkeypatch.setattr(route, "DEFAULT_DT", 2.5e-3)
+    monkeypatch.setattr(route, "RELAX_WINDOW", 3.5)
+    args = build_parser().parse_args([command])
+    assert (args.dt, args.relax) == (2.5e-3, 3.5)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("compare", ["--traj", "16", "--qsd-traj", "4", "--grid-points", "3"]),
+    ("fig4", ["--traj", "4", "--grid-points", "3", "--nmax", "6"]),
+])
+def test_relax_reaches_the_ensembles(tmp_path, command, flags):
+    # both subcommands take --relax; it used to be dropped silently
+    outputs = []
+    for relax in ("0.2", "0.4"):
+        out = tmp_path / relax
+        out.mkdir()
+        assert main([command, "--out", str(out), *flags, "--relax", relax]) == 0
+        outputs.append((out / f"{command}.csv").read_bytes())
+    assert outputs[0] != outputs[1]
+
+
+def _qsd_step_stable(meta) -> bool:
+    # the explicit state-diffusion step damps Fock level (n1, n2) by
+    # 1 - dt*(gamma*(n1 + n2) + lam*n1*n2), gamma = 1, largest at the cutoff
+    cfg = json.loads(meta["config"])
+    lam = cfg["k_over_gamma"] ** 2 / cfg["gamma3_over_gamma"]
+    n = int(meta["n_max"])
+    return float(meta["dt"]) * (2.0 * n + lam * n * n) < 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["positivep", "qsd"]),
+    dt=st.one_of(st.floats(-2.5, 0.3).map(lambda e: 10.0 ** e),
+                 st.sampled_from(_FUZZ_SPECIALS)),
+    fbar=st.floats(0.0, 2.0),   # the curve fuzz covers the model flags' specials
+    f1=st.floats(0.0, 1.5),
+    lam=st.floats(0.1, 0.5),
+    traj=st.integers(2, 8),
+    points=st.integers(2, 4),
+    relax=st.floats(0.0, 0.5),
+    nmax=st.integers(2, 8),
+)
+def test_fuzzed_ensemble_flags_give_finite_csv_or_one_error(command, dt, fbar, f1, lam,
+                                                            traj, points, relax, nmax):
+    argv = [command, f"--dt={dt!r}", f"--fbar={fbar!r}", f"--f1={f1!r}",
+            f"--lam={lam!r}", f"--traj={traj}", f"--grid-points={points}",
+            f"--relax={relax!r}"]
+    if command == "qsd":
+        argv.append(f"--nmax={nmax}")
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", out])
+        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
+        written = list(Path(out).iterdir())
+        event(f"{command} exit {code}")
+        if code == 0:
+            assert not errors and len(written) == 1, argv
+            meta, cols = read_output(written[0])
+            assert cols["t"].size == points, argv
+            assert all(np.isfinite(c).all() for c in cols.values()), argv
+            if command == "qsd":
+                assert _qsd_step_stable(meta), (argv, meta)
+        else:
+            assert code == 1 and len(errors) == 1 and not written, (argv, err.getvalue())
 
 
 _SMALL_RUN = {

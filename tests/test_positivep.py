@@ -7,6 +7,8 @@ equation, ensemble variances against the linearized analytics, and the
 recorded per-trajectory residuals against the moment evolution equations.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -23,8 +25,15 @@ from modnopo import (
     periodic_steady_state,
     simulate_ensemble,
 )
+from modnopo._ensemble import step_layout
 from modnopo._streams import SALT_PHASE_SPACE, trajectory_stream
-from modnopo.positivep import PPState, sample_noise, step_trajectory
+from modnopo.positivep import (
+    PPState,
+    _initial_amplitude,
+    _run_batch,
+    sample_noise,
+    step_trajectory,
+)
 
 LAM = 1e-2  # nonlinearity-to-damping ratio for the stochastic test runs
 
@@ -256,3 +265,67 @@ class TestGuards:
             with pytest.raises(InvalidParameterError, match="n_workers"):
                 simulate_ensemble(p, 8, np.linspace(0.0, 1.0, 3), seed=0,
                                   n_workers=n_workers)
+
+
+def _sha256(items) -> str:
+    h = hashlib.sha256()
+    for name, val in items:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(val).tobytes() if isinstance(val, np.ndarray)
+                 else repr(val).encode())
+    return h.hexdigest()
+
+
+def _moments_digest(ens) -> str:
+    return _sha256((f.name, getattr(ens, f.name)) for f in dataclasses.fields(ens))
+
+
+class TestFrozenBytes:
+    """Regression freezes: sha256 of every result array of four small runs,
+    taken at commit deb37af before the batch kernel was fused.  A rewrite of
+    the kernel or the step loop must keep every byte."""
+
+    P = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5,
+                           delta_over_gamma=2.0, lam_over_gamma=LAM)
+
+    def test_plain_ensemble(self):
+        # 300 trajectories: a full batch and a partial one
+        ens = simulate_ensemble(self.P, 300, np.linspace(0.0, 0.5, 6),
+                                seed=1101, relax=0.3)
+        assert _moments_digest(ens) == (
+            "6f508b2ed81532fa20e613f10dd78f24e95aa6f1a934a4db013ecf86aa55dbe1")
+
+    def test_extended_ensemble(self):
+        ens = simulate_ensemble(self.P, 300, np.linspace(0.0, 0.6, 7),
+                                seed=1102, relax=0.2, collect_extended=True)
+        assert _moments_digest(ens) == (
+            "f18d10cee01a3ce0b655cccd898a3319f8758f9b9a406c29204ec3c0e1deb294")
+
+    def test_below_threshold_from_vacuum(self):
+        # every amplitude starts at exactly 0, and the pump changes sign
+        # during the cycle, so signed zeros and both square-root branches
+        # reach the sums
+        p = params_from_ratios(fbar_over_fth=0.5, f1_over_fbar=1.5,
+                               delta_over_gamma=2.0, lam_over_gamma=LAM)
+        ens = simulate_ensemble(p, 300, np.linspace(0.0, 0.5, 6), seed=1103,
+                                relax=0.3)
+        assert _moments_digest(ens) == (
+            "023516b27c7c81ca2eeb3371a355e4be1595f726b849ac84512aeb002f5046c7")
+
+    def test_masked_batch(self):
+        # a guard just above the orbit: all 100 trajectories live through
+        # the relaxation, then 79 of them are frozen one by one, so the
+        # alive mask multiplies the later updates
+        d = derive_params(self.P)
+        t_grid = np.linspace(0.0, 0.5, 6)
+        spi, dt, n_relax, t_start = step_layout(t_grid, 1e-3, 0.3)
+        eps_steps, t = [], t_start
+        for _ in range(n_relax + (t_grid.size - 1) * spi):
+            eps_steps.append(float(d.eps(t)))
+            t += dt
+        acc = _run_batch(np.arange(40, 140), d, 1104,
+                         _initial_amplitude(self.P, t_start), eps_steps, n_relax,
+                         spi, t_grid, dt, 13.5, True, True)
+        np.testing.assert_array_equal(acc["count"], [100, 96, 72, 39, 25, 21])
+        assert _sha256((k, acc[k]) for k in sorted(acc)) == (
+            "1048910354fedd1108d5138b0a581172d3c28685ec3e550c0b851c6574f019a9")
