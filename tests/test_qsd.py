@@ -8,6 +8,8 @@ levels clear of the cutoff so ladder truncation cannot leak into the
 comparison; agreement is then at rounding level, not statistical.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -375,3 +377,56 @@ class TestEnsemble:
             with pytest.raises(InvalidParameterError, match="n_workers"):
                 simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3),
                                       n_workers=n_workers)
+
+
+def _sha256(items) -> str:
+    h = hashlib.sha256()
+    for name, val in items:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(val).tobytes() if isinstance(val, np.ndarray)
+                 else repr(val).encode())
+    return h.hexdigest()
+
+
+def _ensemble_digest(ens) -> str:
+    return _sha256((f.name, getattr(ens, f.name)) for f in dataclasses.fields(ens))
+
+
+class TestFrozenBytes:
+    """Regression freezes: sha256 of every QsdEnsemble field of two small
+    runs and of a qsd_step sequence, taken at commit 33169d0 before the
+    trajectory loop moved into _ensemble.  A rewrite of the loop, the noise
+    draw or the kernel must keep every byte."""
+
+    P = params_from_ratios(fbar_over_fth=0.5, f1_over_fbar=1.0,
+                           delta_over_gamma=2.0, lam_over_gamma=LAM)
+
+    def test_pilot_and_pooled_ragged_batches(self):
+        # a pilot of 32, then 64 and a ragged 4 on two workers
+        ens = simulate_qsd_ensemble(self.P, n_max=14, n_traj=100,
+                                    t_grid=np.linspace(0.0, 1.0, 3), seed=1201,
+                                    relax=1.0, n_workers=2)
+        assert ens.n_max == 14
+        assert _ensemble_digest(ens) == (
+            "55babfa1e02d41a6eac01de9f39d43b3e2a22beb41e5215784c9ed69a93f6dd1")
+
+    def test_grown_cutoff(self):
+        # the cutoff grows from 6 to 10; with no relaxation the first record
+        # comes before any step
+        ens = simulate_qsd_ensemble(self.P, n_max=6, n_traj=40,
+                                    t_grid=np.linspace(0.0, 0.6, 4), seed=1202,
+                                    relax=0.0)
+        assert ens.n_max == 10
+        assert _ensemble_digest(ens) == (
+            "22945bd3248e34b2336d3a9b80c2a1eff85e0cf8fc22203debaa8c4fcb9cc841")
+
+    def test_step_sequence(self):
+        ops = build_operators(self.P, 8)
+        rng = np.random.default_rng(1203)
+        psi = vacuum_state(ops, t=0.25)
+        states = []
+        for _ in range(40):
+            psi = qsd_step(psi, ops, 2e-3, rng)
+            states.append((repr(psi.t), psi.amplitudes))
+        assert _sha256(states) == (
+            "ba8d2dc9e6bc01f9ed12678f7ddae5f5c117f93ace5fd4b14c36fc7c3d3328cf")
