@@ -6,6 +6,13 @@ trajectories through the same ordered process pool (the V_min sweep runs
 its cells through it too), and reduce the batches' partial sums in the
 same fixed order, so their results depend on the seed and never on the
 worker count.
+
+Within a batch both routes step their trajectories in lockstep through one
+loop, run_lockstep.  It draws each trajectory's normals from its own stream
+in chunks (draw_noise), calls the route's advance(step, eta, alive) once per
+step and its record(j, alive) once per grid point after the relaxation
+window, and owns the alive mask that advance may clear.  A route keeps only
+its step kernel, its guard and its accumulators.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from .errors import InvalidParameterError
 # Euler steps one trajectory may take: 2000 times the default relaxation
 # window at the default step, and already minutes to hours per batch.
 MAX_STEPS = 10**7
+NOISE_CHUNK = 1024          # steps of normals drawn per stream at a time
+DRAW_BLOCK = 16             # streams drawn between transposing copies
 
 
 def step_layout(t_grid: np.ndarray, dt: float, relax: float):
@@ -58,6 +67,51 @@ def step_layout(t_grid: np.ndarray, dt: float, relax: float):
         )
     t_start = float(t_grid[0]) - n_relax * dt_eff
     return spi, dt_eff, n_relax, t_start
+
+
+def draw_noise(streams: list, out: np.ndarray) -> None:
+    """Fill out, shape (steps, k, B), with normals from the B streams.
+
+    Each stream draws its k normals per step in order, and normal r of step
+    s of stream i lands at out[s, r, i]; a stream's draws are sequential, so
+    splitting a run into chunks of any length gives the same values.
+    Streams draw DRAW_BLOCK at a time into a small buffer, so the transpose
+    to trajectory-last order stays in cache.
+    """
+    eta = np.empty((DRAW_BLOCK, *out.shape[:2]))
+    for lo in range(0, len(streams), DRAW_BLOCK):
+        group = streams[lo:lo + DRAW_BLOCK]
+        for g, buf in zip(group, eta):
+            g.standard_normal(out=buf)
+        out[:, :, lo:lo + len(group)] = eta[:len(group)].transpose(1, 2, 0)
+
+
+def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
+                 n_grid: int, advance, record) -> np.ndarray:
+    """Step a batch of len(streams) trajectories together; return the alive mask.
+
+    The run is n_relax relaxation steps and then spi steps per grid
+    interval (step_layout).  Each step calls advance(step, eta, alive), with
+    eta that step's n_normals normals per trajectory, shape (n_normals, B),
+    or None when n_normals is 0.  record(j, alive) is called once per grid
+    point j, in order: before the first step when there is no relaxation,
+    else after the step that reaches it.  advance may clear entries of
+    alive, a boolean array of B that starts all true.
+    """
+    n_steps = n_relax + (n_grid - 1) * spi
+    alive = np.ones(len(streams), dtype=bool)
+    noise = np.empty((min(NOISE_CHUNK, n_steps), n_normals, len(streams)))
+    if n_relax == 0:
+        record(0, alive)
+    for step in range(n_steps):
+        k = step % NOISE_CHUNK
+        if n_normals and k == 0:
+            draw_noise(streams, noise[:n_steps - step])
+        advance(step, noise[k] if n_normals else None, alive)
+        done = step + 1 - n_relax   # steps taken past the relaxation window
+        if done >= 0 and done % spi == 0:
+            record(done // spi, alive)
+    return alive
 
 
 def check_workers(n_workers: int) -> None:

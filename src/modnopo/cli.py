@@ -48,24 +48,31 @@ from ._output import metadata_lines, write_csv, write_gnuplot
 DEFAULT_SEED = 12345
 
 
-def _resolve_model(args, overrides=None) -> tuple[ModelParams, dict]:
-    """Merge defaults, config file, subcommand presets and explicit flags."""
+def _resolve_model(args, overrides=None, desk_lam=None) -> tuple[ModelParams, dict]:
+    """Merge defaults, config file, subcommand presets and explicit flags.
+
+    desk_lam is a subcommand's default lambda/gamma: it fixes the coupling
+    unless --lam or the config file's k_over_gamma does.
+    """
     cfg = dict(CONFIG_DEFAULTS)
     cfg.update(overrides or {})
-    if args.config:
-        cfg.update(read_config(args.config))
+    file_cfg = read_config(args.config) if args.config else {}
+    cfg.update(file_cfg)
     if args.fbar is not None:
         cfg["fbar_over_fth"] = args.fbar
     if args.f1 is not None:
         cfg["f1_over_fbar"] = args.f1
     if args.delta is not None:
         cfg["delta_over_gamma"] = args.delta
-    if getattr(args, "lam", None) is not None:
+    lam = getattr(args, "lam", None)
+    if lam is not None and not (math.isfinite(lam) and lam > 0.0):
+        raise InvalidParameterError(f"--lam must be finite and > 0, got {lam}")
+    if lam is None and "k_over_gamma" not in file_cfg:
+        lam = desk_lam
+    if lam is not None:
         # lam/gamma is not itself a config key; it fixes the coupling k.
-        if not (math.isfinite(args.lam) and args.lam > 0.0):
-            raise InvalidParameterError(f"--lam must be finite and > 0, got {args.lam}")
         g3 = config_number("gamma3_over_gamma", cfg["gamma3_over_gamma"])
-        cfg["k_over_gamma"] = math.sqrt(args.lam * g3)
+        cfg["k_over_gamma"] = math.sqrt(lam * g3)
     return config_to_params(cfg), cfg
 
 
@@ -157,36 +164,38 @@ def _sweep_csv(out, name, cells, meta):
     return write_csv(out / name, _SWEEP_FIELDS, cols, meta)
 
 
+def _sweep_cells(p: ModelParams, grid, levels, n_workers: int) -> list:
+    """sweep_vmin's cells, or an error naming the first failed cell."""
+    cells = sweep_vmin(p, grid, levels, n_workers=n_workers)
+    failed = [c for c in cells if c.error is not None]
+    if failed:
+        c = failed[0]
+        raise RuntimeError(f"{len(failed)} of {len(cells)} sweep cells failed, the first "
+                           f"at fbar={c.fbar_over_fth} f1={c.f1_over_fbar}: {c.error}")
+    return cells
+
+
 def cmd_sweep(args) -> int:
     p, cfg = _resolve_model(args)
     out = _out_dir(args)
     grid = _parse_grid(args.fbar_grid)
-    levels = _parse_levels(args.f1_levels)
-    cells = sweep_vmin(p, grid, levels, n_workers=args.workers)
-    failed = [c for c in cells if c.error is not None]
-    for c in failed:
-        print(
-            f"error: sweep cell fbar={c.fbar_over_fth} f1={c.f1_over_fbar}: {c.error}",
-            file=sys.stderr,
-        )
+    cells = _sweep_cells(p, grid, _parse_levels(args.f1_levels), args.workers)
     extra = {"fbar_grid": args.fbar_grid, "f1_levels": args.f1_levels}
     _sweep_csv(out, "sweep.csv", cells, _meta(args, cfg, extra))
-    return 1 if failed else 0
+    return 0
+
+
+def _run_flags(args, t: np.ndarray) -> dict:
+    """Keywords of both ensembles that come straight from the flags."""
+    return {"t_grid": t, "seed": args.seed, "dt": args.dt, "relax": args.relax,
+            "n_workers": args.workers}
 
 
 def cmd_positivep(args) -> int:
     p, cfg = _resolve_model(args)
     out = _out_dir(args)
     t = _period_grid(p, args.grid_points)
-    m = simulate_ensemble(
-        p,
-        n_traj=args.traj,
-        t_grid=t,
-        seed=args.seed,
-        dt=args.dt,
-        relax=args.relax,
-        n_workers=args.workers,
-    )
+    m = simulate_ensemble(p, n_traj=args.traj, **_run_flags(args, t))
     # worker count deliberately left out: results must not depend on it
     extra = {"dt": m.dt, "traj": m.n_traj}
     cols = [f"{x}_{s}" for x in ("n_plus", "R", "Z", "V") for s in ("mean", "stderr")]
@@ -203,22 +212,15 @@ def cmd_qsd(args) -> int:
     p, cfg = _resolve_model(args)
     out = _out_dir(args)
     t = _period_grid(p, args.grid_points)
-    ens = simulate_qsd_ensemble(
-        p,
-        n_max=args.nmax,
-        n_traj=args.traj,
-        t_grid=t,
-        seed=args.seed,
-        dt=args.dt,
-        relax=args.relax,
-        n_workers=args.workers,
-    )
+    ens = simulate_qsd_ensemble(p, n_max=args.nmax, n_traj=args.traj,
+                                **_run_flags(args, t))
     extra = {"n_max": ens.n_max, "dt": ens.dt, "traj": ens.n_traj}
-    n_alive = np.full(t.shape, ens.n_traj - ens.discarded)
+    cols = ["V_mean", "V_stderr", "n1_mean", "n2_mean"]
     write_csv(
         out / "qsd.csv",
-        ["t", "V_mean", "V_stderr", "n1_mean", "n2_mean", "tail_pop", "n_traj"],
-        [t, ens.V_mean, ens.V_stderr, ens.n1_mean, ens.n2_mean, ens.tail_max, n_alive],
+        ["t", *cols, "tail_pop", "n_traj"],
+        [ens.t_grid, *(getattr(ens, c) for c in cols), ens.tail_max,
+         np.full(t.shape, ens.n_traj - ens.discarded)],
         _meta(args, cfg, extra),
     )
     return 0
@@ -227,10 +229,7 @@ def cmd_qsd(args) -> int:
 def cmd_compare(args) -> int:
     # Desk-scale defaults: large enough nonlinearity that the quantum runs
     # are cheap, pump away from threshold so the linearization is trusted.
-    p, cfg = _resolve_model(args, overrides={"fbar_over_fth": 2.0})
-    if getattr(args, "lam", None) is None and args.config is None:
-        cfg["k_over_gamma"] = math.sqrt(0.1 * cfg["gamma3_over_gamma"])
-        p = config_to_params(cfg)
+    p, cfg = _resolve_model(args, overrides={"fbar_over_fth": 2.0}, desk_lam=0.1)
     out = _out_dir(args)
     d = derive_params(p)
     lam_ratio = d.lam / d.gamma
@@ -240,10 +239,7 @@ def cmd_compare(args) -> int:
     v_lin, _ = _variance_curve(p, t)
     tol = 2.0 * lam_ratio
 
-    pp = simulate_ensemble(
-        p, n_traj=args.traj, t_grid=t, seed=args.seed, dt=args.dt,
-        relax=args.relax, n_workers=args.workers,
-    )
+    pp = simulate_ensemble(p, n_traj=args.traj, **_run_flags(args, t))
     dev_pp = np.abs(pp.V_mean - v_lin)
     pp_ok = bool((dev_pp <= np.maximum(3.0 * pp.V_stderr, tol)).all())
 
@@ -256,10 +252,7 @@ def cmd_compare(args) -> int:
 
     qsd_n0 = auto_n_max(p)
     if (qsd_n0 + 1) ** 2 <= MAX_PRODUCT_DIM:
-        ens = simulate_qsd_ensemble(
-            p, n_traj=args.qsd_traj, t_grid=t, seed=args.seed, dt=args.dt,
-            relax=args.relax, n_workers=args.workers,
-        )
+        ens = simulate_qsd_ensemble(p, n_traj=args.qsd_traj, **_run_flags(args, t))
         v_qsd = ens.V_mean
         e_qsd = ens.V_stderr
         dev_qsd = np.abs(v_qsd - v_lin)
@@ -291,58 +284,38 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_fig1(args) -> int:
+def _level_figure(args, name, ylabel, curve, periods=1.0, **plot) -> int:
+    """One curve per modulation level f1/fbar = 0, 0.4, 1.2 on a period grid."""
     p, cfg = _resolve_model(args)
-    t = _curve_grid(p, args.points, periods=2.0)
+    t = _curve_grid(p, args.points, periods)
     out = _out_dir(args)
     meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
-    curves = []
-    for level in (0.0, 0.4, 1.2):
-        cfg_i = dict(cfg, f1_over_fbar=level)
-        curves.append(asymptotic_n0(config_to_params(cfg_i), t))
+    curves = [curve(config_to_params(dict(cfg, f1_over_fbar=level)), t)
+              for level in (0.0, 0.4, 1.2)]
     csv = write_csv(
-        out / "fig1.csv",
-        ["t", "n0_curve1", "n0_curve2", "n0_curve3"],
+        out / f"{name}.csv",
+        ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
         [t, *curves],
         meta,
     )
     write_gnuplot(
-        out / "fig1.gp",
+        out / f"{name}.gp",
         csv.name,
         "t (1/gamma)",
-        "n0",
+        ylabel,
         [(2, "f1=0"), (3, "f1=0.4 fbar"), (4, "f1=1.2 fbar")],
         meta,
-        logscale_y=True,
+        **plot,
     )
     return 0
+
+
+def cmd_fig1(args) -> int:
+    return _level_figure(args, "fig1", "n0", asymptotic_n0, periods=2.0, logscale_y=True)
 
 
 def cmd_fig2(args) -> int:
-    p, cfg = _resolve_model(args)
-    t = _curve_grid(p, args.points)
-    out = _out_dir(args)
-    meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
-    curves = []
-    for level in (0.0, 0.4, 1.2):
-        cfg_i = dict(cfg, f1_over_fbar=level)
-        V, _ = _variance_curve(config_to_params(cfg_i), t)
-        curves.append(V)
-    csv = write_csv(
-        out / "fig2.csv",
-        ["t", "V_curve1", "V_curve2", "V_curve3"],
-        [t, *curves],
-        meta,
-    )
-    write_gnuplot(
-        out / "fig2.gp",
-        csv.name,
-        "t (1/gamma)",
-        "V",
-        [(2, "f1=0"), (3, "f1=0.4 fbar"), (4, "f1=1.2 fbar")],
-        meta,
-    )
-    return 0
+    return _level_figure(args, "fig2", "V", lambda p, t: _variance_curve(p, t)[0])
 
 
 def cmd_fig3(args) -> int:
@@ -353,12 +326,7 @@ def cmd_fig3(args) -> int:
     meta = _meta(args, cfg, {"fbar_grid": args.fbar_grid, "f1_levels": "0,0.75,2"})
     columns = [grid]
     for level in levels:
-        cells = sweep_vmin(p, grid, [level], n_workers=args.workers)
-        failed = [c for c in cells if c.error is not None]
-        for c in failed:
-            print(f"error: fig3 cell fbar={c.fbar_over_fth}: {c.error}", file=sys.stderr)
-        if failed:
-            return 1
+        cells = _sweep_cells(p, grid, [level], args.workers)
         columns.append(np.array([c.v_min for c in cells]))
     csv = write_csv(
         out / "fig3.csv",
@@ -378,20 +346,14 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_fig4(args) -> int:
-    lam_ratio = 0.01 if args.full else 0.1
     overrides = {"fbar_over_fth": 1.0, "f1_over_fbar": 0.5}
-    p, cfg = _resolve_model(args, overrides=overrides)
-    if getattr(args, "lam", None) is None:
-        cfg["k_over_gamma"] = math.sqrt(lam_ratio * cfg["gamma3_over_gamma"])
-        p = config_to_params(cfg)
+    p, cfg = _resolve_model(args, overrides, desk_lam=0.01 if args.full else 0.1)
     out = _out_dir(args)
     ratio = _warn_validity(p)
     t = _period_grid(p, args.grid_points)
     v_lin, _ = _variance_curve(p, t)
-    ens = simulate_qsd_ensemble(
-        p, n_max=args.nmax, n_traj=args.traj, t_grid=t, seed=args.seed,
-        dt=args.dt, relax=args.relax, n_workers=args.workers,
-    )
+    ens = simulate_qsd_ensemble(p, n_max=args.nmax, n_traj=args.traj,
+                                **_run_flags(args, t))
     meta = _meta(
         args,
         cfg,

@@ -22,15 +22,14 @@ from functools import partial
 
 import numpy as np
 
-from ._ensemble import check_workers, map_ordered, step_layout, std_error, sum_parts
+from ._ensemble import (check_workers, draw_noise, map_ordered, run_lockstep, step_layout,
+                        std_error, sum_parts)
 from ._streams import SALT_PHASE_SPACE, trajectory_stream
 from .errors import DivergenceBudgetError, DivergenceError
 from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
 from .semiclassical import periodic_steady_state
 
 BATCH = 256                 # trajectories stepped together; fixed for determinism
-NOISE_CHUNK = 1024          # steps of pre-drawn normals per trajectory
-DRAW_BLOCK = 16             # streams drawn between transposing copies
 DEFAULT_DT = 1e-3
 RELAX_WINDOW = 5.0          # discarded settling time before the grid, in 1/gamma
 DIVERGENCE_GUARD_FACTOR = 1e3
@@ -90,23 +89,19 @@ def _increments(amps, eps_t, gamma, lam, dt, noise):
     return drift, w
 
 
-def _draw_noise(rngs: list, noise: np.ndarray) -> None:
-    """Fill noise, shape (steps, 2, 2, B), from the B trajectory streams.
+def _complex_noise(eta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One step of draw_noise's normals, shape (4, B), as complex noise.
 
-    Each stream draws its four standard normals per step in order, and
-    step k of trajectory i becomes noise[k, ..., i] =
-    [[za, conj(za)], [zb, conj(zb)]] with za = eta0 + i*eta1 and
-    zb = eta2 + i*eta3.  Streams draw DRAW_BLOCK at a time into a small
-    buffer, so the transpose to trajectory-last order stays in cache.
+    Trajectory i gets out[..., i] = [[za, conj(za)], [zb, conj(zb)]] with
+    za = eta0 + i*eta1 and zb = eta2 + i*eta3, assigned part by part so
+    that no arithmetic touches a value; out has shape (2, 2, B).
     """
-    eta = np.empty((DRAW_BLOCK, noise.shape[0], 4))
-    for lo in range(0, len(rngs), DRAW_BLOCK):
-        group = rngs[lo:lo + DRAW_BLOCK]
-        for g, out in zip(group, eta):
-            g.standard_normal(out=out)
-        z = eta[:len(group)].view(np.complex128)
-        noise[:, :, 0, lo:lo + len(group)] = z.transpose(1, 2, 0)
-    np.conjugate(noise[:, :, 0], out=noise[:, :, 1])
+    re, im = eta[0::2], eta[1::2]
+    out.real[:, 0] = re
+    out.imag[:, 0] = im
+    out.real[:, 1] = re
+    np.negative(im, out=out.imag[:, 1])
+    return out
 
 
 def _amplitudes(state: PPState) -> np.ndarray:
@@ -119,9 +114,9 @@ def _one_noise(rng: np.random.Generator, dt: float) -> np.ndarray:
     """One step of noise for a batch of one, shape (2, 2, 1)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    noise = np.empty((1, 2, 2, 1), dtype=np.complex128)
-    _draw_noise([rng], noise)
-    return noise[0]
+    eta = np.empty((1, 4, 1))
+    draw_noise([rng], eta)
+    return _complex_noise(eta[0], np.empty((2, 2, 1), dtype=np.complex128))
 
 
 def sample_noise(
@@ -233,10 +228,9 @@ def _run_batch(
     amps = np.full((4, B), amp0, dtype=np.complex128)
     A = amps.reshape(2, 2, B)
     a1, a2, b1, b2 = amps   # row views, read by record
-    alive = np.ones(B, dtype=bool)
     mask = None             # alive as complex, once a trajectory has died
+    noise = np.empty((2, 2, B), dtype=np.complex128)
 
-    n_steps = n_relax + (m - 1) * spi
     acc: dict = {
         "count": np.zeros(m, dtype=np.int64),
         "sum_np": np.zeros(m, dtype=np.complex128),
@@ -258,8 +252,20 @@ def _run_batch(
         ring: list[dict | None] = [None, None, None]  # per-grid slices j-1, j, j+1
     h = float(t_grid[1] - t_grid[0]) if m > 1 else 0.0
 
-    def record(j: int) -> None:
-        af = alive
+    def advance(step, eta, alive):
+        nonlocal mask
+        u, _ = _increments(amps, eps_steps[step], gamma, lam, dt,
+                           None if eta is None else _complex_noise(eta, noise))
+        if mask is not None:
+            u *= mask
+        np.add(A, u, out=A)
+        if (np.abs(amps) > guard).any():
+            bad = alive & (np.abs(amps) > guard).any(axis=0)
+            amps[:, bad] = 0.0
+            alive &= ~bad
+            mask = alive.astype(np.complex128)
+
+    def record(j: int, af: np.ndarray) -> None:
         n1 = a1 * b1
         n2 = a2 * b2
         np_ = n1 + n2
@@ -314,33 +320,8 @@ def _run_batch(
             acc["res_sq"][row, jc - 1] += (r ** 2).sum()
         acc["res_count"][jc - 1] += int(ok.sum())
 
-    record_at = n_relax   # step count at which the next grid point is hit
-    next_j = 0
-    if n_relax == 0:
-        record(0)
-        next_j = 1
-        record_at = spi
-
-    noise = np.empty((NOISE_CHUNK, 2, 2, B), dtype=np.complex128) if with_noise else None
-    for step in range(n_steps):
-        k = step % NOISE_CHUNK
-        if noise is not None and k == 0:
-            _draw_noise(rngs, noise[:n_steps - step])
-        u, _ = _increments(amps, eps_steps[step], gamma, lam, dt,
-                           None if noise is None else noise[k])
-        if mask is not None:
-            u *= mask
-        A += u
-        if (np.abs(amps) > guard).any():
-            bad = alive & (np.abs(amps) > guard).any(axis=0)
-            amps[:, bad] = 0.0
-            alive &= ~bad
-            mask = alive.astype(np.complex128)
-        if step + 1 == record_at:
-            record(next_j)
-            next_j += 1
-            record_at += spi
-
+    alive = run_lockstep(rngs, 4 if with_noise else 0, n_relax, spi, m,
+                         advance, record)
     acc["alive_final"] = int(alive.sum())
     return acc
 

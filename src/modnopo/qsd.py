@@ -28,7 +28,8 @@ from .errors import (
     InvalidParameterError,
     TruncationError,
 )
-from ._ensemble import check_workers, map_ordered, step_layout, std_error, sum_parts
+from ._ensemble import (check_workers, map_ordered, run_lockstep, step_layout,
+                        std_error, sum_parts)
 from ._streams import SALT_STATE_DIFFUSION, trajectory_stream
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import periodic_steady_state
@@ -293,14 +294,10 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
     Dead (non-finite) trajectories are zeroed and excluded from every
     accumulator.
     """
-    nb = len(indices)
-    psi = np.zeros((ops.dim, nb), dtype=np.complex128)
+    psi = np.zeros((ops.dim, len(indices)), dtype=np.complex128)
     psi[0, :] = 1.0
-    alive = np.ones(nb, dtype=bool)
     tail_rows = ops.tail_mask.astype(float)
-
     rngs = [trajectory_stream(seed, int(i), SALT_STATE_DIFFUSION) for i in indices]
-    n_steps = n_relax + (n_grid - 1) * spi
 
     out = {
         "count": np.zeros(n_grid),
@@ -314,16 +311,30 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
         "dead": 0,
     }
 
+    def advance(step, xi, alive):
+        nonlocal psi
+        psi = _step_batch(psi, eps_steps[step], ops, dt, xi)
+        # One pass of weights gives both the norm and the tail.
+        w = np.abs(psi) ** 2
+        nrm2 = w.sum(axis=0)
+        bad = ~np.isfinite(nrm2) | (nrm2 <= 0.0)
+        if bad.any():
+            alive &= ~bad
+            nrm2[bad] = 1.0
+            psi[:, bad] = 0.0
+        if ((tail_rows @ w > tail_tol * nrm2) & alive).any():
+            raise _TailTripped
+        psi *= 1.0 / np.sqrt(nrm2)  # far cheaper than complex division
+
     # Recording reuses the diagonal number vectors; only the pair
     # expectation needs a matvec.
-    def record_at(j):
+    def record(j, m):
         w = np.abs(psi) ** 2
         n1 = ops.n1_diag @ w
         n2 = ops.n2_diag @ w
         pair = np.einsum("ib,ib->b", psi.conj(), ops.pair @ psi)
         tail = tail_rows @ w
         v = 1.0 + n1 + n2 - 2.0 * pair.real
-        m = alive
         out["count"][j] += m.sum()
         out["sum_v"][j] += v[m].sum()
         out["sq_v"][j] += (v[m] ** 2).sum()
@@ -334,32 +345,7 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
         if m.any():
             out["tail_max"][j] = max(out["tail_max"][j], float(tail[m].max()))
 
-    chunk = 512
-    step = 0
-    if n_relax == 0:
-        record_at(0)
-    while step < n_steps:
-        take = min(chunk, n_steps - step)
-        # One contiguous block of normals per trajectory keeps the stream
-        # layout independent of chunk size.
-        xis = np.stack([g.standard_normal((take, 6)) for g in rngs], axis=-1)
-        for k in range(take):
-            psi = _step_batch(psi, eps_steps[step], ops, dt, xis[k])
-            # One pass of weights gives both the norm and the tail.
-            w = np.abs(psi) ** 2
-            nrm2 = w.sum(axis=0)
-            bad = ~np.isfinite(nrm2) | (nrm2 <= 0.0)
-            if bad.any():
-                alive &= ~bad
-                nrm2[bad] = 1.0
-                psi[:, bad] = 0.0
-            if ((tail_rows @ w > tail_tol * nrm2) & alive).any():
-                raise _TailTripped
-            psi *= 1.0 / np.sqrt(nrm2)  # far cheaper than complex division
-            step += 1
-            past_relax = step - n_relax
-            if past_relax >= 0 and past_relax % spi == 0 and past_relax // spi < n_grid:
-                record_at(past_relax // spi)
+    alive = run_lockstep(rngs, 6, n_relax, spi, n_grid, advance, record)
     out["dead"] = int((~alive).sum())
     return out
 

@@ -323,6 +323,45 @@ def test_fuzzed_curve_flags_give_finite_csv_or_one_error(command, delta, fbar, f
             assert code == 1 and len(errors) == 1 and not written, (argv, err.getvalue())
 
 
+def _assert_contract(argv, out, code, err):
+    # exit 0 with one finite CSV, or exit 1 with one error line and no file
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    written = list(Path(out).iterdir())
+    if code == 0:
+        assert not errors and len(written) == 1, argv
+        meta, cols = read_output(written[0])
+        assert all(np.isfinite(c).all() for c in cols.values()), argv
+        return meta, cols
+    assert code == 1 and len(errors) == 1 and not written, (argv, err)
+    return None, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=_fuzzed(0.05, 4.0),
+    step=_fuzzed(0.05, 1.0),
+    cells=st.integers(1, 3),
+    f1=_fuzzed(0.0, 2.0),
+    delta=_fuzzed(0.5, 10.0),   # a cell at delta 50 and deep modulation takes ~1 s
+    lam=st.one_of(st.none(), _fuzzed(1e-6, 0.5)),
+)
+def test_fuzzed_sweep_flags_give_finite_csv_or_one_error(lo, step, cells, f1, delta,
+                                                         lam):
+    hi = lo + (cells - 1) * step
+    argv = ["sweep", f"--fbar-grid={lo!r}:{hi!r}:{step!r}", f"--f1-levels={f1!r}",
+            f"--delta={delta!r}"]
+    if lam is not None:
+        argv.append(f"--lam={lam!r}")
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", out])
+        event(f"exit {code}")
+        _, cols = _assert_contract(argv, out, code, err.getvalue())
+        if code == 0:
+            assert cols["v_min"].size == cells, argv
+
+
 @pytest.mark.parametrize("command", ["qsd", "positivep"])
 @pytest.mark.parametrize("dt", ["-1", "0", "nan"])
 def test_bad_dt_fails_cleanly(tmp_path, capsys, command, dt):
@@ -373,6 +412,24 @@ def test_relax_reaches_the_ensembles(tmp_path, command, flags):
         assert main([command, "--out", str(out), *flags, "--relax", relax]) == 0
         outputs.append((out / f"{command}.csv").read_bytes())
     assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("compare", ["--traj", "16", "--qsd-traj", "4", "--grid-points", "3"]),
+    ("fig4", ["--traj", "4", "--grid-points", "3", "--nmax", "6"]),
+])
+def test_config_coupling_holds_without_lam(tmp_path, command, flags):
+    # the desk-scale lam/gamma = 0.1 fixes the coupling only when neither
+    # --lam nor the config file does; fig4 used to drop the config's
+    cfg = tmp_path / "run.json"
+    runs = [({"k_over_gamma": math.sqrt(0.3 * 25.0)}, math.sqrt(0.3 * 25.0)),
+            ({"delta_over_gamma": 2.0}, math.sqrt(0.1 * 25.0))]
+    for keys, k in runs:
+        cfg.write_text(json.dumps(keys))
+        assert main([command, "--out", str(tmp_path), "--config", str(cfg),
+                     "--relax", "0.2", *flags]) == 0
+        meta, _ = read_output(tmp_path / f"{command}.csv")
+        assert json.loads(meta["config"])["k_over_gamma"] == k, keys
 
 
 def _qsd_step_stable(meta) -> bool:

@@ -1,9 +1,11 @@
-"""The ordered process pool shared by the sweep and both ensembles.
+"""The ordered process pool and the lockstep loop shared by the ensembles.
 
 Jobs must come back in job order, run in worker processes when more than
 one worker and one job are asked for (serially in the caller otherwise),
 and fail as a serial run would.  The job callables the three callers build
-must pickle, since that is how they reach the workers.
+must pickle, since that is how they reach the workers.  The lockstep loop
+must record each grid point once, in order, and hand every step the
+stream's own normals whatever the chunk length.
 """
 
 import os
@@ -14,11 +16,14 @@ from functools import partial
 import numpy as np
 import pytest
 
+import modnopo._ensemble as _ensemble
 import modnopo.fluctuations as fluctuations
 import modnopo.positivep as positivep
 import modnopo.qsd as qsd
+import test_positivep
+import test_qsd
 from modnopo import InvalidParameterError, params_from_ratios
-from modnopo._ensemble import _usable_cpus, map_ordered
+from modnopo._ensemble import _usable_cpus, map_ordered, run_lockstep
 
 needs_two_cpus = pytest.mark.skipif(
     _usable_cpus() < 2, reason="the pool is capped at the usable CPUs")
@@ -119,3 +124,59 @@ def test_built_jobs_survive_pickling(monkeypatch, module, run):
         assert got.tobytes() == expected.tobytes()
     else:
         assert got == expected
+
+
+@pytest.mark.parametrize("n_relax,spi,n_grid", [
+    (0, 1, 4), (0, 3, 4), (5, 1, 4), (5, 3, 4), (2, 4, 1), (0, 2, 1),
+])
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid, chunk):
+    monkeypatch.setattr(_ensemble, "NOISE_CHUNK", chunk)
+    streams = [np.random.default_rng(s) for s in (1, 2, 3)]
+    n_steps = n_relax + (n_grid - 1) * spi
+    calls = []
+
+    def advance(step, eta, alive):
+        calls.append(("step", step, eta.copy()))
+        if step == 2:
+            alive[1] = False
+
+    def record(j, alive):
+        calls.append(("record", j, alive.copy()))
+
+    alive = run_lockstep(streams, 2, n_relax, spi, n_grid, advance, record)
+    steps = [c for c in calls if c[0] == "step"]
+    assert [c[1] for c in steps] == list(range(n_steps))
+    # each grid point once, in order, right after the step that reaches it
+    expected = [("record", j) for j in range(n_grid)]
+    assert [c[:2] for c in calls if c[0] == "record"] == expected
+    for n, c in enumerate(calls):
+        if c[0] == "record":
+            assert sum(1 for d in calls[:n] if d[0] == "step") == n_relax + c[1] * spi
+    # the rows are each stream's own normals, drawn in order
+    for i, s in enumerate((1, 2, 3)):
+        want = np.random.default_rng(s).standard_normal((n_steps, 2))
+        got = np.array([c[2][:, i] for c in steps]).reshape(n_steps, 2)
+        assert got.tobytes() == want.tobytes()
+    assert alive.tolist() == [True, n_steps <= 2, True]
+
+
+def test_lockstep_without_noise_passes_none():
+    etas = []
+    run_lockstep([object()], 0, 3, 2, 3, lambda step, eta, alive: etas.append(eta),
+                 lambda j, alive: None)
+    assert etas == [None] * 7
+
+
+_FREEZES = [(cls, name)
+            for cls in (test_positivep.TestFrozenBytes, test_qsd.TestFrozenBytes)
+            for name in sorted(vars(cls)) if name.startswith("test_")]
+
+
+@pytest.mark.parametrize("cls,name", _FREEZES,
+                         ids=[f"{c.__module__}-{n}" for c, n in _FREEZES])
+def test_odd_noise_chunk_keeps_every_freeze(monkeypatch, cls, name):
+    # every stream draws sequentially, so chunks of 7 steps give the same
+    # normals as chunks of 1024, and every frozen digest must still hold
+    monkeypatch.setattr(_ensemble, "NOISE_CHUNK", 7)
+    getattr(cls(), name)()
