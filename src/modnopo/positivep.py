@@ -22,8 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from ._ensemble import (check_workers, draw_noise, map_ordered, run_lockstep, step_layout,
-                        std_error, sum_parts)
+from ._ensemble import (check_workers, draw_noise, map_ordered, run_lockstep,
+                        step_layout, std_error, sum_parts)
 from ._streams import SALT_PHASE_SPACE, trajectory_stream
 from .errors import DivergenceBudgetError, DivergenceError
 from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
@@ -93,13 +93,13 @@ def _complex_noise(eta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One step of draw_noise's normals, shape (4, B), as complex noise.
 
     Trajectory i gets out[..., i] = [[za, conj(za)], [zb, conj(zb)]] with
-    za = eta0 + i*eta1 and zb = eta2 + i*eta3, assigned part by part so
-    that no arithmetic touches a value; out has shape (2, 2, B).
+    za = eta0 + i*eta1 and zb = eta2 + i*eta3, assigned part by part (the
+    conjugates by a sign flip) so that no value is rounded; out has shape
+    (2, 2, B).
     """
-    re, im = eta[0::2], eta[1::2]
-    out.real[:, 0] = re
+    im = eta[1::2]
+    out.real[...] = eta[0::2, None]
     out.imag[:, 0] = im
-    out.real[:, 1] = re
     np.negative(im, out=out.imag[:, 1])
     return out
 
@@ -215,10 +215,11 @@ def _run_batch(
 ) -> dict:
     """Step one batch of trajectories and return its accumulated sums.
 
-    All trajectories in the batch advance in lockstep as one (4, B) array;
-    diverged ones are zeroed and masked out of every subsequent update and
-    average.  eps_steps[k] is the pump at the start of step k.  Sums are
-    taken in fixed trajectory order so the reduction is deterministic.
+    All trajectories in the batch advance through run_lockstep as one
+    (4, B) array; diverged ones are zeroed and masked out of every
+    subsequent update and average.  eps_steps[k] is the pump at the start
+    of step k.  Sums are taken in fixed trajectory order so the reduction
+    is deterministic.
     """
     B = indices.size
     m = t_grid.size
@@ -229,7 +230,7 @@ def _run_batch(
     A = amps.reshape(2, 2, B)
     a1, a2, b1, b2 = amps   # row views, read by record
     mask = None             # alive as complex, once a trajectory has died
-    noise = np.empty((2, 2, B), dtype=np.complex128)
+    noise = np.empty((2, 2, B), dtype=np.complex128)   # one step's, refilled
 
     acc: dict = {
         "count": np.zeros(m, dtype=np.int64),

@@ -292,6 +292,25 @@ def _fuzzed(lo, hi):
     return st.one_of(*[st.floats(lo, hi)] * 3, st.sampled_from(_FUZZ_SPECIALS))
 
 
+def _run_checked(argv):
+    """Run argv into a fresh directory and check the CLI's contract: exit 0
+    with one finite CSV, or exit 1 with one error line and no file.  Returns
+    the exit code and, on exit 0, the CSV's meta and columns."""
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", out])
+        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
+        written = list(Path(out).iterdir())
+        if code == 0:
+            assert not errors and len(written) == 1, argv
+            meta, cols = read_output(written[0])
+            assert all(np.isfinite(c).all() for c in cols.values()), argv
+            return code, meta, cols
+        assert code == 1 and len(errors) == 1 and not written, (argv, err.getvalue())
+        return code, None, None
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(["semiclassical", "variance"]),
@@ -307,33 +326,10 @@ def test_fuzzed_curve_flags_give_finite_csv_or_one_error(command, delta, fbar, f
             f"--points={points}"]
     if lam is not None:
         argv.append(f"--lam={lam!r}")
-    with tempfile.TemporaryDirectory() as out:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", out])
-        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
-        written = list(Path(out).iterdir())
-        event(f"exit {code}")
-        if code == 0:
-            assert not errors and len(written) == 1, argv
-            _, cols = read_output(written[0])
-            assert cols["t"].size == points, argv
-            assert all(np.isfinite(c).all() for c in cols.values()), argv
-        else:
-            assert code == 1 and len(errors) == 1 and not written, (argv, err.getvalue())
-
-
-def _assert_contract(argv, out, code, err):
-    # exit 0 with one finite CSV, or exit 1 with one error line and no file
-    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
-    written = list(Path(out).iterdir())
+    code, _, cols = _run_checked(argv)
+    event(f"exit {code}")
     if code == 0:
-        assert not errors and len(written) == 1, argv
-        meta, cols = read_output(written[0])
-        assert all(np.isfinite(c).all() for c in cols.values()), argv
-        return meta, cols
-    assert code == 1 and len(errors) == 1 and not written, (argv, err)
-    return None, None
+        assert cols["t"].size == points, argv
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,14 +348,10 @@ def test_fuzzed_sweep_flags_give_finite_csv_or_one_error(lo, step, cells, f1, de
             f"--delta={delta!r}"]
     if lam is not None:
         argv.append(f"--lam={lam!r}")
-    with tempfile.TemporaryDirectory() as out:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", out])
-        event(f"exit {code}")
-        _, cols = _assert_contract(argv, out, code, err.getvalue())
-        if code == 0:
-            assert cols["v_min"].size == cells, argv
+    code, _, cols = _run_checked(argv)
+    event(f"exit {code}")
+    if code == 0:
+        assert cols["v_min"].size == cells, argv
 
 
 @pytest.mark.parametrize("command", ["qsd", "positivep"])
@@ -461,22 +453,12 @@ def test_fuzzed_ensemble_flags_give_finite_csv_or_one_error(command, dt, fbar, f
             f"--relax={relax!r}"]
     if command == "qsd":
         argv.append(f"--nmax={nmax}")
-    with tempfile.TemporaryDirectory() as out:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", out])
-        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
-        written = list(Path(out).iterdir())
-        event(f"{command} exit {code}")
-        if code == 0:
-            assert not errors and len(written) == 1, argv
-            meta, cols = read_output(written[0])
-            assert cols["t"].size == points, argv
-            assert all(np.isfinite(c).all() for c in cols.values()), argv
-            if command == "qsd":
-                assert _qsd_step_stable(meta), (argv, meta)
-        else:
-            assert code == 1 and len(errors) == 1 and not written, (argv, err.getvalue())
+    code, meta, cols = _run_checked(argv)
+    event(f"{command} exit {code}")
+    if code == 0:
+        assert cols["t"].size == points, argv
+        if command == "qsd":
+            assert _qsd_step_stable(meta), (argv, meta)
 
 
 _SMALL_RUN = {
