@@ -28,8 +28,8 @@ from .errors import (
     InvalidParameterError,
     TruncationError,
 )
-from ._ensemble import (check_workers, map_ordered, run_lockstep, step_layout,
-                        std_error, sum_parts)
+from ._ensemble import (check_workers, draw_noise, map_ordered, run_lockstep,
+                        step_layout, std_error, sum_parts)
 from ._streams import SALT_STATE_DIFFUSION, trajectory_stream
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import periodic_steady_state
@@ -233,8 +233,9 @@ def qsd_step(
             f"state dimension {v.shape[0]} does not match operator set {ops.dim}"
         )
     eps_t = float(ops.derived.eps(psi.t))
-    xi = rng.standard_normal(6).reshape(6, 1)
-    out = _step_batch(v, eps_t, ops, dt, xi)[:, 0]
+    xi = np.empty((1, 6, 1))
+    draw_noise([rng], xi)
+    out = _step_batch(v, eps_t, ops, dt, xi[0])[:, 0]
     nrm = np.linalg.norm(out)
     if not np.isfinite(nrm) or nrm <= 0.0:
         raise TruncationError("state norm lost during step; reduce dt")
