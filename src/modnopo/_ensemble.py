@@ -13,6 +13,11 @@ in chunks (draw_noise), calls the route's advance(step, eta, alive) once per
 step and its record(j, alive) once per grid point after the relaxation
 window, and owns the alive mask that advance may clear.  A route keeps only
 its step kernel, its guard and its accumulators.
+
+Each pool has one stop event, handed to its workers when they start.  The
+pool sets it as soon as a job fails, and run_lockstep checks it once per
+step in a worker, so the sibling jobs already running end with Aborted
+instead of running to their last step.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ from .errors import InvalidParameterError
 MAX_STEPS = 10**7
 NOISE_CHUNK = 1024          # steps of normals drawn per stream at a time
 DRAW_BLOCK = 16             # streams drawn between transposing copies
+
+_stop = None                # the pool's stop event, in a worker process
+
+
+class Aborted(Exception):
+    """A pooled job stopped because another job of its pool failed."""
 
 
 def step_layout(t_grid: np.ndarray, dt: float, relax: float):
@@ -96,14 +107,18 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
     or None when n_normals is 0.  record(j, alive) is called once per grid
     point j, in order: before the first step when there is no relaxation,
     else after the step that reaches it.  advance may clear entries of
-    alive, a boolean array of B that starts all true.
+    alive, a boolean array of B that starts all true.  In a pool worker it
+    raises Aborted before any step taken once the pool's stop event is set.
     """
+    stop = _stop
     n_steps = n_relax + (n_grid - 1) * spi
     alive = np.ones(len(streams), dtype=bool)
     noise = np.empty((min(NOISE_CHUNK, n_steps), n_normals, len(streams)))
     if n_relax == 0:
         record(0, alive)
     for step in range(n_steps):
+        if stop is not None and stop.is_set():
+            raise Aborted
         k = step % NOISE_CHUNK
         if n_normals and k == 0:
             draw_noise(streams, noise[:n_steps - step])
@@ -125,6 +140,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _start_worker(stop) -> None:
+    global _stop
+    _stop = stop
+
+
 def map_ordered(fn, jobs: list, n_workers: int) -> list:
     """[fn(job) for job in jobs], on up to n_workers processes, in job order.
 
@@ -132,8 +152,10 @@ def map_ordered(fn, jobs: list, n_workers: int) -> list:
     it runs serially in this process.  fn, the jobs and the results must
     pickle.  Workers are forked where the platform can, since a fresh
     interpreter per pool re-imports numpy and scipy.  A failed job cancels
-    the jobs not yet started and its exception is raised: the first
-    failure in job order, as in a serial run.
+    the jobs not yet started and sets the pool's stop event, so jobs inside
+    run_lockstep end with Aborted at their next step.  The exception raised
+    is the first failure in job order that is not Aborted; with no job
+    stopped early that is the failure a serial run raises.
     """
     check_workers(n_workers)
     size = min(n_workers, len(jobs), _usable_cpus())
@@ -141,15 +163,21 @@ def map_ordered(fn, jobs: list, n_workers: int) -> list:
         return [fn(job) for job in jobs]
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     ctx = multiprocessing.get_context(method)
-    with ProcessPoolExecutor(max_workers=size, mp_context=ctx) as pool:
+    stop = ctx.Event()
+    with ProcessPoolExecutor(max_workers=size, mp_context=ctx,
+                             initializer=_start_worker, initargs=(stop,)) as pool:
         futures = [pool.submit(fn, job) for job in jobs]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)
         finally:
             # Jobs start in submission order, so every cancelled job comes
             # after the failed one; an interrupt also stops the queue.
+            stop.set()
             pool.shutdown(cancel_futures=True)
-        return [f.result() for f in futures]
+    for f in futures:
+        if f.cancelled() or not isinstance(f.exception(), Aborted):
+            f.result()  # re-raises the job's failure
+    return [f.result() for f in futures]
 
 
 def sum_parts(parts) -> dict:

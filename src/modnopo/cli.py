@@ -145,10 +145,16 @@ def cmd_variance(args) -> int:
 
 def _parse_grid(text: str) -> np.ndarray:
     lo, hi, step = (float(x) for x in text.split(":"))
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf):
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf
+            and math.isfinite((hi - lo) / step)):
         raise ValueError(f"grid {text!r} needs finite lo:hi and a positive finite step")
     n = int(round((hi - lo) / step))
-    return np.round(np.linspace(lo, lo + n * step, n + 1), 12)
+    with np.errstate(over="ignore"):  # rounding scales by 1e12 first
+        grid = np.round(np.linspace(lo, lo + n * step, n + 1), 12)
+    if not np.isfinite(grid).all():
+        raise ValueError(f"grid {text!r} holds a pump ratio too large to round "
+                         f"to 12 decimals")
+    return grid
 
 
 def _parse_levels(text: str) -> list[float]:

@@ -32,7 +32,7 @@ from scipy.interpolate import CubicSpline
 
 from . import _tailquad
 from ._ensemble import map_ordered
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InvalidParameterError
 from .model import (
     AT_THRESHOLD_BAND,
     Harmonic,
@@ -457,6 +457,9 @@ class SweepCell:
 def _sweep_cell(p: ModelParams, cell: tuple[float, float]) -> SweepCell:
     ratio, level = cell
     fbar = ratio * derive_params(p).f_th
+    if not math.isfinite(fbar):
+        raise InvalidParameterError(
+            f"pump ratio fbar/f_th={ratio!r} gives a pump fbar={fbar} that is not finite")
     f1, phi = level * fbar, p.modulation.phi
     if f1 < 0:
         f1, phi = -f1, phi + math.pi

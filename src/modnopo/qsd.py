@@ -288,29 +288,25 @@ def auto_n_max(p: ModelParams) -> int:
 
 
 def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol):
-    """Run one batch of trajectories; returns partial sums.
+    """Run one batch of trajectories; returns rows for each trajectory.
 
     All trajectories start from vacuum at the first step.  Raises
     _TailTripped once a live trajectory's tail population passes tail_tol.
-    Dead (non-finite) trajectories are zeroed and excluded from every
-    accumulator.
+    Dead (non-finite) trajectories are zeroed.  The rows are (n_grid, B)
+    arrays of V, n1, n2, the pair expectation, the tail population and
+    whether each trajectory is alive at each grid point ("live"), plus the
+    final alive mask; _batch_sums reduces them.  A trajectory's rows do not
+    depend on the batch it runs in when the batch is cut at a multiple of 8
+    into pieces of 8 or more, which lets the pilot run as two jobs.
     """
     psi = np.zeros((ops.dim, len(indices)), dtype=np.complex128)
     psi[0, :] = 1.0
     tail_rows = ops.tail_mask.astype(float)
     rngs = [trajectory_stream(seed, int(i), SALT_STATE_DIFFUSION) for i in indices]
-
-    out = {
-        "count": np.zeros(n_grid),
-        "sum_v": np.zeros(n_grid),
-        "sq_v": np.zeros(n_grid),
-        "sum_n1": np.zeros(n_grid),
-        "sum_n2": np.zeros(n_grid),
-        "sq_d": np.zeros(n_grid),
-        "sum_pair": np.zeros(n_grid, dtype=np.complex128),
-        "tail_max": np.zeros(n_grid),
-        "dead": 0,
-    }
+    shape = (n_grid, len(indices))
+    rows = {"v": np.empty(shape), "n1": np.empty(shape), "n2": np.empty(shape),
+            "pair": np.empty(shape, dtype=np.complex128), "tail": np.empty(shape),
+            "live": np.empty(shape, dtype=bool)}
 
     def advance(step, xi, alive):
         nonlocal psi
@@ -334,20 +330,45 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
         n1 = ops.n1_diag @ w
         n2 = ops.n2_diag @ w
         pair = np.einsum("ib,ib->b", psi.conj(), ops.pair @ psi)
-        tail = tail_rows @ w
-        v = 1.0 + n1 + n2 - 2.0 * pair.real
-        out["count"][j] += m.sum()
-        out["sum_v"][j] += v[m].sum()
-        out["sq_v"][j] += (v[m] ** 2).sum()
-        out["sum_n1"][j] += n1[m].sum()
-        out["sum_n2"][j] += n2[m].sum()
-        out["sq_d"][j] += ((n1[m] - n2[m]) ** 2).sum()
-        out["sum_pair"][j] += pair[m].sum()
-        if m.any():
-            out["tail_max"][j] = max(out["tail_max"][j], float(tail[m].max()))
+        rows["v"][j] = 1.0 + n1 + n2 - 2.0 * pair.real
+        rows["n1"][j], rows["n2"][j], rows["pair"][j] = n1, n2, pair
+        rows["tail"][j] = tail_rows @ w
+        rows["live"][j] = m
 
-    alive = run_lockstep(rngs, 6, n_relax, spi, n_grid, advance, record)
-    out["dead"] = int((~alive).sum())
+    rows["alive"] = run_lockstep(rngs, 6, n_relax, spi, n_grid, advance, record)
+    return rows
+
+
+def _batch_sums(rows: dict) -> dict:
+    """Partial sums of one batch of the layout from its trajectories' rows.
+
+    Each grid point sums over the batch's live trajectories in column
+    order, so the sums depend on the batch layout alone, not on how its
+    trajectories were split into jobs.
+    """
+    n_grid = rows["v"].shape[0]
+    out = {
+        "count": np.zeros(n_grid),
+        "sum_v": np.zeros(n_grid),
+        "sq_v": np.zeros(n_grid),
+        "sum_n1": np.zeros(n_grid),
+        "sum_n2": np.zeros(n_grid),
+        "sq_d": np.zeros(n_grid),
+        "sum_pair": np.zeros(n_grid, dtype=np.complex128),
+        "tail_max": np.zeros(n_grid),
+        "dead": int((~rows["alive"]).sum()),
+    }
+    for j, m in enumerate(rows["live"]):
+        v, n1, n2 = rows["v"][j][m], rows["n1"][j][m], rows["n2"][j][m]
+        out["count"][j] += m.sum()
+        out["sum_v"][j] += v.sum()
+        out["sq_v"][j] += (v ** 2).sum()
+        out["sum_n1"][j] += n1.sum()
+        out["sum_n2"][j] += n2.sum()
+        out["sq_d"][j] += ((n1 - n2) ** 2).sum()
+        out["sum_pair"][j] += rows["pair"][j][m].sum()
+        if m.any():
+            out["tail_max"][j] = max(out["tail_max"][j], float(rows["tail"][j][m].max()))
     return out
 
 
@@ -373,10 +394,13 @@ def simulate_qsd_ensemble(
     grows by GROW_STEP whenever any trajectory pushes population past the
     tail bound.  At each cutoff a pilot batch of the leading trajectories
     runs first, so an undersized cutoff is found cheaply, and then the rest
-    in batches; the pilot's sums count toward the ensemble.  Growth reruns
-    the whole ensemble with the same per-trajectory noise streams and a
-    batch layout fixed by (n_traj, cutoff), so results depend only on
-    (params, seed, final cutoff) and not on n_workers.
+    in batches; the pilot's sums count toward the ensemble.  The pilot runs
+    as two jobs, sent ahead of the batches through one pool, and the first
+    trip stops the jobs still running.  Jobs return rows for each
+    trajectory, and the batch layout, fixed by (n_traj, cutoff), sets the
+    order of every sum.  Growth reruns the whole ensemble with the same
+    per-trajectory noise streams, so results depend only on (params, seed,
+    final cutoff) and not on n_workers.
     """
     if n_traj < 2:
         raise InvalidParameterError("need at least 2 trajectories")
@@ -395,6 +419,11 @@ def simulate_qsd_ensemble(
     )
 
     n_pilot = min(_PILOT_TRAJ, n_traj)
+    # The pilot runs as two jobs, so that both workers look for a trip.  A
+    # trajectory's rows keep their bytes in a narrower batch only if the
+    # split falls on a multiple of 8 and leaves 8 or more on each side.
+    cuts = (0, 8 * round(n_pilot / 16), n_pilot) if n_pilot >= 16 else (0, n_pilot)
+    pilot = [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     for _ in range(_MAX_GROW_ROUNDS + 1):
         ops = build_operators(p, n_here)
         # The explicit step damps the top Fock level by 1 - dt*loss; past
@@ -413,15 +442,17 @@ def simulate_qsd_ensemble(
             for lo in range(n_pilot, n_traj, batch)
         ]
         try:
-            parts = [job(np.arange(n_pilot))]
-            parts += map_ordered(job, rest, n_workers)
+            rows = map_ordered(job, pilot + rest, n_workers)
             break
         except _TailTripped:
             n_here += GROW_STEP
     else:
         raise TruncationError("tail bound still violated after repeated cutoff growth")
 
-    total = sum_parts(parts)
+    # Join the pilot's halves, then reduce each batch of the layout in order.
+    joined = {k: np.concatenate([r[k] for r in rows[:len(pilot)]], axis=-1)
+              for k in rows[0]}
+    total = sum_parts(map(_batch_sums, [joined, *rows[len(pilot):]]))
     count = total["count"]
     dead = int(total["dead"])
     if (count < 2).any():

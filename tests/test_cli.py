@@ -10,6 +10,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -266,9 +267,22 @@ def _one_error_line(capsys):
 
 def test_bad_grid_string_fails(tmp_path, capsys):
     # malformed text, and zero, negative or non-finite steps or ends
-    for grid in ("1::", "1:2:0", "1:2:-0.5", "1:2:nan", "1:inf:0.5"):
+    for grid in ("1::", "1:2:0", "1:2:-0.5", "1:2:nan", "1:inf:0.5", "0:1e308:1e-10"):
         assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", grid]) == 1
         assert _one_error_line(capsys), grid
+
+
+@pytest.mark.parametrize("command", ["sweep", "fig3"])
+def test_overflowing_pump_ratio_fails_cleanly(tmp_path, capsys, command):
+    # rounding 1e300 to 12 decimals overflows; the error used to follow a
+    # numpy RuntimeWarning and blame the modulation depth f1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--out", str(tmp_path), "--fbar-grid", "1e300:1e300:1"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "pump ratio" in lines[0]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["semiclassical", "variance", "fig1", "fig2"])

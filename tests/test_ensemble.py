@@ -2,12 +2,14 @@
 
 Jobs must come back in job order, run in worker processes when more than
 one worker and one job are asked for (serially in the caller otherwise),
-and fail as a serial run would.  The job callables the three callers build
+and fail as a serial run would, except that a failure stops the sibling
+jobs still stepping.  The job callables the three callers build
 must pickle, since that is how they reach the workers.  The lockstep loop
 must record each grid point once, in order, and hand every step the
 stream's own normals whatever the chunk length.
 """
 
+import multiprocessing
 import os
 import pickle
 import time
@@ -92,6 +94,43 @@ def test_failure_cancels_jobs_not_started(tmp_path):
     with pytest.raises(InvalidParameterError, match="job 1 refused"):
         map_ordered(partial(_mark, str(tmp_path)), jobs, n_workers=2)
     assert len(list(tmp_path.iterdir())) < 10
+
+
+def _step_or_refuse(bad, x):
+    # job bad fails after 0.2 s; the other steps for 10 s unless stopped
+    if x == bad:
+        time.sleep(0.2)
+        raise InvalidParameterError(f"job {x} refused")
+    run_lockstep([None], 0, 0, 1, 10_001, lambda step, eta, alive: time.sleep(1e-3),
+                 lambda j, alive: None)
+    return x
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("bad", [1, 0])
+def test_failure_stops_running_siblings(bad):
+    # the sibling is inside run_lockstep when the failure sets the pool's
+    # stop event; it ends with Aborted, which never reaches the caller,
+    # whether it comes before the failed job in job order or after it
+    start = time.monotonic()
+    with pytest.raises(InvalidParameterError, match=f"job {bad} refused"):
+        map_ordered(partial(_step_or_refuse, bad), [0, 1], n_workers=2)
+    assert time.monotonic() - start < 3.0
+
+
+def test_lockstep_stops_once_the_stop_event_is_set(monkeypatch):
+    stop = multiprocessing.Event()
+    monkeypatch.setattr(_ensemble, "_stop", stop)
+    steps = []
+
+    def advance(step, eta, alive):
+        steps.append(step)
+        if step == 4:
+            stop.set()
+
+    with pytest.raises(_ensemble.Aborted):
+        run_lockstep([None], 0, 0, 1, 100, advance, lambda j, alive: None)
+    assert steps == [0, 1, 2, 3, 4]
 
 
 def _round_trip(captured, fn, jobs, n_workers):

@@ -232,6 +232,12 @@ class TestSweep:
             with pytest.raises(InvalidParameterError, match="n_workers"):
                 sweep_vmin(params_from_ratios(), [2.0], [0.5], n_workers=n_workers)
 
+    def test_non_finite_pump_names_the_ratio(self):
+        # inf * f_th used to reach Harmonic as f1 = 0 * inf and blame f1
+        for ratio in (math.inf, 1e308):
+            with pytest.raises(InvalidParameterError, match="pump ratio"):
+                sweep_vmin(params_from_ratios(), [ratio], [0.0])
+
 
 class TestPeriodicity:
     def test_interp_wraps_whole_periods(self):

@@ -307,10 +307,10 @@ class TestEnsemble:
         gate = 3.0 * np.sqrt(a.V_stderr**2 + c.V_stderr**2)
         assert np.all(np.abs(a.V_mean - c.V_mean) <= gate)
 
-    def test_each_trajectory_runs_once_at_final_cutoff(self, monkeypatch, tmp_path):
-        # the pilot is the first batch: at the settled cutoff the columns
-        # handed to the batch runner partition the ensemble exactly.  Batches
-        # run in worker processes, so each call appends a line to a file.
+    @staticmethod
+    def _logged_batches(monkeypatch, tmp_path):
+        # Batches run in worker processes, so each call appends a line to a
+        # file.  Returns the ensemble and each call's (cutoff, columns).
         log = tmp_path / "calls.txt"
         run_batch = qsd._run_batch
 
@@ -327,27 +327,63 @@ class TestEnsemble:
         calls = [(n, np.array(idx, dtype=int))
                  for n, *idx in (map(int, line.split())
                                  for line in log.read_text().splitlines())]
+        return ens, calls
+
+    def test_each_trajectory_runs_once_at_final_cutoff(self, monkeypatch, tmp_path):
+        # the pilot comes first: at the settled cutoff the columns handed to
+        # the batch runner partition the ensemble exactly
+        ens, calls = self._logged_batches(monkeypatch, tmp_path)
         assert min(n for n, _ in calls) < ens.n_max  # the cutoff grew
         final = [idx for n, idx in calls if n == ens.n_max]
         assert sum(idx.size for idx in final) == 100
         np.testing.assert_array_equal(np.sort(np.concatenate(final)), np.arange(100))
 
+    def test_pilot_runs_as_two_jobs(self, monkeypatch, tmp_path):
+        # at the settled cutoff the pilot's 32 columns arrive as two jobs
+        # of 16, then the batches of the layout: 64 and a ragged 4
+        ens, calls = self._logged_batches(monkeypatch, tmp_path)
+        final = sorted((idx[0], idx[-1] + 1) for n, idx in calls if n == ens.n_max)
+        assert final == [(0, 16), (16, 32), (32, 96), (96, 100)]
+
+    @pytest.mark.parametrize("n_max", [6, 14])
+    @pytest.mark.parametrize("width,cut", [(32, 16), (24, 16), (17, 8)])
+    def test_batch_rows_do_not_depend_on_the_split(self, n_max, width, cut):
+        # the premise of the split pilot and of every freeze: a trajectory's
+        # rows keep their bytes when its batch is cut at a multiple of 8
+        # into pieces of 8 or more (the cuts simulate_qsd_ensemble makes)
+        p = params_from_ratios(fbar_over_fth=1.0, f1_over_fbar=0.5,
+                               delta_over_gamma=2.0, lam_over_gamma=LAM)
+        dt, n_steps = 1e-3, 300
+        eps_steps = np.asarray(derive_params(p).eps(dt * np.arange(n_steps)), dtype=float)
+        # a tail bound of 1 never trips, so every piece runs to the end
+        args = (build_operators(p, n_max), 9, eps_steps, 0, 100, 4, dt, 1.0)
+        whole = qsd._run_batch(np.arange(width), *args)
+        head = qsd._run_batch(np.arange(cut), *args)
+        tail = qsd._run_batch(np.arange(cut, width), *args)
+        assert set(whole) == {"v", "n1", "n2", "pair", "tail", "live", "alive"}
+        for key, rows in whole.items():
+            joined = np.concatenate([head[key], tail[key]], axis=-1)
+            assert joined.tobytes() == rows.tobytes(), key
+
     def test_workers_do_not_change_results(self):
-        # batch layout: a pilot of 32, then 64, then a ragged 4, whatever
-        # the worker count; results must agree byte for byte
+        # batch layouts: a pilot of 32 (two jobs of 16), then 64, then a
+        # ragged 4; and a pilot alone whose cutoff grows from 6, the shape
+        # of the state_diffusion benchmark.  Whatever the worker count,
+        # results must agree byte for byte
         p = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
         t_grid = np.linspace(0.0, 1.0, 3)
-        runs = [
-            simulate_qsd_ensemble(p, n_max=10, n_traj=100, t_grid=t_grid,
-                                  seed=4, relax=1.0, n_workers=w)
-            for w in (1, 2, 3)
-        ]
-        fields = ("V_mean", "V_stderr", "n1_mean", "n2_mean", "diff_stderr",
-                  "pair_mean", "tail_max")
-        for ens in runs[1:]:
-            assert ens.n_max == runs[0].n_max
-            for f in fields:
-                assert getattr(ens, f).tobytes() == getattr(runs[0], f).tobytes(), f
+        for n_traj, n_max, workers in ((100, 10, (1, 2, 3)), (32, 6, (1, 2))):
+            runs = [
+                simulate_qsd_ensemble(p, n_max=n_max, n_traj=n_traj, t_grid=t_grid,
+                                      seed=4, relax=1.0, n_workers=w)
+                for w in workers
+            ]
+            fields = ("V_mean", "V_stderr", "n1_mean", "n2_mean", "diff_stderr",
+                      "pair_mean", "tail_max")
+            for ens in runs[1:]:
+                assert ens.n_max == runs[0].n_max
+                for f in fields:
+                    assert getattr(ens, f).tobytes() == getattr(runs[0], f).tobytes(), f
 
     def test_auto_cutoff(self):
         below = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
