@@ -12,7 +12,7 @@ loop, run_lockstep.  It draws each trajectory's normals from its own stream
 in chunks (draw_noise), calls the route's advance(step, eta, alive) once per
 step and its record(j, alive) once per grid point after the relaxation
 window, and owns the alive mask that advance may clear.  A route keeps only
-its step kernel, its guard and its accumulators.
+its step kernel, its guard and what it records.
 
 Each pool has one stop event, handed to its workers when they start.  The
 pool sets it as soon as a job fails, and run_lockstep checks it once per

@@ -420,8 +420,9 @@ def simulate_qsd_ensemble(
 
     n_pilot = min(_PILOT_TRAJ, n_traj)
     # The pilot runs as two jobs, so that both workers look for a trip.  A
-    # trajectory's rows keep their bytes in a narrower batch only if the
-    # split falls on a multiple of 8 and leaves 8 or more on each side.
+    # trajectory's rows keep their bytes in a narrower batch when the cut
+    # falls on a multiple of 8 and leaves 8 or more on each side; narrower
+    # or unaligned pieces switch BLAS and einsum kernels.
     cuts = (0, 8 * round(n_pilot / 16), n_pilot) if n_pilot >= 16 else (0, n_pilot)
     pilot = [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     for _ in range(_MAX_GROW_ROUNDS + 1):
