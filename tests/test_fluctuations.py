@@ -9,6 +9,7 @@ are cross-checked against each other and against values frozen from
 runs that were verified against the stochastic simulators.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from modnopo import (
     classify_entanglement,
     derive_params,
     find_vmin,
+    integrate_n0,
     integrate_variance,
     linearization_validity,
     params_from_ratios,
@@ -247,3 +249,69 @@ class TestPeriodicity:
         np.testing.assert_allclose(
             traj.interp(t + 7.0 * traj.period), traj.interp(t), rtol=1e-12
         )
+
+
+def _sha256(items) -> str:
+    h = hashlib.sha256()
+    for name, val in items:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(val).tobytes() if isinstance(val, np.ndarray)
+                 else repr(val).encode())
+    return h.hexdigest()
+
+
+def _tabulated_above():
+    """A two-harmonic tabulated pump at 1.6 times threshold."""
+    x = np.arange(128) * (2.0 * math.pi / 128)
+    f_th = 25.0 / 5e-4
+    samples = f_th * (1.6 + 0.9 * np.cos(x) + 0.3 * np.sin(2.0 * x))
+    return ModelParams(gamma=1.0, gamma3=25.0, k=5e-4,
+                       modulation=TabulatedPeriodic(period=math.pi, samples=tuple(samples)))
+
+
+class TestFrozenBytes:
+    """Regression freezes of the ODE routes: sha256 of the periodic orbit,
+    the periodic variance, find_vmin's (v_min, t0, n0_at_t0) and the float
+    values of single-time evaluations of the orbit and the pump, taken before
+    the right-hand sides moved to scalar code.  A faster right-hand side must
+    keep every byte."""
+
+    POINTS = {
+        "below": (lambda: params_from_ratios(fbar_over_fth=0.5, f1_over_fbar=1.0, phi=0.4),
+                  "6b6e0951dffbdd1a1d9fcd2b908caeee21358f61e3a6797e57704ef68e3a434b"),
+        "near": (lambda: params_from_ratios(fbar_over_fth=1.05, f1_over_fbar=0.75, phi=0.7),
+                 "08c4fa5472c49426750d94c582e85eb4fe8d88bbdf977c0a277465e9edbf315c"),
+        "sign_change": (lambda: params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=2.0,
+                                                   phi=1.1),
+                        "97cf29773d8e3d0cd8bcbda5a24b65d3ce31a6e989a4524a00910585081de704"),
+        "fast": (lambda: params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.8,
+                                            delta_over_gamma=15.0),
+                 "3a5c94d9830488ef8c7fadb1f3dce154521945b8316873ae6b2913a4840f31ea"),
+        "tabulated": (_tabulated_above,
+                      "123a626f77bdfcf117f123c87637e1019f94663cbdbe822c2db224b0263860c4"),
+    }
+
+    @pytest.mark.parametrize("name", list(POINTS))
+    def test_ode_routes(self, name):
+        make, want = self.POINTS[name]
+        p = make()
+        d = derive_params(p)
+        traj = integrate_variance(p)
+        r = find_vmin(p)
+        times = [0.0, 0.37, -2.9, np.nextafter(d.period, 0.0), 7.0 * d.period + 0.1]
+        got = _sha256([
+            ("n0", traj.n0_ref.n0), ("V", traj.V),
+            ("vmin", (r.v_min, r.t0, r.n0_at_t0)),
+            ("interp", [float(traj.n0_ref.interp(t)) for t in times]),
+            ("eps", [float(d.eps(t)) for t in times]),
+        ])
+        assert got == want
+
+    def test_transient(self):
+        # a non-periodic spline over a span that starts after t = 0
+        traj = integrate_n0(params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=2.0, phi=1.1),
+                            t_span=(1.3, 4.0), n0_init=2.0e7, n_points=257)
+        times = [0.5, 1.3, 2.77, 4.0, 5.5]
+        got = _sha256([("n0", traj.n0), ("interp", [float(traj.interp(t)) for t in times])])
+        assert got == (
+            "f40f548600750697770e4873e97dafcbc3761279bf359da1dd0c4db4ab530fd8")
