@@ -167,8 +167,10 @@ def integrate_variance(
     offsets = np.linspace(0.0, T, n_grid, endpoint=False)
 
     def rhs(t, y):
-        V, J = y
-        n0 = float(n0_traj.interp(t))
+        # on Python floats: the same operations, without numpy's per-call cost
+        t = float(t)
+        V, J = y.tolist()
+        n0 = n0_traj.interp(t)
         dV = -2.0 * (gamma + d.eps(t) + lam * n0) * V + 2.0 * lam * n0 + 2.0 * gamma + J
         dJ = -4.0 * gamma * J + 4.0 * gamma * lam * n0
         return (dV, dJ)

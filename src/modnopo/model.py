@@ -26,6 +26,7 @@ import enum
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,6 +53,39 @@ def spline_min(spl: CubicSpline) -> float:
     crit = spl.derivative().roots(extrapolate=False)
     crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
     return float(min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf)))
+
+
+class ScalarCubic:
+    """A CubicSpline evaluated at one float, with the bits spl(t) gives.
+
+    It follows scipy's own evaluation step by step: a periodic spline maps t
+    to x[0] + (t - x[0]) % (x[-1] - x[0]); the interval is bisect_right(x, t)
+    - 1 clamped to the end pieces, as find_interval picks it (so the last one
+    is closed); and the cubic is summed from its constant term up.  Plain
+    lists keep each call free of numpy's per-call overhead.
+    """
+
+    __slots__ = ("x", "c", "last", "start", "span")
+
+    def __init__(self, spl: CubicSpline) -> None:
+        self.x = spl.x.tolist()
+        # 0.0 + c[3] is the running sum's first step, which turns -0.0 into 0.0
+        self.c = list(zip((spl.c[3] + 0.0).tolist(), *spl.c[2::-1].tolist()))
+        self.last = len(self.x) - 2
+        periodic = spl.extrapolate == "periodic"
+        self.start = self.x[0] if periodic else None
+        self.span = self.x[-1] - self.x[0]
+
+    def __call__(self, t: float) -> float:
+        x, start = self.x, self.start
+        if start is not None:
+            t = start + (t - start) % self.span
+        i = bisect_right(x, t) - 1
+        i = 0 if i < 0 else (i if i < self.last else self.last)
+        c3, c2, c1, c0 = self.c[i]
+        s = t - x[i]
+        ss = s * s
+        return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
 
 
 @dataclass(frozen=True)
@@ -87,9 +121,10 @@ class Harmonic:
         return 2.0 * math.pi / self.delta
 
     def value(self, t):
-        """f(t); accepts scalars or arrays."""
-        t = np.asarray(t, dtype=float)
-        return self.fbar + self.f1 * np.cos(self.delta * t + self.phi)
+        """f(t); a float t gives a float, anything else an array."""
+        scalar = isinstance(t, float)
+        cos = np.cos(self.delta * (t if scalar else np.asarray(t, dtype=float)) + self.phi)
+        return self.fbar + self.f1 * (float(cos) if scalar else cos)
 
     def mean(self) -> float:
         """Average of f over one period (the cosine integrates to zero)."""
@@ -125,6 +160,7 @@ class TabulatedPeriodic:
     # compares by its defining data.
     _spline: CubicSpline = field(init=False, repr=False, compare=False, default=None)
     _antideriv: CubicSpline = field(init=False, repr=False, compare=False, default=None)
+    _at: ScalarCubic = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not (self.period > 0.0):
@@ -141,6 +177,7 @@ class TabulatedPeriodic:
         spline = CubicSpline(grid, values, bc_type="periodic")
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "_antideriv", spline.antiderivative())
+        object.__setattr__(self, "_at", ScalarCubic(spline))
 
     @property
     def delta(self) -> float:
@@ -148,6 +185,9 @@ class TabulatedPeriodic:
         return 2.0 * math.pi / self.period
 
     def value(self, t):
+        """f(t); a float t gives a float, anything else an array."""
+        if isinstance(t, float):
+            return self._at(float(t) % self.period)
         t = np.asarray(t, dtype=float)
         return self._spline(np.mod(t, self.period))
 

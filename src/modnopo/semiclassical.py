@@ -29,7 +29,14 @@ from scipy.interpolate import CubicSpline
 
 from . import _tailquad
 from .errors import BelowThresholdError, ConvergenceError, CrossCheckError
-from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
+from .model import (
+    DerivedParams,
+    ModelParams,
+    Regime,
+    ScalarCubic,
+    derive_params,
+    regime_classify,
+)
 
 # Defaults shared by the periodic-orbit drivers.
 PERIODIC_TOL = 1e-8
@@ -57,18 +64,33 @@ class SemiclassicalTrajectory:
     periods_to_converge: int = 0
     period: float = 0.0
     _log_spline: CubicSpline | None = field(default=None, repr=False)
+    _log_at: ScalarCubic | None = field(init=False, default=None, repr=False, compare=False)
+    _zero: bool = field(init=False, default=True, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._zero = not np.any(self.n0 > 0.0)
+        if self._log_spline is not None:
+            self._log_at = ScalarCubic(self._log_spline)
 
     @property
     def is_zero(self) -> bool:
-        return not np.any(self.n0 > 0.0)
+        return self._zero
 
     def interp(self, t):
-        """n0 at arbitrary times; periodic extension for converged orbits."""
-        t = np.asarray(t, dtype=float)
-        if self.is_zero:
-            return np.zeros_like(t)
+        """n0 at arbitrary times; periodic extension for converged orbits.
+
+        A float t (the ODE right-hand sides' case) gives a float, with the
+        bits of the array path's element; anything else gives an array.
+        """
+        scalar = isinstance(t, float)
+        if self._zero:
+            return 0.0 if scalar else np.zeros_like(np.asarray(t, dtype=float))
         if self._log_spline is None:
             raise ValueError("trajectory carries no interpolant")
+        if scalar:
+            tau = t % self.period if self.converged_periodic else t
+            return float(np.exp(self._log_at(tau)))
+        t = np.asarray(t, dtype=float)
         tau = np.mod(t, self.period) if self.converged_periodic else t
         return np.exp(self._log_spline(tau))
 
@@ -79,10 +101,10 @@ class SemiclassicalTrajectory:
         return float(np.mean(self.n0))
 
 
-def _attach_periodic_spline(traj: SemiclassicalTrajectory, u_grid: np.ndarray) -> None:
-    t_ext = np.append(traj.t_grid, traj.period)
+def _periodic_log_spline(t_grid: np.ndarray, period: float, u_grid: np.ndarray) -> CubicSpline:
+    t_ext = np.append(t_grid, period)
     u_ext = np.append(u_grid, u_grid[0])
-    traj._log_spline = CubicSpline(t_ext, u_ext, bc_type="periodic")
+    return CubicSpline(t_ext, u_ext, bc_type="periodic")
 
 
 def zero_trajectory(p: ModelParams, n_grid: int = N_GRID) -> SemiclassicalTrajectory:
@@ -101,8 +123,11 @@ def _du_dt(d: DerivedParams):
 
     def rhs(t, u):
         # Clip keeps rejected trial steps of the solver from overflowing;
-        # any physical orbit stays far below exp(700).
-        return 2.0 * (d.eps(t) - gamma - lam * np.exp(np.minimum(u, 700.0)))
+        # any physical orbit stays far below exp(700).  Scalar floats carry
+        # the arithmetic (a NaN u stays NaN); np.exp keeps numpy's bits.
+        u = u.item()
+        n0 = float(np.exp(u if not u > 700.0 else 700.0))
+        return [2.0 * (d.eps(float(t)) - gamma - lam * n0)]
 
     return rhs
 
@@ -134,9 +159,8 @@ def integrate_n0(
     u = sol.y[0]
     with np.errstate(under="ignore"):
         n0 = np.exp(u)
-    traj = SemiclassicalTrajectory(t_grid=t_eval, n0=n0, period=d.period)
-    traj._log_spline = CubicSpline(t_eval, u)
-    return traj
+    return SemiclassicalTrajectory(t_grid=t_eval, n0=n0, period=d.period,
+                                   _log_spline=CubicSpline(t_eval, u))
 
 
 def periodic_steady_state(
@@ -201,8 +225,8 @@ def periodic_steady_state(
     traj = SemiclassicalTrajectory(
         t_grid=offsets, n0=n0, converged_periodic=True,
         periods_to_converge=period_idx + 1, period=T,
+        _log_spline=_periodic_log_spline(offsets, T, u_grid),
     )
-    _attach_periodic_spline(traj, u_grid)
 
     if cross_check:
         idx = np.linspace(0, n_grid - 1, min(cross_points, n_grid)).astype(int)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from modnopo import (
     CONFIG_DEFAULTS,
@@ -23,6 +25,7 @@ from modnopo import (
     pump_amplitude,
     regime_classify,
 )
+from modnopo.model import ScalarCubic
 
 
 class TestHarmonic:
@@ -211,3 +214,53 @@ class TestConfig:
         # eps_bar/gamma must equal fbar/f_th by construction
         assert d.eps_bar / d.gamma == pytest.approx(fbar, rel=1e-10)
         assert d.lam * d.f_th == pytest.approx(p.k * p.gamma, rel=1e-10)
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestScalarEvaluation:
+    """The scalar branches the ODE right-hand sides take must give the
+    array path's bits: ScalarCubic against CubicSpline, and eps at one
+    float against eps on an array, for both pump kinds."""
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_scalar_cubic_matches_scipy(self, periodic):
+        rng = np.random.default_rng(1503)
+        for n in (4, 65, 2049):
+            x = np.linspace(0.0, rng.uniform(0.1, 50.0), n) + (0.0 if periodic else -1.7)
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            y[::7] = 0.0
+            y[3::7] = -0.0
+            y[-1] = y[0]
+            spl = CubicSpline(x, y, bc_type="periodic" if periodic else "not-a-knot")
+            span = x[-1] - x[0]
+            t = np.concatenate([x, rng.uniform(x[0] - 3 * span, x[-1] + 3 * span, 500),
+                                [np.nextafter(x[-1], x[0]), np.nextafter(x[0], x[-1]),
+                                 np.nextafter(x[0], -np.inf), -0.0]])
+            at = ScalarCubic(spl)
+            assert (_bits([at(float(v)) for v in t]) == _bits(spl(t))).all()
+
+    @pytest.mark.parametrize("kind", ["harmonic", "tabulated"])
+    def test_eps_matches_array_path(self, kind):
+        h = Harmonic(fbar=2.0e4, f1=3.0e4, delta=2.0, phi=0.3)
+        knots = np.linspace(0.0, h.period, 129)
+        m = h if kind == "harmonic" else TabulatedPeriodic(h.period, h.value(knots[:-1]))
+        d = derive_params(ModelParams(gamma=1.0, gamma3=25.0, k=5e-4, modulation=m))
+        rng = np.random.default_rng(1504)
+        edges = [0.0, np.nextafter(h.period, 0.0), h.period, 5.0 * h.period,
+                 -3.0 * h.period + 0.25]
+        t = np.concatenate([knots, rng.uniform(-4.0 * h.period, 6.0 * h.period, 400), edges])
+        assert type(d.eps(0.5)) is float and type(m.value(np.float64(0.5))) is float
+        want = _bits(d.eps(t))
+        assert (_bits([d.eps(float(x)) for x in t]) == want).all()
+        assert (_bits([d.eps(x) for x in t]) == want).all()
+
+    def test_tabulated_pump_pickles(self):
+        # process pools pickle the parameters, scalar evaluator included
+        h = Harmonic(fbar=2.0, f1=0.9, delta=2.0)
+        m = TabulatedPeriodic(h.period, h.value(np.linspace(0.0, h.period, 64, endpoint=False)))
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and _bits(back.value(1.1)) == _bits(m.value(1.1))

@@ -164,3 +164,41 @@ class TestOrbitShape:
         assert float(asymptotic_n0(p_deep, 2.64)) == pytest.approx(6.2272e7, rel=1e-3)
         p_shallow = params_from_ratios(f1_over_fbar=0.4)
         assert float(asymptotic_n0(p_shallow, 2.51)) == pytest.approx(1.7027e8, rel=1e-3)
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _probe_times(knots, period, rng):
+    """Every knot, random times over several periods both ways, and the edges."""
+    edges = [0.0, np.nextafter(period, 0.0), period, 5.0 * period, -3.0 * period + 0.25]
+    return np.concatenate([knots, rng.uniform(-4.0 * period, 6.0 * period, 400), edges])
+
+
+class TestScalarInterp:
+    """interp at one float takes a scalar branch (the ODE right-hand sides
+    call it so); it must give the array path's element bit for bit."""
+
+    def test_periodic_orbit(self):
+        orbit = periodic_steady_state(params_from_ratios(f1_over_fbar=1.2, phi=0.3))
+        t = _probe_times(orbit.t_grid, orbit.period, np.random.default_rng(1501))
+        assert type(orbit.interp(0.5)) is float
+        want = _bits(orbit.interp(t))
+        assert (_bits([orbit.interp(float(x)) for x in t]) == want).all()
+        # np.float64, the solver's time type, is a float too
+        assert (_bits([orbit.interp(x) for x in t]) == want).all()
+
+    def test_transient_outside_its_span(self):
+        traj = integrate_n0(params_from_ratios(f1_over_fbar=0.4), t_span=(1.3, 4.0),
+                            n0_init=1e7, n_points=101)
+        t = np.concatenate([traj.t_grid, np.random.default_rng(1502).uniform(0.3, 5.0, 300),
+                            [0.0, np.nextafter(1.3, 0.0), np.nextafter(4.0, 5.0), 5.5]])
+        assert (_bits([traj.interp(float(x)) for x in t]) == _bits(traj.interp(t))).all()
+
+    def test_zero_orbit(self):
+        zero = zero_trajectory(params_from_ratios(fbar_over_fth=0.5))
+        got = zero.interp(0.3)
+        assert type(got) is float and _bits(got) == _bits(0.0)
+        assert (zero.interp(np.linspace(-1.0, 9.0, 7)) == 0.0).all()
