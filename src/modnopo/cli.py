@@ -170,6 +170,18 @@ def _sweep_csv(out, name, cells, meta):
     return write_csv(out / name, _SWEEP_FIELDS, cols, meta)
 
 
+def _warn_untrusted(cells) -> None:
+    """One stderr line for the cells where the linearization does not hold."""
+    ratios = [c.validity_ratio for c in cells if not c.trusted]
+    if ratios:
+        print(
+            f"warning: {len(ratios)} of {len(cells)} sweep cells have a linearization "
+            f"validity ratio < {VALIDITY_MARGIN:g} (smallest {min(ratios):.3g}); "
+            "linearized results are unreliable there",
+            file=sys.stderr,
+        )
+
+
 def _sweep_cells(p: ModelParams, grid, levels, n_workers: int) -> list:
     """sweep_vmin's cells, or an error naming the first failed cell."""
     cells = sweep_vmin(p, grid, levels, n_workers=n_workers)
@@ -186,6 +198,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     grid = _parse_grid(args.fbar_grid)
     cells = _sweep_cells(p, grid, _parse_levels(args.f1_levels), args.workers)
+    _warn_untrusted(cells)
     extra = {"fbar_grid": args.fbar_grid, "f1_levels": args.f1_levels}
     _sweep_csv(out, "sweep.csv", cells, _meta(args, cfg, extra))
     return 0
@@ -330,10 +343,12 @@ def cmd_fig3(args) -> int:
     grid = _parse_grid(args.fbar_grid)
     levels = (0.0, 0.75, 2.0)
     meta = _meta(args, cfg, {"fbar_grid": args.fbar_grid, "f1_levels": "0,0.75,2"})
-    columns = [grid]
+    columns, all_cells = [grid], []
     for level in levels:
         cells = _sweep_cells(p, grid, [level], args.workers)
         columns.append(np.array([c.v_min for c in cells]))
+        all_cells += cells
+    _warn_untrusted(all_cells)
     csv = write_csv(
         out / "fig3.csv",
         ["fbar_over_fth", "v_min_curve1", "v_min_curve2", "v_min_curve3"],

@@ -360,6 +360,11 @@ class VminResult:
     criteria: CriteriaReport
     validity_ratio: float
 
+    @property
+    def trusted(self) -> bool:
+        """Whether the linearization holds here (see linearization_validity)."""
+        return self.validity_ratio >= VALIDITY_MARGIN
+
 
 def find_vmin(
     p: ModelParams,
@@ -454,6 +459,11 @@ class SweepCell:
     epr: bool
     validity_ratio: float
     error: str | None = None
+
+    @property
+    def trusted(self) -> bool:
+        """Whether the linearization holds here; a failed cell is not trusted."""
+        return self.validity_ratio >= VALIDITY_MARGIN
 
 
 def _sweep_cell(p: ModelParams, cell: tuple[float, float]) -> SweepCell:

@@ -179,6 +179,20 @@ def test_fig3_threshold_anchor(tmp_path):
     assert np.all(cols["v_min_curve2"] < cols["v_min_curve1"])
 
 
+@pytest.mark.parametrize("command", ["sweep", "fig3"])
+def test_untrusted_sweep_cells_warn_once(tmp_path, capsys, command):
+    levels = ["--f1-levels", "0,2"] if command == "sweep" else []
+    # just above threshold, the f1 = 2 fbar cell's validity ratio is 6.12
+    assert main([command, "--out", str(tmp_path), "--fbar-grid", "1.05:1.05:0.05",
+                 "--lam", "0.001", *levels]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: 1 of "), lines
+    assert "smallest 6.12" in lines[0]
+    # far above threshold every cell is trusted
+    assert main([command, "--out", str(tmp_path), "--fbar-grid", "3:3:1", *levels]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_fig4_schema_and_warning(tmp_path, capsys):
     assert main(["fig4", "--out", str(tmp_path), "--traj", "12",
                  "--grid-points", "3", "--relax", "1.0", "--nmax", "26"]) == 0

@@ -234,6 +234,17 @@ class TestSweep:
             with pytest.raises(InvalidParameterError, match="n_workers"):
                 sweep_vmin(params_from_ratios(), [2.0], [0.5], n_workers=n_workers)
 
+    def test_trusted_follows_the_validity_margin(self):
+        p = params_from_ratios(lam_over_gamma=1e-3)
+        cells = sweep_vmin(p, [1.05, -1.0], [0.0, 2.0])
+        assert [c.trusted for c in cells] == [True, False, False, False]
+        assert cells[2].validity_ratio == pytest.approx(6.12, rel=1e-3)
+        assert cells[1].error is not None  # a failed cell is never trusted
+        r = find_vmin(params_from_ratios(fbar_over_fth=1.05, f1_over_fbar=2.0,
+                                         lam_over_gamma=1e-3))
+        assert r.validity_ratio == pytest.approx(6.12, rel=1e-3) and not r.trusted
+        assert find_vmin(params_from_ratios(f1_over_fbar=0.4)).trusted
+
     def test_non_finite_pump_names_the_ratio(self):
         # inf * f_th used to reach Harmonic as f1 = 0 * inf and blame f1
         for ratio in (math.inf, 1e308):
