@@ -56,7 +56,8 @@ def spline_min(spl: CubicSpline) -> float:
 
 
 class ScalarCubic:
-    """A CubicSpline evaluated at one float, with the bits spl(t) gives.
+    """A periodic or extrapolating CubicSpline evaluated at one float, with
+    the bits spl(t) gives.
 
     It follows scipy's own evaluation step by step: a periodic spline maps t
     to x[0] + (t - x[0]) % (x[-1] - x[0]); the interval is bisect_right(x, t)

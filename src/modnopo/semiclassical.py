@@ -101,12 +101,6 @@ class SemiclassicalTrajectory:
         return float(np.mean(self.n0))
 
 
-def _periodic_log_spline(t_grid: np.ndarray, period: float, u_grid: np.ndarray) -> CubicSpline:
-    t_ext = np.append(t_grid, period)
-    u_ext = np.append(u_grid, u_grid[0])
-    return CubicSpline(t_ext, u_ext, bc_type="periodic")
-
-
 def zero_trajectory(p: ModelParams, n_grid: int = N_GRID) -> SemiclassicalTrajectory:
     """The empty-cavity orbit n0 = 0, an exact fixed point at any pump."""
     d = derive_params(p)
@@ -225,7 +219,8 @@ def periodic_steady_state(
     traj = SemiclassicalTrajectory(
         t_grid=offsets, n0=n0, converged_periodic=True,
         periods_to_converge=period_idx + 1, period=T,
-        _log_spline=_periodic_log_spline(offsets, T, u_grid),
+        _log_spline=CubicSpline(np.append(offsets, T), np.append(u_grid, u_grid[0]),
+                                bc_type="periodic"),
     )
 
     if cross_check:
