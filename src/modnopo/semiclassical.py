@@ -65,16 +65,12 @@ class SemiclassicalTrajectory:
     period: float = 0.0
     _log_spline: CubicSpline | None = field(default=None, repr=False)
     _log_at: ScalarCubic | None = field(init=False, default=None, repr=False, compare=False)
-    _zero: bool = field(init=False, default=True, repr=False, compare=False)
+    is_zero: bool = field(init=False, default=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._zero = not np.any(self.n0 > 0.0)
+        self.is_zero = not np.any(self.n0 > 0.0)
         if self._log_spline is not None:
             self._log_at = ScalarCubic(self._log_spline)
-
-    @property
-    def is_zero(self) -> bool:
-        return self._zero
 
     def interp(self, t):
         """n0 at arbitrary times; periodic extension for converged orbits.
@@ -83,7 +79,7 @@ class SemiclassicalTrajectory:
         bits of the array path's element; anything else gives an array.
         """
         scalar = isinstance(t, float)
-        if self._zero:
+        if self.is_zero:
             return 0.0 if scalar else np.zeros_like(np.asarray(t, dtype=float))
         if self._log_spline is None:
             raise ValueError("trajectory carries no interpolant")
