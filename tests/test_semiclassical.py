@@ -171,19 +171,16 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-def _probe_times(knots, period, rng):
-    """Every knot, random times over several periods both ways, and the edges."""
-    edges = [0.0, np.nextafter(period, 0.0), period, 5.0 * period, -3.0 * period + 0.25]
-    return np.concatenate([knots, rng.uniform(-4.0 * period, 6.0 * period, 400), edges])
-
-
 class TestScalarInterp:
     """interp at one float takes a scalar branch (the ODE right-hand sides
     call it so); it must give the array path's element bit for bit."""
 
     def test_periodic_orbit(self):
         orbit = periodic_steady_state(params_from_ratios(f1_over_fbar=1.2, phi=0.3))
-        t = _probe_times(orbit.t_grid, orbit.period, np.random.default_rng(1501))
+        T = orbit.period
+        # every knot, random times over several periods both ways, and the edges
+        t = np.concatenate([orbit.t_grid, np.random.default_rng(1501).uniform(-4 * T, 6 * T, 400),
+                            [0.0, np.nextafter(T, 0.0), T, 5.0 * T, -3.0 * T + 0.25]])
         assert type(orbit.interp(0.5)) is float
         want = _bits(orbit.interp(t))
         assert (_bits([orbit.interp(float(x)) for x in t]) == want).all()
