@@ -281,9 +281,11 @@ def _moments_digest(ens) -> str:
 
 
 class TestFrozenBytes:
-    """Regression freezes: sha256 of every result array of four small runs,
-    taken at commit deb37af before the batch kernel was fused.  A rewrite of
-    the kernel or the step loop must keep every byte."""
+    """Regression freezes: sha256 of every result array of small runs.  The
+    first four were taken at commit deb37af before the batch kernel was
+    fused, the 1037-trajectory runs and the four masked batches before
+    several batches were stepped as one array.  A rewrite of the kernel or
+    the step loop must keep every byte."""
 
     P = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5,
                            delta_over_gamma=2.0, lam_over_gamma=LAM)
@@ -316,16 +318,46 @@ class TestFrozenBytes:
         # a guard just above the orbit: all 100 trajectories live through
         # the relaxation, then 79 of them are frozen one by one, so the
         # alive mask multiplies the later updates
-        d = derive_params(self.P)
-        t_grid = np.linspace(0.0, 0.5, 6)
-        spi, dt, n_relax, t_start = step_layout(t_grid, 1e-3, 0.3)
-        eps_steps, t = [], t_start
-        for _ in range(n_relax + (t_grid.size - 1) * spi):
-            eps_steps.append(float(d.eps(t)))
-            t += dt
-        acc = _run_batch(np.arange(40, 140), d, 1104,
-                         _initial_amplitude(self.P, t_start), eps_steps, n_relax,
-                         spi, t_grid, dt, 13.5, True, True)
+        acc = _run_batch(np.arange(40, 140), *_masked_batch_args(self.P))
         np.testing.assert_array_equal(acc["count"], [100, 96, 72, 39, 25, 21])
         assert _sha256((k, acc[k]) for k in sorted(acc)) == (
             "1048910354fedd1108d5138b0a581172d3c28685ec3e550c0b851c6574f019a9")
+
+    def test_four_masked_batches(self):
+        # the accumulators of four consecutive full batches at the masked
+        # guard, batch by batch
+        args = _masked_batch_args(self.P)
+        accs = [_run_batch(np.arange(lo, lo + 256), *args)
+                for lo in range(40, 1064, 256)]
+        assert _sha256((f"{n}:{k}", acc[k]) for n, acc in enumerate(accs)
+                       for k in sorted(acc)) == (
+            "53c18a292d24c599b88bfff3db6e13cf76a94cd0153e1ce565ea27e89ed3617d")
+
+    def test_four_full_batches_and_a_partial(self):
+        for n_workers in (1, 2):
+            ens = simulate_ensemble(self.P, 1037, np.linspace(0.0, 0.5, 6),
+                                    seed=1105, relax=0.3, n_workers=n_workers)
+            assert _moments_digest(ens) == (
+                "b40ff24b78fd3ccc92b0d6cf89efb15f1507bf4a102dd2cc2cbff30de98d6ffc")
+
+    def test_four_full_batches_and_a_partial_extended(self):
+        for n_workers in (1, 2):
+            ens = simulate_ensemble(self.P, 1037, np.linspace(0.0, 0.6, 7),
+                                    seed=1106, relax=0.2, n_workers=n_workers,
+                                    collect_extended=True)
+            assert _moments_digest(ens) == (
+                "6989a3fdd9a140e489a7b74ad1407d092e8b2e94fd40cbc46b15a93bf779e13a")
+
+
+def _masked_batch_args(p):
+    """_run_batch's arguments after the indices for TestFrozenBytes.P on six
+    grid points, with a guard of 13.5, just above the orbit."""
+    d = derive_params(p)
+    t_grid = np.linspace(0.0, 0.5, 6)
+    spi, dt, n_relax, t_start = step_layout(t_grid, 1e-3, 0.3)
+    eps_steps, t = [], t_start
+    for _ in range(n_relax + (t_grid.size - 1) * spi):
+        eps_steps.append(float(d.eps(t)))
+        t += dt
+    return (d, 1104, _initial_amplitude(p, t_start), eps_steps, n_relax, spi,
+            t_grid, dt, 13.5, True, True)
