@@ -35,6 +35,10 @@ from .errors import InvalidParameterError
 # window at the default step, and already minutes to hours per batch.
 MAX_STEPS = 10**7
 NOISE_CHUNK = 1024          # steps of normals drawn per stream at a time
+# Normals held per chunk, 8 MB: NOISE_CHUNK steps of positive-P's 4 normals
+# for one batch of 256 streams.  Wider lockstep groups draw fewer steps at
+# a time instead of a larger buffer.
+NOISE_NORMALS = 1_048_576
 DRAW_BLOCK = 16             # streams drawn between transposing copies
 
 _stop = None                # the pool's stop event, in a worker process
@@ -109,17 +113,20 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
     else after the step that reaches it.  advance may clear entries of
     alive, a boolean array of B that starts all true.  In a pool worker it
     raises Aborted before any step taken once the pool's stop event is set.
+    The normals are drawn NOISE_CHUNK steps at a time, or fewer where that
+    would hold more than NOISE_NORMALS values.
     """
     stop = _stop
     n_steps = n_relax + (n_grid - 1) * spi
     alive = np.ones(len(streams), dtype=bool)
-    noise = np.empty((min(NOISE_CHUNK, n_steps), n_normals, len(streams)))
+    chunk = max(1, min(NOISE_CHUNK, NOISE_NORMALS // max(n_normals * len(streams), 1)))
+    noise = np.empty((min(chunk, n_steps), n_normals, len(streams)))
     if n_relax == 0:
         record(0, alive)
     for step in range(n_steps):
         if stop is not None and stop.is_set():
             raise Aborted
-        k = step % NOISE_CHUNK
+        k = step % chunk
         if n_normals and k == 0:
             draw_noise(streams, noise[:n_steps - step])
         advance(step, noise[k] if n_normals else None, alive)

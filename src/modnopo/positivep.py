@@ -11,7 +11,10 @@ this covariance exactly, no matrix square root needed.
 
 Ensembles are Euler-Maruyama (Ito) with fixed step, per-trajectory
 counter-based RNG streams, and fixed-order reduction, so results are
-byte-identical for a given seed regardless of worker count.
+byte-identical for a given seed regardless of worker count.  Two widths
+are kept apart: a job steps up to four batches as one array, for
+throughput, while the sums are taken over each batch of BATCH
+trajectories on its own, and only those fix the bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ from .errors import DivergenceBudgetError, DivergenceError
 from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
 from .semiclassical import periodic_steady_state
 
-BATCH = 256                 # trajectories stepped together; fixed for determinism
+BATCH = 256                 # trajectories summed together; fixed for determinism
+# Batches stepped as one array.  Serial kernel throughput at criterion 7's
+# point rose from 8.2M trajectory-steps/s at one batch to 11.3M at four,
+# and to 11.8M at eight or sixteen, so four keeps the jobs small.
+_STEP_GROUP = 4
 DEFAULT_DT = 1e-3
 RELAX_WINDOW = 5.0          # discarded settling time before the grid, in 1/gamma
 DIVERGENCE_GUARD_FACTOR = 1e3
@@ -212,19 +219,24 @@ def _run_batch(
     guard: float,
     with_noise: bool,
     extended: bool,
-) -> dict:
-    """Step one batch of trajectories and return its accumulated sums.
+) -> list[dict]:
+    """Step consecutive batches of trajectories as one; return each batch's sums.
 
-    All trajectories in the batch advance through run_lockstep as one
+    indices holds up to _STEP_GROUP batches of BATCH trajectories (the last
+    may be partial).  All of them advance through run_lockstep as one
     (4, B) array; diverged ones are zeroed and masked out of every
     subsequent update and average.  eps_steps[k] is the pump at the start
-    of step k.  Sums are taken in fixed trajectory order so the reduction
-    is deterministic.
+    of step k.  Each trajectory's update touches only its own column, so
+    the width stepped together moves no byte.  The moments are formed once
+    over the full width and then summed per BATCH slice of indices, in
+    trajectory order, so each slice's accumulator dict, returned in slice
+    order, is the one a batch stepped alone gives.
     """
     B = indices.size
     m = t_grid.size
     gamma, lam = d.gamma, d.lam
     rngs = [trajectory_stream(seed, int(i), SALT_PHASE_SPACE) for i in indices]
+    slices = [slice(lo, lo + BATCH) for lo in range(0, B, BATCH)]
 
     amps = np.full((4, B), amp0, dtype=np.complex128)
     A = amps.reshape(2, 2, B)
@@ -232,25 +244,22 @@ def _run_batch(
     mask = None             # alive as complex, once a trajectory has died
     noise = np.empty((2, 2, B), dtype=np.complex128)   # one step's, refilled
 
-    acc: dict = {
-        "count": np.zeros(m, dtype=np.int64),
-        "sum_np": np.zeros(m, dtype=np.complex128),
-        "sq_np": np.zeros(m),
-        "sum_R": np.zeros(m, dtype=np.complex128),
-        "sq_R": np.zeros(m),
-        "sum_Z": np.zeros(m, dtype=np.complex128),
-        "sq_Z": np.zeros(m),
-        "sum_p1": np.zeros(m, dtype=np.complex128),
-        "sum_p2": np.zeros(m, dtype=np.complex128),
-        "sq_pd": np.zeros(m),
-    }
-    if extended:
-        acc["sum_np2"] = np.zeros(m, dtype=np.complex128)
-        acc["sum_npR"] = np.zeros(m, dtype=np.complex128)
-        acc["res_sum"] = np.zeros((3, m - 2))
-        acc["res_sq"] = np.zeros((3, m - 2))
-        acc["res_count"] = np.zeros(m - 2, dtype=np.int64)
-        ring: list[dict | None] = [None, None, None]  # per-grid slices j-1, j, j+1
+    def new_acc() -> dict:
+        acc = {"count": np.zeros(m, dtype=np.int64)}
+        for key in ("sum_np", "sum_R", "sum_Z", "sum_p1", "sum_p2"):
+            acc[key] = np.zeros(m, dtype=np.complex128)
+        for key in ("sq_np", "sq_R", "sq_Z", "sq_pd"):
+            acc[key] = np.zeros(m)
+        if extended:
+            acc["sum_np2"] = np.zeros(m, dtype=np.complex128)
+            acc["sum_npR"] = np.zeros(m, dtype=np.complex128)
+            acc["res_sum"] = np.zeros((3, m - 2))
+            acc["res_sq"] = np.zeros((3, m - 2))
+            acc["res_count"] = np.zeros(m - 2, dtype=np.int64)
+        return acc
+
+    accs = [new_acc() for _ in slices]
+    ring: list[dict | None] = [None, None, None]  # per-grid slices j-1, j, j+1
     h = float(t_grid[1] - t_grid[0]) if m > 1 else 0.0
 
     def advance(step, eta, alive):
@@ -272,27 +281,26 @@ def _run_batch(
         np_ = n1 + n2
         R = (a1 - b2) * (b1 - a2)
         Z = (n1 - n2) ** 2 + np_
-        acc["count"][j] += int(af.sum())
-        acc["sum_np"][j] += np_[af].sum()
-        acc["sq_np"][j] += (np_.real[af] ** 2).sum()
-        acc["sum_R"][j] += R[af].sum()
-        acc["sq_R"][j] += (R.real[af] ** 2).sum()
-        acc["sum_Z"][j] += Z[af].sum()
-        acc["sq_Z"][j] += (Z.real[af] ** 2).sum()
-        acc["sum_p1"][j] += n1[af].sum()
-        acc["sum_p2"][j] += n2[af].sum()
-        acc["sq_pd"][j] += ((n1 - n2).real[af] ** 2).sum()
+        sums = {"sum_np": np_, "sum_R": R, "sum_Z": Z, "sum_p1": n1, "sum_p2": n2}
+        squares = {"sq_np": np_.real, "sq_R": R.real, "sq_Z": Z.real,
+                   "sq_pd": (n1 - n2).real}
         if extended:
-            np2 = np_ * np_
-            npR = np_ * R
-            acc["sum_np2"][j] += np2[af].sum()
-            acc["sum_npR"][j] += npR[af].sum()
+            sums["sum_np2"] = np2 = np_ * np_
+            sums["sum_npR"] = npR = np_ * R
+        for s, acc in zip(slices, accs):
+            a = af[s]
+            acc["count"][j] += int(a.sum())
+            for key, x in sums.items():
+                acc[key][j] += x[s][a].sum()
+            for key, x in squares.items():
+                acc[key][j] += (x[s][a] ** 2).sum()
+        if extended:
             ring[0], ring[1], ring[2] = ring[1], ring[2], {
                 "np": np_.copy(), "R": R.copy(), "Z": Z.copy(),
                 "np2": np2, "npR": npR, "alive": af.copy(),
             }
             if j >= 2:
-                _record_residuals(j - 1, ring)
+                _record_residuals(j - 1)
 
     def _rhs_rows(slc: dict, eps_j: float) -> dict:
         rhs_np = ((2.0 * eps_j - 2.0 * gamma - lam) * slc["np"]
@@ -302,7 +310,7 @@ def _run_batch(
         rhs_Z = -4.0 * gamma * slc["Z"] + 2.0 * gamma * slc["np"]
         return {"np": rhs_np, "R": rhs_R, "Z": rhs_Z}
 
-    def _record_residuals(jc: int, ring: list) -> None:
+    def _record_residuals(jc: int) -> None:
         # Centered difference of each trajectory's moment across the grid
         # against the moment-equation drift integrated over the same window
         # (Simpson rule on the three recorded slices).  Comparing against
@@ -316,15 +324,19 @@ def _run_batch(
         rn = _rhs_rows(nxt, float(d.eps(t_grid[jc + 1])))
         for row, x in enumerate(("np", "R", "Z")):
             rhs = (rp[x] + 4.0 * rm[x] + rn[x]) / 6.0
-            r = ((nxt[x] - prev[x]) / (2.0 * h) - rhs).real[ok]
-            acc["res_sum"][row, jc - 1] += r.sum()
-            acc["res_sq"][row, jc - 1] += (r ** 2).sum()
-        acc["res_count"][jc - 1] += int(ok.sum())
+            r = ((nxt[x] - prev[x]) / (2.0 * h) - rhs).real
+            for s, acc in zip(slices, accs):
+                rs = r[s][ok[s]]
+                acc["res_sum"][row, jc - 1] += rs.sum()
+                acc["res_sq"][row, jc - 1] += (rs ** 2).sum()
+        for s, acc in zip(slices, accs):
+            acc["res_count"][jc - 1] += int(ok[s].sum())
 
     alive = run_lockstep(rngs, 4 if with_noise else 0, n_relax, spi, m,
                          advance, record)
-    acc["alive_final"] = int(alive.sum())
-    return acc
+    for s, acc in zip(slices, accs):
+        acc["alive_final"] = int(alive[s].sum())
+    return accs
 
 
 def simulate_ensemble(
@@ -348,6 +360,12 @@ def simulate_ensemble(
     divergence guard are frozen and dropped from later averages; a
     discarded fraction above 0.1% raises, since further bias would not be
     visible in the statistical error.
+
+    The trajectories form batches of BATCH; each job of the ordered pool
+    steps up to _STEP_GROUP consecutive batches as one array, with at least
+    as many jobs as workers where there are enough batches, and the
+    batches' sums are reduced in batch order, so the grouping (which
+    depends on n_workers) changes no byte.
     """
     if n_traj < 2:
         raise ValueError(f"need at least 2 trajectories, got {n_traj}")
@@ -370,8 +388,16 @@ def simulate_ensemble(
     job = partial(_run_batch, d=d, seed=seed, amp0=amp0, eps_steps=eps_steps,
                   n_relax=n_relax, spi=spi, t_grid=t_grid, dt=dt_eff, guard=guard,
                   with_noise=with_noise, extended=collect_extended)
-    batches = [np.arange(lo, min(lo + BATCH, n_traj)) for lo in range(0, n_traj, BATCH)]
-    total = sum_parts(map_ordered(job, batches, n_workers))
+    # Each job steps up to _STEP_GROUP batches as one array, spread evenly
+    # over the workers but never fewer jobs than workers (or batches); the
+    # per-batch sums reduce in batch order.
+    n_batches = -(-n_traj // BATCH)
+    group = min(_STEP_GROUP, -(-n_batches // n_workers))
+    while -(-n_batches // group) < min(n_workers, n_batches):
+        group -= 1
+    width = group * BATCH
+    jobs = [np.arange(lo, min(lo + width, n_traj)) for lo in range(0, n_traj, width)]
+    total = sum_parts(acc for accs in map_ordered(job, jobs, n_workers) for acc in accs)
 
     cnt = total["count"].astype(float)
     if np.any(cnt < 2):

@@ -27,7 +27,9 @@ from modnopo import (
 )
 from modnopo._ensemble import step_layout
 from modnopo._streams import SALT_PHASE_SPACE, trajectory_stream
+from modnopo import positivep
 from modnopo.positivep import (
+    BATCH,
     PPState,
     _initial_amplitude,
     _run_batch,
@@ -235,6 +237,74 @@ class TestEnsembleInvariants:
         assert np.any(a.V_mean != b.V_mean)
 
 
+class TestStepGroups:
+    """Several batches step as one array and still sum batch by batch."""
+
+    P = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5,
+                           delta_over_gamma=2.0, lam_over_gamma=LAM)
+
+    def test_wide_masked_job_is_four_single_batches(self):
+        # 900 trajectories: three full batches and one of 132, at a guard
+        # that freezes most of them one by one
+        args = _masked_batch_args(self.P)
+        wide = _run_batch(np.arange(40, 940), *args)
+        alone = [_run_batch(np.arange(lo, min(lo + BATCH, 940)), *args)[0]
+                 for lo in range(40, 940, BATCH)]
+        assert len(wide) == len(alone) == 4
+        for got, want in zip(wide, alone):
+            assert sorted(got) == sorted(want)
+            for key in want:
+                assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+
+    def test_grouping_does_not_change_results(self):
+        # 1037 trajectories are 4+1 batches in one worker's jobs and 3+2 in
+        # two workers'
+        t_grid = np.linspace(0.0, 0.3, 4)
+        one = simulate_ensemble(self.P, 1037, t_grid, seed=23, relax=0.3)
+        two = simulate_ensemble(self.P, 1037, t_grid, seed=23, relax=0.3,
+                                n_workers=2)
+        for f in dataclasses.fields(one):
+            a, b = getattr(one, f.name), getattr(two, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+
+    @pytest.mark.parametrize("n_traj,n_workers,widths", [
+        (1037, 1, [1024, 13]),
+        (1037, 2, [768, 269]),
+        (512, 2, [256, 256]),
+        (8192, 2, [1024] * 8),
+        (1024, 3, [256] * 4),
+    ])
+    def test_job_widths(self, monkeypatch, n_traj, n_workers, widths):
+        assert self._widths(monkeypatch, n_traj, n_workers) == widths
+
+    def test_jobs_are_bounded_and_fill_the_workers(self, monkeypatch):
+        for n_traj in (2, 255, 256, 257, 1024, 1025, 2049, 5000, 9000):
+            n_batches = -(-n_traj // BATCH)
+            for n_workers in (1, 2, 3, 5, 64):
+                widths = self._widths(monkeypatch, n_traj, n_workers)
+                assert sum(widths) == n_traj
+                assert max(widths) <= 4 * BATCH
+                assert all(w % BATCH == 0 for w in widths[:-1])
+                assert len(widths) >= min(n_workers, n_batches)
+
+    def _widths(self, monkeypatch, n_traj, n_workers):
+        # one grid point and no relaxation: the jobs run without a step
+        jobs = []
+
+        def capture(fn, js, workers):
+            jobs.extend(js)
+            return [fn(j) for j in js]
+
+        monkeypatch.setattr(positivep, "map_ordered", capture)
+        simulate_ensemble(self.P, n_traj, [0.0], seed=1, relax=0.0,
+                          n_workers=n_workers)
+        assert np.concatenate(jobs).tolist() == list(range(n_traj))
+        return [j.size for j in jobs]
+
+
 class TestGuards:
     def test_unstable_step_raises(self):
         # dt far past the stability limit: everything diverges and the
@@ -318,17 +388,15 @@ class TestFrozenBytes:
         # a guard just above the orbit: all 100 trajectories live through
         # the relaxation, then 79 of them are frozen one by one, so the
         # alive mask multiplies the later updates
-        acc = _run_batch(np.arange(40, 140), *_masked_batch_args(self.P))
+        acc = _run_batch(np.arange(40, 140), *_masked_batch_args(self.P))[0]
         np.testing.assert_array_equal(acc["count"], [100, 96, 72, 39, 25, 21])
         assert _sha256((k, acc[k]) for k in sorted(acc)) == (
             "1048910354fedd1108d5138b0a581172d3c28685ec3e550c0b851c6574f019a9")
 
     def test_four_masked_batches(self):
         # the accumulators of four consecutive full batches at the masked
-        # guard, batch by batch
-        args = _masked_batch_args(self.P)
-        accs = [_run_batch(np.arange(lo, lo + 256), *args)
-                for lo in range(40, 1064, 256)]
+        # guard, stepped as one array and summed batch by batch
+        accs = _run_batch(np.arange(40, 1064), *_masked_batch_args(self.P))
         assert _sha256((f"{n}:{k}", acc[k]) for n, acc in enumerate(accs)
                        for k in sorted(acc)) == (
             "53c18a292d24c599b88bfff3db6e13cf76a94cd0153e1ce565ea27e89ed3617d")
