@@ -52,6 +52,7 @@ from .semiclassical import (
     SemiclassicalTrajectory,
     asymptotic_log_n0,
     periodic_steady_state,
+    refuse_stiff,
     zero_trajectory,
 )
 
@@ -164,6 +165,7 @@ def integrate_variance(
             f"variance has no periodic state: period-averaged damping {damping:.3g} "
             "is not positive"
         )
+    refuse_stiff(d, 2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()), "the variance")
     offsets = np.linspace(0.0, T, n_grid, endpoint=False)
 
     def rhs(t, y):
@@ -277,8 +279,7 @@ def _variance_evaluator(p: ModelParams):
 
         n0_cumulative = mem_at = n0_at
 
-    eps_peak = float(np.max(np.abs(d.eps(np.linspace(0.0, T, 512, endpoint=False)))))
-    rate_max = 2.0 * (gamma + eps_peak + lam * float(np.max(n0_grid)))
+    rate_max = 2.0 * (gamma + d.eps_peak + lam * float(np.max(n0_grid)))
     # N(t) = n0_anti integrates the spline n0_spl, which can undershoot the
     # grid values, so the exponent's slope is bounded with its exact minimum.
     slope = -2.0 * (gamma + d.eps_min + lam * n0_floor)

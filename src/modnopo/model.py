@@ -281,6 +281,12 @@ class DerivedParams:
         """Smallest effective pump over a period."""
         return self._eps_scale * self._profile.minimum()
 
+    @property
+    def eps_peak(self) -> float:
+        """Largest |eps| on 512 points of a period: the fastest rate the pump sets."""
+        t = np.linspace(0.0, self.period, 512, endpoint=False)
+        return float(np.max(np.abs(self.eps(t))))
+
     def eps_integral(self, t0, t1):
         """Integral of eps over [t0, t1], exact up to profile interpolation."""
         return self._eps_scale * self._profile.integral(t0, t1)

@@ -28,7 +28,8 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from . import _tailquad
-from .errors import BelowThresholdError, ConvergenceError, CrossCheckError
+from .errors import (BelowThresholdError, ConvergenceError, CrossCheckError,
+                     InvalidParameterError)
 from .model import (
     DerivedParams,
     ModelParams,
@@ -45,6 +46,15 @@ N_GRID = 2048
 CROSS_TOL = 1e-4
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
+# RK45 steps one period of either ODE route may take.  RK45 is stable for
+# steps up to about 3.3/r on a decay of rate r, so a period takes about
+# r*T/3.3 steps whatever the tolerance (flat pump at delta=2: 1,995 steps
+# counted against 1,902 estimated at pump ratio 1e3, 19,073 against 19,038
+# at 1e4).  A step costs about 24 us on a 2-CPU x86 host and the period
+# iteration runs several periods, so the budget is a few seconds per
+# period: pump ratio 1e4 still runs (a sweep cell in about 6 s), 1e6 would
+# need about 2e6 steps per period.
+_STEP_BUDGET = 100_000
 
 
 @dataclass
@@ -153,6 +163,17 @@ def integrate_n0(
                                    _log_spline=CubicSpline(t_eval, u))
 
 
+def refuse_stiff(d: DerivedParams, rate: float, route: str) -> None:
+    """Raise before integrating when RK45 would need more than the budget of
+    steps per period for an ODE whose fastest rate is rate."""
+    steps = rate * d.period / 3.3
+    if steps > _STEP_BUDGET:
+        raise InvalidParameterError(
+            f"{route} is too stiff at pump ratio fbar/f_th={d.eps_bar / d.gamma:.3g}: "
+            f"RK45 would need about {steps:.3g} steps per period, over the budget "
+            f"of {_STEP_BUDGET:,}")
+
+
 def periodic_steady_state(
     p: ModelParams,
     n_grid: int = N_GRID,
@@ -176,6 +197,8 @@ def periodic_steady_state(
             "periodic photon-number orbit requires period-averaged pump above threshold"
         )
     d = derive_params(p)
+    # Near the orbit ln n0 relaxes at rate 2*lam*n0, about 2*(eps - gamma).
+    refuse_stiff(d, 2.0 * max(d.eps_peak - d.gamma, 0.0), "the photon-number orbit")
     T = d.period
     offsets = np.linspace(0.0, T, n_grid, endpoint=False)
     rhs = _du_dt(d)
@@ -253,8 +276,7 @@ def asymptotic_log_n0(p: ModelParams, t) -> np.ndarray:
     T = d.period
 
     # Panels resolve the fastest the exponent can move.
-    eps_peak = float(np.max(np.abs(d.eps(np.linspace(0.0, T, 512, endpoint=False)))))
-    rate_max = 2.0 * (eps_peak + gamma)
+    rate_max = 2.0 * (d.eps_peak + gamma)
 
     def g(s):
         # -2 * int_0^s (eps(t-u) - gamma) du, shape (n_t, n_s)

@@ -6,9 +6,12 @@ the acceptance suite, which shells out for real.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -299,6 +302,33 @@ def test_overflowing_pump_ratio_fails_cleanly(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--fbar-grid", "1e6:1e6:1", "--f1-levels", "0"],
+    ["sweep", "--fbar-grid", "1e10:1e10:1", "--f1-levels", "0"],
+    ["sweep", "--fbar-grid", "1e150:1e150:1", "--f1-levels", "0"],
+    ["variance", "--fbar", "0.5", "--f1", "1e6", "--points", "3"],
+], ids=["sweep-1e6", "sweep-1e10", "sweep-1e150", "variance-deep"])
+def test_stiff_orbit_is_refused_up_front(tmp_path, argv):
+    # the sweeps used to integrate for hours, the variance to fail after
+    # 5 s behind solver RuntimeWarnings; a subprocess with a timeout keeps a
+    # hang from stalling the suite
+    res = subprocess.run([sys.executable, "-m", "modnopo.cli", *argv, "--out", str(tmp_path)],
+                         capture_output=True, text=True, timeout=5)
+    assert res.returncode == 1
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "too stiff" in errors[0], res.stderr
+    assert "Warning" not in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_stiff_budget_keeps_pump_ratio_1e3(tmp_path):
+    # the digest of the CSV from before the stiffness budget existed
+    assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", "1e3:1e3:1",
+                 "--f1-levels", "0"]) == 0
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
+        "448ff8cf963c2e64b1d4da2e2213f79be9cb777cb6bdcb2ad0d34cc2cf06fb4a")
+
+
 @pytest.mark.parametrize("command", ["semiclassical", "variance", "fig1", "fig2"])
 def test_bad_point_grid_fails_cleanly(tmp_path, capsys, command):
     # too few points or a non-finite or empty span used to write a
@@ -362,7 +392,8 @@ def test_fuzzed_curve_flags_give_finite_csv_or_one_error(command, delta, fbar, f
 
 @settings(max_examples=60, deadline=None)
 @given(
-    lo=_fuzzed(0.05, 4.0),
+    # and now and then a pump ratio too stiff for the ODE routes
+    lo=st.one_of(_fuzzed(0.05, 4.0), st.sampled_from([1e6, 1e10, 1e150])),
     step=_fuzzed(0.05, 1.0),
     cells=st.integers(1, 3),
     f1=_fuzzed(0.0, 2.0),
