@@ -119,7 +119,7 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
     stop = _stop
     n_steps = n_relax + (n_grid - 1) * spi
     alive = np.ones(len(streams), dtype=bool)
-    chunk = max(1, min(NOISE_CHUNK, NOISE_NORMALS // max(n_normals * len(streams), 1)))
+    chunk = min(NOISE_CHUNK, NOISE_NORMALS // max(n_normals * len(streams), 1))
     noise = np.empty((min(chunk, n_steps), n_normals, len(streams)))
     if n_relax == 0:
         record(0, alive)

@@ -34,8 +34,9 @@ from .semiclassical import periodic_steady_state
 
 BATCH = 256                 # trajectories summed together; fixed for determinism
 # Batches stepped as one array.  Serial kernel throughput at criterion 7's
-# point rose from 8.2M trajectory-steps/s at one batch to 11.3M at four,
-# and to 11.8M at eight or sixteen, so four keeps the jobs small.
+# modulated point (2-vCPU x86 VM) went from 8.0M trajectory-steps/s at one
+# batch to 11.3M at four and 11.8M at eight: past four the gain flattens
+# while a job's arrays keep growing.
 _STEP_GROUP = 4
 DEFAULT_DT = 1e-3
 RELAX_WINDOW = 5.0          # discarded settling time before the grid, in 1/gamma
