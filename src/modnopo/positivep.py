@@ -389,9 +389,7 @@ def simulate_ensemble(
     job = partial(_run_batch, d=d, seed=seed, amp0=amp0, eps_steps=eps_steps,
                   n_relax=n_relax, spi=spi, t_grid=t_grid, dt=dt_eff, guard=guard,
                   with_noise=with_noise, extended=collect_extended)
-    # Each job steps up to _STEP_GROUP batches as one array, spread evenly
-    # over the workers but never fewer jobs than workers (or batches); the
-    # per-batch sums reduce in batch order.
+    # The ceiling alone can leave a worker idle (4 batches on 3 workers).
     n_batches = -(-n_traj // BATCH)
     group = min(_STEP_GROUP, -(-n_batches // n_workers))
     while -(-n_batches // group) < min(n_workers, n_batches):

@@ -312,8 +312,8 @@ def test_stiff_orbit_is_refused_up_front(tmp_path, argv):
     # the sweeps used to integrate for hours, the variance to fail after
     # 5 s behind solver RuntimeWarnings; a subprocess with a timeout keeps a
     # hang from stalling the suite
-    res = subprocess.run([sys.executable, "-m", "modnopo.cli", *argv, "--out", str(tmp_path)],
-                         capture_output=True, text=True, timeout=5)
+    cmd = [sys.executable, "-m", "modnopo.cli", *argv, "--out", str(tmp_path)]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=5)
     assert res.returncode == 1
     errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "too stiff" in errors[0], res.stderr

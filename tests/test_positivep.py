@@ -253,8 +253,8 @@ class TestStepGroups:
         assert len(wide) == len(alone) == 4
         for got, want in zip(wide, alone):
             assert sorted(got) == sorted(want)
-            for key in want:
-                assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+            for key, val in want.items():
+                assert np.asarray(got[key]).tobytes() == np.asarray(val).tobytes(), key
 
     def test_grouping_does_not_change_results(self):
         # 1037 trajectories are 4+1 batches in one worker's jobs and 3+2 in
