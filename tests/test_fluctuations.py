@@ -318,6 +318,22 @@ class TestFrozenBytes:
         ])
         assert got == want
 
+    # (orbit periods, variance periods), counted before the two period loops
+    # became one driver; the below-threshold orbit is the exact zero orbit
+    PERIODS = {"below": (0, 4), "near": (57, 4), "sign_change": (4, 4), "fast": (19, 11),
+               "tabulated": (7, 4), "delta100": (87, 37)}
+
+    @pytest.mark.parametrize("name", list(PERIODS))
+    def test_periods_to_converge(self, name):
+        if name == "delta100":
+            p = params_from_ratios(fbar_over_fth=2.5, f1_over_fbar=0.5,
+                                   delta_over_gamma=100.0)
+        else:
+            p = self.POINTS[name][0]()
+        traj = integrate_variance(p)
+        got = (traj.n0_ref.periods_to_converge, traj.periods_to_converge)
+        assert got == self.PERIODS[name]
+
     def test_transient(self):
         # a non-periodic spline over a span that starts after t = 0
         traj = integrate_n0(params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=2.0, phi=1.1),
