@@ -17,7 +17,9 @@ class TruncationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Period-to-period convergence was not reached within max_periods."""
+    """A periodic state was not reached: a period loop ran MAX_PERIODS
+    periods, or was refused after its second period because its predicted
+    period count was over twice that, or no periodic state attracts."""
 
 
 class CrossCheckError(RuntimeError):

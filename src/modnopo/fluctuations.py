@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from . import _tailquad
@@ -44,15 +43,12 @@ from .model import (
     spline_min,
 )
 from .semiclassical import (
-    MAX_PERIODS,
     N_GRID,
-    ODE_ATOL,
-    ODE_RTOL,
     PERIODIC_TOL,
     SemiclassicalTrajectory,
+    _periodic_attractor,
     asymptotic_log_n0,
     periodic_steady_state,
-    refuse_stiff,
     zero_trajectory,
 )
 
@@ -123,7 +119,6 @@ class VarianceTrajectory:
     period: float
     n0_ref: SemiclassicalTrajectory
     theta_opt: float
-    converged_periodic: bool = False
     periods_to_converge: int = 0
     _spline: CubicSpline | None = field(default=None, repr=False)
 
@@ -140,33 +135,25 @@ def _pick_n0(p: ModelParams) -> SemiclassicalTrajectory:
     return zero_trajectory(p)
 
 
-def integrate_variance(
-    p: ModelParams,
-    n0_traj: SemiclassicalTrajectory | None = None,
-    n_grid: int = N_GRID,
-    periodic_tol: float = PERIODIC_TOL,
-    max_periods: int = MAX_PERIODS,
-) -> VarianceTrajectory:
+def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     """Drive the variance ODE to its periodic attractor.
 
     Integrates the (V, J) pair from the vacuum start V = 1 with J seeded
     at its stationary value for the mean photon number, period by period
-    until the sampled V changes by less than periodic_tol anywhere.
+    until the sampled V changes by less than PERIODIC_TOL anywhere.
     """
     d = derive_params(p)
-    if n0_traj is None:
-        n0_traj = _pick_n0(p)
+    n0_traj = _pick_n0(p)
     gamma, lam, T = d.gamma, d.lam, d.period
-    # V's period map multiplies deviations by exp(-2 T <gamma + eps + lam n0>);
-    # without net damping no periodic state attracts (V grows without end).
+    # V's period map multiplies deviations by exp(-2 T <gamma + eps + lam n0>),
+    # J's by exp(-4 gamma T); without net damping no periodic state
+    # attracts (V grows without end).
     damping = gamma + d.eps_bar + lam * n0_traj.mean_n0()
     if not damping > AT_THRESHOLD_BAND * gamma:
         raise ConvergenceError(
             f"variance has no periodic state: period-averaged damping {damping:.3g} "
             "is not positive"
         )
-    refuse_stiff(d, 2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()), "the variance")
-    offsets = np.linspace(0.0, T, n_grid, endpoint=False)
 
     def rhs(t, y):
         # on Python floats: the same operations, without numpy's per-call cost
@@ -177,38 +164,16 @@ def integrate_variance(
         dJ = -4.0 * gamma * J + 4.0 * gamma * lam * n0
         return (dV, dJ)
 
-    y_start = [1.0, lam * n0_traj.mean_n0()]
-    V_prev = None
-    # Two orders below the period-convergence tolerance, as in the
-    # photon-number driver: otherwise the loop chases integrator noise.
-    rtol = min(ODE_RTOL, periodic_tol / 100.0)
-    for period_idx in range(max_periods):
-        t0 = period_idx * T
-        sol = solve_ivp(
-            rhs, (t0, t0 + T), y_start, method="RK45",
-            t_eval=t0 + offsets, rtol=rtol, atol=ODE_ATOL,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise RuntimeError(f"variance integration failed: {sol.message}")
-        V_grid = sol.y[0]
-        y_start = [float(v) for v in sol.sol(t0 + T)]
-        if V_prev is not None and np.max(np.abs(V_grid - V_prev)) < periodic_tol:
-            break
-        V_prev = V_grid
-    else:
-        raise ConvergenceError(
-            f"variance did not reach a periodic state in {max_periods} periods"
-        )
+    def gap(V_prev, V_now):
+        return np.max(np.abs(V_now - V_prev)), PERIODIC_TOL
 
-    traj = VarianceTrajectory(
-        t_grid=offsets, V=V_grid, period=T, n0_ref=n0_traj,
-        theta_opt=d.theta_opt, converged_periodic=True,
-        periods_to_converge=period_idx + 1,
-    )
-    t_ext = np.append(offsets, T)
-    traj._spline = CubicSpline(t_ext, np.append(V_grid, V_grid[0]), bc_type="periodic")
-    return traj
+    offsets, V_grid, spline, periods = _periodic_attractor(
+        d, rhs, [1.0, lam * n0_traj.mean_n0()], gap, "the variance",
+        2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()),
+        max(math.exp(-2.0 * damping * T), math.exp(-4.0 * gamma * T)))
+    return VarianceTrajectory(t_grid=offsets, V=V_grid, period=T, n0_ref=n0_traj,
+                              theta_opt=d.theta_opt, periods_to_converge=periods,
+                              _spline=spline)
 
 
 # --- closed-form route ------------------------------------------------
@@ -367,16 +332,11 @@ class VminResult:
         return self.validity_ratio >= VALIDITY_MARGIN
 
 
-def find_vmin(
-    p: ModelParams,
-    route: str = "ode",
-    n_scan: int = 2048,
-    refine_frac: float = 1e-6,
-) -> VminResult:
+def find_vmin(p: ModelParams, route: str = "ode") -> VminResult:
     """Locate the minimum of the periodic V(t) over one period.
 
-    Coarse scan on n_scan points, then golden-section refinement of the
-    bracketing interval down to refine_frac of the period.  A flat V
+    Coarse scan on N_GRID points, then golden-section refinement of the
+    bracketing interval down to 1e-6 of the period.  A flat V
     (no modulation) reports t0 = 0 by convention.
     """
     if route == "ode":
@@ -392,7 +352,7 @@ def find_vmin(
     else:
         raise ValueError(f"unknown route {route!r}, expected 'ode' or 'closed'")
 
-    t_s = np.linspace(0.0, T, n_scan, endpoint=False)
+    t_s = np.linspace(0.0, T, N_GRID, endpoint=False)
     v_s = np.asarray(f(t_s), dtype=float)
     i = int(np.argmin(v_s))
     # flat pump: the curve is constant up to integrator noise, which the
@@ -402,9 +362,9 @@ def find_vmin(
     ):
         t0, v_min = 0.0, float(v_s[0])
     else:
-        h = T / n_scan
+        h = T / N_GRID
         fp = lambda t: float(np.asarray(f(np.mod(t, T))).reshape(()))
-        t0 = _golden_min(fp, t_s[i] - h, t_s[i] + h, refine_frac * T)
+        t0 = _golden_min(fp, t_s[i] - h, t_s[i] + h, 1e-6 * T)
         t0 = float(np.mod(t0, T))
         v_min = fp(t0)
     return VminResult(
@@ -417,12 +377,12 @@ def find_vmin(
     )
 
 
-def linearization_validity(p: ModelParams, margin: float = VALIDITY_MARGIN) -> float:
+def linearization_validity(p: ModelParams) -> float:
     """Margin ratio of the linearized theory near threshold.
 
     Returns |fbar/f_th - 1| divided by the critical-region width
-    (lam/gamma) * exp(2 (f1/f_th) (gamma/delta)); values >= `margin`
-    (default 10) mean the linearized results can be trusted.  Computed in
+    (lam/gamma) * exp(2 (f1/f_th) (gamma/delta)); values >= VALIDITY_MARGIN
+    (10) mean the linearized results can be trusted.  Computed in
     log space: the exponential easily overflows for slow deep modulation.
     Tabulated profiles use the half peak-to-trough swing for f1 and the
     fundamental for delta.

@@ -39,7 +39,8 @@ from .model import (
     regime_classify,
 )
 
-# Defaults shared by the periodic-orbit drivers.
+# Constants of the period loop both ODE routes share, and of the orbit's
+# cross-check against the closed form.
 PERIODIC_TOL = 1e-8
 MAX_PERIODS = 10_000
 N_GRID = 2048
@@ -107,12 +108,12 @@ class SemiclassicalTrajectory:
         return float(np.mean(self.n0))
 
 
-def zero_trajectory(p: ModelParams, n_grid: int = N_GRID) -> SemiclassicalTrajectory:
+def zero_trajectory(p: ModelParams) -> SemiclassicalTrajectory:
     """The empty-cavity orbit n0 = 0, an exact fixed point at any pump."""
     d = derive_params(p)
-    t = np.linspace(0.0, d.period, n_grid, endpoint=False)
+    t = np.linspace(0.0, d.period, N_GRID, endpoint=False)
     return SemiclassicalTrajectory(
-        t_grid=t, n0=np.zeros(n_grid), converged_periodic=True,
+        t_grid=t, n0=np.zeros(N_GRID), converged_periodic=True,
         periods_to_converge=0, period=d.period,
     )
 
@@ -163,32 +164,78 @@ def integrate_n0(
                                    _log_spline=CubicSpline(t_eval, u))
 
 
-def refuse_stiff(d: DerivedParams, rate: float, route: str) -> None:
-    """Raise before integrating when RK45 would need more than the budget of
-    steps per period for an ODE whose fastest rate is rate."""
-    steps = rate * d.period / 3.3
+def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: float,
+                        m: float):
+    """Integrate rhs period by period from y0 until its first component
+    stops changing on the grid.
+
+    rate is the ODE's fastest decay rate and m the factor by which one
+    period shrinks a deviation from the attractor.  gap(prev, now) returns
+    the change between two consecutive grids and the bound it must fall
+    below.  Refuses before integrating when RK45 would need more than
+    _STEP_BUDGET steps a period, and after the second period when the
+    predicted period count is over twice MAX_PERIODS.  Returns the grid,
+    the first component on it, its periodic spline and the periods run.
+    """
+    T = d.period
+    steps = rate * T / 3.3
     if steps > _STEP_BUDGET:
         raise InvalidParameterError(
             f"{route} is too stiff at pump ratio fbar/f_th={d.eps_bar / d.gamma:.3g}: "
             f"RK45 would need about {steps:.3g} steps per period, over the budget "
             f"of {_STEP_BUDGET:,}")
+    offsets = np.linspace(0.0, T, N_GRID, endpoint=False)
+    prev = None
+    # Solver reproducibility between consecutive periods must sit well below
+    # the convergence tolerance, or the iteration chases integrator noise.
+    rtol = min(ODE_RTOL, PERIODIC_TOL / 100.0)
+    for period_idx in range(MAX_PERIODS):
+        t0 = period_idx * T
+        sol = solve_ivp(
+            rhs, (t0, t0 + T), y0, method="RK45",
+            t_eval=t0 + offsets, rtol=rtol, atol=ODE_ATOL,
+            dense_output=True,
+        )
+        if not sol.success:
+            raise RuntimeError(f"{route} integration failed: {sol.message}")
+        now = sol.y[0]
+        y0 = [float(v) for v in sol.sol(t0 + T)]
+        if prev is not None:
+            change, bound = gap(prev, now)
+            if change < bound:
+                break
+            if period_idx == 1 and m > 0.0:
+                # the change shrinks by about m a period from here on
+                need = 2.0 + math.log(bound / change) / math.log(m) if m < 1.0 else math.inf
+                if need > 2 * MAX_PERIODS:
+                    raise ConvergenceError(
+                        f"{route} would need about {need:.3g} periods to become periodic "
+                        f"(period multiplier {m:.9g}), over twice the limit of "
+                        f"{MAX_PERIODS:,}")
+        prev = now
+    else:
+        raise ConvergenceError(
+            f"{route} did not become periodic in {MAX_PERIODS:,} periods "
+            f"(pump ratio fbar/f_th={d.eps_bar / d.gamma:.6g})")
+    spline = CubicSpline(np.append(offsets, T), np.append(now, now[0]), bc_type="periodic")
+    return offsets, now, spline, period_idx + 1
 
 
-def periodic_steady_state(
-    p: ModelParams,
-    n_grid: int = N_GRID,
-    periodic_tol: float = PERIODIC_TOL,
-    max_periods: int = MAX_PERIODS,
-    cross_check: bool = True,
-    cross_tol: float = CROSS_TOL,
-    cross_points: int = 64,
-) -> SemiclassicalTrajectory:
+def _orbit_gap(u_prev, u_now):
+    with np.errstate(under="ignore"):
+        n_now = np.exp(u_now)
+        n_prev = np.exp(u_prev)
+    scale = max(n_now.max(), n_prev.max())
+    return np.max(np.abs(n_now - n_prev)), PERIODIC_TOL * scale
+
+
+def periodic_steady_state(p: ModelParams) -> SemiclassicalTrajectory:
     """Drive the photon-number ODE to its periodic attractor.
 
     Starts from n0 = gamma/lam (any positive start reaches the same
     attractor; this one is within an order of magnitude of it for typical
     above-threshold pumping) and integrates period by period until the
-    grid-sampled orbit changes by less than periodic_tol relative to its
+    grid-sampled orbit changes by less than PERIODIC_TOL relative to its
     peak.  The converged orbit is cross-checked pointwise against the
     closed-form route.
     """
@@ -197,64 +244,31 @@ def periodic_steady_state(
             "periodic photon-number orbit requires period-averaged pump above threshold"
         )
     d = derive_params(p)
-    # Near the orbit ln n0 relaxes at rate 2*lam*n0, about 2*(eps - gamma).
-    refuse_stiff(d, 2.0 * max(d.eps_peak - d.gamma, 0.0), "the photon-number orbit")
-    T = d.period
-    offsets = np.linspace(0.0, T, n_grid, endpoint=False)
-    rhs = _du_dt(d)
-
-    u_start = math.log(d.gamma / d.lam)
-    u_prev_grid = None
-    # Solver reproducibility between consecutive periods must sit well below
-    # the convergence tolerance, or the iteration chases integrator noise.
-    rtol = min(ODE_RTOL, periodic_tol / 100.0)
-    for period_idx in range(max_periods):
-        t0 = period_idx * T
-        sol = solve_ivp(
-            rhs, (t0, t0 + T), [u_start], method="RK45",
-            t_eval=t0 + offsets, rtol=rtol, atol=ODE_ATOL,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise RuntimeError(f"photon-number integration failed: {sol.message}")
-        u_grid = sol.y[0]
-        u_start = float(sol.sol(t0 + T)[0])
-        if u_prev_grid is not None:
-            with np.errstate(under="ignore"):
-                n_now = np.exp(u_grid)
-                n_prev = np.exp(u_prev_grid)
-            scale = max(n_now.max(), n_prev.max())
-            if np.max(np.abs(n_now - n_prev)) < periodic_tol * scale:
-                break
-        u_prev_grid = u_grid
-    else:
-        raise ConvergenceError(
-            f"no periodic convergence after {max_periods} periods "
-            f"(pump margin {d.eps_bar / d.gamma - 1.0:.3g})"
-        )
-
+    # Near the orbit ln n0 relaxes at rate 2*lam*n0, about 2*(eps - gamma);
+    # w = 1/n0 obeys a linear ODE whose period map multiplies by exp(-D),
+    # D = 2 (eps_bar - gamma) T.
+    offsets, u_grid, spline, periods = _periodic_attractor(
+        d, _du_dt(d), [math.log(d.gamma / d.lam)], _orbit_gap, "the photon-number orbit",
+        2.0 * max(d.eps_peak - d.gamma, 0.0), math.exp(-2.0 * (d.eps_bar - d.gamma) * d.period))
     with np.errstate(under="ignore"):
         n0 = np.exp(u_grid)
     traj = SemiclassicalTrajectory(
         t_grid=offsets, n0=n0, converged_periodic=True,
-        periods_to_converge=period_idx + 1, period=T,
-        _log_spline=CubicSpline(np.append(offsets, T), np.append(u_grid, u_grid[0]),
-                                bc_type="periodic"),
+        periods_to_converge=periods, period=d.period, _log_spline=spline,
     )
 
-    if cross_check:
-        idx = np.linspace(0, n_grid - 1, min(cross_points, n_grid)).astype(int)
-        n_ref = asymptotic_n0(p, offsets[idx])
-        n_here = n0[idx]
-        # Relative where the orbit is alive, floored where it underflows:
-        # agreement at e^-600 photons is not a meaningful demand.
-        floor = 1e-12 * max(n_ref.max(), n_here.max())
-        err = np.abs(n_here - n_ref) / np.maximum(np.maximum(n_here, n_ref), floor)
-        if np.max(err) > cross_tol:
-            raise CrossCheckError(
-                f"ODE and closed-form photon numbers disagree: "
-                f"max relative error {np.max(err):.3e} > {cross_tol:g}"
-            )
+    idx = np.linspace(0, N_GRID - 1, 64).astype(int)
+    n_ref = asymptotic_n0(p, offsets[idx])
+    n_here = n0[idx]
+    # Relative where the orbit is alive, floored where it underflows:
+    # agreement at e^-600 photons is not a meaningful demand.
+    floor = 1e-12 * max(n_ref.max(), n_here.max())
+    err = np.abs(n_here - n_ref) / np.maximum(np.maximum(n_here, n_ref), floor)
+    if np.max(err) > CROSS_TOL:
+        raise CrossCheckError(
+            f"ODE and closed-form photon numbers disagree: "
+            f"max relative error {np.max(err):.3e} > {CROSS_TOL:g}"
+        )
     return traj
 
 

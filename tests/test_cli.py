@@ -321,6 +321,24 @@ def test_stiff_orbit_is_refused_up_front(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,route", [
+    (["variance", "--fbar=-0.999", "--f1", "1.4", "--delta", "40", "--points", "3"],
+     "the variance"),
+    (["sweep", "--fbar-grid", "1.0001:1.0001:1", "--f1-levels", "0.75"],
+     "the photon-number orbit"),
+], ids=["variance-weak-damping", "sweep-just-above-threshold"])
+def test_hopeless_period_loop_is_refused_after_two_periods(tmp_path, argv, route):
+    # both used to run 10,000 periods for 14-23 s and then fail; after two
+    # periods the loop predicts its period count from the period multiplier
+    cmd = [sys.executable, "-m", "modnopo.cli", *argv, "--out", str(tmp_path)]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=5)
+    assert res.returncode == 1
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1, res.stderr
+    assert route in errors[0] and "periods to become periodic" in errors[0], errors
+    assert not list(tmp_path.iterdir())
+
+
 def test_stiff_budget_keeps_pump_ratio_1e3(tmp_path):
     # the digest of the CSV from before the stiffness budget existed
     assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", "1e3:1e3:1",
@@ -372,14 +390,16 @@ def _run_checked(argv):
 @settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(["semiclassical", "variance"]),
-    delta=_fuzzed(0.5, 50.0),
-    fbar=_fuzzed(0.0, 5.0),
+    # (fbar, delta), and now and then a weakly damped fast point whose
+    # variance loop would need tens of thousands of periods
+    point=st.one_of(*[st.tuples(_fuzzed(0.0, 5.0), _fuzzed(0.5, 50.0))] * 3,
+                    st.tuples(st.floats(-1.0, -0.999), st.floats(40.0, 400.0))),
     f1=_fuzzed(0.0, 2.0),
     lam=st.one_of(st.none(), _fuzzed(1e-6, 0.5)),
     points=st.one_of(st.integers(2, 65), st.sampled_from([0, -1])),
 )
-def test_fuzzed_curve_flags_give_finite_csv_or_one_error(command, delta, fbar, f1,
-                                                         lam, points):
+def test_fuzzed_curve_flags_give_finite_csv_or_one_error(command, point, f1, lam, points):
+    fbar, delta = point
     argv = [command, f"--delta={delta!r}", f"--fbar={fbar!r}", f"--f1={f1!r}",
             f"--points={points}"]
     if lam is not None:
@@ -392,8 +412,9 @@ def test_fuzzed_curve_flags_give_finite_csv_or_one_error(command, delta, fbar, f
 
 @settings(max_examples=60, deadline=None)
 @given(
-    # and now and then a pump ratio too stiff for the ODE routes
-    lo=st.one_of(_fuzzed(0.05, 4.0), st.sampled_from([1e6, 1e10, 1e150])),
+    # and now and then a pump ratio too stiff for the ODE routes, or one so
+    # close to threshold that the orbit would need tens of thousands of periods
+    lo=st.one_of(_fuzzed(0.05, 4.0), st.sampled_from([1.0001, 1e6, 1e10, 1e150])),
     step=_fuzzed(0.05, 1.0),
     cells=st.integers(1, 3),
     f1=_fuzzed(0.0, 2.0),
