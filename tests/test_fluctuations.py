@@ -27,6 +27,7 @@ from modnopo import (
     ModelParams,
     MomentSet,
     TabulatedPeriodic,
+    asymptotic_n0,
     asymptotic_variance,
     classify_entanglement,
     derive_params,
@@ -333,6 +334,35 @@ class TestFrozenBytes:
         traj = integrate_variance(p)
         got = (traj.n0_ref.periods_to_converge, traj.periods_to_converge)
         assert got == self.PERIODS[name]
+
+    # closed routes: sha256 of asymptotic_variance and asymptotic_n0 on a
+    # grid over two periods and a bit, at one float, and of
+    # find_vmin(route="closed"); the below-threshold point has no n0 curve
+    CLOSED = {
+        "below": "1c0512f45386dca21ffb6b305397b6e5e96865f9c1d6d5ece1d571670401311b",
+        "near": "a4c4c854f3dc78309fdd62705ef44a6d2a71a0895c37fcf49c41b9daa751a0fb",
+        "sign_change": "0118b8697af4c02348b3528027573d264a361db980cab3f203a538859d6480ab",
+        "fast": "7b6c2c8083a8156f29a4f9f90e9bc4b4be8ba0acba3a119c6895881c76b74018",
+        "tabulated": "e46d64a203e533fd321bc60e7e04048ce6418528fd2e602841f479890874352e",
+        "delta0.05": "1c6aca018509943e6034d5941da3abe4ed1518b9614885f2b711c8e5efaf49b1",
+        "delta100": "86b91399d473dc92822f9bbb14559aad233ad1f252d5d8d3ba41006b1c842707",
+    }
+
+    @pytest.mark.parametrize("name", list(CLOSED))
+    def test_closed_routes(self, name):
+        if name.startswith("delta"):
+            p = params_from_ratios(fbar_over_fth=2.5, f1_over_fbar=0.5,
+                                   delta_over_gamma=float(name[5:]))
+        else:
+            p = self.POINTS[name][0]()
+        d = derive_params(p)
+        t = np.linspace(-0.3 * d.period, 2.1 * d.period, 41)
+        items = [("V", asymptotic_variance(p, t)), ("V1", asymptotic_variance(p, 0.37))]
+        if name != "below":
+            items += [("n0", asymptotic_n0(p, t)), ("n01", asymptotic_n0(p, 0.37))]
+        r = find_vmin(p, route="closed")
+        items.append(("vmin", (r.v_min, r.t0, r.n0_at_t0)))
+        assert _sha256(items) == self.CLOSED[name]
 
     def test_transient(self):
         # a non-periodic spline over a span that starts after t = 0

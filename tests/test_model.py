@@ -1,5 +1,6 @@
 """Parameter plumbing: pump profiles, derived rates, regimes, config files."""
 
+import hashlib
 import json
 import math
 import pickle
@@ -96,6 +97,26 @@ class TestTabulatedPeriodic:
         assert m.minimum() == pytest.approx(dense.min(), abs=1e-9)
         assert m.minimum() == pytest.approx(h.minimum(), abs=1e-4)
         assert TabulatedPeriodic(period=1.0, samples=(3.0,) * 64).minimum() == 3.0
+
+    def test_frozen_bytes(self):
+        # sha256 of value (array and float), integral and minimum: the
+        # spline's storage may change, its bytes may not
+        h = Harmonic(fbar=2.0, f1=0.9, delta=2.0, phi=0.3)
+        rng = np.random.default_rng(1901)
+        digest = hashlib.sha256()
+        for n in (64, 513):
+            m = TabulatedPeriodic(h.period, h.value(np.linspace(0.0, h.period, n,
+                                                                endpoint=False)))
+            t = np.concatenate([np.linspace(0.0, h.period, n + 1),
+                                rng.uniform(-5.0 * h.period, 8.0 * h.period, 300),
+                                [-0.0, np.nextafter(h.period, 0.0), -2.0 * h.period]])
+            t1 = t + rng.uniform(0.0, 4.0 * h.period, t.size)
+            for val in (m.value(t), [m.value(float(x)) for x in t], m.integral(t, t1),
+                        [m.integral(float(a), float(b)) for a, b in zip(t[:50], t1)],
+                        m.minimum()):
+                digest.update(np.asarray(val, dtype=float).tobytes())
+        assert digest.hexdigest() == (
+            "8ed5acfe3f01bf15b2fda46344cbf7f77dadec1c8b62ffba340c6d54475db1e5")
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidParameterError):
