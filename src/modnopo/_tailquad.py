@@ -31,13 +31,13 @@ LOG_STOP = -60.0 * math.log(2.0)
 
 
 def period_integral(g, b, n_t: int, period: float, panel: float, decay: float,
-                    slope: float, b_max: float, nodes: int = 32):
+                    slope: float, b_max: float):
     """Accumulate I(t) = int_0^inf exp(g(t,s)) b(t,s) ds for a grid of t.
 
     g(s_nodes) and b(s_nodes) receive an array of s values of shape (nq,)
     and return arrays of shape (n_t, nq): the caller bakes the t grid into
     them.  b may return a scalar 1.0 for a pure kernel integral.  [0, period]
-    is tiled by ceil(period/panel) equal panels of the nodes-point
+    is tiled by ceil(period/panel) equal panels of the 32-point
     Gauss-Legendre rule.  decay is D; slope and b_max bound dg/ds and b
     over the period.
 
@@ -45,7 +45,7 @@ def period_integral(g, b, n_t: int, period: float, panel: float, decay: float,
     logarithm of I use log(A) + M directly and never materialize I when it
     would over- or underflow.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(32)
     n = math.ceil(period / panel)
     half = 0.5 * period / n
     M = np.full(n_t, -np.inf)

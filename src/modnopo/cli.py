@@ -343,12 +343,11 @@ def cmd_fig3(args) -> int:
     grid = _parse_grid(args.fbar_grid)
     levels = (0.0, 0.75, 2.0)
     meta = _meta(args, cfg, {"fbar_grid": args.fbar_grid, "f1_levels": "0,0.75,2"})
-    columns, all_cells = [grid], []
-    for level in levels:
-        cells = _sweep_cells(p, grid, [level], args.workers)
-        columns.append(np.array([c.v_min for c in cells]))
-        all_cells += cells
-    _warn_untrusted(all_cells)
+    # one pool for all three levels; the cells come back levels outer
+    cells = _sweep_cells(p, grid, levels, args.workers)
+    v_min = np.array([c.v_min for c in cells]).reshape(len(levels), grid.size)
+    columns = [grid, *v_min]
+    _warn_untrusted(cells)
     csv = write_csv(
         out / "fig3.csv",
         ["fbar_over_fth", "v_min_curve1", "v_min_curve2", "v_min_curve3"],

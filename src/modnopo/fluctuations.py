@@ -27,20 +27,19 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _tailquad
 from ._ensemble import map_ordered
 from .errors import ConvergenceError, InvalidParameterError
 from .model import (
     AT_THRESHOLD_BAND,
+    Curve,
     Harmonic,
     ModelParams,
     Regime,
     TabulatedPeriodic,
     derive_params,
     regime_classify,
-    spline_min,
 )
 from .semiclassical import (
     N_GRID,
@@ -120,13 +119,13 @@ class VarianceTrajectory:
     n0_ref: SemiclassicalTrajectory
     theta_opt: float
     periods_to_converge: int = 0
-    _spline: CubicSpline | None = field(default=None, repr=False)
+    _curve: Curve | None = field(default=None, repr=False)
 
     def interp(self, t):
-        """Periodic extension of V at arbitrary times."""
-        if self._spline is None:
+        """Periodic extension of V at arbitrary times; a float t gives a float."""
+        if self._curve is None:
             raise ValueError("trajectory carries no interpolant")
-        return self._spline(np.mod(t, self.period))
+        return self._curve(t)
 
 
 def _pick_n0(p: ModelParams) -> SemiclassicalTrajectory:
@@ -167,13 +166,13 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     def gap(V_prev, V_now):
         return np.max(np.abs(V_now - V_prev)), PERIODIC_TOL
 
-    offsets, V_grid, spline, periods = _periodic_attractor(
+    offsets, V_grid, curve, periods = _periodic_attractor(
         d, rhs, [1.0, lam * n0_traj.mean_n0()], gap, "the variance",
         2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()),
         max(math.exp(-2.0 * damping * T), math.exp(-4.0 * gamma * T)))
     return VarianceTrajectory(t_grid=offsets, V=V_grid, period=T, n0_ref=n0_traj,
                               theta_opt=d.theta_opt, periods_to_converge=periods,
-                              _spline=spline)
+                              _curve=curve)
 
 
 # --- closed-form route ------------------------------------------------
@@ -194,28 +193,18 @@ def _variance_evaluator(p: ModelParams):
 
     if above:
         tau_grid = np.linspace(0.0, T, N_GRID, endpoint=False)
-        log_n0 = asymptotic_log_n0(p, tau_grid)
-        u_ext = np.append(log_n0, log_n0[0])
-        t_ext = np.append(tau_grid, T)
-        u_spl = CubicSpline(t_ext, u_ext, bc_type="periodic")
+        log_n0 = Curve(asymptotic_log_n0(p, tau_grid), T)
 
         def n0_at(tau):
             with np.errstate(under="ignore"):
-                return np.exp(u_spl(np.mod(tau, T)))
+                return np.exp(log_n0(tau))
 
         n0_grid = n0_at(tau_grid)
-
-        # Running integral of n0: periodic part by spline antiderivative,
-        # plus the linear-in-time mean growth across whole periods.
-        n0_spl = CubicSpline(t_ext, np.append(n0_grid, n0_grid[0]), bc_type="periodic")
-        n0_anti = n0_spl.antiderivative()
-        per_period = float(n0_anti(T))
-        n0_floor = spline_min(n0_spl)
-
-        def n0_cumulative(tau):
-            tau = np.asarray(tau, dtype=float)
-            wraps = np.floor(tau / T)
-            return n0_anti(tau - wraps * T) + wraps * per_period
+        # n0 itself as a spline too, for its running integral
+        n0_curve = Curve(n0_grid, T)
+        n0_cumulative = n0_curve.running_integral
+        per_period = float(n0_cumulative(T))
+        n0_floor = n0_curve.minimum()
 
         # Memory of the depletion channel: damping-filtered history of n0.
         def g_mem(s):
@@ -231,10 +220,7 @@ def _variance_evaluator(p: ModelParams):
         )
         with np.errstate(under="ignore"):
             mem_grid = 2.0 * gamma * lam * np.exp(M_mem) * A_mem
-        mem_spl = CubicSpline(t_ext, np.append(mem_grid, mem_grid[0]), bc_type="periodic")
-
-        def mem_at(tau):
-            return mem_spl(np.mod(tau, T))
+        mem_at = Curve(mem_grid, T)
     else:
         n0_grid = mem_grid = np.zeros(1)
         per_period = n0_floor = 0.0
@@ -245,8 +231,9 @@ def _variance_evaluator(p: ModelParams):
         n0_cumulative = mem_at = n0_at
 
     rate_max = 2.0 * (gamma + d.eps_peak + lam * float(np.max(n0_grid)))
-    # N(t) = n0_anti integrates the spline n0_spl, which can undershoot the
-    # grid values, so the exponent's slope is bounded with its exact minimum.
+    # The running integral integrates the spline through n0, which can
+    # undershoot the grid values, so the exponent's slope is bounded with
+    # its exact minimum.
     slope = -2.0 * (gamma + d.eps_min + lam * n0_floor)
     decay = 2.0 * (gamma * T + float(d.eps_integral(0.0, T)) + lam * per_period)
     b_max = B_MAX_FACTOR * float(np.max(gamma + lam * n0_grid + mem_grid))
@@ -346,9 +333,9 @@ def find_vmin(p: ModelParams, route: str = "ode") -> VminResult:
         T = traj.period
     elif route == "closed":
         ev = _variance_evaluator(p)
-        f = lambda t: float(ev(t)[0]) if np.ndim(t) == 0 else ev(t)
-        n0_traj = _pick_n0(p)
         T = derive_params(p).period
+        f = lambda t: float(ev(np.mod(t, T))[0]) if np.ndim(t) == 0 else ev(t)
+        n0_traj = _pick_n0(p)
     else:
         raise ValueError(f"unknown route {route!r}, expected 'ode' or 'closed'")
 
@@ -363,10 +350,9 @@ def find_vmin(p: ModelParams, route: str = "ode") -> VminResult:
         t0, v_min = 0.0, float(v_s[0])
     else:
         h = T / N_GRID
-        fp = lambda t: float(np.asarray(f(np.mod(t, T))).reshape(()))
-        t0 = _golden_min(fp, t_s[i] - h, t_s[i] + h, 1e-6 * T)
+        t0 = _golden_min(f, t_s[i] - h, t_s[i] + h, 1e-6 * T)
         t0 = float(np.mod(t0, T))
-        v_min = fp(t0)
+        v_min = f(t0)
     return VminResult(
         v_min=v_min,
         t0=t0,

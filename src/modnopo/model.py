@@ -28,6 +28,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,46 +48,75 @@ MIN_TABULATED_SAMPLES = 64
 AT_THRESHOLD_BAND = 1e-9
 
 
-def spline_min(spl: CubicSpline) -> float:
-    """Exact minimum of a cubic spline over its knots' span: it sits at a
-    knot or where the derivative vanishes."""
-    crit = spl.derivative().roots(extrapolate=False)
-    crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
-    return float(min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf)))
+class Curve:
+    """A function of time stored as a cubic spline through samples.
 
+    Curve(values, period) is periodic: values[k] sits at k*period/n, the
+    wrap value is appended at period, and t is first mapped into the
+    period.  Curve(values, knots=t) spans its knots, with not-a-knot ends,
+    and extrapolates past them.
 
-class ScalarCubic:
-    """A periodic or extrapolating CubicSpline evaluated at one float, with
-    the bits spl(t) gives.
-
-    It follows scipy's own evaluation step by step: a periodic spline maps t
-    to x[0] + (t - x[0]) % (x[-1] - x[0]); the interval is bisect_right(x, t)
-    - 1 clamped to the end pieces, as find_interval picks it (so the last one
-    is closed); and the cubic is summed from its constant term up.  Plain
-    lists keep each call free of numpy's per-call overhead.
+    At one float it gives scipy's bits on plain lists, free of numpy's
+    per-call overhead: after the pre-wrap, scipy's periodic map x[0] +
+    (t - x[0]) % span (t % period again: the pre-wrap can round up to
+    period); the interval bisect_right(x, t) - 1 clamped to the end pieces,
+    as find_interval picks it; the cubic summed from its constant term up.
+    The lists and the antiderivative are built on first use.
     """
 
-    __slots__ = ("x", "c", "last", "start", "span")
+    def __init__(self, values, period: float | None = None, knots=None) -> None:
+        values = np.asarray(values, dtype=float)
+        self.period = period
+        if period is None:
+            self.spline = CubicSpline(knots, values)
+        else:
+            self.spline = CubicSpline(np.linspace(0.0, period, values.size + 1),
+                                      np.append(values, values[0]), bc_type="periodic")
 
-    def __init__(self, spl: CubicSpline) -> None:
-        self.x = spl.x.tolist()
+    @cached_property
+    def _pieces(self) -> tuple:
+        spl = self.spline
         # 0.0 + c[3] is the running sum's first step, which turns -0.0 into 0.0
-        self.c = list(zip((spl.c[3] + 0.0).tolist(), *spl.c[2::-1].tolist()))
-        self.last = len(self.x) - 2
-        periodic = spl.extrapolate == "periodic"
-        self.start = self.x[0] if periodic else None
-        self.span = self.x[-1] - self.x[0]
+        coeffs = list(zip((spl.c[3] + 0.0).tolist(), *spl.c[2::-1].tolist()))
+        return spl.x.tolist(), coeffs, spl.x.size - 2
 
-    def __call__(self, t: float) -> float:
-        x, start = self.x, self.start
-        if start is not None:
-            t = start + (t - start) % self.span
-        i = bisect_right(x, t) - 1
-        i = 0 if i < 0 else (i if i < self.last else self.last)
-        c3, c2, c1, c0 = self.c[i]
-        s = t - x[i]
-        ss = s * s
-        return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+    @cached_property
+    def _antiderivative(self) -> tuple:
+        anti = self.spline.antiderivative()
+        return anti, float(anti(self.period))
+
+    def __call__(self, t):
+        """The curve at t; a float t gives a float, anything else an array."""
+        period = self.period
+        if isinstance(t, float):
+            x, coeffs, last = self._pieces
+            t = float(t)
+            if period is not None:
+                t = t % period % period
+            i = bisect_right(x, t) - 1
+            i = 0 if i < 0 else (i if i < last else last)
+            c3, c2, c1, c0 = coeffs[i]
+            s = t - x[i]
+            ss = s * s
+            return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+        t = np.asarray(t, dtype=float)
+        return self.spline(t if period is None else np.mod(t, period))
+
+    def running_integral(self, t):
+        """Integral of a periodic curve from 0 to t: the antiderivative over
+        the last partial period plus the whole periods before it."""
+        anti, per_period = self._antiderivative
+        t = np.asarray(t, dtype=float)
+        wraps = np.floor(t / self.period)
+        return anti(t - wraps * self.period) + wraps * per_period
+
+    def minimum(self) -> float:
+        """Exact minimum over the knots' span: it sits at a knot or where the
+        derivative vanishes."""
+        spl = self.spline
+        crit = spl.derivative().roots(extrapolate=False)
+        crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
+        return float(min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf)))
 
 
 @dataclass(frozen=True)
@@ -157,11 +187,9 @@ class TabulatedPeriodic:
 
     period: float
     samples: tuple
-    # Derived interpolants; excluded from equality/hash so the profile
+    # Derived interpolant; excluded from equality/hash so the profile
     # compares by its defining data.
-    _spline: CubicSpline = field(init=False, repr=False, compare=False, default=None)
-    _antideriv: CubicSpline = field(init=False, repr=False, compare=False, default=None)
-    _at: ScalarCubic = field(init=False, repr=False, compare=False, default=None)
+    _curve: Curve = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not (self.period > 0.0):
@@ -172,13 +200,7 @@ class TabulatedPeriodic:
                 f"need at least {MIN_TABULATED_SAMPLES} samples per period, got {len(samples)}"
             )
         object.__setattr__(self, "samples", samples)
-        n = len(samples)
-        grid = np.linspace(0.0, self.period, n + 1)
-        values = np.asarray(samples + (samples[0],))
-        spline = CubicSpline(grid, values, bc_type="periodic")
-        object.__setattr__(self, "_spline", spline)
-        object.__setattr__(self, "_antideriv", spline.antiderivative())
-        object.__setattr__(self, "_at", ScalarCubic(spline))
+        object.__setattr__(self, "_curve", Curve(samples, self.period))
 
     @property
     def delta(self) -> float:
@@ -187,10 +209,7 @@ class TabulatedPeriodic:
 
     def value(self, t):
         """f(t); a float t gives a float, anything else an array."""
-        if isinstance(t, float):
-            return self._at(float(t) % self.period)
-        t = np.asarray(t, dtype=float)
-        return self._spline(np.mod(t, self.period))
+        return self._curve(t)
 
     def mean(self) -> float:
         # Uniform periodic samples: the plain mean equals the trapezoid
@@ -199,19 +218,12 @@ class TabulatedPeriodic:
 
     def minimum(self) -> float:
         """Smallest value of the interpolated f over a period."""
-        return spline_min(self._spline)
+        return self._curve.minimum()
 
     def integral(self, t0, t1):
         """Integral of f over [t0, t1] via the spline antiderivative plus
         whole-period mean contributions."""
-        return self._cumulative(t1) - self._cumulative(t0)
-
-    def _cumulative(self, t):
-        t = np.asarray(t, dtype=float)
-        wraps = np.floor(t / self.period)
-        frac = t - wraps * self.period
-        per_period = self._antideriv(self.period)  # == mean() * period
-        return self._antideriv(frac) + wraps * per_period
+        return self._curve.running_integral(t1) - self._curve.running_integral(t0)
 
 
 @dataclass(frozen=True)
@@ -314,15 +326,15 @@ def pump_amplitude(m: Harmonic | TabulatedPeriodic, t):
     return m.value(t)
 
 
-def regime_classify(p: ModelParams, band: float = AT_THRESHOLD_BAND) -> Regime:
+def regime_classify(p: ModelParams) -> Regime:
     """Compare the period-averaged pump against threshold.
 
     The AT_THRESHOLD band only distinguishes exactly marginal setups from
-    finite offsets; band is relative on mean(f)/f_th.
+    finite offsets; AT_THRESHOLD_BAND is relative on mean(f)/f_th.
     """
     d = derive_params(p)
     ratio = p.modulation.mean() / d.f_th
-    if abs(ratio - 1.0) < band:
+    if abs(ratio - 1.0) < AT_THRESHOLD_BAND:
         return Regime.AT_THRESHOLD
     return Regime.ABOVE_THRESHOLD if ratio > 1.0 else Regime.BELOW_THRESHOLD
 

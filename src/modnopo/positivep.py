@@ -218,7 +218,6 @@ def _run_batch(
     t_grid: np.ndarray,
     dt: float,
     guard: float,
-    with_noise: bool,
     extended: bool,
 ) -> list[dict]:
     """Step consecutive batches of trajectories as one; return each batch's sums.
@@ -333,8 +332,7 @@ def _run_batch(
         for s, acc in zip(slices, accs):
             acc["res_count"][jc - 1] += int(ok[s].sum())
 
-    alive = run_lockstep(rngs, 4 if with_noise else 0, n_relax, spi, m,
-                         advance, record)
+    alive = run_lockstep(rngs, 4, n_relax, spi, m, advance, record)
     for s, acc in zip(slices, accs):
         acc["alive_final"] = int(alive[s].sum())
     return accs
@@ -348,7 +346,6 @@ def simulate_ensemble(
     dt: float = DEFAULT_DT,
     relax: float = RELAX_WINDOW,
     n_workers: int = 1,
-    with_noise: bool = True,
     collect_extended: bool = False,
 ) -> EnsembleMoments:
     """Run n_traj independent trajectories and accumulate grid moments.
@@ -388,7 +385,7 @@ def simulate_ensemble(
     eps_steps = d.eps(times[:n_steps]).tolist()
     job = partial(_run_batch, d=d, seed=seed, amp0=amp0, eps_steps=eps_steps,
                   n_relax=n_relax, spi=spi, t_grid=t_grid, dt=dt_eff, guard=guard,
-                  with_noise=with_noise, extended=collect_extended)
+                  extended=collect_extended)
     # The ceiling alone can leave a worker idle (4 batches on 3 workers).
     n_batches = -(-n_traj // BATCH)
     group = min(_STEP_GROUP, -(-n_batches // n_workers))

@@ -222,7 +222,6 @@ def qsd_step(
     ops: OperatorSet,
     dt: float,
     rng: np.random.Generator,
-    tail_tol: float = TAIL_TOL,
 ) -> FockState:
     """Advance one trajectory by dt and renormalize."""
     if not (math.isfinite(dt) and dt > 0.0):
@@ -242,9 +241,9 @@ def qsd_step(
     out = out / nrm
     new = FockState(amplitudes=out, t=psi.t + dt)
     tail = new.tail_population(ops)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
-            f"tail population {tail:.3e} exceeds {tail_tol:.1e} at n_max={ops.n_max}"
+            f"tail population {tail:.3e} exceeds {TAIL_TOL:.1e} at n_max={ops.n_max}"
         )
     return new
 
@@ -385,7 +384,6 @@ def simulate_qsd_ensemble(
     seed: int = 0,
     dt: float = DEFAULT_DT,
     relax: float = RELAX_WINDOW,
-    tail_tol: float = TAIL_TOL,
     n_workers: int = 1,
 ) -> QsdEnsemble:
     """Diffusion-unraveling ensemble estimate of V(t) from vacuum.
@@ -436,7 +434,7 @@ def simulate_qsd_ensemble(
                 f"explicit step needs dt < {dt_max:.4g} there"
             )
         job = partial(_batch_job, (ops, seed, eps_steps, n_relax, spi, n_grid,
-                                   dt_eff, tail_tol))
+                                   dt_eff, TAIL_TOL))
         batch = min(64, max(1, _BATCH_ELEMENTS // ops.dim))
         rest = [
             np.arange(lo, min(lo + batch, n_traj))

@@ -25,19 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from . import _tailquad
 from .errors import (BelowThresholdError, ConvergenceError, CrossCheckError,
                      InvalidParameterError)
-from .model import (
-    DerivedParams,
-    ModelParams,
-    Regime,
-    ScalarCubic,
-    derive_params,
-    regime_classify,
-)
+from .model import Curve, DerivedParams, ModelParams, Regime, derive_params, regime_classify
 
 # Constants of the period loop both ODE routes share, and of the orbit's
 # cross-check against the closed form.
@@ -74,14 +66,11 @@ class SemiclassicalTrajectory:
     converged_periodic: bool = False
     periods_to_converge: int = 0
     period: float = 0.0
-    _log_spline: CubicSpline | None = field(default=None, repr=False)
-    _log_at: ScalarCubic | None = field(init=False, default=None, repr=False, compare=False)
+    _log_n0: Curve | None = field(default=None, repr=False)
     is_zero: bool = field(init=False, default=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.is_zero = not np.any(self.n0 > 0.0)
-        if self._log_spline is not None:
-            self._log_at = ScalarCubic(self._log_spline)
 
     def interp(self, t):
         """n0 at arbitrary times; periodic extension for converged orbits.
@@ -92,14 +81,10 @@ class SemiclassicalTrajectory:
         scalar = isinstance(t, float)
         if self.is_zero:
             return 0.0 if scalar else np.zeros_like(np.asarray(t, dtype=float))
-        if self._log_spline is None:
+        if self._log_n0 is None:
             raise ValueError("trajectory carries no interpolant")
-        if scalar:
-            tau = t % self.period if self.converged_periodic else t
-            return float(np.exp(self._log_at(tau)))
-        t = np.asarray(t, dtype=float)
-        tau = np.mod(t, self.period) if self.converged_periodic else t
-        return np.exp(self._log_spline(tau))
+        u = self._log_n0(t)
+        return float(np.exp(u)) if scalar else np.exp(u)
 
     def max_n0(self) -> float:
         return float(np.max(self.n0))
@@ -161,7 +146,7 @@ def integrate_n0(
     with np.errstate(under="ignore"):
         n0 = np.exp(u)
     return SemiclassicalTrajectory(t_grid=t_eval, n0=n0, period=d.period,
-                                   _log_spline=CubicSpline(t_eval, u))
+                                   _log_n0=Curve(u, knots=t_eval))
 
 
 def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: float,
@@ -173,9 +158,13 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     period shrinks a deviation from the attractor.  gap(prev, now) returns
     the change between two consecutive grids and the bound it must fall
     below.  Refuses before integrating when RK45 would need more than
-    _STEP_BUDGET steps a period, and after the second period when the
-    predicted period count is over twice MAX_PERIODS.  Returns the grid,
-    the first component on it, its periodic spline and the periods run.
+    _STEP_BUDGET steps a period; after the second period when the
+    predicted period count is over twice MAX_PERIODS; once the loop runs
+    past twice that prediction plus ten periods (it chases integrator
+    noise); and at a stop whose error bound change*m/(1 - m) exceeds
+    CROSS_TOL/PERIODIC_TOL times the bound, a relative 1e-4 (one period
+    barely moved a slowly shrinking deviation).  Returns the grid, the
+    first component on it, its periodic Curve and the periods run.
     """
     T = d.period
     steps = rate * T / 3.3
@@ -189,6 +178,7 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     # Solver reproducibility between consecutive periods must sit well below
     # the convergence tolerance, or the iteration chases integrator noise.
     rtol = min(ODE_RTOL, PERIODIC_TOL / 100.0)
+    need = math.inf
     for period_idx in range(MAX_PERIODS):
         t0 = period_idx * T
         sol = solve_ivp(
@@ -203,7 +193,17 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
         if prev is not None:
             change, bound = gap(prev, now)
             if change < bound:
+                error = change * m / (1.0 - m) if m < 1.0 else math.inf
+                if error > (CROSS_TOL / PERIODIC_TOL) * bound:
+                    raise ConvergenceError(
+                        f"{route} changed by only {change:.3g} in period {period_idx + 1}, "
+                        f"but with period multiplier {m:.9g} it may still sit {error:.3g} "
+                        f"from its periodic state, over the tolerance of {CROSS_TOL:g}")
                 break
+            if period_idx + 1 > 2.0 * need + 10.0:
+                raise ConvergenceError(
+                    f"{route} did not become periodic in {period_idx + 1} periods, over "
+                    f"twice the {need:.3g} predicted after two (it chases integrator noise)")
             if period_idx == 1 and m > 0.0:
                 # the change shrinks by about m a period from here on
                 need = 2.0 + math.log(bound / change) / math.log(m) if m < 1.0 else math.inf
@@ -217,8 +217,7 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
         raise ConvergenceError(
             f"{route} did not become periodic in {MAX_PERIODS:,} periods "
             f"(pump ratio fbar/f_th={d.eps_bar / d.gamma:.6g})")
-    spline = CubicSpline(np.append(offsets, T), np.append(now, now[0]), bc_type="periodic")
-    return offsets, now, spline, period_idx + 1
+    return offsets, now, Curve(now, T), period_idx + 1
 
 
 def _orbit_gap(u_prev, u_now):
@@ -247,14 +246,14 @@ def periodic_steady_state(p: ModelParams) -> SemiclassicalTrajectory:
     # Near the orbit ln n0 relaxes at rate 2*lam*n0, about 2*(eps - gamma);
     # w = 1/n0 obeys a linear ODE whose period map multiplies by exp(-D),
     # D = 2 (eps_bar - gamma) T.
-    offsets, u_grid, spline, periods = _periodic_attractor(
+    offsets, u_grid, log_n0, periods = _periodic_attractor(
         d, _du_dt(d), [math.log(d.gamma / d.lam)], _orbit_gap, "the photon-number orbit",
         2.0 * max(d.eps_peak - d.gamma, 0.0), math.exp(-2.0 * (d.eps_bar - d.gamma) * d.period))
     with np.errstate(under="ignore"):
         n0 = np.exp(u_grid)
     traj = SemiclassicalTrajectory(
         t_grid=offsets, n0=n0, converged_periodic=True,
-        periods_to_converge=periods, period=d.period, _log_spline=spline,
+        periods_to_converge=periods, period=d.period, _log_n0=log_n0,
     )
 
     idx = np.linspace(0, N_GRID - 1, 64).astype(int)

@@ -339,6 +339,26 @@ def test_hopeless_period_loop_is_refused_after_two_periods(tmp_path, argv, route
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["variance", "--fbar", "0.5", "--delta", "1e9", "--points", "3"], "from its periodic state"),
+    (["sweep", "--fbar-grid", "2:2:1", "--f1-levels", "0", "--delta", "1e12"],
+     "from its periodic state"),
+    (["variance", "--fbar=-0.95", "--f1", "1.658", "--delta", "0.5", "--points", "3"],
+     "in 65 periods, over twice the 27.3 predicted"),
+], ids=["variance-fast-modulation", "sweep-fast-modulation", "variance-noise"])
+def test_false_or_endless_period_loop_is_refused(tmp_path, argv, message):
+    # the fast-modulation inputs used to stop at the second period and exit
+    # 0 with V near its vacuum start (1 against 2/3 and 0.625); the third
+    # chased integrator noise through all 10,000 periods for minutes, and
+    # its 65 periods still take 4-6 s on a 2-vCPU x86 host
+    cmd = [sys.executable, "-m", "modnopo.cli", *argv, "--out", str(tmp_path)]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 1
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], res.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_stiff_budget_keeps_pump_ratio_1e3(tmp_path):
     # the digest of the CSV from before the stiffness budget existed
     assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", "1e3:1e3:1",

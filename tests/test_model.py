@@ -26,7 +26,7 @@ from modnopo import (
     pump_amplitude,
     regime_classify,
 )
-from modnopo.model import ScalarCubic
+from modnopo.model import Curve
 
 
 class TestHarmonic:
@@ -173,11 +173,8 @@ class TestRegimes:
         assert regime_classify(params_from_ratios(fbar_over_fth=0.4)) is Regime.BELOW_THRESHOLD
         assert regime_classify(params_from_ratios(fbar_over_fth=1.0)) is Regime.AT_THRESHOLD
         assert regime_classify(params_from_ratios(fbar_over_fth=2.5)) is Regime.ABOVE_THRESHOLD
-
-    def test_band_is_configurable(self):
-        p = params_from_ratios(fbar_over_fth=1.0005)
-        assert regime_classify(p, band=1e-2) is Regime.AT_THRESHOLD
-        assert regime_classify(p, band=1e-5) is Regime.ABOVE_THRESHOLD
+        # the at-threshold band is far narrower than a finite offset
+        assert regime_classify(params_from_ratios(fbar_over_fth=1.0005)) is Regime.ABOVE_THRESHOLD
 
     def test_modulation_depth_does_not_move_the_mean(self):
         # classification depends on the period average only
@@ -244,11 +241,12 @@ def _bits(values) -> np.ndarray:
 
 class TestScalarEvaluation:
     """The scalar branches the ODE right-hand sides take must give the
-    array path's bits: ScalarCubic against CubicSpline, and eps at one
+    array path's bits: a Curve against CubicSpline, and eps at one
     float against eps on an array, for both pump kinds."""
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_scalar_cubic_matches_scipy(self, periodic):
+        # a Curve at one float against scipy at the pre-wrapped array
         rng = np.random.default_rng(1503)
         for n in (4, 65, 2049):
             x = np.linspace(0.0, rng.uniform(0.1, 50.0), n) + (0.0 if periodic else -1.7)
@@ -261,8 +259,10 @@ class TestScalarEvaluation:
             t = np.concatenate([x, rng.uniform(x[0] - 3 * span, x[-1] + 3 * span, 500),
                                 [np.nextafter(x[-1], x[0]), np.nextafter(x[0], x[-1]),
                                  np.nextafter(x[0], -np.inf), -0.0]])
-            at = ScalarCubic(spl)
-            assert (_bits([at(float(v)) for v in t]) == _bits(spl(t))).all()
+            at = Curve(y[:-1], period=x[-1]) if periodic else Curve(y, knots=x)
+            want = _bits(spl(np.mod(t, x[-1]) if periodic else t))
+            assert (_bits(at(t)) == want).all()
+            assert (_bits([at(float(v)) for v in t]) == want).all()
 
     @pytest.mark.parametrize("kind", ["harmonic", "tabulated"])
     def test_eps_matches_array_path(self, kind):

@@ -428,4 +428,4 @@ def _masked_batch_args(p):
         eps_steps.append(float(d.eps(t)))
         t += dt
     return (d, 1104, _initial_amplitude(p, t_start), eps_steps, n_relax, spi,
-            t_grid, dt, 13.5, True, True)
+            t_grid, dt, 13.5, True)
