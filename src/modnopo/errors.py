@@ -18,8 +18,10 @@ class TruncationError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """A periodic state was not reached: a period loop ran MAX_PERIODS
-    periods, or was refused after its second period because its predicted
-    period count was over twice that, or no periodic state attracts."""
+    periods; was refused after its second period because its predicted
+    period count was over twice that, or once it ran past twice its
+    prediction plus ten; stopped with an error bound over the routes'
+    tolerance; or no periodic state attracts."""
 
 
 class CrossCheckError(RuntimeError):

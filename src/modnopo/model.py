@@ -28,7 +28,6 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +63,8 @@ class Curve:
     The lists and the antiderivative are built on first use.
     """
 
+    __slots__ = ("spline", "period", "_x", "_coeffs", "_last", "_anti")
+
     def __init__(self, values, period: float | None = None, knots=None) -> None:
         values = np.asarray(values, dtype=float)
         self.period = period
@@ -72,30 +73,26 @@ class Curve:
         else:
             self.spline = CubicSpline(np.linspace(0.0, period, values.size + 1),
                                       np.append(values, values[0]), bc_type="periodic")
-
-    @cached_property
-    def _pieces(self) -> tuple:
-        spl = self.spline
-        # 0.0 + c[3] is the running sum's first step, which turns -0.0 into 0.0
-        coeffs = list(zip((spl.c[3] + 0.0).tolist(), *spl.c[2::-1].tolist()))
-        return spl.x.tolist(), coeffs, spl.x.size - 2
-
-    @cached_property
-    def _antiderivative(self) -> tuple:
-        anti = self.spline.antiderivative()
-        return anti, float(anti(self.period))
+        self._x = self._anti = None
 
     def __call__(self, t):
         """The curve at t; a float t gives a float, anything else an array."""
         period = self.period
         if isinstance(t, float):
-            x, coeffs, last = self._pieces
+            x = self._x
+            if x is None:
+                spl = self.spline
+                # 0.0 + c[3] is the running sum's first step, which turns -0.0 into 0.0
+                self._coeffs = list(zip((spl.c[3] + 0.0).tolist(), *spl.c[2::-1].tolist()))
+                self._last = spl.x.size - 2
+                x = self._x = spl.x.tolist()
             t = float(t)
             if period is not None:
                 t = t % period % period
             i = bisect_right(x, t) - 1
+            last = self._last
             i = 0 if i < 0 else (i if i < last else last)
-            c3, c2, c1, c0 = coeffs[i]
+            c3, c2, c1, c0 = self._coeffs[i]
             s = t - x[i]
             ss = s * s
             return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
@@ -105,7 +102,10 @@ class Curve:
     def running_integral(self, t):
         """Integral of a periodic curve from 0 to t: the antiderivative over
         the last partial period plus the whole periods before it."""
-        anti, per_period = self._antiderivative
+        if self._anti is None:
+            anti = self.spline.antiderivative()
+            self._anti = anti, float(anti(self.period))
+        anti, per_period = self._anti
         t = np.asarray(t, dtype=float)
         wraps = np.floor(t / self.period)
         return anti(t - wraps * self.period) + wraps * per_period

@@ -264,8 +264,7 @@ def _run_batch(
 
     def advance(step, eta, alive):
         nonlocal mask
-        u, _ = _increments(amps, eps_steps[step], gamma, lam, dt,
-                           None if eta is None else _complex_noise(eta, noise))
+        u, _ = _increments(amps, eps_steps[step], gamma, lam, dt, _complex_noise(eta, noise))
         if mask is not None:
             u *= mask
         np.add(A, u, out=A)

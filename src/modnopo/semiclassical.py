@@ -198,7 +198,8 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
                     raise ConvergenceError(
                         f"{route} changed by only {change:.3g} in period {period_idx + 1}, "
                         f"but with period multiplier {m:.9g} it may still sit {error:.3g} "
-                        f"from its periodic state, over the tolerance of {CROSS_TOL:g}")
+                        f"from its periodic state, over {CROSS_TOL / PERIODIC_TOL:g} times "
+                        f"the bound {bound:.3g}")
                 break
             if period_idx + 1 > 2.0 * need + 10.0:
                 raise ConvergenceError(
