@@ -10,9 +10,10 @@ worker count.
 Within a batch both routes step their trajectories in lockstep through one
 loop, run_lockstep.  It draws each trajectory's normals from its own stream
 in chunks (draw_noise), calls the route's advance(step, eta, alive) once per
-step and its record(j, alive) once per grid point after the relaxation
-window, and owns the alive mask that advance may clear.  A route keeps only
-its step kernel, its guard and what it records.
+step and its record() once per grid point after the relaxation window, owns
+the alive mask that advance may clear, and returns the records as rows.
+One reducer, slice_sums, sums rows over their live trajectories.  A route
+keeps only its step kernel, its guard and what it records and sums.
 
 Each pool has one stop event, handed to its workers when they start.  The
 pool sets it as soon as a job fails, and run_lockstep checks it once per
@@ -48,6 +49,12 @@ class Aborted(Exception):
     """A pooled job stopped because another job of its pool failed."""
 
 
+def check_dt(dt: float) -> None:
+    """Refuse a step that is not a positive finite number."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+
+
 def step_layout(t_grid: np.ndarray, dt: float, relax: float):
     """Fixed-step layout of a run sampled on the uniform grid t_grid.
 
@@ -59,8 +66,7 @@ def step_layout(t_grid: np.ndarray, dt: float, relax: float):
     """
     if t_grid.ndim != 1 or t_grid.size < 1 or not np.isfinite(t_grid).all():
         raise InvalidParameterError("t_grid must be a nonempty 1-d array of finite times")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+    check_dt(dt)
     if not math.isfinite(relax):
         raise InvalidParameterError(f"relax must be finite, got {relax}")
     if t_grid.size > 1:
@@ -102,27 +108,35 @@ def draw_noise(streams: list, out: np.ndarray) -> None:
 
 
 def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
-                 n_grid: int, advance, record) -> np.ndarray:
-    """Step a batch of len(streams) trajectories together; return the alive mask.
+                 n_grid: int, advance, record) -> dict:
+    """Step a batch of len(streams) trajectories together; return its rows.
 
     The run is n_relax relaxation steps and then spi steps per grid
     interval (step_layout).  Each step calls advance(step, eta, alive), with
     eta that step's n_normals normals per trajectory, shape (n_normals, B),
-    or None when n_normals is 0.  record(j, alive) is called once per grid
-    point j, in order: before the first step when there is no relaxation,
-    else after the step that reaches it.  advance may clear entries of
-    alive, a boolean array of B that starts all true.  In a pool worker it
-    raises Aborted before any step taken once the pool's stop event is set.
-    The normals are drawn NOISE_CHUNK steps at a time, or fewer where that
-    would hold more than NOISE_NORMALS values.
+    or None when n_normals is 0.  advance may clear entries of alive, a
+    boolean array of B that starts all true.  record() is called once per
+    grid point j, in order: before the first step when there is no
+    relaxation, else after the step that reaches it.  It returns a dict of
+    per-trajectory arrays, which become row j of (n_grid, B) arrays under
+    the same keys; "live" holds the alive mask at each grid point and
+    "alive" the final mask.  In a pool worker it raises Aborted before any
+    step taken once the pool's stop event is set.  The normals are drawn
+    NOISE_CHUNK steps at a time, or fewer where that would hold more than
+    NOISE_NORMALS values.
     """
     stop = _stop
     n_steps = n_relax + (n_grid - 1) * spi
     alive = np.ones(len(streams), dtype=bool)
+    kept = []   # each grid point's record, with the alive mask as "live"
+
+    def keep() -> None:
+        kept.append({**record(), "live": alive.copy()})
+
     chunk = min(NOISE_CHUNK, NOISE_NORMALS // max(n_normals * len(streams), 1))
     noise = np.empty((min(chunk, n_steps), n_normals, len(streams)))
     if n_relax == 0:
-        record(0, alive)
+        keep()
     for step in range(n_steps):
         if stop is not None and stop.is_set():
             raise Aborted
@@ -132,8 +146,32 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
         advance(step, noise[k] if n_normals else None, alive)
         done = step + 1 - n_relax   # steps taken past the relaxation window
         if done >= 0 and done % spi == 0:
-            record(done // spi, alive)
-    return alive
+            keep()
+    rows = {key: np.stack([r[key] for r in kept]) for key in kept[0]}
+    rows["alive"] = alive
+    return rows
+
+
+def slice_sums(live: np.ndarray, cols, sums: dict, squares: dict) -> dict:
+    """Partial sums over the live trajectories of columns cols at each grid point.
+
+    live and every value of sums and squares are (n, B) rows.  Row j adds
+    the live entries of x[j, cols], in column order, to count[j], sum_<k>[j]
+    and, squared, to sq_<k>[j]; each total starts from zeros of x's dtype
+    (count from int64 zeros), so an empty or -0.0 sum gives +0.0.
+    """
+    n = live.shape[0]
+    out = {"count": np.zeros(n, dtype=np.int64)}
+    out.update((f"sum_{k}", np.zeros(n, dtype=x.dtype)) for k, x in sums.items())
+    out.update((f"sq_{k}", np.zeros(n, dtype=x.dtype)) for k, x in squares.items())
+    for j in range(n):
+        m = live[j, cols]
+        out["count"][j] += int(m.sum())
+        for k, x in sums.items():
+            out[f"sum_{k}"][j] += x[j, cols][m].sum()
+        for k, x in squares.items():
+            out[f"sq_{k}"][j] += (x[j, cols][m] ** 2).sum()
+    return out
 
 
 def check_workers(n_workers: int) -> None:
@@ -188,14 +226,11 @@ def map_ordered(fn, jobs: list, n_workers: int) -> list:
 
 
 def sum_parts(parts) -> dict:
-    """Key-wise sum of partial-sum dicts in list order; tail_max takes the max."""
+    """Key-wise sum of partial-sum dicts in list order."""
     total: dict = {}
     for part in parts:
         for key, val in part.items():
-            if key == "tail_max" and key in total:
-                total[key] = np.maximum(total[key], val)
-            else:
-                total[key] = total.get(key, 0) + val
+            total[key] = total.get(key, 0) + val
     return total
 
 

@@ -144,10 +144,13 @@ def cmd_variance(args) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    lo, hi, step = (float(x) for x in text.split(":"))
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf
+    try:
+        lo, hi, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"grid {text!r} needs three numbers, lo:hi:step") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and 0.0 < step < math.inf
             and math.isfinite((hi - lo) / step)):
-        raise ValueError(f"grid {text!r} needs finite lo:hi and a positive finite step")
+        raise ValueError(f"grid {text!r} needs finite lo <= hi and a positive finite step")
     n = int(round((hi - lo) / step))
     with np.errstate(over="ignore"):  # rounding scales by 1e12 first
         grid = np.round(np.linspace(lo, lo + n * step, n + 1), 12)

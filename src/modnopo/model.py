@@ -53,7 +53,7 @@ class Curve:
     Curve(values, period) is periodic: values[k] sits at k*period/n, the
     wrap value is appended at period, and t is first mapped into the
     period.  Curve(values, knots=t) spans its knots, with not-a-knot ends,
-    and extrapolates past them.
+    and refuses a time outside them.
 
     At one float it gives scipy's bits on plain lists, free of numpy's
     per-call overhead: after the pre-wrap, scipy's periodic map x[0] +
@@ -89,6 +89,8 @@ class Curve:
             t = float(t)
             if period is not None:
                 t = t % period % period
+            elif not x[0] <= t <= x[-1]:
+                self._refuse(t)
             i = bisect_right(x, t) - 1
             last = self._last
             i = 0 if i < 0 else (i if i < last else last)
@@ -97,7 +99,17 @@ class Curve:
             ss = s * s
             return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
         t = np.asarray(t, dtype=float)
-        return self.spline(t if period is None else np.mod(t, period))
+        if period is not None:
+            return self.spline(np.mod(t, period))
+        inside = (t >= self.spline.x[0]) & (t <= self.spline.x[-1])
+        if not inside.all():
+            self._refuse(float(t[~inside].flat[0]))
+        return self.spline(t)
+
+    def _refuse(self, t: float):
+        x = self.spline.x
+        raise InvalidParameterError(
+            f"t={t} lies outside the curve's span [{x[0]}, {x[-1]}]; it does not extrapolate")
 
     def running_integral(self, t):
         """Integral of a periodic curve from 0 to t: the antiderivative over

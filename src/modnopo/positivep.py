@@ -25,8 +25,8 @@ from functools import partial
 
 import numpy as np
 
-from ._ensemble import (check_workers, draw_noise, map_ordered, run_lockstep,
-                        step_layout, std_error, sum_parts)
+from ._ensemble import (check_dt, check_workers, draw_noise, map_ordered, run_lockstep,
+                        slice_sums, step_layout, std_error, sum_parts)
 from ._streams import SALT_PHASE_SPACE, trajectory_stream
 from .errors import DivergenceBudgetError, DivergenceError
 from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
@@ -118,10 +118,8 @@ def _amplitudes(state: PPState) -> np.ndarray:
     return np.array(amps, dtype=np.complex128)
 
 
-def _one_noise(rng: np.random.Generator, dt: float) -> np.ndarray:
+def _one_noise(rng: np.random.Generator) -> np.ndarray:
     """One step of noise for a batch of one, shape (2, 2, 1)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     eta = np.empty((1, 4, 1))
     draw_noise([rng], eta)
     return _complex_noise(eta[0], np.empty((2, 2, 1), dtype=np.complex128))
@@ -131,7 +129,8 @@ def sample_noise(
     state: PPState, eps_t: float, lam: float, dt: float, rng: np.random.Generator
 ) -> NoiseIncrement:
     """Draw one set of noise increments at the current state."""
-    _, w = _increments(_amplitudes(state), eps_t, 0.0, lam, dt, _one_noise(rng, dt))
+    check_dt(dt)
+    _, w = _increments(_amplitudes(state), eps_t, 0.0, lam, dt, _one_noise(rng))
     return NoiseIncrement(*(complex(x) for x in w.ravel()))
 
 
@@ -148,9 +147,10 @@ def step_trajectory(
     with_noise=False exposes the deterministic drift for the
     classical-limit checks.
     """
+    check_dt(dt)
     d = p if isinstance(p, DerivedParams) else derive_params(p)
     amps = _amplitudes(state)
-    noise = _one_noise(rng, dt) if with_noise else None
+    noise = _one_noise(rng) if with_noise else None
     u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt, noise)
     new = [complex(x) for x in (amps.reshape(u.shape) + u).ravel()]
     guard = divergence_guard(d)
@@ -228,12 +228,11 @@ def _run_batch(
     subsequent update and average.  eps_steps[k] is the pump at the start
     of step k.  Each trajectory's update touches only its own column, so
     the width stepped together moves no byte.  The moments are formed once
-    over the full width and then summed per BATCH slice of indices, in
+    over the full rows and then summed per BATCH slice of indices, in
     trajectory order, so each slice's accumulator dict, returned in slice
     order, is the one a batch stepped alone gives.
     """
     B = indices.size
-    m = t_grid.size
     gamma, lam = d.gamma, d.lam
     rngs = [trajectory_stream(seed, int(i), SALT_PHASE_SPACE) for i in indices]
     slices = [slice(lo, lo + BATCH) for lo in range(0, B, BATCH)]
@@ -243,24 +242,6 @@ def _run_batch(
     a1, a2, b1, b2 = amps   # row views, read by record
     mask = None             # alive as complex, once a trajectory has died
     noise = np.empty((2, 2, B), dtype=np.complex128)   # one step's, refilled
-
-    def new_acc() -> dict:
-        acc = {"count": np.zeros(m, dtype=np.int64)}
-        for key in ("sum_np", "sum_R", "sum_Z", "sum_p1", "sum_p2"):
-            acc[key] = np.zeros(m, dtype=np.complex128)
-        for key in ("sq_np", "sq_R", "sq_Z", "sq_pd"):
-            acc[key] = np.zeros(m)
-        if extended:
-            acc["sum_np2"] = np.zeros(m, dtype=np.complex128)
-            acc["sum_npR"] = np.zeros(m, dtype=np.complex128)
-            acc["res_sum"] = np.zeros((3, m - 2))
-            acc["res_sq"] = np.zeros((3, m - 2))
-            acc["res_count"] = np.zeros(m - 2, dtype=np.int64)
-        return acc
-
-    accs = [new_acc() for _ in slices]
-    ring: list[dict | None] = [None, None, None]  # per-grid slices j-1, j, j+1
-    h = float(t_grid[1] - t_grid[0]) if m > 1 else 0.0
 
     def advance(step, eta, alive):
         nonlocal mask
@@ -274,66 +255,48 @@ def _run_batch(
             alive &= ~bad
             mask = alive.astype(np.complex128)
 
-    def record(j: int, af: np.ndarray) -> None:
-        n1 = a1 * b1
-        n2 = a2 * b2
-        np_ = n1 + n2
-        R = (a1 - b2) * (b1 - a2)
-        Z = (n1 - n2) ** 2 + np_
-        sums = {"sum_np": np_, "sum_R": R, "sum_Z": Z, "sum_p1": n1, "sum_p2": n2}
-        squares = {"sq_np": np_.real, "sq_R": R.real, "sq_Z": Z.real,
-                   "sq_pd": (n1 - n2).real}
-        if extended:
-            sums["sum_np2"] = np2 = np_ * np_
-            sums["sum_npR"] = npR = np_ * R
-        for s, acc in zip(slices, accs):
-            a = af[s]
-            acc["count"][j] += int(a.sum())
-            for key, x in sums.items():
-                acc[key][j] += x[s][a].sum()
-            for key, x in squares.items():
-                acc[key][j] += (x[s][a] ** 2).sum()
-        if extended:
-            ring[0], ring[1], ring[2] = ring[1], ring[2], {
-                "np": np_.copy(), "R": R.copy(), "Z": Z.copy(),
-                "np2": np2, "npR": npR, "alive": af.copy(),
-            }
-            if j >= 2:
-                _record_residuals(j - 1)
+    def record() -> dict:
+        return {"n1": a1 * b1, "n2": a2 * b2, "R": (a1 - b2) * (b1 - a2)}
 
-    def _rhs_rows(slc: dict, eps_j: float) -> dict:
-        rhs_np = ((2.0 * eps_j - 2.0 * gamma - lam) * slc["np"]
-                  - lam * slc["np2"] - 2.0 * eps_j * slc["R"] + lam * slc["Z"])
-        rhs_R = (-(2.0 * eps_j + 2.0 * gamma + lam) * slc["R"]
-                 - lam * slc["npR"] - 2.0 * eps_j + lam * slc["Z"])
-        rhs_Z = -4.0 * gamma * slc["Z"] + 2.0 * gamma * slc["np"]
-        return {"np": rhs_np, "R": rhs_R, "Z": rhs_Z}
-
-    def _record_residuals(jc: int) -> None:
+    rows = run_lockstep(rngs, 4, n_relax, spi, t_grid.size, advance, record)
+    n1, n2, R, live = rows["n1"], rows["n2"], rows["R"], rows["live"]
+    np_ = n1 + n2
+    Z = (n1 - n2) ** 2 + np_
+    sums = {"np": np_, "R": R, "Z": Z, "p1": n1, "p2": n2}
+    squares = {"np": np_.real, "R": R.real, "Z": Z.real, "pd": (n1 - n2).real}
+    if extended:
+        sums["np2"] = np2 = np_ * np_
+        sums["npR"] = npR = np_ * R
         # Centered difference of each trajectory's moment across the grid
         # against the moment-equation drift integrated over the same window
-        # (Simpson rule on the three recorded slices).  Comparing against
-        # the midpoint drift alone leaves an O(h^2) truncation bias that a
-        # large ensemble resolves as a spurious residual on modulated runs;
+        # (Simpson rule on the three grid points).  Comparing against the
+        # midpoint drift alone leaves an O(h^2) truncation bias that a large
+        # ensemble resolves as a spurious residual on modulated runs;
         # Simpson pushes the bias to O(h^4).
-        prev, mid, nxt = ring
-        ok = prev["alive"] & mid["alive"] & nxt["alive"]
-        rp = _rhs_rows(prev, float(d.eps(t_grid[jc - 1])))
-        rm = _rhs_rows(mid, float(d.eps(t_grid[jc])))
-        rn = _rhs_rows(nxt, float(d.eps(t_grid[jc + 1])))
-        for row, x in enumerate(("np", "R", "Z")):
-            rhs = (rp[x] + 4.0 * rm[x] + rn[x]) / 6.0
-            r = ((nxt[x] - prev[x]) / (2.0 * h) - rhs).real
-            for s, acc in zip(slices, accs):
-                rs = r[s][ok[s]]
-                acc["res_sum"][row, jc - 1] += rs.sum()
-                acc["res_sq"][row, jc - 1] += (rs ** 2).sum()
-        for s, acc in zip(slices, accs):
-            acc["res_count"][jc - 1] += int(ok[s].sum())
-
-    alive = run_lockstep(rngs, 4, n_relax, spi, m, advance, record)
-    for s, acc in zip(slices, accs):
-        acc["alive_final"] = int(alive[s].sum())
+        h = float(t_grid[1] - t_grid[0])
+        eps = np.array([float(d.eps(t)) for t in t_grid])[:, None]
+        rhs = {
+            "np": ((2.0 * eps - 2.0 * gamma - lam) * np_
+                   - lam * np2 - 2.0 * eps * R + lam * Z),
+            "R": (-(2.0 * eps + 2.0 * gamma + lam) * R
+                  - lam * npR - 2.0 * eps + lam * Z),
+            "Z": -4.0 * gamma * Z + 2.0 * gamma * np_,
+        }
+        res = {}
+        for x, f in rhs.items():
+            mid = (f[:-2] + 4.0 * f[1:-1] + f[2:]) / 6.0
+            res[x] = ((sums[x][2:] - sums[x][:-2]) / (2.0 * h) - mid).real
+        ok = live[:-2] & live[1:-1] & live[2:]
+    accs = []
+    for s in slices:
+        acc = slice_sums(live, s, sums, squares)
+        if extended:
+            r = slice_sums(ok, s, res, res)
+            acc["res_sum"] = np.array([r[f"sum_{x}"] for x in res])
+            acc["res_sq"] = np.array([r[f"sq_{x}"] for x in res])
+            acc["res_count"] = r["count"]
+        acc["alive_final"] = int(rows["alive"][s].sum())
+        accs.append(acc)
     return accs
 
 

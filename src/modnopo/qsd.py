@@ -28,8 +28,8 @@ from .errors import (
     InvalidParameterError,
     TruncationError,
 )
-from ._ensemble import (check_workers, draw_noise, map_ordered, run_lockstep,
-                        step_layout, std_error, sum_parts)
+from ._ensemble import (check_dt, check_workers, draw_noise, map_ordered, run_lockstep,
+                        slice_sums, step_layout, std_error, sum_parts)
 from ._streams import SALT_STATE_DIFFUSION, trajectory_stream
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import periodic_steady_state
@@ -224,8 +224,7 @@ def qsd_step(
     rng: np.random.Generator,
 ) -> FockState:
     """Advance one trajectory by dt and renormalize."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+    check_dt(dt)
     v = psi.amplitudes.reshape(-1, 1)
     if v.shape[0] != ops.dim:
         raise FockDimensionError(
@@ -287,14 +286,12 @@ def auto_n_max(p: ModelParams) -> int:
 
 
 def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol):
-    """Run one batch of trajectories; returns rows for each trajectory.
+    """Run one batch of trajectories; returns run_lockstep's rows.
 
     All trajectories start from vacuum at the first step.  Raises
     _TailTripped once a live trajectory's tail population passes tail_tol.
-    Dead (non-finite) trajectories are zeroed.  The rows are (n_grid, B)
-    arrays of V, n1, n2, the pair expectation, the tail population and
-    whether each trajectory is alive at each grid point ("live"), plus the
-    final alive mask; _batch_sums reduces them.  A trajectory's rows do not
+    Dead (non-finite) trajectories are zeroed.  The rows are V, n1, n2, the
+    pair expectation and the tail population.  A trajectory's rows do not
     depend on the batch it runs in when the batch is cut at a multiple of 8
     into pieces of 8 or more, which lets the pilot run as two jobs.
     """
@@ -302,10 +299,6 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
     psi[0, :] = 1.0
     tail_rows = ops.tail_mask.astype(float)
     rngs = [trajectory_stream(seed, int(i), SALT_STATE_DIFFUSION) for i in indices]
-    shape = (n_grid, len(indices))
-    rows = {"v": np.empty(shape), "n1": np.empty(shape), "n2": np.empty(shape),
-            "pair": np.empty(shape, dtype=np.complex128), "tail": np.empty(shape),
-            "live": np.empty(shape, dtype=bool)}
 
     def advance(step, xi, alive):
         nonlocal psi
@@ -324,51 +317,15 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
 
     # Recording reuses the diagonal number vectors; only the pair
     # expectation needs a matvec.
-    def record(j, m):
+    def record():
         w = np.abs(psi) ** 2
         n1 = ops.n1_diag @ w
         n2 = ops.n2_diag @ w
         pair = np.einsum("ib,ib->b", psi.conj(), ops.pair @ psi)
-        rows["v"][j] = 1.0 + n1 + n2 - 2.0 * pair.real
-        rows["n1"][j], rows["n2"][j], rows["pair"][j] = n1, n2, pair
-        rows["tail"][j] = tail_rows @ w
-        rows["live"][j] = m
+        return {"v": 1.0 + n1 + n2 - 2.0 * pair.real, "n1": n1, "n2": n2,
+                "pair": pair, "tail": tail_rows @ w}
 
-    rows["alive"] = run_lockstep(rngs, 6, n_relax, spi, n_grid, advance, record)
-    return rows
-
-
-def _batch_sums(rows: dict) -> dict:
-    """Partial sums of one batch of the layout from its trajectories' rows.
-
-    Each grid point sums over the batch's live trajectories in column
-    order, so the sums depend on the batch layout alone, not on how its
-    trajectories were split into jobs.
-    """
-    n_grid = rows["v"].shape[0]
-    out = {
-        "count": np.zeros(n_grid),
-        "sum_v": np.zeros(n_grid),
-        "sq_v": np.zeros(n_grid),
-        "sum_n1": np.zeros(n_grid),
-        "sum_n2": np.zeros(n_grid),
-        "sq_d": np.zeros(n_grid),
-        "sum_pair": np.zeros(n_grid, dtype=np.complex128),
-        "tail_max": np.zeros(n_grid),
-        "dead": int((~rows["alive"]).sum()),
-    }
-    for j, m in enumerate(rows["live"]):
-        v, n1, n2 = rows["v"][j][m], rows["n1"][j][m], rows["n2"][j][m]
-        out["count"][j] += m.sum()
-        out["sum_v"][j] += v.sum()
-        out["sq_v"][j] += (v ** 2).sum()
-        out["sum_n1"][j] += n1.sum()
-        out["sum_n2"][j] += n2.sum()
-        out["sq_d"][j] += ((n1 - n2) ** 2).sum()
-        out["sum_pair"][j] += rows["pair"][j][m].sum()
-        if m.any():
-            out["tail_max"][j] = max(out["tail_max"][j], float(rows["tail"][j][m].max()))
-    return out
+    return run_lockstep(rngs, 6, n_relax, spi, n_grid, advance, record)
 
 
 def _batch_job(args: tuple, indices) -> dict:
@@ -451,9 +408,15 @@ def simulate_qsd_ensemble(
     # Join the pilot's halves, then reduce each batch of the layout in order.
     joined = {k: np.concatenate([r[k] for r in rows[:len(pilot)]], axis=-1)
               for k in rows[0]}
-    total = sum_parts(map(_batch_sums, [joined, *rows[len(pilot):]]))
+    total = sum_parts(
+        slice_sums(r["live"], slice(None),
+                   {"v": r["v"], "n1": r["n1"], "n2": r["n2"], "pair": r["pair"]},
+                   {"v": r["v"], "d": r["n1"] - r["n2"]})
+        for r in [joined, *rows[len(pilot):]])
+    tail_max = np.max([r["tail"].max(axis=1, initial=0.0, where=r["live"])
+                       for r in rows], axis=0)
     count = total["count"]
-    dead = int(total["dead"])
+    dead = sum(int((~r["alive"]).sum()) for r in rows)
     if (count < 2).any():
         raise DivergenceBudgetError("fewer than 2 surviving trajectories")
     if dead > DIVERGENCE_BUDGET * n_traj:
@@ -473,7 +436,7 @@ def simulate_qsd_ensemble(
         n2_mean=n2_mean,
         diff_stderr=std_error(total["sq_d"], n1_mean - n2_mean, count),
         pair_mean=total["sum_pair"] / count,
-        tail_max=total["tail_max"],
+        tail_max=tail_max,
         n_traj=n_traj,
         discarded=dead,
         n_max=n_here,

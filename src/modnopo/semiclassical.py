@@ -73,7 +73,7 @@ class SemiclassicalTrajectory:
         self.is_zero = not np.any(self.n0 > 0.0)
 
     def interp(self, t):
-        """n0 at arbitrary times; periodic extension for converged orbits.
+        """n0 at any time on a periodic orbit, and within t_span on a transient.
 
         A float t (the ODE right-hand sides' case) gives a float, with the
         bits of the array path's element; anything else gives an array.

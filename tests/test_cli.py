@@ -283,10 +283,15 @@ def _one_error_line(capsys):
 
 
 def test_bad_grid_string_fails(tmp_path, capsys):
-    # malformed text, and zero, negative or non-finite steps or ends
-    for grid in ("1::", "1:2:0", "1:2:-0.5", "1:2:nan", "1:inf:0.5", "0:1e308:1e-10"):
-        assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", grid]) == 1
-        assert _one_error_line(capsys), grid
+    # malformed text, zero, negative or non-finite steps or ends, two or
+    # four parts, and hi below lo (an empty grid, or one cell at lo)
+    for command in ("sweep", "fig3"):
+        for grid in ("1::", "1:2:0", "1:2:-0.5", "1:2:nan", "1:inf:0.5", "0:1e308:1e-10",
+                     "1:2", "1:2:1:1", "2:1:1", "2:1.6:1"):
+            assert main([command, "--out", str(tmp_path), "--fbar-grid", grid]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: grid '{grid}'") and err.count("\n") == 1, grid
+            assert not list(tmp_path.iterdir()), grid
 
 
 @pytest.mark.parametrize("command", ["sweep", "fig3"])

@@ -6,9 +6,11 @@ and fail as a serial run would, except that a failure stops the sibling
 jobs still stepping.  The job callables the three callers build
 must pickle, since that is how they reach the workers.  The lockstep loop
 must record each grid point once, in order, and hand every step the
-stream's own normals whatever the chunk length.
+stream's own normals whatever the chunk length.  The shared reducer must
+give the bits of the plain per-point loop both routes used to run.
 """
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -25,7 +27,7 @@ import modnopo.qsd as qsd
 import test_positivep
 import test_qsd
 from modnopo import InvalidParameterError, params_from_ratios
-from modnopo._ensemble import _usable_cpus, map_ordered, run_lockstep
+from modnopo._ensemble import _usable_cpus, map_ordered, run_lockstep, slice_sums
 
 needs_two_cpus = pytest.mark.skipif(
     _usable_cpus() < 2, reason="the pool is capped at the usable CPUs")
@@ -102,7 +104,7 @@ def _step_or_refuse(bad, x):
         time.sleep(0.2)
         raise InvalidParameterError(f"job {x} refused")
     run_lockstep([None], 0, 0, 1, 10_001, lambda step, eta, alive: time.sleep(1e-3),
-                 lambda j, alive: None)
+                 dict)
     return x
 
 
@@ -129,7 +131,7 @@ def test_lockstep_stops_once_the_stop_event_is_set(monkeypatch):
             stop.set()
 
     with pytest.raises(_ensemble.Aborted):
-        run_lockstep([None], 0, 0, 1, 100, advance, lambda j, alive: None)
+        run_lockstep([None], 0, 0, 1, 100, advance, dict)
     assert steps == [0, 1, 2, 3, 4]
 
 
@@ -180,31 +182,115 @@ def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid
         if step == 2:
             alive[1] = False
 
-    def record(j, alive):
-        calls.append(("record", j, alive.copy()))
+    def record():
+        # each trajectory's row holds the call's place among all calls
+        calls.append(("record",))
+        return {"rank": np.full(3, len(calls) - 1)}
 
-    alive = run_lockstep(streams, 2, n_relax, spi, n_grid, advance, record)
+    def taken(n):
+        return sum(1 for c in calls[:n] if c[0] == "step")
+
+    rows = run_lockstep(streams, 2, n_relax, spi, n_grid, advance, record)
     steps = [c for c in calls if c[0] == "step"]
     assert [c[1] for c in steps] == list(range(n_steps))
+    assert set(rows) == {"rank", "live", "alive"}
     # each grid point once, in order, right after the step that reaches it
-    expected = [("record", j) for j in range(n_grid)]
-    assert [c[:2] for c in calls if c[0] == "record"] == expected
-    for n, c in enumerate(calls):
-        if c[0] == "record":
-            assert sum(1 for d in calls[:n] if d[0] == "step") == n_relax + c[1] * spi
-    # the rows are each stream's own normals, drawn in order
+    ranks = [n for n, c in enumerate(calls) if c[0] == "record"]
+    assert len(ranks) == n_grid
+    assert rows["rank"].tolist() == [[n] * 3 for n in ranks]
+    assert [taken(n) for n in ranks] == [n_relax + j * spi for j in range(n_grid)]
+    assert all(calls[n - 1][0] == "step" for n in ranks if n)
+    # the live row is the mask at that point, "alive" the final mask
+    want_live = [[True, n_relax + j * spi <= 2, True] for j in range(n_grid)]
+    assert rows["live"].tolist() == want_live
+    assert rows["alive"].tolist() == [True, n_steps <= 2, True]
+    # the normals are each stream's own, drawn in order
     for i, s in enumerate((1, 2, 3)):
         want = np.random.default_rng(s).standard_normal((n_steps, 2))
         got = np.array([c[2][:, i] for c in steps]).reshape(n_steps, 2)
         assert got.tobytes() == want.tobytes()
-    assert alive.tolist() == [True, n_steps <= 2, True]
 
 
 def test_lockstep_without_noise_passes_none():
     etas = []
     run_lockstep([object()], 0, 3, 2, 3, lambda step, eta, alive: etas.append(eta),
-                 lambda j, alive: None)
+                 dict)
     assert etas == [None] * 7
+
+
+def _plain_sums(live, cols, sums, squares):
+    # the per-point loop each route ran before the reducer was shared
+    n = live.shape[0]
+    out = {"count": np.zeros(n, dtype=np.int64)}
+    for k, x in sums.items():
+        out[f"sum_{k}"] = np.zeros(n, dtype=x.dtype)
+    for k, x in squares.items():
+        out[f"sq_{k}"] = np.zeros(n, dtype=x.dtype)
+    for j in range(n):
+        a = live[j][cols]
+        out["count"][j] += int(a.sum())
+        for k, x in sums.items():
+            out[f"sum_{k}"][j] += x[j][cols][a].sum()
+        for k, x in squares.items():
+            out[f"sq_{k}"][j] += (x[j][cols][a] ** 2).sum()
+    return out
+
+
+def test_slice_sums_match_the_plain_loop():
+    rng = np.random.default_rng(2001)
+    n, B = 6, 40
+    live = rng.random((n, B)) < 0.7
+    live[2] = False                 # an all-dead grid point
+    z = rng.standard_normal((n, B)) + 1j * rng.standard_normal((n, B))
+    x = rng.standard_normal((n, B)) * 10.0 ** rng.integers(-8, 8, (n, B))
+    # grid point 4 of columns 8..15 sums to -0.0 over its live entries
+    live[4, 8:16] = [True, False] * 4
+    x[4, 8:16:2] = -0.0
+    z[4, 8:16:2] = complex(-0.0, -0.0)
+    sums, squares = {"z": z, "x": x}, {"zr": z.real, "x": x}
+    for cols in (slice(8, 16), slice(0, 33), slice(None)):
+        got = slice_sums(live, cols, sums, squares)
+        want = _plain_sums(live, cols, sums, squares)
+        assert set(got) == set(want) == {"count", "sum_z", "sum_x", "sq_zr", "sq_x"}
+        for key, val in want.items():
+            assert got[key].dtype == val.dtype, key
+            assert got[key].tobytes() == val.tobytes(), (cols, key)
+        assert got["count"][2] == 0 and got["sum_z"][2] == 0.0
+    got = slice_sums(live, slice(8, 16), sums, squares)
+    assert got["count"][4] == 4
+    # -0.0 summed into zeros is +0.0, in both parts of a complex sum
+    assert math.copysign(1.0, got["sum_x"][4]) == 1.0
+    assert math.copysign(1.0, got["sum_z"][4].real) == 1.0
+    assert math.copysign(1.0, got["sum_z"][4].imag) == 1.0
+
+
+def test_qsd_skips_a_dead_column(monkeypatch):
+    # no frozen run loses a trajectory, so mark one column of the pilot's
+    # first job dead at every grid point, with a tail far above the others:
+    # it must leave tail_max, the counts and the means alone
+    run_batch = qsd._run_batch
+    kept = []
+
+    def one_dead(indices, *args):
+        rows = run_batch(indices, *args)
+        if indices[0] == 0:
+            rows["live"][:, 3] = False
+            rows["tail"][:, 3] = 0.5
+        kept.append(rows)
+        return rows
+
+    monkeypatch.setattr(qsd, "_run_batch", one_dead)
+    ens = qsd.simulate_qsd_ensemble(_P, n_max=6, n_traj=40, t_grid=_GRID, seed=1,
+                                    relax=0.5)
+    rows = kept[-3:]   # the final cutoff's jobs: the pilot's two, then 8
+    tail = np.concatenate([r["tail"] for r in rows], axis=1)
+    live = np.concatenate([r["live"] for r in rows], axis=1)
+    v = np.concatenate([r["v"] for r in rows], axis=1)
+    assert live.sum(axis=1).tolist() == [39] * _GRID.size
+    for j in range(_GRID.size):
+        assert ens.tail_max[j] == max(tail[j][live[j]]) < 0.5
+        assert ens.V_mean[j] == pytest.approx(v[j][live[j]].mean(), rel=1e-12)
+    assert ens.discarded == 0
 
 
 _FREEZES = [(cls, name)

@@ -260,6 +260,15 @@ class TestScalarEvaluation:
                                 [np.nextafter(x[-1], x[0]), np.nextafter(x[0], x[-1]),
                                  np.nextafter(x[0], -np.inf), -0.0]])
             at = Curve(y[:-1], period=x[-1]) if periodic else Curve(y, knots=x)
+            if not periodic:
+                # a curve over its knots refuses the times past them
+                outside = (t < x[0]) | (t > x[-1])
+                for v in t[outside]:
+                    with pytest.raises(InvalidParameterError, match="span"):
+                        at(float(v))
+                with pytest.raises(InvalidParameterError, match="span"):
+                    at(t)
+                t = t[~outside]
             want = _bits(spl(np.mod(t, x[-1]) if periodic else t))
             assert (_bits(at(t)) == want).all()
             assert (_bits([at(float(v)) for v in t]) == want).all()

@@ -335,6 +335,16 @@ class TestGuards:
             with pytest.raises(InvalidParameterError, match="n_workers"):
                 simulate_ensemble(p, 8, np.linspace(0.0, 1.0, 3), seed=0,
                                   n_workers=n_workers)
+        # the scalar helpers check dt as the ensemble does, noise or not:
+        # these gave a NaN state, a step backward and NaN increments
+        st = PPState(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, t=0.0)
+        rng = np.random.default_rng(0)
+        for dt, noisy in ((math.inf, True), (-1.0, False), (math.nan, False)):
+            with pytest.raises(InvalidParameterError, match="dt"):
+                step_trajectory(st, p, dt, rng, with_noise=noisy)
+        for dt in (math.nan, math.inf, -1.0):
+            with pytest.raises(InvalidParameterError, match="dt"):
+                sample_noise(st, 1.0, 0.1, dt, rng)
 
 
 def _sha256(items) -> str:

@@ -15,6 +15,7 @@ from scipy.integrate import quad, solve_ivp
 
 from modnopo import (
     BelowThresholdError,
+    InvalidParameterError,
     asymptotic_n0,
     derive_params,
     integrate_n0,
@@ -188,11 +189,20 @@ class TestScalarInterp:
         assert (_bits([orbit.interp(x) for x in t]) == want).all()
 
     def test_transient_outside_its_span(self):
+        # inside its span a transient agrees bit for bit at every knot, at
+        # random times and at both exact edges; outside it refuses rather
+        # than extrapolate the cubic of ln n0 (2.2e18 at t = 9, where the
+        # run over (1.3, 9.0) gives 2.2e8), at a float and in an array
         traj = integrate_n0(params_from_ratios(f1_over_fbar=0.4), t_span=(1.3, 4.0),
                             n0_init=1e7, n_points=101)
-        t = np.concatenate([traj.t_grid, np.random.default_rng(1502).uniform(0.3, 5.0, 300),
-                            [0.0, np.nextafter(1.3, 0.0), np.nextafter(4.0, 5.0), 5.5]])
+        t = np.concatenate([traj.t_grid, np.random.default_rng(1502).uniform(1.3, 4.0, 300),
+                            [1.3, 4.0]])
         assert (_bits([traj.interp(float(x)) for x in t]) == _bits(traj.interp(t))).all()
+        for x in (np.nextafter(1.3, 0.0), np.nextafter(4.0, 5.0), 0.0, 5.5, 9.0, math.nan):
+            with pytest.raises(InvalidParameterError, match="span"):
+                traj.interp(float(x))
+            with pytest.raises(InvalidParameterError, match="span"):
+                traj.interp(np.array([2.0, x]))
 
     def test_zero_orbit(self):
         zero = zero_trajectory(params_from_ratios(fbar_over_fth=0.5))
