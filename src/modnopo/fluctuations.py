@@ -155,9 +155,7 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
         )
 
     def rhs(t, y):
-        # on Python floats: the same operations, without numpy's per-call cost
-        t = float(t)
-        V, J = y.tolist()
+        V, J = y
         n0 = n0_traj.interp(t)
         dV = -2.0 * (gamma + d.eps(t) + lam * n0) * V + 2.0 * lam * n0 + 2.0 * gamma + J
         dJ = -4.0 * gamma * J + 4.0 * gamma * lam * n0

@@ -28,7 +28,7 @@ import numpy as np
 from ._ensemble import (check_dt, check_workers, draw_noise, map_ordered, run_lockstep,
                         slice_sums, step_layout, std_error, sum_parts)
 from ._streams import SALT_PHASE_SPACE, trajectory_stream
-from .errors import DivergenceBudgetError, DivergenceError
+from .errors import DivergenceBudgetError, DivergenceError, InvalidParameterError
 from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
 from .semiclassical import periodic_steady_state
 
@@ -199,12 +199,13 @@ class EnsembleMoments:
     residual_stderr: np.ndarray | None = None   # (3, n_interior)
 
 
-def _initial_amplitude(p: ModelParams, t_start: float) -> float:
-    """Deterministic periodic starting point: all amplitudes sqrt(n0)."""
+def _classical_start(p: ModelParams, t_start: float) -> tuple[float, float]:
+    """Deterministic periodic starting point, all amplitudes sqrt(n0), and
+    the classical orbit's peak n0 (both 0 at or below threshold)."""
     if regime_classify(p) is Regime.ABOVE_THRESHOLD:
-        n0 = float(periodic_steady_state(p).interp(t_start))
-        return math.sqrt(max(n0, 0.0))
-    return 0.0
+        orbit = periodic_steady_state(p)
+        return math.sqrt(max(float(orbit.interp(t_start)), 0.0)), orbit.max_n0()
+    return 0.0, 0.0
 
 
 def _run_batch(
@@ -316,7 +317,9 @@ def simulate_ensemble(
     amplitudes sqrt(n0) at the start time; vacuum at or below threshold),
     relax for `relax` before the first grid time, and are sampled at
     t_grid, which must be uniform.  The step dt is rounded down so grid
-    times land exactly on steps.  Trajectories whose amplitude leaves the
+    times land exactly on steps, and refused at or past the explicit
+    step's stability limit, dt*(gamma + max|eps| + 2 lam n0_max) = 1 with
+    n0_max the classical orbit's peak.  Trajectories whose amplitude leaves the
     divergence guard are frozen and dropped from later averages; a
     discarded fraction above 0.1% raises, since further bias would not be
     visible in the statistical error.
@@ -337,7 +340,15 @@ def simulate_ensemble(
 
     d = derive_params(p)
     guard = divergence_guard(d)
-    amp0 = _initial_amplitude(p, t_start)
+    amp0, n0_max = _classical_start(p, t_start)
+    # The explicit step overshoots once dt times the fastest drift rate
+    # reaches 1 (Kloeden & Platen 1992); gamma + max|eps| + 2 lam n0_max
+    # bounds that rate along the classical orbit.
+    rate = d.gamma + d.eps_peak + 2.0 * d.lam * n0_max
+    if dt_eff * rate >= 1.0:
+        raise InvalidParameterError(
+            f"dt={dt_eff:.4g} is unstable for the positive-P step: the explicit "
+            f"step needs dt < {1.0 / rate:.4g} here")
 
     # The pump at the start of each step.  The step times are a running sum
     # from t_start, as a step-by-step clock gives; t_start + k*dt_eff would

@@ -5,7 +5,9 @@ Two independent routes compute the same periodic orbit n0(t):
 * integrate_n0 / periodic_steady_state: direct adaptive integration of the
   mean-field equation dn0/dt = 2 n0 (eps(t) - gamma - lam n0), carried out
   in u = ln(n0) so positivity is structural and 8-decade swings of n0 cost
-  nothing in accuracy;
+  nothing in accuracy.  The integrator, _rk45, is the one both ODE routes
+  use: scipy's RK45 taken operation for operation on Python floats, so it
+  gives scipy's bits without scipy's per-step machinery;
 
 * asymptotic_n0: the closed-form periodic solution, a backward-in-time
   Laplace-type integral 1/n0(t) = 2 lam * int_0^inf exp(-2 int_0^s
@@ -21,10 +23,10 @@ the other beyond the pump profile itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _tailquad
 from .errors import (BelowThresholdError, ConvergenceError, CrossCheckError,
@@ -43,10 +45,11 @@ ODE_ATOL = 1e-12
 # steps up to about 3.3/r on a decay of rate r, so a period takes about
 # r*T/3.3 steps whatever the tolerance (flat pump at delta=2: 1,995 steps
 # counted against 1,902 estimated at pump ratio 1e3, 19,073 against 19,038
-# at 1e4).  A step costs about 24 us on a 2-CPU x86 host and the period
-# iteration runs several periods, so the budget is a few seconds per
-# period: pump ratio 1e4 still runs (a sweep cell in about 6 s), 1e6 would
-# need about 2e6 steps per period.
+# at 1e4).  A step of the orbit costs 26-29 us on a 2-vCPU x86 VM (it
+# cost 69-75 us there through scipy's solve_ivp) and the period iteration
+# runs several periods, so the budget is a few seconds per period: pump
+# ratio 1e4 still runs (a sweep cell in 6.8 s, 15.1 s through solve_ivp),
+# 1e6 would need about 2e6 steps per period.
 _STEP_BUDGET = 100_000
 
 
@@ -107,15 +110,141 @@ def _du_dt(d: DerivedParams):
     gamma = d.gamma
     lam = d.lam
 
-    def rhs(t, u):
+    def rhs(t, y):
         # Clip keeps rejected trial steps of the solver from overflowing;
         # any physical orbit stays far below exp(700).  Scalar floats carry
         # the arithmetic (a NaN u stays NaN); np.exp keeps numpy's bits.
-        u = u.item()
+        (u,) = y
         n0 = float(np.exp(u if not u > 700.0 else 700.0))
-        return [2.0 * (d.eps(float(t)) - gamma - lam * n0)]
+        return (2.0 * (d.eps(t) - gamma - lam * n0),)
 
     return rhs
+
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 19 (1980)) with Shampine's quartic dense output, written in the fractions
+# of scipy's RK45, so that every coefficient carries scipy's bits.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_EXPONENT = -1 / 5      # -1/(error estimator order + 1)
+
+
+def _rk45(rhs, t0: float, t1: float, y0, t_eval: np.ndarray, rtol: float, atol: float,
+          route: str):
+    """RK45 from t0 to t1 > t0: y on the ascending t_eval as an (n,
+    len(t_eval)) array, and y at t1 from the last step's dense output.
+
+    Takes scipy's RK45 under solve_ivp(t_eval=..., dense_output=True)
+    operation for operation, so it gives scipy's bits: the same initial
+    step, step control and dense output, and each sum scipy forms with
+    np.dot stays an np.dot on scipy's operand shapes (this BLAS evaluates
+    them as fused multiply-add chains).  The elementwise work runs on
+    Python floats; rhs(t, y) takes and returns floats.  A step that must
+    shrink below ten float spacings of t (a NaN error does that) raises
+    RuntimeError naming the route.
+    """
+    n = len(y0)
+    root_n = n ** 0.5
+
+    def rms(x):
+        x = np.array(x)
+        return math.sqrt(x.dot(x)) / root_n
+
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    K = np.empty((7, n))
+    stages = [(s, K[:s].T, _A[s, :s], c) for s, c in enumerate(_C.tolist()) if s]
+    K_B, K_T = K[:-1].T, K.T
+    y = [float(v) for v in y0]
+    f = rhs(t0, y)
+
+    # The first step, as scipy's select_initial_step takes it for order 4.
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = rms([v / w for v, w in zip(y, scale)])
+    d1 = rms([v / w for v, w in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+    f1 = rhs(t0 + h0, [v + h0 * g for v, g in zip(y, f)])
+    d2 = rms([(a - b) / w for a, b, w in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t1 - t0)
+
+    te = t_eval.tolist()
+    steps = []          # (grid points, t_old, h, y_old, Q) of each step that holds some
+    i = 0
+    t = t0
+    while t < t1:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise RuntimeError(f"{route} integration failed: Required step size "
+                                   "is less than spacing between numbers.")
+            t_new = t + h_abs
+            if t_new > t1:
+                t_new = t1
+            h = h_abs = t_new - t
+            K[0] = f
+            for s, KT, a, c in stages:
+                K[s] = rhs(t + c * h, [v + d * h for v, d in zip(y, np.dot(KT, a).tolist())])
+            y_new = [v + h * d for v, d in zip(y, np.dot(K_B, _B).tolist())]
+            f_new = K[6] = rhs(t + h, y_new)
+            # a NaN-propagating max, as np.maximum is
+            scale = [atol + (b if b > a or b != b else a) * rtol
+                     for a, b in ((abs(u), abs(v)) for u, v in zip(y, y_new))]
+            error_norm = rms([e * h / w for e, w in zip(np.dot(K_T, _E).tolist(), scale)])
+            # scipy's SAFETY 0.9, MAX_FACTOR 10 and MIN_FACTOR 0.2
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** _EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** _EXPONENT)
+            rejected = True
+        t_old, t, y_old, y, f = t, t_new, y, y_new, f_new
+        Q = K_T.dot(_P)
+        j = bisect_right(te, t)
+        if j > i:
+            steps.append((j - i, t_old, h, y_old, Q))
+            i = j
+
+    # Each step's quartic at its grid points, the elementwise work done for
+    # all steps at once: y = h * Q.p + y_old, p = (x, x^2, x^3, x^4) by
+    # running products, x = (t - t_old)/h.
+    m, t_olds, hs, y_olds, Qs = zip(*steps)
+    h_at = np.repeat(hs, m)
+    x = (t_eval - np.repeat(t_olds, m)) / h_at
+    p = np.empty((4, x.size))
+    p[0] = x
+    for k in 1, 2, 3:
+        np.multiply(p[k - 1], x, out=p[k])
+    ends = np.cumsum(m).tolist()
+    qp = np.hstack([np.dot(q, p[:, b - k:b]) for q, k, b in zip(Qs, m, ends)])
+    out = h_at * qp + np.repeat(np.array(y_olds).T, m, axis=1)
+    return out, [v + h * q for v, q in zip(y_old, np.dot(Q, np.ones(4)).tolist())]
 
 
 def integrate_n0(
@@ -131,18 +260,15 @@ def integrate_n0(
     """
     if n0_init < 0:
         raise ValueError(f"n0_init must be >= 0, got {n0_init}")
+    if not t_span[1] > t_span[0]:
+        raise InvalidParameterError(f"t_span must run forward, got {t_span}")
     d = derive_params(p)
     t_eval = np.linspace(t_span[0], t_span[1], n_points)
     if n0_init == 0.0:
         return SemiclassicalTrajectory(t_grid=t_eval, n0=np.zeros(n_points),
                                        period=d.period)
-    sol = solve_ivp(
-        _du_dt(d), t_span, [math.log(n0_init)], method="RK45",
-        t_eval=t_eval, rtol=ODE_RTOL, atol=ODE_ATOL,
-    )
-    if not sol.success:
-        raise RuntimeError(f"photon-number integration failed: {sol.message}")
-    u = sol.y[0]
+    u = _rk45(_du_dt(d), float(t_span[0]), float(t_span[1]), [math.log(n0_init)], t_eval,
+              ODE_RTOL, ODE_ATOL, "photon-number")[0][0]
     with np.errstate(under="ignore"):
         n0 = np.exp(u)
     return SemiclassicalTrajectory(t_grid=t_eval, n0=n0, period=d.period,
@@ -181,15 +307,8 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     need = math.inf
     for period_idx in range(MAX_PERIODS):
         t0 = period_idx * T
-        sol = solve_ivp(
-            rhs, (t0, t0 + T), y0, method="RK45",
-            t_eval=t0 + offsets, rtol=rtol, atol=ODE_ATOL,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise RuntimeError(f"{route} integration failed: {sol.message}")
-        now = sol.y[0]
-        y0 = [float(v) for v in sol.sol(t0 + T)]
+        grid, y0 = _rk45(rhs, t0, t0 + T, y0, t0 + offsets, rtol, ODE_ATOL, route)
+        now = grid[0]
         if prev is not None:
             change, bound = gap(prev, now)
             if change < bound:

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from modnopo import positivep, qsd
+from modnopo import (Regime, config_to_params, derive_params, periodic_steady_state,
+                     positivep, qsd, regime_classify)
 from modnopo.cli import build_parser, main
 
 
@@ -326,6 +327,15 @@ def test_stiff_orbit_is_refused_up_front(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_does_not_import_scipy_integrate():
+    # the ODE routes run their own RK45, so the command line never pays for
+    # importing scipy.integrate
+    code = "import sys, modnopo.cli; assert 'scipy.integrate' not in sys.modules"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("argv,route", [
     (["variance", "--fbar=-0.999", "--f1", "1.4", "--delta", "40", "--points", "3"],
      "the variance"),
@@ -489,6 +499,23 @@ def test_unstable_qsd_step_fails_cleanly(tmp_path, capsys, dt):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("dt,code", [("1", 1), ("0.5", 0)])
+def test_unstable_positivep_step_fails_cleanly(tmp_path, capsys, dt, code):
+    # dt 1 gives a step of 0.785, past 1/(gamma + eps) = 0.769 below
+    # threshold: this run used to report V_mean 0.603 with exit 0 (0.779 is
+    # right); dt 0.5 gives 0.393 and still runs
+    assert main(["positivep", "--out", str(tmp_path), "--lam", "0.1", "--fbar", "0.3",
+                 "--traj", "256", "--grid-points", "3", "--relax", "5",
+                 "--dt", dt]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert not err and len(list(tmp_path.iterdir())) == 1
+        return
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "dt=0.7854" in err and "dt < 0.7692" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command,route", [
     ("positivep", positivep), ("compare", positivep), ("qsd", qsd), ("fig4", qsd),
 ])
@@ -544,6 +571,16 @@ def _qsd_step_stable(meta) -> bool:
     return float(meta["dt"]) * (2.0 * n + lam * n * n) < 1.0
 
 
+def _positivep_step_stable(meta) -> bool:
+    # the explicit positive-P step needs dt times the fastest drift rate,
+    # gamma + max|eps| + 2 lam n0_max on the classical orbit, below 1
+    p = config_to_params(json.loads(meta["config"]))
+    d = derive_params(p)
+    above = regime_classify(p) is Regime.ABOVE_THRESHOLD
+    n0_max = periodic_steady_state(p).max_n0() if above else 0.0
+    return float(meta["dt"]) * (d.gamma + d.eps_peak + 2.0 * d.lam * n0_max) < 1.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     command=st.sampled_from(["positivep", "qsd"]),
@@ -570,6 +607,8 @@ def test_fuzzed_ensemble_flags_give_finite_csv_or_one_error(command, dt, fbar, f
         assert cols["t"].size == points, argv
         if command == "qsd":
             assert _qsd_step_stable(meta), (argv, meta)
+        else:
+            assert _positivep_step_stable(meta), (argv, meta)
 
 
 _SMALL_RUN = {

@@ -31,7 +31,7 @@ from modnopo import positivep
 from modnopo.positivep import (
     BATCH,
     PPState,
-    _initial_amplitude,
+    _classical_start,
     _run_batch,
     sample_noise,
     step_trajectory,
@@ -306,12 +306,22 @@ class TestStepGroups:
 
 
 class TestGuards:
-    def test_unstable_step_raises(self):
-        # dt far past the stability limit: everything diverges and the
-        # run must refuse to report
+    def test_unstable_step_is_refused(self):
+        # dt far past the stability limit, where every trajectory diverges:
+        # the drift rate gamma + eps + 2 lam n0 is 1 + 3 + 4 = 8, so the run
+        # must refuse before stepping and name the limit 1/8
         p = params_from_ratios(fbar_over_fth=3.0, lam_over_gamma=0.1)
-        with pytest.raises(DivergenceBudgetError):
+        with pytest.raises(InvalidParameterError, match=r"dt=0\.5 .* dt < 0\.125 "):
             simulate_ensemble(p, 64, np.linspace(0.0, 2.0, 5), seed=1, dt=0.5)
+
+    def test_divergence_over_budget_raises(self, monkeypatch):
+        # a stable step, but a guard just above the orbit that freezes most
+        # trajectories: the run must refuse to report
+        monkeypatch.setattr(positivep, "divergence_guard", lambda d: 13.5)
+        p = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5,
+                               delta_over_gamma=2.0, lam_over_gamma=LAM)
+        with pytest.raises(DivergenceBudgetError, match="diverged"):
+            simulate_ensemble(p, 64, np.linspace(0.0, 0.5, 6), seed=1, relax=0.3)
 
     def test_input_validation(self):
         p = params_from_ratios(fbar_over_fth=2.0, lam_over_gamma=LAM)
@@ -437,5 +447,5 @@ def _masked_batch_args(p):
     for _ in range(n_relax + (t_grid.size - 1) * spi):
         eps_steps.append(float(d.eps(t)))
         t += dt
-    return (d, 1104, _initial_amplitude(p, t_start), eps_steps, n_relax, spi,
+    return (d, 1104, _classical_start(p, t_start)[0], eps_steps, n_relax, spi,
             t_grid, dt, 13.5, True)

@@ -11,19 +11,23 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import RK45, quad, solve_ivp
 
 from modnopo import (
     BelowThresholdError,
     InvalidParameterError,
+    ModelParams,
+    TabulatedPeriodic,
     asymptotic_n0,
     derive_params,
     integrate_n0,
+    integrate_variance,
     params_from_ratios,
     periodic_steady_state,
     zero_trajectory,
 )
-from modnopo.semiclassical import asymptotic_log_n0
+from modnopo import semiclassical
+from modnopo.semiclassical import _periodic_attractor, asymptotic_log_n0
 
 
 def oracle_inverse_n0(p, t):
@@ -209,3 +213,83 @@ class TestScalarInterp:
         got = zero.interp(0.3)
         assert type(got) is float and _bits(got) == _bits(0.0)
         assert (zero.interp(np.linspace(-1.0, 9.0, 7)) == 0.0).all()
+
+
+def _tabulated_pump():
+    """A two-harmonic tabulated pump at 1.6 times threshold."""
+    x = np.arange(128) * (2.0 * math.pi / 128)
+    f_th = 25.0 / 5e-4
+    samples = f_th * (1.6 + 0.9 * np.cos(x) + 0.3 * np.sin(2.0 * x))
+    return ModelParams(gamma=1.0, gamma3=25.0, k=5e-4,
+                       modulation=TabulatedPeriodic(period=math.pi, samples=tuple(samples)))
+
+
+class TestRK45:
+    """The ODE routes' own RK45 against the integrator it mirrors: solve_ivp's
+    RK45 with t_eval and dense output must give the same float bits on the
+    grid and at the end of every call the routes make."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        real = semiclassical._rk45
+        routes = []
+
+        def checked(rhs, t0, t1, y0, t_eval, rtol, atol, route):
+            grid, end = real(rhs, t0, t1, y0, t_eval, rtol, atol, route)
+            ref = solve_ivp(lambda t, y: rhs(float(t), y.tolist()), (t0, t1), y0,
+                            method="RK45", t_eval=t_eval, rtol=rtol, atol=atol,
+                            dense_output=True)
+            assert ref.success
+            assert grid.shape == ref.y.shape and (_bits(grid) == _bits(ref.y)).all(), (route, t0)
+            assert (_bits(end) == _bits(ref.sol(t1))).all(), (route, t0)
+            routes.append(route)
+            return grid, end
+
+        monkeypatch.setattr(semiclassical, "_rk45", checked)
+        return routes
+
+    def test_both_routes_every_period(self, calls):
+        # seeded points over delta 0.3-15 and f1/fbar 0-2, the pump ratio in
+        # each twelfth of 0.4-3.9 (below and above threshold), and a
+        # tabulated pump
+        rng = np.random.default_rng(2111)
+        points = [params_from_ratios(delta_over_gamma=rng.uniform(0.3, 15.0),
+                                     fbar_over_fth=0.4 + 3.5 * (k + rng.uniform()) / 12,
+                                     f1_over_fbar=rng.uniform(0.0, 2.0),
+                                     phi=rng.uniform(0.0, 2.0 * math.pi))
+                  for k in range(12)]
+        for p in [*points, _tabulated_pump()]:
+            integrate_variance(p)
+        assert calls.count("the variance") >= 3 * 13
+        assert calls.count("the photon-number orbit") >= 3 * 6
+
+    def test_transient(self, calls):
+        p = params_from_ratios(f1_over_fbar=0.4)
+        integrate_n0(p, t_span=(0.0, 40.0), n0_init=10.0, n_points=401)
+        integrate_n0(p, t_span=(1.3, 4.0), n0_init=1e7, n_points=101)
+        assert calls == ["photon-number"] * 2
+
+    def test_tableau_is_scipys(self):
+        for name in "CABEP":
+            ours, theirs = getattr(semiclassical, f"_{name}"), getattr(RK45, name)
+            assert ours.shape == theirs.shape and (_bits(ours) == _bits(theirs)).all(), name
+
+    def test_nan_rhs_raises_naming_the_route(self):
+        # NaN from t = 0.3 on: scipy fails there too; NaN from the start,
+        # where scipy's step size turns NaN and it never stops, fails at once
+        def nan_late(t, y):
+            return (math.nan if t > 0.3 else -y[0],)
+
+        ref = solve_ivp(lambda t, y: nan_late(float(t), y.tolist()), (0.0, 1.0), [1.0],
+                        t_eval=np.linspace(0.0, 1.0, 5), rtol=1e-10, atol=1e-12)
+        assert ref.status == -1
+        d = derive_params(params_from_ratios())
+        for rhs in (nan_late, lambda t, y: (math.nan,)):
+            with pytest.raises(RuntimeError, match=(
+                    r"^the variance integration failed: Required step size is less than "
+                    r"spacing between numbers\.$")):
+                _periodic_attractor(d, rhs, [1.0], None, "the variance", 1.0, 0.5)
+
+    def test_backward_span_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="forward"):
+            integrate_n0(params_from_ratios(), t_span=(3.0, 1.0), n0_init=1.0)
