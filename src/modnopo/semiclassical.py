@@ -256,12 +256,15 @@ def integrate_n0(
     """Integrate the photon-number equation over t_span from n0_init.
 
     n0_init = 0 returns the exact zero fixed point without touching the
-    integrator.  Positive starts are integrated in u = ln n0.
+    integrator.  Positive starts are integrated in u = ln n0.  t_span must
+    run forward, and n_points is at least 2.
     """
     if n0_init < 0:
         raise ValueError(f"n0_init must be >= 0, got {n0_init}")
     if not t_span[1] > t_span[0]:
         raise InvalidParameterError(f"t_span must run forward, got {t_span}")
+    if n_points < 2:
+        raise InvalidParameterError(f"n_points must be at least 2, got {n_points}")
     d = derive_params(p)
     t_eval = np.linspace(t_span[0], t_span[1], n_points)
     if n0_init == 0.0:

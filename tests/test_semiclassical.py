@@ -290,6 +290,12 @@ class TestRK45:
                     r"spacing between numbers\.$")):
                 _periodic_attractor(d, rhs, [1.0], None, "the variance", 1.0, 0.5)
 
-    def test_backward_span_is_refused(self):
+    def test_backward_span_or_too_few_points_is_refused(self):
+        # the integrator runs forward only; one point or none used to fail
+        # with a bare IndexError or scipy's ValueError
+        p = params_from_ratios()
         with pytest.raises(InvalidParameterError, match="forward"):
-            integrate_n0(params_from_ratios(), t_span=(3.0, 1.0), n0_init=1.0)
+            integrate_n0(p, t_span=(3.0, 1.0), n0_init=1.0)
+        for n in (0, 1):
+            with pytest.raises(InvalidParameterError, match="n_points"):
+                integrate_n0(p, t_span=(0.0, 1.0), n0_init=1.0, n_points=n)
