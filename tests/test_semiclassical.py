@@ -250,18 +250,18 @@ class TestRK45:
 
     def test_both_routes_every_period(self, calls):
         # seeded points over delta 0.3-15 and f1/fbar 0-2, the pump ratio in
-        # each twelfth of 0.4-3.9 (below and above threshold), and a
-        # tabulated pump
+        # each twelfth of 0.4-3.9 (below and above threshold), a tabulated
+        # pump, and a stiff flat pump whose steps hold one grid point or none
         rng = np.random.default_rng(2111)
         points = [params_from_ratios(delta_over_gamma=rng.uniform(0.3, 15.0),
                                      fbar_over_fth=0.4 + 3.5 * (k + rng.uniform()) / 12,
                                      f1_over_fbar=rng.uniform(0.0, 2.0),
                                      phi=rng.uniform(0.0, 2.0 * math.pi))
                   for k in range(12)]
-        for p in [*points, _tabulated_pump()]:
+        for p in [*points, _tabulated_pump(), params_from_ratios(fbar_over_fth=1e3)]:
             integrate_variance(p)
-        assert calls.count("the variance") >= 3 * 13
-        assert calls.count("the photon-number orbit") >= 3 * 6
+        assert calls.count("the variance") >= 3 * 14
+        assert calls.count("the photon-number orbit") >= 3 * 12
 
     def test_transient(self, calls):
         p = params_from_ratios(f1_over_fbar=0.4)
