@@ -12,8 +12,16 @@ loop, run_lockstep.  It draws each trajectory's normals from its own stream
 in chunks (draw_noise), calls the route's advance(step, eta, alive) once per
 step and its record() once per grid point after the relaxation window, owns
 the alive mask that advance may clear, and returns the records as rows.
-One reducer, slice_sums, sums rows over their live trajectories.  A route
-keeps only its step kernel, its guard and what it records and sums.
+One reducer, slice_sums, sums rows over their live trajectories.
+
+Both drivers share their front and back too.  The front, step_layout,
+refuses fewer than 2 trajectories and a bad worker count or grid, and
+lays the steps onto the grid.  The back is check_survivors, which refuses
+a grid point with fewer than 2 live trajectories and a run that lost more
+than DIVERGENCE_BUDGET, and mean_and_stderr, which turns the reduced sums
+into a mean and its standard error.  A route keeps only its step kernel,
+its guard, what it records and sums, its job layout and its pump clock;
+state diffusion also keeps its pilot and cutoff growth.
 
 Each pool has one stop event, handed to its workers when they start.  The
 pool sets it as soon as a job fails, and run_lockstep checks it once per
@@ -30,7 +38,7 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DivergenceBudgetError, InvalidParameterError
 
 # Euler steps one trajectory may take: 2000 times the default relaxation
 # window at the default step, and already minutes to hours per batch.
@@ -41,6 +49,9 @@ NOISE_CHUNK = 1024          # steps of normals drawn per stream at a time
 # a time instead of a larger buffer.
 NOISE_NORMALS = 1_048_576
 DRAW_BLOCK = 16             # streams drawn between transposing copies
+# Largest share of a run's trajectories that may leave through the route's
+# guard; past it the bias of dropping them would not show in the errors.
+DIVERGENCE_BUDGET = 1e-3
 
 _stop = None                # the pool's stop event, in a worker process
 
@@ -55,15 +66,22 @@ def check_dt(dt: float) -> None:
         raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
 
 
-def step_layout(t_grid: np.ndarray, dt: float, relax: float):
-    """Fixed-step layout of a run sampled on the uniform grid t_grid.
+def step_layout(t_grid, dt: float, relax: float, n_traj: int, n_workers: int):
+    """Check an ensemble's request and lay its fixed steps onto the grid.
 
-    dt is rounded down so that every grid time lands on a step, and the
-    relaxation window before the first grid time is a whole number of
-    steps (a negative relax means none).  Returns (spi, dt_eff, n_relax,
-    t_start): steps per grid interval, the step used, the relaxation
-    steps and the start time.
+    Refuses fewer than 2 trajectories, a worker count below 1, a t_grid
+    that is not uniform and increasing, a bad dt or relax, and a run past
+    MAX_STEPS.  dt is rounded down so that every grid time lands on a
+    step, and the relaxation window before the first grid time is a whole
+    number of steps (a negative relax means none).  Returns (t_grid, spi,
+    dt_eff, n_relax, t_start, n_steps): the grid as floats, steps per grid
+    interval, the step used, the relaxation steps, the start time and the
+    steps of one trajectory.
     """
+    if n_traj < 2:
+        raise InvalidParameterError(f"need at least 2 trajectories, got {n_traj}")
+    check_workers(n_workers)
+    t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or not np.isfinite(t_grid).all():
         raise InvalidParameterError("t_grid must be a nonempty 1-d array of finite times")
     check_dt(dt)
@@ -87,7 +105,7 @@ def step_layout(t_grid: np.ndarray, dt: float, relax: float):
             f"trajectory, more than {MAX_STEPS}; shorten relax or the grid, or raise dt"
         )
     t_start = float(t_grid[0]) - n_relax * dt_eff
-    return spi, dt_eff, n_relax, t_start
+    return t_grid, spi, dt_eff, n_relax, t_start, n_steps
 
 
 def draw_noise(streams: list, out: np.ndarray) -> None:
@@ -238,3 +256,21 @@ def std_error(sq, mean, count):
     """Standard error of a mean from the sum of squares of count samples."""
     var = (sq - count * mean**2) / (count - 1.0)
     return np.sqrt(np.maximum(var, 0.0) / count)
+
+
+def mean_and_stderr(total: dict, key: str):
+    """Mean of the real part of sum_<key> over count, and its standard error."""
+    mean = total[f"sum_{key}"].real / total["count"]
+    return mean, std_error(total[f"sq_{key}"], mean, total["count"])
+
+
+def check_survivors(count: np.ndarray, discarded: int, n_traj: int) -> None:
+    """Refuse a grid point with fewer than 2 live trajectories, and a run
+    that discarded more than DIVERGENCE_BUDGET of its trajectories."""
+    if (count < 2).any():
+        raise DivergenceBudgetError(
+            "fewer than 2 surviving trajectories at some grid point")
+    if discarded > DIVERGENCE_BUDGET * n_traj:
+        raise DivergenceBudgetError(
+            f"{discarded} of {n_traj} trajectories diverged, over the "
+            f"{DIVERGENCE_BUDGET:.1%} budget; results would be biased")

@@ -47,8 +47,7 @@ from .semiclassical import (
     SemiclassicalTrajectory,
     _periodic_attractor,
     asymptotic_log_n0,
-    periodic_steady_state,
-    zero_trajectory,
+    classical_orbit,
 )
 
 INSEPARABILITY_BOUND = 2.0   # on the two-angle variance sum
@@ -128,12 +127,6 @@ class VarianceTrajectory:
         return self._curve(t)
 
 
-def _pick_n0(p: ModelParams) -> SemiclassicalTrajectory:
-    if regime_classify(p) is Regime.ABOVE_THRESHOLD:
-        return periodic_steady_state(p)
-    return zero_trajectory(p)
-
-
 def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     """Drive the variance ODE to its periodic attractor.
 
@@ -142,7 +135,7 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     until the sampled V changes by less than PERIODIC_TOL anywhere.
     """
     d = derive_params(p)
-    n0_traj = _pick_n0(p)
+    n0_traj = classical_orbit(p)
     gamma, lam, T = d.gamma, d.lam, d.period
     # V's period map multiplies deviations by exp(-2 T <gamma + eps + lam n0>),
     # J's by exp(-4 gamma T); without net damping no periodic state
@@ -333,7 +326,7 @@ def find_vmin(p: ModelParams, route: str = "ode") -> VminResult:
         ev = _variance_evaluator(p)
         T = derive_params(p).period
         f = lambda t: float(ev(np.mod(t, T))[0]) if np.ndim(t) == 0 else ev(t)
-        n0_traj = _pick_n0(p)
+        n0_traj = classical_orbit(p)
     else:
         raise ValueError(f"unknown route {route!r}, expected 'ode' or 'closed'")
 

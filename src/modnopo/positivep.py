@@ -25,12 +25,13 @@ from functools import partial
 
 import numpy as np
 
-from ._ensemble import (check_dt, check_workers, draw_noise, map_ordered, run_lockstep,
-                        slice_sums, step_layout, std_error, sum_parts)
+from ._ensemble import (DIVERGENCE_BUDGET, check_dt, check_survivors, draw_noise,
+                        map_ordered, mean_and_stderr, run_lockstep, slice_sums,
+                        step_layout, std_error, sum_parts)
 from ._streams import SALT_PHASE_SPACE, trajectory_stream
-from .errors import DivergenceBudgetError, DivergenceError, InvalidParameterError
-from .model import DerivedParams, ModelParams, Regime, derive_params, regime_classify
-from .semiclassical import periodic_steady_state
+from .errors import DivergenceError, InvalidParameterError
+from .model import DerivedParams, ModelParams, derive_params
+from .semiclassical import classical_orbit
 
 BATCH = 256                 # trajectories summed together; fixed for determinism
 # Batches stepped as one array.  Serial kernel throughput at criterion 7's
@@ -41,7 +42,6 @@ _STEP_GROUP = 4
 DEFAULT_DT = 1e-3
 RELAX_WINDOW = 5.0          # discarded settling time before the grid, in 1/gamma
 DIVERGENCE_GUARD_FACTOR = 1e3
-DIVERGENCE_BUDGET = 1e-3
 
 
 @dataclass(frozen=True)
@@ -202,10 +202,8 @@ class EnsembleMoments:
 def _classical_start(p: ModelParams, t_start: float) -> tuple[float, float]:
     """Deterministic periodic starting point, all amplitudes sqrt(n0), and
     the classical orbit's peak n0 (both 0 at or below threshold)."""
-    if regime_classify(p) is Regime.ABOVE_THRESHOLD:
-        orbit = periodic_steady_state(p)
-        return math.sqrt(max(float(orbit.interp(t_start)), 0.0)), orbit.max_n0()
-    return 0.0, 0.0
+    orbit = classical_orbit(p)
+    return math.sqrt(max(float(orbit.interp(t_start)), 0.0)), orbit.max_n0()
 
 
 def _run_batch(
@@ -321,8 +319,7 @@ def simulate_ensemble(
     step's stability limit, dt*(gamma + max|eps| + 2 lam n0_max) = 1 with
     n0_max the classical orbit's peak.  Trajectories whose amplitude leaves the
     divergence guard are frozen and dropped from later averages; a
-    discarded fraction above 0.1% raises, since further bias would not be
-    visible in the statistical error.
+    discarded fraction above DIVERGENCE_BUDGET raises (check_survivors).
 
     The trajectories form batches of BATCH; each job of the ordered pool
     steps up to _STEP_GROUP consecutive batches as one array, with at least
@@ -330,13 +327,10 @@ def simulate_ensemble(
     batches' sums are reduced in batch order, so the grouping (which
     depends on n_workers) changes no byte.
     """
-    if n_traj < 2:
-        raise ValueError(f"need at least 2 trajectories, got {n_traj}")
-    check_workers(n_workers)
-    t_grid = np.asarray(t_grid, dtype=float)
-    spi, dt_eff, n_relax, t_start = step_layout(t_grid, dt, relax)
+    t_grid, spi, dt_eff, n_relax, t_start, n_steps = step_layout(
+        t_grid, dt, relax, n_traj, n_workers)
     if collect_extended and t_grid.size < 3:
-        raise ValueError("extended collection needs at least 3 grid points")
+        raise InvalidParameterError("extended collection needs at least 3 grid points")
 
     d = derive_params(p)
     guard = divergence_guard(d)
@@ -353,7 +347,6 @@ def simulate_ensemble(
     # The pump at the start of each step.  The step times are a running sum
     # from t_start, as a step-by-step clock gives; t_start + k*dt_eff would
     # differ in the last bits.
-    n_steps = n_relax + (t_grid.size - 1) * spi
     times = np.add.accumulate(np.r_[t_start, np.full(max(n_steps - 1, 0), dt_eff)])
     eps_steps = d.eps(times[:n_steps]).tolist()
     job = partial(_run_batch, d=d, seed=seed, amp0=amp0, eps_steps=eps_steps,
@@ -368,29 +361,15 @@ def simulate_ensemble(
     jobs = [np.arange(lo, min(lo + width, n_traj)) for lo in range(0, n_traj, width)]
     total = sum_parts(acc for accs in map_ordered(job, jobs, n_workers) for acc in accs)
 
-    cnt = total["count"].astype(float)
-    if np.any(cnt < 2):
-        raise DivergenceBudgetError(
-            "fewer than 2 surviving trajectories at some grid point"
-        )
-
-    def mean_and_stderr(s_key: str, q_key: str):
-        mean = total[s_key].real / cnt
-        return mean, std_error(total[q_key], mean, cnt)
-
-    np_mean, np_se = mean_and_stderr("sum_np", "sq_np")
-    R_mean, R_se = mean_and_stderr("sum_R", "sq_R")
-    Z_mean, Z_se = mean_and_stderr("sum_Z", "sq_Z")
+    cnt = total["count"]
+    discarded = n_traj - total["alive_final"]
+    check_survivors(cnt, discarded, n_traj)
+    np_mean, np_se = mean_and_stderr(total, "np")
+    R_mean, R_se = mean_and_stderr(total, "R")
+    Z_mean, Z_se = mean_and_stderr(total, "Z")
     p1_mean = total["sum_p1"].real / cnt
     p2_mean = total["sum_p2"].real / cnt
     pd_se = std_error(total["sq_pd"], p1_mean - p2_mean, cnt)
-
-    discarded = n_traj - total["alive_final"]
-    if discarded > DIVERGENCE_BUDGET * n_traj:
-        raise DivergenceBudgetError(
-            f"{discarded}/{n_traj} trajectories diverged, over the "
-            f"{DIVERGENCE_BUDGET:.1%} budget; results would be biased"
-        )
 
     out = EnsembleMoments(
         t_grid=t_grid,

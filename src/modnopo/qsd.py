@@ -20,19 +20,13 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    BelowThresholdError,
-    ConvergenceError,
-    DivergenceBudgetError,
-    FockDimensionError,
-    InvalidParameterError,
-    TruncationError,
-)
-from ._ensemble import (check_dt, check_workers, draw_noise, map_ordered, run_lockstep,
-                        slice_sums, step_layout, std_error, sum_parts)
+from .errors import ConvergenceError, FockDimensionError, InvalidParameterError, TruncationError
+from ._ensemble import (DIVERGENCE_BUDGET, check_dt, check_survivors, draw_noise,
+                        map_ordered, mean_and_stderr, run_lockstep, slice_sums,
+                        step_layout, std_error, sum_parts)
 from ._streams import SALT_STATE_DIFFUSION, trajectory_stream
 from .model import DerivedParams, ModelParams, derive_params
-from .semiclassical import periodic_steady_state
+from .semiclassical import classical_orbit
 
 DEFAULT_DT = 1e-3
 RELAX_WINDOW = 5.0
@@ -47,7 +41,6 @@ MAX_PRODUCT_DIM = 40_000
 _BATCH_ELEMENTS = 4_194_304
 _MAX_GROW_ROUNDS = 25
 _PILOT_TRAJ = 32
-DIVERGENCE_BUDGET = 1e-3
 
 
 def ladder(n_max: int) -> sp.csr_matrix:
@@ -270,19 +263,18 @@ class _TailTripped(Exception):
     """Internal: some trajectory exceeded the tail bound; grow the cutoff."""
 
 
-def _classical_orbit_max(p: ModelParams) -> float:
-    d = derive_params(p)
-    if d.eps_bar <= d.gamma * (1.0 + 1e-6):
-        return 0.0
-    try:
-        return periodic_steady_state(p).max_n0()
-    except (BelowThresholdError, ConvergenceError):
-        return 0.0
-
-
 def auto_n_max(p: ModelParams) -> int:
-    """Starting cutoff: four times the classical orbit peak plus headroom."""
-    return int(math.ceil(4.0 * _classical_orbit_max(p) + 10.0))
+    """Starting cutoff: four times the classical orbit peak plus headroom.
+
+    Just above threshold the orbit settles too slowly for the period loop,
+    which refuses it (ConvergenceError); the headroom alone is taken there,
+    as at or below threshold, and the cutoff grows as the run needs.
+    """
+    try:
+        peak = classical_orbit(p).max_n0()
+    except ConvergenceError:
+        peak = 0.0
+    return int(math.ceil(4.0 * peak + 10.0))
 
 
 def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol):
@@ -328,11 +320,6 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
     return run_lockstep(rngs, 6, n_relax, spi, n_grid, advance, record)
 
 
-def _batch_job(args: tuple, indices) -> dict:
-    """_run_batch(indices, *args), as a picklable worker job."""
-    return _run_batch(indices, *args)
-
-
 def simulate_qsd_ensemble(
     p: ModelParams,
     n_max: int | None = None,
@@ -355,20 +342,18 @@ def simulate_qsd_ensemble(
     trajectory, and the batch layout, fixed by (n_traj, cutoff), sets the
     order of every sum.  Growth reruns the whole ensemble with the same
     per-trajectory noise streams, so results depend only on (params, seed,
-    final cutoff) and not on n_workers.
+    final cutoff) and not on n_workers.  Trajectories whose norm is lost are
+    dropped from later averages; a lost fraction above DIVERGENCE_BUDGET
+    raises (check_survivors).
     """
-    if n_traj < 2:
-        raise InvalidParameterError("need at least 2 trajectories")
-    check_workers(n_workers)
-    t_grid = np.asarray(t_grid, dtype=float)
-    spi, dt_eff, n_relax, t_start = step_layout(t_grid, dt, relax)
+    t_grid, spi, dt_eff, n_relax, t_start, n_steps = step_layout(
+        t_grid, dt, relax, n_traj, n_workers)
     n_grid = t_grid.size
 
     d = derive_params(p)
     n_here = int(n_max) if n_max is not None else auto_n_max(p)
     n_here = max(n_here, 2)
 
-    n_steps = n_relax + (n_grid - 1) * spi
     eps_steps = np.asarray(
         d.eps(t_start + dt_eff * np.arange(max(n_steps, 1))), dtype=float
     )
@@ -390,8 +375,9 @@ def simulate_qsd_ensemble(
                 f"dt={dt_eff:.4g} is unstable at cutoff n_max={n_here}: the "
                 f"explicit step needs dt < {dt_max:.4g} there"
             )
-        job = partial(_batch_job, (ops, seed, eps_steps, n_relax, spi, n_grid,
-                                   dt_eff, TAIL_TOL))
+        job = partial(_run_batch, ops=ops, seed=seed, eps_steps=eps_steps,
+                      n_relax=n_relax, spi=spi, n_grid=n_grid, dt=dt_eff,
+                      tail_tol=TAIL_TOL)
         batch = min(64, max(1, _BATCH_ELEMENTS // ops.dim))
         rest = [
             np.arange(lo, min(lo + batch, n_traj))
@@ -417,21 +403,15 @@ def simulate_qsd_ensemble(
                        for r in rows], axis=0)
     count = total["count"]
     dead = sum(int((~r["alive"]).sum()) for r in rows)
-    if (count < 2).any():
-        raise DivergenceBudgetError("fewer than 2 surviving trajectories")
-    if dead > DIVERGENCE_BUDGET * n_traj:
-        raise DivergenceBudgetError(
-            f"{dead} of {n_traj} trajectories lost ({dead / n_traj:.2%})"
-        )
-
-    v_mean = total["sum_v"] / count
+    check_survivors(count, dead, n_traj)
+    v_mean, v_se = mean_and_stderr(total, "v")
     n1_mean = total["sum_n1"] / count
     n2_mean = total["sum_n2"] / count
 
     return QsdEnsemble(
         t_grid=t_grid,
         V_mean=v_mean,
-        V_stderr=std_error(total["sq_v"], v_mean, count),
+        V_stderr=v_se,
         n1_mean=n1_mean,
         n2_mean=n2_mean,
         diff_stderr=std_error(total["sq_d"], n1_mean - n2_mean, count),

@@ -106,6 +106,13 @@ def zero_trajectory(p: ModelParams) -> SemiclassicalTrajectory:
     )
 
 
+def classical_orbit(p: ModelParams) -> SemiclassicalTrajectory:
+    """The periodic orbit above threshold, the empty cavity at or below it."""
+    if regime_classify(p) is Regime.ABOVE_THRESHOLD:
+        return periodic_steady_state(p)
+    return zero_trajectory(p)
+
+
 def _du_dt(d: DerivedParams):
     gamma = d.gamma
     lam = d.lam

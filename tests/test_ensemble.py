@@ -7,7 +7,9 @@ jobs still stepping.  The job callables the three callers build
 must pickle, since that is how they reach the workers.  The lockstep loop
 must record each grid point once, in order, and hand every step the
 stream's own normals whatever the chunk length.  The shared reducer must
-give the bits of the plain per-point loop both routes used to run.
+give the bits of the plain per-point loop both routes used to run.  Both
+routes refuse through one front (too few trajectories) and one back (too
+few survivors at a grid point, too many lost), with one message each.
 """
 
 import math
@@ -26,7 +28,7 @@ import modnopo.positivep as positivep
 import modnopo.qsd as qsd
 import test_positivep
 import test_qsd
-from modnopo import InvalidParameterError, params_from_ratios
+from modnopo import DivergenceBudgetError, InvalidParameterError, params_from_ratios
 from modnopo._ensemble import _usable_cpus, map_ordered, run_lockstep, slice_sums
 
 needs_two_cpus = pytest.mark.skipif(
@@ -271,8 +273,8 @@ def test_qsd_skips_a_dead_column(monkeypatch):
     run_batch = qsd._run_batch
     kept = []
 
-    def one_dead(indices, *args):
-        rows = run_batch(indices, *args)
+    def one_dead(indices, **kwargs):
+        rows = run_batch(indices, **kwargs)
         if indices[0] == 0:
             rows["live"][:, 3] = False
             rows["tail"][:, 3] = 0.5
@@ -291,6 +293,67 @@ def test_qsd_skips_a_dead_column(monkeypatch):
         assert ens.tail_max[j] == max(tail[j][live[j]]) < 0.5
         assert ens.V_mean[j] == pytest.approx(v[j][live[j]].mean(), rel=1e-12)
     assert ens.discarded == 0
+
+
+def test_qsd_refuses_a_run_over_the_budget(monkeypatch):
+    # one lost trajectory of 40 is past the 0.1% budget, though every grid
+    # point keeps 40 live ones
+    run_batch = qsd._run_batch
+
+    def one_lost(indices, **kwargs):
+        rows = run_batch(indices, **kwargs)
+        if indices[0] == 0:
+            rows["alive"][3] = False
+        return rows
+
+    monkeypatch.setattr(qsd, "_run_batch", one_lost)
+    with pytest.raises(DivergenceBudgetError, match="1 of 40 trajectories"):
+        qsd.simulate_qsd_ensemble(_P, n_max=6, n_traj=40, t_grid=_GRID, seed=1,
+                                  relax=0.5)
+
+
+def _clear_live_row(rows):
+    rows["live"][1] = False
+
+
+def _zero_counts(accs):
+    for acc in accs:
+        acc["count"][1] = 0
+
+
+@pytest.mark.parametrize("module,empty,run", [
+    (positivep, _zero_counts, lambda: positivep.simulate_ensemble(
+        _P, 300, _GRID, seed=1, relax=0.5)),
+    (qsd, _clear_live_row, lambda: qsd.simulate_qsd_ensemble(
+        _P, n_max=6, n_traj=40, t_grid=_GRID, seed=1, relax=0.5)),
+], ids=["positivep", "qsd"])
+def test_an_emptied_grid_point_is_refused(monkeypatch, module, empty, run):
+    # every batch loses grid point 1, so no trajectory survives there
+    run_batch = module._run_batch
+
+    def emptied(indices, **kwargs):
+        out = run_batch(indices, **kwargs)
+        empty(out)
+        return out
+
+    monkeypatch.setattr(module, "_run_batch", emptied)
+    with pytest.raises(DivergenceBudgetError, match="fewer than 2 surviving"):
+        run()
+
+
+def test_both_routes_refuse_one_trajectory_alike():
+    refusals = []
+    for run in (lambda: positivep.simulate_ensemble(_P, 1, _GRID, seed=1),
+                lambda: qsd.simulate_qsd_ensemble(_P, n_traj=1, t_grid=_GRID)):
+        with pytest.raises(InvalidParameterError) as info:
+            run()
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals[0] == refusals[1]
+
+
+def test_both_routes_share_one_divergence_budget():
+    # perfbench's gates read the budget under each route's name
+    assert positivep.DIVERGENCE_BUDGET is qsd.DIVERGENCE_BUDGET is _ensemble.DIVERGENCE_BUDGET
 
 
 _FREEZES = [(cls, name)

@@ -441,10 +441,10 @@ def _masked_batch_args(p):
     """_run_batch's arguments after the indices for TestFrozenBytes.P on six
     grid points, with a guard of 13.5, just above the orbit."""
     d = derive_params(p)
-    t_grid = np.linspace(0.0, 0.5, 6)
-    spi, dt, n_relax, t_start = step_layout(t_grid, 1e-3, 0.3)
+    t_grid, spi, dt, n_relax, t_start, n_steps = step_layout(
+        np.linspace(0.0, 0.5, 6), 1e-3, 0.3, 100, 1)
     eps_steps, t = [], t_start
-    for _ in range(n_relax + (t_grid.size - 1) * spi):
+    for _ in range(n_steps):
         eps_steps.append(float(d.eps(t)))
         t += dt
     return (d, 1104, _classical_start(p, t_start)[0], eps_steps, n_relax, spi,

@@ -11,6 +11,7 @@ comparison; agreement is then at rounding level, not statistical.
 import dataclasses
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ import modnopo.qsd as qsd
 from modnopo.qsd import FockState, _step_batch, auto_n_max, ladder
 
 LAM = 0.1  # nonlinearity-to-damping ratio for the stochastic test runs
+_RUN_BATCH = qsd._run_batch
+
+
+def _record_batch(log, indices, ops, **kwargs):
+    # Logs a call's cutoff and columns, then runs the batch.  Jobs pickle on
+    # their way to a worker, so this lives at module level.
+    with open(log, "a") as fh:
+        fh.write(" ".join(str(int(v)) for v in (ops.n_max, *indices)) + "\n")
+    return _RUN_BATCH(indices, ops, **kwargs)
 
 
 def _basis_index(n1, n2, n_max):
@@ -312,14 +322,7 @@ class TestEnsemble:
         # Batches run in worker processes, so each call appends a line to a
         # file.  Returns the ensemble and each call's (cutoff, columns).
         log = tmp_path / "calls.txt"
-        run_batch = qsd._run_batch
-
-        def recording(indices, ops, *args):
-            with open(log, "a") as fh:
-                fh.write(" ".join(str(int(v)) for v in (ops.n_max, *indices)) + "\n")
-            return run_batch(indices, ops, *args)
-
-        monkeypatch.setattr(qsd, "_run_batch", recording)
+        monkeypatch.setattr(qsd, "_run_batch", partial(_record_batch, log))
         p = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
         ens = simulate_qsd_ensemble(p, n_max=6, n_traj=100,
                                     t_grid=np.linspace(0.0, 1.0, 3), seed=3,
@@ -388,6 +391,12 @@ class TestEnsemble:
     def test_auto_cutoff(self):
         below = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
         assert auto_n_max(below) == 10
+        # at threshold the cavity is empty; at 1.0001 the period loop
+        # refuses the orbit's predicted period count, and the headroom of
+        # 10 stands alone in both
+        for ratio in (1.0, 1.0001):
+            p = params_from_ratios(fbar_over_fth=ratio, lam_over_gamma=LAM)
+            assert auto_n_max(p) == 10, ratio
         above = params_from_ratios(fbar_over_fth=2.0, lam_over_gamma=LAM)
         # classical orbit peaks at (r-1)*gamma/lam = 10; integrator noise
         # may push the ceiling up one
