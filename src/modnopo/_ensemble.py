@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
 import numpy as np
@@ -208,28 +209,37 @@ def _start_worker(stop) -> None:
     _stop = stop
 
 
+def _run_pickled(fn: bytes, job: bytes):
+    return pickle.loads(fn)(pickle.loads(job))
+
+
 def map_ordered(fn, jobs: list, n_workers: int) -> list:
     """[fn(job) for job in jobs], on up to n_workers processes, in job order.
 
     The pool holds min(n_workers, len(jobs), usable CPUs) processes; at one
     it runs serially in this process.  fn, the jobs and the results must
-    pickle.  Workers are forked where the platform can, since a fresh
-    interpreter per pool re-imports numpy and scipy.  A failed job cancels
-    the jobs not yet started and sets the pool's stop event, so jobs inside
-    run_lockstep end with Aborted at their next step.  The exception raised
-    is the first failure in job order that is not Aborted; with no job
-    stopped early that is the failure a serial run raises.
+    pickle.  fn and the jobs are pickled here, before any worker starts, so
+    one that cannot be pickled raises at once; a pickling error inside the
+    pool's feeder thread would leave the pool waiting for good.  Workers
+    are forked where the platform can, since a fresh interpreter per pool
+    re-imports numpy and scipy.  A failed job cancels the jobs not yet
+    started and sets the pool's stop event, so jobs inside run_lockstep end
+    with Aborted at their next step.  The exception raised is the first
+    failure in job order that is not Aborted; with no job stopped early
+    that is the failure a serial run raises.
     """
     check_workers(n_workers)
     size = min(n_workers, len(jobs), _usable_cpus())
     if size <= 1:
         return [fn(job) for job in jobs]
+    fn = pickle.dumps(fn)
+    jobs = [pickle.dumps(job) for job in jobs]
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     ctx = multiprocessing.get_context(method)
     stop = ctx.Event()
     with ProcessPoolExecutor(max_workers=size, mp_context=ctx,
                              initializer=_start_worker, initargs=(stop,)) as pool:
-        futures = [pool.submit(fn, job) for job in jobs]
+        futures = [pool.submit(_run_pickled, fn, job) for job in jobs]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)
         finally:

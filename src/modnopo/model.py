@@ -28,10 +28,10 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidParameterError
 
@@ -47,88 +47,340 @@ MIN_TABULATED_SAMPLES = 64
 AT_THRESHOLD_BAND = 1e-9
 
 
+def _tridiagonal(dl: list, d: list, du: list):
+    """Eliminate the tridiagonal matrix with sub-, main and superdiagonals
+    dl, d and du as LAPACK's reference dgtsv does, row interchanges
+    included.  The elimination depends on the matrix alone, so it is done
+    once and applied to each right-hand side by _tridiagonal_solve.
+    Returns (swap, fact, d, du, dl): each step's interchange and multiplier,
+    and the upper triangle, with dl holding its second superdiagonal.
+    """
+    n = len(d)
+    # Where no step interchanges rows (every |d[i]| >= |dl[i]| once
+    # eliminated, as in the diagonally dominant spline systems), the
+    # elimination is one recurrence in d.
+    try:
+        cur = d[0]
+        piv = [cur] + [cur := di - (li / cur) * ui for li, ui, di in zip(dl, du, d[1:])]
+    except ZeroDivisionError:
+        piv = None
+    if piv is not None and piv[-1] != 0.0 and (np.abs(piv[:-1]) >= np.abs(dl)).all():
+        fact = (np.asarray(dl, dtype=float) / piv[:-1]).tolist()
+        return [False] * (n - 1), fact, piv, list(du), [0.0] * (n - 1)
+    dl, d, du = list(dl), list(d), list(du)
+    swap, fact = [], []
+    for i in range(n - 1):
+        swap.append(abs(d[i]) < abs(dl[i]))
+        if not swap[-1]:
+            if d[i] == 0.0:
+                raise InvalidParameterError("the spline's knots give a singular system")
+            f = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - f * du[i]
+            dl[i] = 0.0
+        else:
+            f = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - f * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -f * dl[i]
+            du[i] = temp
+        fact.append(f)
+    if d[-1] == 0.0:
+        raise InvalidParameterError("the spline's knots give a singular system")
+    return swap, fact, d, du, dl
+
+
+def _tridiagonal_solve(factors, b: list) -> np.ndarray:
+    """dgtsv's forward and back sweeps over one right-hand side b."""
+    swap, fact, d, du, dl = factors
+    if not any(swap):
+        # Without interchanges the back sweep's term dl[i]*x[i + 2] is
+        # 0.0*x[i + 2].  Subtracting it changes a finite x[i] only where
+        # x[i]'s numerator is -0.0 (so x[i] is a zero whose sign differs
+        # from d[i]'s) and x[i + 2]'s sign bit is set; only there, or at a
+        # value that is not finite, does the full sweep below run.
+        cur = b[0]
+        y = [cur] + [cur := nxt - f * cur for f, nxt in zip(fact, b[1:])]
+        cur = y[-1] / d[-1]
+        x = [cur] + [cur := (yi - ui * cur) / di
+                     for yi, ui, di in zip(y[-2::-1], du[::-1], d[-2::-1])]
+        x = np.fromiter(reversed(x), float, len(x))
+        if np.isfinite(x).all():
+            i = np.flatnonzero(x[:-2] == 0.0)
+            if not i.size or not ((np.signbit(x[i]) != np.signbit(np.asarray(d)[i]))
+                                  & np.signbit(x[i + 2])).any():
+                return x
+    y = []
+    cur = b[0]
+    for sw, f, nxt in zip(swap, fact, b[1:]):
+        if sw:
+            y.append(nxt)
+            cur = cur - f * nxt
+        else:
+            y.append(cur)
+            cur = nxt - f * cur
+    y.append(cur)
+    x2 = y[-1] / d[-1]
+    x1 = (y[-2] - du[-1] * x2) / d[-2]
+    x = [x2, x1]
+    for yi, ui, li, di in zip(y[-3::-1], du[-2::-1], dl[-2::-1], d[-3::-1]):
+        x0 = ((yi - ui * x1) - li * x2) / di
+        x.append(x0)
+        x2 = x1
+        x1 = x0
+    x.reverse()
+    return np.fromiter(x, float, len(x))
+
+
+@lru_cache(maxsize=16)
+def _knot_system(key: bytes, periodic: bool):
+    """What the knot slopes' linear system keeps between splines on the
+    same n != 3 knots (key, their bytes): the factored tridiagonal matrix
+    and, for periodic ends, the correction solve s2 and its denominator."""
+    x = np.frombuffer(key)
+    n = x.size
+    dx = np.diff(x)
+    if n == 2:
+        # both ends clamped to the chord's slope
+        return _tridiagonal([0.0], [1.0, 1.0], [0.0])
+    if periodic:
+        # the (n - 2) system left once the last unknown is condensed out
+        m = n - 2
+        inner = (2 * (dx[:m - 1] + dx[1:m])).tolist()
+        factors = _tridiagonal(dx[1:m].tolist(), [2 * (dx[-1] + dx[0])] + inner,
+                               [dx[-1]] + dx[:m - 2].tolist())
+        b2 = [0.0] * m
+        b2[0], b2[-1] = -dx[0], -dx[-3]
+        s2 = _tridiagonal_solve(factors, b2)
+        den = 2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
+        return factors, s2, den
+    # not-a-knot ends
+    inner = (2 * (dx[:-1] + dx[1:])).tolist()
+    return _tridiagonal(dx[1:].tolist() + [x[-1] - x[-3]], [dx[1]] + inner + [dx[-2]],
+                        [x[2] - x[0]] + dx[:-1].tolist())
+
+
+def _knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray,
+                 periodic: bool) -> np.ndarray:
+    """The spline's first derivative at each knot x, as scipy 1.17.1's
+    CubicSpline(bc_type="periodic" or "not-a-knot") computes it from the
+    knot gaps dx and the chords' slopes."""
+    n = x.size
+    if n == 3 and periodic:
+        t = (slope[0] / dx[0] + slope[1] / dx[1]) / (1.0 / dx[0] + 1.0 / dx[1])
+        return np.full(3, t)
+    if n == 3:
+        # not-a-knot at both ends of three knots: the parabola through them
+        A = np.array([[1.0, 1.0, 0.0],
+                      [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
+                      [0.0, 1.0, 1.0]])
+        b = [2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]]
+        return np.linalg.solve(A, b)
+    system = _knot_system(x.tobytes(), periodic)
+    if n == 2:
+        return _tridiagonal_solve(system, [slope[0], slope[0]])
+    inner = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    if periodic:
+        factors, s2, den = system
+        b = [3 * (dx[0] * slope[-1] + dx[-1] * slope[0])] + inner.tolist()
+        s1 = _tridiagonal_solve(factors, b[:-1])
+        s_last = (b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / den
+        s = np.empty(n)
+        s[:-2] = s1 + s_last * s2
+        s[-2] = s_last
+        s[-1] = s[0]
+        return s
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b0 = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d0
+    b1 = (dx[-1] * dx[-1] * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    return _tridiagonal_solve(system, [b0] + inner.tolist() + [b1])
+
+
 class Curve:
     """A function of time stored as a cubic spline through samples.
 
     Curve(values, period) is periodic: values[k] sits at k*period/n, the
     wrap value is appended at period, and t is first mapped into the
     period.  Curve(values, knots=t) spans its knots, with not-a-knot ends,
-    and refuses a time outside them.
+    and refuses a time outside them.  Values and knots must be finite and
+    the knots strictly increasing.
 
-    At one float it gives scipy's bits on plain lists, free of numpy's
-    per-call overhead: after the pre-wrap, scipy's periodic map x[0] +
-    (t - x[0]) % span (t % period again: the pre-wrap can round up to
-    period); the interval bisect_right(x, t) - 1 clamped to the end pieces,
-    as find_interval picks it; the cubic summed from its constant term up.
-    The lists and the antiderivative are built on first use.
+    The spline is scipy 1.17.1's CubicSpline, operation for operation, so
+    it has its bits: the same tridiagonal system for the knot slopes,
+    solved as LAPACK's dgtsv solves it (its elimination cached per knot
+    vector), the same Hermite coefficients c (c[0] the cubic's, c[3] the
+    constant), and PPoly's evaluation: the interval is the last knot at or
+    below t, clamped to the end pieces, and the cubic is summed from its
+    constant term up, ((0 + c3) + c2*s) + c1*s**2 + c0*s**3, with powers
+    taken as repeated products.  A periodic curve maps t to
+    t % period % period first (the first remainder can round up to
+    period).  At one float the same sum runs on plain lists, free of
+    numpy's per-call overhead.  The lists and the antiderivative are built
+    on first use.
     """
 
-    __slots__ = ("spline", "period", "_x", "_coeffs", "_last", "_anti")
+    __slots__ = ("period", "knots", "coeffs", "_knot_list", "_pieces", "_anti")
 
     def __init__(self, values, period: float | None = None, knots=None) -> None:
         values = np.asarray(values, dtype=float)
+        if period is not None:
+            knots = np.linspace(0.0, period, values.size + 1)
+            values = np.append(values, values[:1])
+        x = np.asarray(knots, dtype=float)
+        if x.ndim != 1 or x.size < 2 or values.shape != x.shape:
+            raise InvalidParameterError(
+                f"a curve needs one value per knot and at least 2 knots, got "
+                f"{values.size} values for {x.size} knots")
+        if not np.isfinite(x).all():
+            raise InvalidParameterError("a curve's knots must be finite")
+        if not np.isfinite(values).all():
+            raise InvalidParameterError("a curve's values must be finite")
+        dx = np.diff(x)
+        if not (dx > 0.0).all():
+            raise InvalidParameterError("a curve's knots must be strictly increasing")
+        slope = np.diff(values) / dx
+        s = _knot_slopes(x, dx, slope, period is not None)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.coeffs = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], values[:-1]))
+        self.knots = x
         self.period = period
-        if period is None:
-            self.spline = CubicSpline(knots, values)
-        else:
-            self.spline = CubicSpline(np.linspace(0.0, period, values.size + 1),
-                                      np.append(values, values[0]), bc_type="periodic")
-        self._x = self._anti = None
+        self._knot_list = self._anti = None
 
     def __call__(self, t):
         """The curve at t; a float t gives a float, anything else an array."""
         period = self.period
         if isinstance(t, float):
-            x = self._x
+            x = self._knot_list
             if x is None:
-                spl = self.spline
-                # 0.0 + c[3] is the running sum's first step, which turns -0.0 into 0.0
-                self._coeffs = list(zip((spl.c[3] + 0.0).tolist(), *spl.c[2::-1].tolist()))
-                self._last = spl.x.size - 2
-                x = self._x = spl.x.tolist()
+                c = self.coeffs
+                x = self._knot_list = self.knots.tolist()
+                # 0.0 + c[3] is the running sum's first step, which turns
+                # -0.0 into 0.0; the last piece is listed twice, so that t
+                # at the last knot finds it
+                self._pieces = list(zip(x, (c[3] + 0.0).tolist(), *c[2::-1].tolist()))
+                self._pieces.append(self._pieces[-1])
             t = float(t)
             if period is not None:
                 t = t % period % period
             elif not x[0] <= t <= x[-1]:
                 self._refuse(t)
-            i = bisect_right(x, t) - 1
-            last = self._last
-            i = 0 if i < 0 else (i if i < last else last)
-            c3, c2, c1, c0 = self._coeffs[i]
-            s = t - x[i]
+            xi, c3, c2, c1, c0 = self._pieces[bisect_right(x, t) - 1]
+            s = t - xi
             ss = s * s
             return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
-        t = np.asarray(t, dtype=float)
+        shape = np.shape(t)
+        t = np.asarray(t, dtype=float).ravel()
         if period is not None:
-            return self.spline(np.mod(t, period))
-        inside = (t >= self.spline.x[0]) & (t <= self.spline.x[-1])
-        if not inside.all():
-            self._refuse(float(t[~inside].flat[0]))
-        return self.spline(t)
+            # t % period % period: the second remainder only maps a first
+            # one that rounded up to period back to 0
+            t = np.mod(t, period)
+            t[t == period] = 0.0
+        else:
+            inside = (t >= self.knots[0]) & (t <= self.knots[-1])
+            if not inside.all():
+                self._refuse(float(t[~inside][0]))
+        i, s = self._locate(t)
+        c0, c1, c2, c3 = self.coeffs.take(i, axis=1)
+        ss = s * s
+        return ((((0.0 + c3) + c2 * s) + c1 * ss) + c0 * (ss * s)).reshape(shape)
+
+    def _locate(self, t: np.ndarray):
+        """Each t's piece, the last knot at or below t clamped to the end
+        pieces (searchsorted's), and t's offset into it.
+
+        The piece is first guessed from the mean knot spacing, which on
+        linspace knots places all but a few t next to a knot; searchsorted
+        places the rest.
+        """
+        x = self.knots
+        last = x.size - 2
+        guess = (t - x[0]) * ((last + 1) / (x[-1] - x[0]))
+        i = np.fmin(np.fmax(guess, 0.0), last).astype(np.intp)
+        left = x.take(i)
+        wrong = ((t < left) & (i > 0)) | ((t >= x.take(i + 1)) & (i < last))
+        if wrong.any():
+            i[wrong] = np.clip(np.searchsorted(x, t[wrong], side="right") - 1, 0, last)
+            left = x.take(i)
+        return i, t - left
 
     def _refuse(self, t: float):
-        x = self.spline.x
+        x = self.knots
         raise InvalidParameterError(
             f"t={t} lies outside the curve's span [{x[0]}, {x[-1]}]; it does not extrapolate")
 
     def running_integral(self, t):
         """Integral of a periodic curve from 0 to t: the antiderivative over
-        the last partial period plus the whole periods before it."""
+        the last partial period plus the whole periods before it.
+
+        The antiderivative is PPoly's: each coefficient divided by its new
+        power, and each piece's constant the previous piece's value at its
+        right end, summed in evaluation order.  It gives NaN where t less
+        its whole periods rounds outside [0, period].
+        """
         if self._anti is None:
-            anti = self.spline.antiderivative()
-            self._anti = anti, float(anti(self.period))
+            c = self.coeffs / np.array([[4.0], [3.0], [2.0], [1.0]])
+            s = np.diff(self.knots)[:-1]
+            ss = s * s
+            sss = ss * s
+            # PPoly's sum starts 0.0 + k[-1], which is k[-1]: k is never -0.0
+            k = [0.0]
+            for p3, p2, p1, p0 in zip((c[3, :-1] * s).tolist(), (c[2, :-1] * ss).tolist(),
+                                      (c[1, :-1] * sss).tolist(),
+                                      (c[0, :-1] * (sss * s)).tolist()):
+                k.append((((k[-1] + p3) + p2) + p1) + p0)
+            anti = np.vstack((c, k))
+            self._anti = anti, float(self._quartic(anti, np.asarray(self.period)))
         anti, per_period = self._anti
         t = np.asarray(t, dtype=float)
         wraps = np.floor(t / self.period)
-        return anti(t - wraps * self.period) + wraps * per_period
+        return self._quartic(anti, t - wraps * self.period) + wraps * per_period
+
+    def _quartic(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The antiderivative with coefficients a at t; NaN outside the knots."""
+        flat = t.ravel()
+        i, s = self._locate(flat)
+        ss = s * s
+        sss = ss * s
+        a0, a1, a2, a3, a4 = a.take(i, axis=1)
+        out = ((((0.0 + a4) + a3 * s) + a2 * ss) + a1 * sss) + a0 * (sss * s)
+        out[~((flat >= self.knots[0]) & (flat <= self.knots[-1]))] = np.nan
+        return out.reshape(t.shape)
 
     def minimum(self) -> float:
         """Exact minimum over the knots' span: it sits at a knot or where the
-        derivative vanishes."""
-        spl = self.spline
-        crit = spl.derivative().roots(extrapolate=False)
-        crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
-        return float(min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf)))
+        derivative vanishes.
+
+        The roots are PPoly.roots' on the derivative a*s**2 + b*s + c of
+        each piece: the closed-form quadratic of scipy's croots_poly1 (the
+        linear root where a is 0), one Newton step, and the piece's closed
+        interval.  A flat piece has no root but its knots.
+        """
+        x = self.knots
+        a, b, c = 3.0 * self.coeffs[0], 2.0 * self.coeffs[1], self.coeffs[2]
+        lin = np.flatnonzero((a == 0.0) & (b != 0.0))
+        quad = np.flatnonzero(a != 0.0)
+        A, B, C = a[quad], b[quad], c[quad]
+        disc = B * B - 4 * A * C
+        real = ~(disc < 0.0)
+        quad, A, B, C = quad[real], A[real], B[real], C[real]
+        d = np.sqrt(disc[real])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            double = -B / (2 * A)
+            near = np.where(B < 0.0, (2 * C) / (-B + d), (-B - d) / (2 * A))
+            far = np.where(B < 0.0, (-B + d) / (2 * A), (2 * C) / (-B - d))
+        j = np.concatenate((lin, quad, quad))
+        w = np.concatenate((-c[lin] / b[lin], np.where(d == 0.0, double, near),
+                            np.where(d == 0.0, double, far)))
+        A, B, C = a[j], b[j], c[j]
+        f = ((0.0 + C) + B * w) + A * (w * w)
+        df = (0.0 + B) + (A * w) * 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        w = np.where((df != 0.0) & (np.abs(step) < np.abs(w)), w - step, w) + x[j]
+        roots = w[(x[j] <= w) & (w <= x[j + 1])]
+        return float(min(np.min(self(x)), np.min(self(roots), initial=np.inf)))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import time
 from functools import partial
 
@@ -98,6 +100,23 @@ def test_failure_cancels_jobs_not_started(tmp_path):
     with pytest.raises(InvalidParameterError, match="job 1 refused"):
         map_ordered(partial(_mark, str(tmp_path)), jobs, n_workers=2)
     assert len(list(tmp_path.iterdir())) < 10
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("call", [
+    "map_ordered(lambda x: x, list(range(4)), 2)",
+    "map_ordered(abs, [1, lambda: 0, 3], 2)",
+], ids=["function", "job"])
+def test_unpicklable_work_raises_at_once(call):
+    # a pickling error inside the pool's feeder thread once left map_ordered
+    # waiting for good, so the call runs in a child with a timeout; it must
+    # raise before any worker starts and leave none behind to wait for
+    code = f"from modnopo._ensemble import map_ordered; {call}"
+    start = time.monotonic()
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 1 and "PicklingError" in res.stderr, res.stderr
+    assert time.monotonic() - start < 20.0
 
 
 def _step_or_refuse(bad, x):

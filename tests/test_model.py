@@ -294,3 +294,130 @@ class TestScalarEvaluation:
         m = TabulatedPeriodic(h.period, h.value(np.linspace(0.0, h.period, 64, endpoint=False)))
         back = pickle.loads(pickle.dumps(m))
         assert back == m and _bits(back.value(1.1)) == _bits(m.value(1.1))
+
+
+class TestCurveIsScipys:
+    """model.Curve builds scipy 1.17.1's CubicSpline itself; scipy stays as
+    the reference here.  Bit for bit: the coefficients, the curve at an
+    array and at each float, the running integral (NaN where t less its
+    whole periods rounds outside the period, as PPoly's extrapolate=False
+    gives) and the minimum from the derivative's roots."""
+
+    @staticmethod
+    def assert_scipys(curve: Curve, spl: CubicSpline, t: np.ndarray) -> None:
+        assert (_bits(curve.coeffs) == _bits(spl.c)).all()
+        period = curve.period
+        want = _bits(spl(np.mod(t, period)) if period is not None else spl(t))
+        assert (_bits(curve(t)) == want).all()
+        assert (_bits([curve(float(v)) for v in t]) == want).all()
+        back = pickle.loads(pickle.dumps(curve))
+        assert (_bits(back(t)) == want).all()
+        crit = spl.derivative().roots(extrapolate=False)
+        crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
+        low = min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf))
+        assert _bits(curve.minimum()) == _bits(low)
+        if period is not None:
+            anti = spl.antiderivative()
+            wraps = np.floor(t / period)
+            want = anti(t - wraps * period) + wraps * float(anti(period))
+            assert (_bits(curve.running_integral(t)) == _bits(want)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 65, 2049])
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("shape", ["random", "flat", "zeros"])
+    def test_random_curves(self, n, periodic, shape):
+        # n knots; "flat" and "zeros" make every piece identically flat
+        rng = np.random.default_rng(2301 + n)
+        y = {"random": rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3),
+             "flat": np.full(n, 1.5), "zeros": np.zeros(n)}[shape]
+        y[3::7] = -0.0
+        if shape == "random":
+            y[::7] = 0.0
+        if periodic:
+            period = rng.uniform(0.1, 50.0)
+            x = np.linspace(0.0, period, n)
+            y[-1] = y[0]
+            curve = Curve(y[:-1], period)
+        else:
+            x = np.cumsum(rng.uniform(0.01, 2.0, n)) - 1.7
+            curve = Curve(y, knots=x)
+        spl = CubicSpline(x, y, bc_type="periodic" if periodic else "not-a-knot")
+        span = x[-1] - x[0]
+        t = np.concatenate([x, rng.uniform(x[0], x[-1], 300),
+                            [np.nextafter(x[-1], x[0]), np.nextafter(x[0], x[-1])]])
+        if periodic:
+            # and times whose whole periods round past them: NaN integrals
+            ends = np.nextafter(np.arange(1, 400) * period, 0.0)
+            late = ends[ends - np.floor(ends / period) * period < 0.0]
+            assert late.size
+            t = np.concatenate([t, rng.uniform(-3 * span, 4 * span, 300), late, [-0.0]])
+            assert np.isnan(curve.running_integral(late)).all()
+        self.assert_scipys(curve, spl, t)
+
+    def test_unevenly_spaced_knots(self):
+        # knot gaps over six decades make dgtsv interchange rows
+        rng = np.random.default_rng(2302)
+        for n in (4, 5, 40):
+            x = np.cumsum(10.0 ** rng.uniform(-3, 3, n))
+            y = rng.normal(size=n)
+            self.assert_scipys(Curve(y, knots=x), CubicSpline(x, y),
+                               np.concatenate([x, rng.uniform(x[0], x[-1], 200)]))
+
+    def test_tridiagonal_solve_is_lapacks(self):
+        # the knot-slope solver against scipy's solve_banded (LAPACK dgtsv):
+        # random systems with and without row interchanges, and one where
+        # dgtsv's 0.0*x[2] term turns x[0] from -0.0 into 0.0
+        from scipy.linalg import solve_banded
+
+        from modnopo.model import _tridiagonal, _tridiagonal_solve
+
+        rng = np.random.default_rng(2303)
+        systems = [([0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5], [-0.0, -0.5, -1.0])]
+        for n in (2, 3, 5, 40, 300):
+            for weak in (False, True):
+                d = rng.uniform(0.1, 4.0, n) * (0.1 if weak else 4.0)
+                systems.append((rng.normal(size=n - 1).tolist(), d.tolist(),
+                                rng.normal(size=n - 1).tolist(), rng.normal(size=n).tolist()))
+        swapped = 0
+        for dl, d, du, b in systems:
+            factors = _tridiagonal(dl, d, du)
+            swapped += any(factors[0])
+            ab = np.array([[0.0, *du], d, [*dl, 0.0]])
+            want = solve_banded((1, 1), ab, np.array(b))
+            assert (_bits(_tridiagonal_solve(factors, b)) == _bits(want)).all()
+        assert 0 < swapped < len(systems)
+
+    @pytest.mark.parametrize("name", ["near", "sign_change", "fast", "tabulated"])
+    def test_variance_evaluator_curves(self, monkeypatch, name):
+        # the ln n0, n0 and memory curves the closed form builds
+        import modnopo.fluctuations as fluctuations
+        import test_fluctuations
+
+        built = []
+
+        def record(values, period):
+            built.append(Curve(values, period))
+            return built[-1]
+
+        monkeypatch.setattr(fluctuations, "Curve", record)
+        make = test_fluctuations.TestFrozenBytes.POINTS[name][0]
+        fluctuations._variance_evaluator.__wrapped__(make())
+        assert len(built) == 3
+        for curve in built:
+            t = np.linspace(-0.3, 2.1, 401) * curve.period
+            self.assert_scipys(curve, CubicSpline(
+                curve.knots, np.append(curve.coeffs[3], curve.coeffs[3, 0]),
+                bc_type="periodic"), t)
+
+    @pytest.mark.parametrize("values,period,knots,what", [
+        ([1.0, np.nan, 2.0], None, [0.0, 1.0, 2.0], "values must be finite"),
+        ([1.0, np.inf], 2.0, None, "values must be finite"),
+        ([1.0, 2.0, 3.0], None, [0.0, np.inf, 2.0], "knots must be finite"),
+        ([1.0, 2.0], np.nan, None, "knots must be finite"),
+        ([1.0, 2.0, 3.0], None, [0.0, 1.0, 1.0], "strictly increasing"),
+        ([1.0, 2.0], -1.0, None, "strictly increasing"),
+    ])
+    def test_refuses_what_scipy_refused(self, values, period, knots, what):
+        with pytest.raises(InvalidParameterError, match=what) as err:
+            Curve(values, period, knots)
+        assert isinstance(err.value, ValueError) and "\n" not in str(err.value)
