@@ -56,17 +56,6 @@ def _tridiagonal(dl: list, d: list, du: list):
     and the upper triangle, with dl holding its second superdiagonal.
     """
     n = len(d)
-    # Where no step interchanges rows (every |d[i]| >= |dl[i]| once
-    # eliminated, as in the diagonally dominant spline systems), the
-    # elimination is one recurrence in d.
-    try:
-        cur = d[0]
-        piv = [cur] + [cur := di - (li / cur) * ui for li, ui, di in zip(dl, du, d[1:])]
-    except ZeroDivisionError:
-        piv = None
-    if piv is not None and piv[-1] != 0.0 and (np.abs(piv[:-1]) >= np.abs(dl)).all():
-        fact = (np.asarray(dl, dtype=float) / piv[:-1]).tolist()
-        return [False] * (n - 1), fact, piv, list(du), [0.0] * (n - 1)
     dl, d, du = list(dl), list(d), list(du)
     swap, fact = [], []
     for i in range(n - 1):
@@ -95,23 +84,6 @@ def _tridiagonal(dl: list, d: list, du: list):
 def _tridiagonal_solve(factors, b: list) -> np.ndarray:
     """dgtsv's forward and back sweeps over one right-hand side b."""
     swap, fact, d, du, dl = factors
-    if not any(swap):
-        # Without interchanges the back sweep's term dl[i]*x[i + 2] is
-        # 0.0*x[i + 2].  Subtracting it changes a finite x[i] only where
-        # x[i]'s numerator is -0.0 (so x[i] is a zero whose sign differs
-        # from d[i]'s) and x[i + 2]'s sign bit is set; only there, or at a
-        # value that is not finite, does the full sweep below run.
-        cur = b[0]
-        y = [cur] + [cur := nxt - f * cur for f, nxt in zip(fact, b[1:])]
-        cur = y[-1] / d[-1]
-        x = [cur] + [cur := (yi - ui * cur) / di
-                     for yi, ui, di in zip(y[-2::-1], du[::-1], d[-2::-1])]
-        x = np.fromiter(reversed(x), float, len(x))
-        if np.isfinite(x).all():
-            i = np.flatnonzero(x[:-2] == 0.0)
-            if not i.size or not ((np.signbit(x[i]) != np.signbit(np.asarray(d)[i]))
-                                  & np.signbit(x[i + 2])).any():
-                return x
     y = []
     cur = b[0]
     for sw, f, nxt in zip(swap, fact, b[1:]):
@@ -288,22 +260,10 @@ class Curve:
 
     def _locate(self, t: np.ndarray):
         """Each t's piece, the last knot at or below t clamped to the end
-        pieces (searchsorted's), and t's offset into it.
-
-        The piece is first guessed from the mean knot spacing, which on
-        linspace knots places all but a few t next to a knot; searchsorted
-        places the rest.
-        """
+        pieces (PPoly's), and t's offset into it."""
         x = self.knots
-        last = x.size - 2
-        guess = (t - x[0]) * ((last + 1) / (x[-1] - x[0]))
-        i = np.fmin(np.fmax(guess, 0.0), last).astype(np.intp)
-        left = x.take(i)
-        wrong = ((t < left) & (i > 0)) | ((t >= x.take(i + 1)) & (i < last))
-        if wrong.any():
-            i[wrong] = np.clip(np.searchsorted(x, t[wrong], side="right") - 1, 0, last)
-            left = x.take(i)
-        return i, t - left
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        return i, t - x.take(i)
 
     def _refuse(self, t: float):
         x = self.knots

@@ -1,6 +1,7 @@
 """Parameter plumbing: pump profiles, derived rates, regimes, config files."""
 
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -239,6 +240,28 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+def _assert_scipys(curve: Curve, spl: CubicSpline, t: np.ndarray) -> None:
+    """curve is spl bit for bit: the coefficients, the curve at the array t
+    and at each of its floats, after pickling, the minimum from the
+    derivative's roots and, if periodic, the running integral."""
+    assert (_bits(curve.coeffs) == _bits(spl.c)).all()
+    period = curve.period
+    want = _bits(spl(np.mod(t, period)) if period is not None else spl(t))
+    assert (_bits(curve(t)) == want).all()
+    assert (_bits([curve(float(v)) for v in t]) == want).all()
+    back = pickle.loads(pickle.dumps(curve))
+    assert (_bits(back(t)) == want).all()
+    crit = spl.derivative().roots(extrapolate=False)
+    crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
+    low = min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf))
+    assert _bits(curve.minimum()) == _bits(low)
+    if period is not None:
+        anti = spl.antiderivative()
+        wraps = np.floor(t / period)
+        want = anti(t - wraps * period) + wraps * float(anti(period))
+        assert (_bits(curve.running_integral(t)) == _bits(want)).all()
+
+
 class TestScalarEvaluation:
     """The scalar branches the ODE right-hand sides take must give the
     array path's bits: a Curve against CubicSpline, and eps at one
@@ -246,21 +269,36 @@ class TestScalarEvaluation:
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_scalar_cubic_matches_scipy(self, periodic):
-        # a Curve at one float against scipy at the pre-wrapped array
+        # 2 to 2,049 knots, scipy's special cases included: random values
+        # with signed zeros, and "flat" and "zeros" curves whose every piece
+        # is identically flat
         rng = np.random.default_rng(1503)
-        for n in (4, 65, 2049):
-            x = np.linspace(0.0, rng.uniform(0.1, 50.0), n) + (0.0 if periodic else -1.7)
-            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
-            y[::7] = 0.0
+        for n, shape in itertools.product((2, 3, 4, 65, 2049), ("random", "flat", "zeros")):
+            y = {"random": rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3),
+                 "flat": np.full(n, 1.5), "zeros": np.zeros(n)}[shape]
             y[3::7] = -0.0
-            y[-1] = y[0]
+            if shape == "random":
+                y[::7] = 0.0
+            if periodic:
+                x = np.linspace(0.0, rng.uniform(0.1, 50.0), n)
+                y[-1] = y[0]
+                at = Curve(y[:-1], period=x[-1])
+            else:
+                x = np.cumsum(rng.uniform(0.01, 2.0, n)) - 1.7
+                at = Curve(y, knots=x)
             spl = CubicSpline(x, y, bc_type="periodic" if periodic else "not-a-knot")
             span = x[-1] - x[0]
             t = np.concatenate([x, rng.uniform(x[0] - 3 * span, x[-1] + 3 * span, 500),
                                 [np.nextafter(x[-1], x[0]), np.nextafter(x[0], x[-1]),
                                  np.nextafter(x[0], -np.inf), -0.0]])
-            at = Curve(y[:-1], period=x[-1]) if periodic else Curve(y, knots=x)
-            if not periodic:
+            if periodic:
+                # and times whose whole periods round past them: NaN integrals
+                ends = np.nextafter(np.arange(1, 400) * x[-1], 0.0)
+                late = ends[ends - np.floor(ends / x[-1]) * x[-1] < 0.0]
+                assert late.size
+                assert np.isnan(at.running_integral(late)).all()
+                t = np.concatenate([t, late])
+            else:
                 # a curve over its knots refuses the times past them
                 outside = (t < x[0]) | (t > x[-1])
                 for v in t[outside]:
@@ -269,9 +307,7 @@ class TestScalarEvaluation:
                 with pytest.raises(InvalidParameterError, match="span"):
                     at(t)
                 t = t[~outside]
-            want = _bits(spl(np.mod(t, x[-1]) if periodic else t))
-            assert (_bits(at(t)) == want).all()
-            assert (_bits([at(float(v)) for v in t]) == want).all()
+            _assert_scipys(at, spl, t)
 
     @pytest.mark.parametrize("kind", ["harmonic", "tabulated"])
     def test_eps_matches_array_path(self, kind):
@@ -298,61 +334,7 @@ class TestScalarEvaluation:
 
 class TestCurveIsScipys:
     """model.Curve builds scipy 1.17.1's CubicSpline itself; scipy stays as
-    the reference here.  Bit for bit: the coefficients, the curve at an
-    array and at each float, the running integral (NaN where t less its
-    whole periods rounds outside the period, as PPoly's extrapolate=False
-    gives) and the minimum from the derivative's roots."""
-
-    @staticmethod
-    def assert_scipys(curve: Curve, spl: CubicSpline, t: np.ndarray) -> None:
-        assert (_bits(curve.coeffs) == _bits(spl.c)).all()
-        period = curve.period
-        want = _bits(spl(np.mod(t, period)) if period is not None else spl(t))
-        assert (_bits(curve(t)) == want).all()
-        assert (_bits([curve(float(v)) for v in t]) == want).all()
-        back = pickle.loads(pickle.dumps(curve))
-        assert (_bits(back(t)) == want).all()
-        crit = spl.derivative().roots(extrapolate=False)
-        crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
-        low = min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf))
-        assert _bits(curve.minimum()) == _bits(low)
-        if period is not None:
-            anti = spl.antiderivative()
-            wraps = np.floor(t / period)
-            want = anti(t - wraps * period) + wraps * float(anti(period))
-            assert (_bits(curve.running_integral(t)) == _bits(want)).all()
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 65, 2049])
-    @pytest.mark.parametrize("periodic", [True, False])
-    @pytest.mark.parametrize("shape", ["random", "flat", "zeros"])
-    def test_random_curves(self, n, periodic, shape):
-        # n knots; "flat" and "zeros" make every piece identically flat
-        rng = np.random.default_rng(2301 + n)
-        y = {"random": rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3),
-             "flat": np.full(n, 1.5), "zeros": np.zeros(n)}[shape]
-        y[3::7] = -0.0
-        if shape == "random":
-            y[::7] = 0.0
-        if periodic:
-            period = rng.uniform(0.1, 50.0)
-            x = np.linspace(0.0, period, n)
-            y[-1] = y[0]
-            curve = Curve(y[:-1], period)
-        else:
-            x = np.cumsum(rng.uniform(0.01, 2.0, n)) - 1.7
-            curve = Curve(y, knots=x)
-        spl = CubicSpline(x, y, bc_type="periodic" if periodic else "not-a-knot")
-        span = x[-1] - x[0]
-        t = np.concatenate([x, rng.uniform(x[0], x[-1], 300),
-                            [np.nextafter(x[-1], x[0]), np.nextafter(x[0], x[-1])]])
-        if periodic:
-            # and times whose whole periods round past them: NaN integrals
-            ends = np.nextafter(np.arange(1, 400) * period, 0.0)
-            late = ends[ends - np.floor(ends / period) * period < 0.0]
-            assert late.size
-            t = np.concatenate([t, rng.uniform(-3 * span, 4 * span, 300), late, [-0.0]])
-            assert np.isnan(curve.running_integral(late)).all()
-        self.assert_scipys(curve, spl, t)
+    the reference here, and _assert_scipys compares them bit for bit."""
 
     def test_unevenly_spaced_knots(self):
         # knot gaps over six decades make dgtsv interchange rows
@@ -360,8 +342,8 @@ class TestCurveIsScipys:
         for n in (4, 5, 40):
             x = np.cumsum(10.0 ** rng.uniform(-3, 3, n))
             y = rng.normal(size=n)
-            self.assert_scipys(Curve(y, knots=x), CubicSpline(x, y),
-                               np.concatenate([x, rng.uniform(x[0], x[-1], 200)]))
+            _assert_scipys(Curve(y, knots=x), CubicSpline(x, y),
+                           np.concatenate([x, rng.uniform(x[0], x[-1], 200)]))
 
     def test_tridiagonal_solve_is_lapacks(self):
         # the knot-slope solver against scipy's solve_banded (LAPACK dgtsv):
@@ -405,7 +387,7 @@ class TestCurveIsScipys:
         assert len(built) == 3
         for curve in built:
             t = np.linspace(-0.3, 2.1, 401) * curve.period
-            self.assert_scipys(curve, CubicSpline(
+            _assert_scipys(curve, CubicSpline(
                 curve.knots, np.append(curve.coeffs[3], curve.coeffs[3, 0]),
                 bc_type="periodic"), t)
 
