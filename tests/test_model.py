@@ -345,6 +345,21 @@ class TestCurveIsScipys:
             _assert_scipys(Curve(y, knots=x), CubicSpline(x, y),
                            np.concatenate([x, rng.uniform(x[0], x[-1], 200)]))
 
+    def test_piece_lookup_is_searchsorteds(self):
+        # the guessed piece, checked, against searchsorted alone: at and
+        # beside every knot, past both ends, on evenly spaced knots (where
+        # the guess rarely misses) and uneven ones (where it mostly does)
+        rng = np.random.default_rng(2304)
+        for x in (np.linspace(0.0, 7.3, 2049), np.linspace(-1.7, 0.4, 5),
+                  np.cumsum(10.0 ** rng.uniform(-3, 3, 40))):
+            curve = Curve(rng.normal(size=x.size), knots=x)
+            t = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                                rng.uniform(x[0] - 1.0, x[-1] + 1.0, 5000)])
+            i, s = curve._locate(t)
+            want = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+            assert (i == want).all()
+            assert (_bits(s) == _bits(t - x[want])).all()
+
     def test_tridiagonal_solve_is_lapacks(self):
         # the knot-slope solver against scipy's solve_banded (LAPACK dgtsv):
         # random systems with and without row interchanges, and one where
