@@ -1,22 +1,21 @@
-"""One-period Gauss-Legendre evaluation of exponential-tail integrals.
+"""Periodic solutions of y' = -k(t) y + b(t) by one-period quadrature.
 
-Both closed-form routes (the periodic photon-number formula and the
-periodic variance formula) reduce to integrals of the shape
+n0 (through w = 1/n0), the depletion memory and V are such solutions,
+with k and b periodic in the modulation period T.  The periodic solution
+is y(t) = integral_0^inf exp(-K(t, s)) b(t - s) ds with K(t, s) the
+integral of k over [t - s, t].  K(t, s + T) = K(t, s) + D with
+D = K(T, T) > 0, so the tail is a geometric series of period integrals
+(Floquet theory: exp(-D) is the period multiplier) and exactly
 
-    I(t) = integral_0^inf  exp(g(t, s)) * b(t, s) ds,    b >= 0,
+    y(t) = integral_0^T exp(-K(t, s)) b(t - s) ds / (1 - exp(-D)).
 
-whose kernel repeats itself each modulation period T up to a fixed decay:
-b(t, s + T) = b(t, s) and g(t, s + T) = g(t, s) - D with D > 0.  The tail
-is a geometric series of period integrals, so exactly
-
-    I(t) = integral_0^T exp(g) b ds / (1 - exp(-D)).
-
-Within the period the kernel can swing through hundreds of nats where the
-pump dips below threshold for long, so panels accumulate in shifted-exponent
-form (a running maximum M of g factored out, log-sum-exp style) and the
-partial sums stay inside the float64 range.  The period stops early only on
-a proven bound: past a node s, g climbs at most at rate slope, so the rest
-of the period is at most (T - s) * b_max * exp(g(s) + max(slope, 0) (T - s)).
+Within the period the exponent can swing through hundreds of nats where
+the pump dips below threshold for long, so panels accumulate in
+shifted-exponent form (a running maximum M of -K factored out,
+log-sum-exp style) and the partial sums stay inside the float64 range.
+The period stops early only on a proven bound: past a node s, -K climbs
+at most at rate -k_min, so the rest of the period is at most
+(T - s) * b_max * exp(-K(t, s) + max(-k_min, 0) (T - s)).
 """
 
 from __future__ import annotations
@@ -25,35 +24,52 @@ import math
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 # The rest of the period is dropped once bounded below this share of the
 # sum (as a logarithm) in every row: far below float64 rounding.
 LOG_STOP = -60.0 * math.log(2.0)
 
+# K(t, s) is a difference of integrals that grow like rate*(|t| + T), so
+# past this bound its rounding error reaches about 1e-3.
+MAX_RATE_TIME = 2.0**43
 
-def period_integral(g, b, n_t: int, period: float, panel: float, decay: float,
-                    slope: float, b_max: float):
-    """Accumulate I(t) = int_0^inf exp(g(t,s)) b(t,s) ds for a grid of t.
 
-    g(s_nodes) and b(s_nodes) receive an array of s values of shape (nq,)
-    and return arrays of shape (n_t, nq): the caller bakes the t grid into
-    them.  b may return a scalar 1.0 for a pure kernel integral.  [0, period]
-    is tiled by ceil(period/panel) equal panels of the 32-point
-    Gauss-Legendre rule.  decay is D; slope and b_max bound dg/ds and b
-    over the period.
+def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
+                      b_max: float):
+    """The periodic solution y(t) of y' = -k y + b on a grid of times t.
 
-    Returns (M, A) with I = exp(M) * A elementwise: callers that need the
-    logarithm of I use log(A) + M directly and never materialize I when it
+    k_int(t, s, past) is K(t, s), the integral of k over [past, t] with
+    past = t - s.  The quadrature calls it with t of shape (n_t, 1), s of
+    shape (nq,) and past of shape (n_t, nq), which b(past) receives too,
+    and once with the floats (T, T, 0.0) for D.  b may return a scalar.
+    rate bounds |k|, k_min is k's minimum and b_max bounds b.  [0, T] is
+    tiled by equal panels of the 32-point Gauss-Legendre rule, at most
+    min(T/4, 4/rate) wide.  Times where rate*(|t| + T) exceeds
+    MAX_RATE_TIME are refused.
+
+    Returns (M, A) with y = exp(M) * A elementwise: callers that need the
+    logarithm of y use log(A) + M directly and never materialize y when it
     would over- or underflow.
     """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    reach = rate * (float(np.max(np.abs(t), initial=0.0)) + period)
+    if not reach <= MAX_RATE_TIME:
+        raise InvalidParameterError(
+            f"closed form: times reach rate*(|t| + T) = {reach:.3g}, over {MAX_RATE_TIME:.3g}, "
+            f"where the pump integral has lost its digits")
+    decay = float(k_int(period, period, period - period))
     x, w = np.polynomial.legendre.leggauss(32)
-    n = math.ceil(period / panel)
+    n = math.ceil(period / min(period / 4.0, 4.0 / rate))
     half = 0.5 * period / n
-    M = np.full(n_t, -np.inf)
-    A = np.zeros(n_t)
+    col = t[:, None]
+    M = np.full(t.size, -np.inf)
+    A = np.zeros(t.size)
     for k in range(n):
         s_nodes = half * (2 * k + 1 + x)
-        gv = g(s_nodes)
-        bv = b(s_nodes) * (half * w)  # fold quadrature weights into b
+        past = col - s_nodes[None, :]
+        gv = np.broadcast_to(-k_int(col, s_nodes, past), past.shape)
+        bv = b(past) * (half * w)  # fold quadrature weights into b
         M_new = np.maximum(M, gv.max(axis=1))
         # exp(-inf - -inf) would be nan; guard the first panel explicitly.
         scale = np.where(np.isneginf(M), 0.0, np.exp(M - M_new))
@@ -61,7 +77,7 @@ def period_integral(g, b, n_t: int, period: float, panel: float, decay: float,
         M = M_new
         rest = period - s_nodes[-1]
         with np.errstate(divide="ignore"):
-            log_rest = math.log(rest * b_max) + max(slope, 0.0) * rest + gv[:, -1]
+            log_rest = math.log(rest * b_max) + max(-k_min, 0.0) * rest + gv[:, -1]
             if np.all(log_rest < M + np.log(A) + LOG_STOP):
                 break
     return M, A / -math.expm1(-decay)

@@ -173,8 +173,8 @@ def _variance_evaluator(p: ModelParams):
     """Build a callable V(t) for the closed-form periodic solution.
 
     Above threshold the photon-number orbit enters three ways: pointwise
-    (lam*n0 in the decay rate and in the bracket), through its running
-    integral (the accumulated decay), and through the damping-filtered
+    (lam*n0 in the damping rate and in the bracket), through its running
+    integral (the accumulated damping), and through the damping-filtered
     memory term.  All three are precomputed on a one-period grid here,
     so repeated evaluations share the setup.
     """
@@ -194,58 +194,42 @@ def _variance_evaluator(p: ModelParams):
         # n0 itself as a spline too, for its running integral
         n0_curve = Curve(n0_grid, T)
         n0_cumulative = n0_curve.running_integral
-        per_period = float(n0_cumulative(T))
         n0_floor = n0_curve.minimum()
 
-        # Memory of the depletion channel: damping-filtered history of n0.
-        def g_mem(s):
-            return np.broadcast_to(-4.0 * gamma * s, (tau_grid.size, s.size))
-
-        def b_mem(s):
-            return n0_at(tau_grid[:, None] - s[None, :])
-
-        M_mem, A_mem = _tailquad.period_integral(
-            g_mem, b_mem, n_t=tau_grid.size, period=T, panel=min(T / 4.0, 1.0 / gamma),
-            decay=4.0 * gamma * T, slope=-4.0 * gamma,
-            b_max=B_MAX_FACTOR * float(np.max(n0_grid)),
-        )
+        # Memory of the depletion channel, J' = -4 gamma J + 4 gamma lam n0:
+        # the damping-filtered history of n0.
+        M_mem, A_mem = _tailquad.periodic_solution(
+            tau_grid, lambda t, s, past: 4.0 * gamma * s, n0_at, T, rate=4.0 * gamma,
+            k_min=4.0 * gamma, b_max=B_MAX_FACTOR * float(np.max(n0_grid)))
         with np.errstate(under="ignore"):
             mem_grid = 2.0 * gamma * lam * np.exp(M_mem) * A_mem
         mem_at = Curve(mem_grid, T)
     else:
         n0_grid = mem_grid = np.zeros(1)
-        per_period = n0_floor = 0.0
+        n0_floor = 0.0
 
         def n0_at(tau):
             return np.zeros_like(np.asarray(tau, dtype=float))
 
         n0_cumulative = mem_at = n0_at
 
-    rate_max = 2.0 * (gamma + d.eps_peak + lam * float(np.max(n0_grid)))
-    # The running integral integrates the spline through n0, which can
-    # undershoot the grid values, so the exponent's slope is bounded with
-    # its exact minimum.
-    slope = -2.0 * (gamma + d.eps_min + lam * n0_floor)
-    decay = 2.0 * (gamma * T + float(d.eps_integral(0.0, T)) + lam * per_period)
+    # V' = -2(gamma + eps + lam n0) V + 2(gamma + lam n0 + J/2).  The
+    # running integral integrates the spline through n0, which can
+    # undershoot the grid values, so k is bounded below with its exact
+    # minimum.
+    rate = 2.0 * (gamma + d.eps_peak + lam * float(np.max(n0_grid)))
+    k_min = 2.0 * (gamma + d.eps_min + lam * n0_floor)
     b_max = B_MAX_FACTOR * float(np.max(gamma + lam * n0_grid + mem_grid))
 
+    def k_int(t, s, past):
+        acc = gamma * s + d.eps_integral(past, t)
+        return 2.0 * (acc + lam * (n0_cumulative(t) - n0_cumulative(past)))
+
+    def b(past):
+        return gamma + lam * n0_at(past) + mem_at(past)
+
     def evaluate(t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-
-        def g(s):
-            past = t[:, None] - s[None, :]
-            acc = gamma * s[None, :] + d.eps_integral(past, t[:, None])
-            acc = acc + lam * (n0_cumulative(t)[:, None] - n0_cumulative(past))
-            return -2.0 * acc
-
-        def b(s):
-            past = t[:, None] - s[None, :]
-            return gamma + lam * n0_at(past) + mem_at(past)
-
-        M, A = _tailquad.period_integral(
-            g, b, n_t=t.size, period=T, panel=min(T / 4.0, 4.0 / rate_max),
-            decay=decay, slope=slope, b_max=b_max,
-        )
+        M, A = _tailquad.periodic_solution(t, k_int, b, T, rate, k_min, b_max)
         return 2.0 * np.exp(M) * A
 
     return evaluate

@@ -42,7 +42,7 @@ CROSS_TOL = 1e-4
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
 # RK45 steps one period of either ODE route may take.  RK45 is stable for
-# steps up to about 3.3/r on a decay of rate r, so a period takes about
+# steps up to about 3.3/r on a damping of rate r, so a period takes about
 # r*T/3.3 steps whatever the tolerance (flat pump at delta=2: 1,995 steps
 # counted against 1,902 estimated at pump ratio 1e3, 19,073 against 19,038
 # at 1e4).  A step of the orbit costs 26-29 us on a 2-vCPU x86 VM (it
@@ -264,10 +264,13 @@ def integrate_n0(
 
     n0_init = 0 returns the exact zero fixed point without touching the
     integrator.  Positive starts are integrated in u = ln n0.  t_span must
-    run forward, and n_points is at least 2.
+    run forward between finite times, n0_init is finite and n_points is at
+    least 2.
     """
-    if n0_init < 0:
-        raise ValueError(f"n0_init must be >= 0, got {n0_init}")
+    if not 0.0 <= n0_init < math.inf:
+        raise InvalidParameterError(f"n0_init must be finite and >= 0, got {n0_init}")
+    if not math.isfinite(t_span[0]) or not math.isfinite(t_span[1]):
+        raise InvalidParameterError(f"t_span must be finite, got {t_span}")
     if not t_span[1] > t_span[0]:
         raise InvalidParameterError(f"t_span must run forward, got {t_span}")
     if n_points < 2:
@@ -290,7 +293,7 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     """Integrate rhs period by period from y0 until its first component
     stops changing on the grid.
 
-    rate is the ODE's fastest decay rate and m the factor by which one
+    rate is the ODE's fastest damping rate and m the factor by which one
     period shrinks a deviation from the attractor.  gap(prev, now) returns
     the change between two consecutive grids and the bound it must fall
     below.  Refuses before integrating when RK45 would need more than
@@ -415,21 +418,14 @@ def asymptotic_log_n0(p: ModelParams, t) -> np.ndarray:
         )
     d = derive_params(p)
     gamma = d.gamma
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    T = d.period
 
-    # Panels resolve the fastest the exponent can move.
-    rate_max = 2.0 * (d.eps_peak + gamma)
+    def k_int(t, s, past):
+        # w = 1/n0 obeys w' = -2(eps - gamma) w + 2 lam
+        return 2.0 * (d.eps_integral(past, t) - gamma * s)
 
-    def g(s):
-        # -2 * int_0^s (eps(t-u) - gamma) du, shape (n_t, n_s)
-        return -2.0 * (d.eps_integral(t[:, None] - s[None, :], t[:, None]) - gamma * s[None, :])
-
-    M, A = _tailquad.period_integral(
-        g, lambda s: 1.0, n_t=t.size, period=T, panel=min(T / 4.0, 4.0 / rate_max),
-        decay=2.0 * (float(d.eps_integral(0.0, T)) - gamma * T),
-        slope=2.0 * (gamma - d.eps_min), b_max=1.0,
-    )
+    M, A = _tailquad.periodic_solution(
+        t, k_int, lambda past: 1.0, d.period, rate=2.0 * (d.eps_peak + gamma),
+        k_min=2.0 * (d.eps_min - gamma), b_max=1.0)
     # 1/n0 = 2 lam exp(M) A  =>  ln n0 = -(M + ln(2 lam A))
     return -(M + np.log(2.0 * d.lam * A))
 

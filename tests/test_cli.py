@@ -376,6 +376,22 @@ def test_false_or_endless_period_loop_is_refused(tmp_path, argv, message):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["variance", "--periods", "1e12", "--points", "3"],
+    ["semiclassical", "--delta", "1e-300", "--f1", "0.5", "--points", "3"],
+], ids=["variance-late-times", "semiclassical-endless-period"])
+def test_times_past_the_pump_integrals_digits_are_refused(tmp_path, argv):
+    # the first exited 0 with V = 0.66622 against 2/3: t - s rounds at
+    # rate*t near 4e13; in the second t - s rounds to t at t = T, so the
+    # closed form's exponent grew with s and its early stop never fired
+    cmd = [sys.executable, "-m", "modnopo.cli", *argv, "--out", str(tmp_path)]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 1
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "lost its digits" in errors[0], res.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_stiff_budget_keeps_pump_ratio_1e3(tmp_path):
     # the digest of the CSV from before the stiffness budget existed
     assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", "1e3:1e3:1",

@@ -299,3 +299,11 @@ class TestRK45:
         for n in (0, 1):
             with pytest.raises(InvalidParameterError, match="n_points"):
                 integrate_n0(p, t_span=(0.0, 1.0), n0_init=1.0, n_points=n)
+        # an endless span hung; a nan or inf start failed deep in the
+        # integrator or the spline, and a negative one with a bare ValueError
+        for span in ((0.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                integrate_n0(p, t_span=span, n0_init=1.0)
+        for n0 in (math.nan, math.inf, -1.0):
+            with pytest.raises(InvalidParameterError, match="n0_init"):
+                integrate_n0(p, t_span=(0.0, 1.0), n0_init=n0)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from modnopo import _tailquad, asymptotic_variance, derive_params, params_from_ratios
+from modnopo.errors import InvalidParameterError
 from modnopo.fluctuations import _variance_evaluator
 from modnopo.semiclassical import asymptotic_log_n0
 
@@ -30,20 +31,21 @@ def _closed_forms(p, t):
 @pytest.mark.parametrize("delta", DELTAS)
 def test_panels_never_exceed_one_period(monkeypatch, delta):
     seen = []
-    inner = _tailquad.period_integral
+    inner = _tailquad.periodic_solution
 
-    def counting(g, b, n_t, period, panel, **kw):
+    def counting(t, k_int, b, period, rate, k_min, b_max):
         calls = [0]
 
-        def g_counted(s):
-            calls[0] += 1
-            return g(s)
+        def k_counted(t_, s, past):
+            # one call a panel; the call at floats for D is not a panel
+            calls[0] += np.ndim(past) > 0
+            return k_int(t_, s, past)
 
-        out = inner(g_counted, b, n_t, period, panel, **kw)
-        seen.append((calls[0], math.ceil(period / panel)))
+        out = inner(t, k_counted, b, period, rate, k_min, b_max)
+        seen.append((calls[0], math.ceil(period / min(period / 4.0, 4.0 / rate))))
         return out
 
-    monkeypatch.setattr(_tailquad, "period_integral", counting)
+    monkeypatch.setattr(_tailquad, "periodic_solution", counting)
     p = params_from_ratios(fbar_over_fth=1.5, f1_over_fbar=1.2, delta_over_gamma=delta)
     _closed_forms(p, np.linspace(0.0, derive_params(p).period, 33))
     # the orbit on t, then on V's set-up grid, the memory term and V
@@ -70,25 +72,46 @@ def test_early_stop_waits_for_a_rebound(monkeypatch):
     # then climbs back: only the slope bound keeps the second half
     T, D = 10.0, 1.0
 
-    def g(s):
-        return np.broadcast_to(-D * s / T - 60.0 * np.sin(np.pi * s / T) ** 2, (1, s.size))
+    def k_int(t, s, past):
+        return D * s / T + 60.0 * np.sin(np.pi * s / T) ** 2
 
-    kw = dict(n_t=1, period=T, panel=0.5, decay=D, slope=60.0 * np.pi / T, b_max=1.0)
-    M, A = _tailquad.period_integral(g, lambda s: 1.0, **kw)
+    # rate 8 gives panels 0.5 wide; sin(pi)^2 leaves K(T, T) = D
+    kw = dict(period=T, rate=8.0, k_min=-60.0 * np.pi / T, b_max=1.0)
+    M, A = _tailquad.periodic_solution(np.zeros(1), k_int, lambda past: 1.0, **kw)
     monkeypatch.setattr(_tailquad, "LOG_STOP", -math.inf)
-    M_full, A_full = _tailquad.period_integral(g, lambda s: 1.0, **kw)
+    M_full, A_full = _tailquad.periodic_solution(np.zeros(1), k_int, lambda past: 1.0, **kw)
     np.testing.assert_allclose(np.exp(M) * A, np.exp(M_full) * A_full, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("period", [0.03, 1.0, 40.0])
 def test_flat_pump_gives_inverse_rate(period):
     a = 1.7
-    M, A = _tailquad.period_integral(
-        lambda s: np.broadcast_to(-a * s, (2, s.size)), lambda s: 1.0,
-        n_t=2, period=period, panel=min(period / 4.0, 1.0), decay=a * period,
-        slope=-a, b_max=1.0,
+    # rate 4 gives panels min(period/4, 1) wide
+    M, A = _tailquad.periodic_solution(
+        np.zeros(2), lambda t, s, past: a * s, lambda past: 1.0,
+        period=period, rate=4.0, k_min=a, b_max=1.0,
     )
     np.testing.assert_allclose(np.exp(M) * A, 1.0 / a, rtol=4e-16, atol=0.0)
+
+
+def test_times_past_the_pump_integrals_digits_are_refused():
+    # flat pump, so n0 and V are constants; at delta = 1e-10 two periods
+    # reach rate*(|t| + T) near 1e12 and keep n0 to 7e-7 and V to 6e-6
+    p = params_from_ratios(fbar_over_fth=1.5, f1_over_fbar=0.0, delta_over_gamma=1e-10)
+    d = derive_params(p)
+    t = np.linspace(0.0, 2.0 * d.period, 5)
+    n0, V = _closed_forms(p, t)
+    np.testing.assert_allclose(n0, (d.eps_bar - d.gamma) / d.lam, rtol=1e-5, atol=0.0)
+    np.testing.assert_allclose(V, V[0], rtol=1e-4, atol=0.0)
+    # a tenfold longer period moves both past 2^43
+    p = params_from_ratios(fbar_over_fth=1.5, f1_over_fbar=0.0, delta_over_gamma=1e-11)
+    t = np.linspace(0.0, 2.0 * derive_params(p).period, 5)
+    with pytest.raises(InvalidParameterError, match="lost its digits"):
+        asymptotic_log_n0(p, t)
+    _variance_evaluator.cache_clear()
+    with pytest.raises(InvalidParameterError, match="lost its digits"):
+        asymptotic_variance(p, t)  # its set-up on one period still runs
+    _variance_evaluator.cache_clear()
 
 
 def test_slow_modulation_variance_memory_stays_small():
