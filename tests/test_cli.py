@@ -219,6 +219,68 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert (a / "qsd.csv").read_bytes() == (b / "qsd.csv").read_bytes()
 
 
+# Every subcommand at small inputs, above and below threshold: the sha256 of
+# its exit code, stdout, stderr and every file it writes.  compare at
+# lam 1e-4 skips its state-diffusion leg, and fig1 refuses a pump below
+# threshold.
+FROZEN_RUNS = {
+    "semiclassical": (["semiclassical", "--points", "9", "--f1", "0.4"],
+                      "cc262d191182f62ca82711ece70f92d8eb8182b44cd7aa2a815f3fa83be5d8a2"),
+    "semiclassical-below": (["semiclassical", "--points", "5", "--fbar", "0.5"],
+                            "09aaa384789edcf8b54861905218475cc7e223f32c68018a0a452ef5a3d117b3"),
+    "variance": (["variance", "--points", "9", "--f1", "1.2"],
+                 "f32d75991eb5c609c76617fceb072e378ed58d6fae6411b1b86e393e3f9e1b31"),
+    "variance-below": (["variance", "--points", "5", "--fbar", "0.5", "--f1", "0.4"],
+                       "00c02c2ca9ce88d0a8a2a769bdfeaedaaa4f37793b9357d70ff74ee308c462d3"),
+    "sweep": (["sweep", "--fbar-grid", "0.5:1.5:0.5", "--f1-levels", "0,0.75"],
+              "9efb417496f249301679b4fb516452820009f724beca367ba570f55f9878b45e"),
+    "sweep-untrusted": (["sweep", "--fbar-grid", "1.05:1.05:0.05", "--f1-levels", "0,2",
+                         "--lam", "0.001"],
+                        "dfa2288111ff46d7ca7a36d2315c1fc6f110ad3cf699a6cf86066bd3572a1b10"),
+    "positivep": (["positivep", "--traj", "16", "--grid-points", "3", "--relax", "0.5",
+                   "--lam", "0.1", "--f1", "0.5"],
+                  "d6e61639572661e44690beccc1f52c5c3248615c5d9356bfd216928422ff8c3c"),
+    "qsd": (["qsd", "--traj", "8", "--grid-points", "3", "--nmax", "10", "--lam", "0.1",
+             "--fbar", "0.3", "--relax", "1"],
+            "4fb95b22d0139d29818a64ec49e06e8e23f9ea23ef45f286cec2e1e149cba48d"),
+    "compare": (["compare", "--fbar", "0.3", "--traj", "32", "--qsd-traj", "8",
+                 "--grid-points", "3", "--relax", "1"],
+                "9b32a36ca3ad7d855c054883e1ed70c74f2169105ee4fc2c5b06ac911662ba37"),
+    "compare-qsd-skipped": (["compare", "--lam", "1e-4", "--traj", "32", "--qsd-traj", "8",
+                             "--grid-points", "3", "--relax", "0.5"],
+                            "24a4ccc09ee56571384918bd7c2d6da0629d0593b8ac86b5e8a937177b005b74"),
+    "fig1": (["fig1", "--points", "9"],
+             "3bf20cc66e42d1587257d447a858772bc960fe075feb99d8fb5378f3b52078f5"),
+    "fig1-below": (["fig1", "--fbar", "0.5", "--points", "5"],
+                   "ccdf84e2d1c75653aa03be487192d494c2868b758b78d7b512710fed63b56811"),
+    "fig2": (["fig2", "--points", "9"],
+             "28a3d03814772acbd44b400506fac9104434347881fd214f762da437ecc1bf56"),
+    "fig2-below": (["fig2", "--fbar", "0.5", "--points", "5"],
+                   "9c9a3c64ac75d92f602d5b7975f6764ab7435934cce3c5b3851d0bd558b366d0"),
+    "fig3": (["fig3", "--fbar-grid", "1.05:1.05:0.05", "--lam", "0.001"],
+             "9ebda5a1c8fb3298625e5eec203b372be632b04da35f0a1782dacc6608ce77d6"),
+    "fig4": (["fig4", "--traj", "8", "--grid-points", "3", "--relax", "0.5", "--nmax", "10"],
+             "53cbf0499c2e84e2bc543e9d1af3125dfd98b6e4c6ffce428deabb7959b87c08"),
+}
+
+
+def _run_digest(argv, out, capsys) -> str:
+    code = main([*argv, "--out", str(out)])
+    std = capsys.readouterr()
+    h = hashlib.sha256(f"exit {code}\n{std.out}\0{std.err}\0".encode())
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        h.update(f"{path.name} {len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("label", list(FROZEN_RUNS))
+def test_frozen_subcommand_bytes(tmp_path, capsys, label):
+    argv, digest = FROZEN_RUNS[label]
+    assert _run_digest(argv, tmp_path, capsys) == digest
+
+
 def test_timestamp_flag_breaks_reproducibility_knowingly(tmp_path):
     assert main(["variance", "--out", str(tmp_path), "--points", "9",
                  "--timestamp"]) == 0
