@@ -16,6 +16,9 @@ log-sum-exp style) and the partial sums stay inside the float64 range.
 The period stops early only on a proven bound: past a node s, -K climbs
 at most at rate -k_min, so the rest of the period is at most
 (T - s) * b_max * exp(-K(t, s) + max(-k_min, 0) (T - s)).
+Where k dips below zero that bound rarely falls far enough, and the whole
+period runs; such a period is refused up front when its work is over
+WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ LOG_STOP = -60.0 * math.log(2.0)
 # past this bound its rounding error reaches about 1e-3.
 MAX_RATE_TIME = 2.0**43
 
+# Work of a period that runs all its panels, in units of panels * (times
+# + 60): a panel costs about as much as 60 rows of the time grid.  One unit
+# took about 1 us on a 2-CPU x86 host, so the budget is a few minutes.
+WORK_BUDGET = 2**28
+
 
 def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
                       b_max: float):
@@ -46,7 +54,8 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
     rate bounds |k|, k_min is k's minimum and b_max bounds b.  [0, T] is
     tiled by equal panels of the 32-point Gauss-Legendre rule, at most
     min(T/4, 4/rate) wide.  Times where rate*(|t| + T) exceeds
-    MAX_RATE_TIME are refused.
+    MAX_RATE_TIME are refused, and so is a period with k_min < 0 whose
+    work is over WORK_BUDGET.
 
     Returns (M, A) with y = exp(M) * A elementwise: callers that need the
     logarithm of y use log(A) + M directly and never materialize y when it
@@ -61,6 +70,12 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
     decay = float(k_int(period, period, period - period))
     x, w = np.polynomial.legendre.leggauss(32)
     n = math.ceil(period / min(period / 4.0, 4.0 / rate))
+    work = n * (t.size + 60)
+    if k_min < 0.0 and work > WORK_BUDGET:
+        raise InvalidParameterError(
+            f"closed form: the decay rate dips below zero, so one period needs all "
+            f"{n} panels on {t.size} times, {work:.3g} units of panels*(times + 60), "
+            f"over the budget of {WORK_BUDGET:.3g}")
     half = 0.5 * period / n
     col = t[:, None]
     M = np.full(t.size, -np.inf)

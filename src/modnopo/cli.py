@@ -64,7 +64,7 @@ def _resolve_model(args, overrides=None, desk_lam=None) -> tuple[ModelParams, di
         cfg["f1_over_fbar"] = args.f1
     if args.delta is not None:
         cfg["delta_over_gamma"] = args.delta
-    lam = getattr(args, "lam", None)
+    lam = args.lam
     if lam is not None and not (math.isfinite(lam) and lam > 0.0):
         raise InvalidParameterError(f"--lam must be finite and > 0, got {lam}")
     if lam is None and "k_over_gamma" not in file_cfg:
@@ -102,12 +102,18 @@ def _curve_grid(p: ModelParams, points: int, periods: float = 1.0) -> np.ndarray
     return _period_grid(p, points, periods)
 
 
-def _variance_curve(p: ModelParams, t: np.ndarray):
-    """V(t) and the matching photon-number orbit in any pump regime."""
+def _orbit(p: ModelParams, t: np.ndarray) -> np.ndarray:
+    """n0(t) in any pump regime: the closed form above threshold, else zero."""
     if regime_classify(p) is Regime.ABOVE_THRESHOLD:
-        return asymptotic_variance(p, t), asymptotic_n0(p, t)
-    traj = integrate_variance(p)
-    return traj.interp(t), np.zeros_like(t)
+        return asymptotic_n0(p, t)
+    return np.zeros_like(t)
+
+
+def _variance_curve(p: ModelParams, t: np.ndarray) -> np.ndarray:
+    """V(t) in any pump regime: the closed form above threshold, else the ODE."""
+    if regime_classify(p) is Regime.ABOVE_THRESHOLD:
+        return asymptotic_variance(p, t)
+    return integrate_variance(p).interp(t)
 
 
 def _warn_validity(p: ModelParams) -> float:
@@ -125,11 +131,7 @@ def cmd_semiclassical(args) -> int:
     p, cfg = _resolve_model(args)
     t = _curve_grid(p, args.points, args.periods)
     out = _out_dir(args)
-    if regime_classify(p) is Regime.ABOVE_THRESHOLD:
-        n0 = asymptotic_n0(p, t)
-    else:
-        n0 = np.zeros_like(t)
-    write_csv(out / "semiclassical.csv", ["t", "n0"], [t, n0], _meta(args, cfg))
+    write_csv(out / "semiclassical.csv", ["t", "n0"], [t, _orbit(p, t)], _meta(args, cfg))
     return 0
 
 
@@ -138,8 +140,8 @@ def cmd_variance(args) -> int:
     t = _curve_grid(p, args.points, args.periods)
     out = _out_dir(args)
     _warn_validity(p)
-    V, n0 = _variance_curve(p, t)
-    write_csv(out / "variance.csv", ["t", "V", "n0"], [t, V, n0], _meta(args, cfg))
+    V = _variance_curve(p, t)
+    write_csv(out / "variance.csv", ["t", "V", "n0"], [t, V, _orbit(p, t)], _meta(args, cfg))
     return 0
 
 
@@ -186,13 +188,15 @@ def _warn_untrusted(cells) -> None:
 
 
 def _sweep_cells(p: ModelParams, grid, levels, n_workers: int) -> list:
-    """sweep_vmin's cells, or an error naming the first failed cell."""
+    """sweep_vmin's cells, warned about where untrusted; an error names the
+    first failed cell."""
     cells = sweep_vmin(p, grid, levels, n_workers=n_workers)
     failed = [c for c in cells if c.error is not None]
     if failed:
         c = failed[0]
         raise RuntimeError(f"{len(failed)} of {len(cells)} sweep cells failed, the first "
                            f"at fbar={c.fbar_over_fth} f1={c.f1_over_fbar}: {c.error}")
+    _warn_untrusted(cells)
     return cells
 
 
@@ -201,7 +205,6 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     grid = _parse_grid(args.fbar_grid)
     cells = _sweep_cells(p, grid, _parse_levels(args.f1_levels), args.workers)
-    _warn_untrusted(cells)
     extra = {"fbar_grid": args.fbar_grid, "f1_levels": args.f1_levels}
     _sweep_csv(out, "sweep.csv", cells, _meta(args, cfg, extra))
     return 0
@@ -258,32 +261,31 @@ def cmd_compare(args) -> int:
     ratio = _warn_validity(p)
     t = _period_grid(p, args.grid_points)
 
-    v_lin, _ = _variance_curve(p, t)
+    v_lin = _variance_curve(p, t)
     tol = 2.0 * lam_ratio
+
+    def within(dev, stderr) -> int:
+        return int(bool((dev <= np.maximum(3.0 * stderr, tol)).all()))
 
     pp = simulate_ensemble(p, n_traj=args.traj, **_run_flags(args, t))
     dev_pp = np.abs(pp.V_mean - v_lin)
-    pp_ok = bool((dev_pp <= np.maximum(3.0 * pp.V_stderr, tol)).all())
-
     extra = {
         "lam_over_gamma": lam_ratio,
         "validity_ratio": ratio,
         "policy": "|V - V_linear| <= max(3*stderr, 2*lam/gamma)",
-        "pp_within_policy": int(pp_ok),
+        "pp_within_policy": within(dev_pp, pp.V_stderr),
     }
 
     qsd_n0 = auto_n_max(p)
     if (qsd_n0 + 1) ** 2 <= MAX_PRODUCT_DIM:
-        ens = simulate_qsd_ensemble(p, n_traj=args.qsd_traj, **_run_flags(args, t))
-        v_qsd = ens.V_mean
-        e_qsd = ens.V_stderr
+        ens = simulate_qsd_ensemble(p, n_max=qsd_n0, n_traj=args.qsd_traj,
+                                    **_run_flags(args, t))
+        v_qsd, e_qsd = ens.V_mean, ens.V_stderr
         dev_qsd = np.abs(v_qsd - v_lin)
-        qsd_ok = bool((dev_qsd <= np.maximum(3.0 * e_qsd, tol)).all())
-        extra["qsd_within_policy"] = int(qsd_ok)
+        extra["qsd_within_policy"] = within(dev_qsd, e_qsd)
         extra["qsd_n_max"] = ens.n_max
     else:
-        nan = np.full_like(t, np.nan)
-        v_qsd, e_qsd, dev_qsd = nan, nan, nan
+        v_qsd = e_qsd = dev_qsd = np.full_like(t, np.nan)
         extra["qsd_within_policy"] = (
             f"skipped (estimated cutoff {qsd_n0} exceeds dimension budget)"
         )
@@ -306,6 +308,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _figure(out, name, header, columns, meta, xlabel, ylabel, titles, **plot) -> int:
+    """name.csv and its gnuplot script, one line per title from column 2 on."""
+    csv = write_csv(out / f"{name}.csv", header, columns, meta)
+    write_gnuplot(out / f"{name}.gp", csv.name, xlabel, ylabel, enumerate(titles, 2), meta,
+                  **plot)
+    return 0
+
+
 def _level_figure(args, name, ylabel, curve, periods=1.0, **plot) -> int:
     """One curve per modulation level f1/fbar = 0, 0.4, 1.2 on a period grid."""
     p, cfg = _resolve_model(args)
@@ -314,22 +324,9 @@ def _level_figure(args, name, ylabel, curve, periods=1.0, **plot) -> int:
     meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
     curves = [curve(config_to_params(dict(cfg, f1_over_fbar=level)), t)
               for level in (0.0, 0.4, 1.2)]
-    csv = write_csv(
-        out / f"{name}.csv",
-        ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
-        [t, *curves],
-        meta,
-    )
-    write_gnuplot(
-        out / f"{name}.gp",
-        csv.name,
-        "t (1/gamma)",
-        ylabel,
-        [(2, "f1=0"), (3, "f1=0.4 fbar"), (4, "f1=1.2 fbar")],
-        meta,
-        **plot,
-    )
-    return 0
+    return _figure(out, name, ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
+                   [t, *curves], meta, "t (1/gamma)", ylabel,
+                   ["f1=0", "f1=0.4 fbar", "f1=1.2 fbar"], **plot)
 
 
 def cmd_fig1(args) -> int:
@@ -337,7 +334,7 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_fig2(args) -> int:
-    return _level_figure(args, "fig2", "V", lambda p, t: _variance_curve(p, t)[0])
+    return _level_figure(args, "fig2", "V", _variance_curve)
 
 
 def cmd_fig3(args) -> int:
@@ -349,23 +346,10 @@ def cmd_fig3(args) -> int:
     # one pool for all three levels; the cells come back levels outer
     cells = _sweep_cells(p, grid, levels, args.workers)
     v_min = np.array([c.v_min for c in cells]).reshape(len(levels), grid.size)
-    columns = [grid, *v_min]
-    _warn_untrusted(cells)
-    csv = write_csv(
-        out / "fig3.csv",
-        ["fbar_over_fth", "v_min_curve1", "v_min_curve2", "v_min_curve3"],
-        columns,
-        meta,
-    )
-    write_gnuplot(
-        out / "fig3.gp",
-        csv.name,
-        "fbar/f_th",
-        "V_min",
-        [(2, "f1=0"), (3, "f1=0.75 fbar"), (4, "f1=2 fbar")],
-        meta,
-    )
-    return 0
+    return _figure(out, "fig3", ["fbar_over_fth", "v_min_curve1", "v_min_curve2",
+                                 "v_min_curve3"],
+                   [grid, *v_min], meta, "fbar/f_th", "V_min",
+                   ["f1=0", "f1=0.75 fbar", "f1=2 fbar"])
 
 
 def cmd_fig4(args) -> int:
@@ -374,7 +358,7 @@ def cmd_fig4(args) -> int:
     out = _out_dir(args)
     ratio = _warn_validity(p)
     t = _period_grid(p, args.grid_points)
-    v_lin, _ = _variance_curve(p, t)
+    v_lin = _variance_curve(p, t)
     ens = simulate_qsd_ensemble(p, n_max=args.nmax, n_traj=args.traj,
                                 **_run_flags(args, t))
     meta = _meta(
@@ -387,24 +371,14 @@ def cmd_fig4(args) -> int:
             "traj": ens.n_traj,
         },
     )
-    csv = write_csv(
-        out / "fig4.csv",
-        ["t", "V_analytic", "V_qsd", "V_qsd_stderr"],
-        [t, v_lin, ens.V_mean, ens.V_stderr],
-        meta,
-    )
-    write_gnuplot(
-        out / "fig4.gp",
-        csv.name,
-        "t (1/gamma)",
-        "V",
-        [(2, "linearized"), (3, "state diffusion")],
-        meta,
-    )
-    return 0
+    return _figure(out, "fig4", ["t", "V_analytic", "V_qsd", "V_qsd_stderr"],
+                   [t, v_lin, ens.V_mean, ens.V_stderr], meta, "t (1/gamma)", "V",
+                   ["linearized", "state diffusion"])
 
 
-def _add_model_flags(sp):
+def _command(sub, name, func, help):
+    """A subcommand parser that takes the model flags and runs func."""
+    sp = sub.add_parser(name, help=help)
     sp.add_argument("--config", help="JSON configuration file")
     sp.add_argument("--out", default=".", help="existing output directory")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -419,6 +393,8 @@ def _add_model_flags(sp):
         "--timestamp", action="store_true",
         help="stamp outputs with wall-clock time (breaks byte reproducibility)",
     )
+    sp.set_defaults(func=func)
+    return sp
 
 
 def _add_ensemble_flags(sp, traj_default, route):
@@ -439,67 +415,47 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"modnopo {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("semiclassical", help="periodic photon-number orbit")
-    _add_model_flags(sp)
+    sp = _command(sub, "semiclassical", cmd_semiclassical, "periodic photon-number orbit")
     sp.add_argument("--points", type=int, default=801)
     sp.add_argument("--periods", type=float, default=2.0)
-    sp.set_defaults(func=cmd_semiclassical)
 
-    sp = sub.add_parser("variance", help="linearized squeezed variance V(t)")
-    _add_model_flags(sp)
+    sp = _command(sub, "variance", cmd_variance, "linearized squeezed variance V(t)")
     sp.add_argument("--points", type=int, default=513)
     sp.add_argument("--periods", type=float, default=1.0)
-    sp.set_defaults(func=cmd_variance)
 
-    sp = sub.add_parser("sweep", help="V_min over pump and modulation grids")
-    _add_model_flags(sp)
+    sp = _command(sub, "sweep", cmd_sweep, "V_min over pump and modulation grids")
     sp.add_argument("--fbar-grid", default="0.1:4:0.05", help="lo:hi:step")
     sp.add_argument("--f1-levels", default="0,0.75,2", help="comma separated")
     sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("positivep", help="phase-space trajectory ensemble")
-    _add_model_flags(sp)
+    sp = _command(sub, "positivep", cmd_positivep, "phase-space trajectory ensemble")
     _add_ensemble_flags(sp, 2000, positivep)
-    sp.set_defaults(func=cmd_positivep)
 
-    sp = sub.add_parser("qsd", help="state-diffusion trajectory ensemble")
-    _add_model_flags(sp)
+    sp = _command(sub, "qsd", cmd_qsd, "state-diffusion trajectory ensemble")
     _add_ensemble_flags(sp, 512, qsd)
     sp.add_argument("--nmax", type=int, default=None, help="starting Fock cutoff")
-    sp.set_defaults(func=cmd_qsd)
 
-    sp = sub.add_parser("compare", help="linearized vs both quantum ensembles")
-    _add_model_flags(sp)
+    sp = _command(sub, "compare", cmd_compare, "linearized vs both quantum ensembles")
     _add_ensemble_flags(sp, 4000, positivep)
     sp.add_argument("--qsd-traj", type=int, default=256)
-    sp.set_defaults(func=cmd_compare)
 
-    sp = sub.add_parser("fig1", help="photon-number orbits at three modulations")
-    _add_model_flags(sp)
+    sp = _command(sub, "fig1", cmd_fig1, "photon-number orbits at three modulations")
     sp.add_argument("--points", type=int, default=801)
-    sp.set_defaults(func=cmd_fig1)
 
-    sp = sub.add_parser("fig2", help="variance curves at three modulations")
-    _add_model_flags(sp)
+    sp = _command(sub, "fig2", cmd_fig2, "variance curves at three modulations")
     sp.add_argument("--points", type=int, default=513)
-    sp.set_defaults(func=cmd_fig2)
 
-    sp = sub.add_parser("fig3", help="V_min sweep at three modulation levels")
-    _add_model_flags(sp)
+    sp = _command(sub, "fig3", cmd_fig3, "V_min sweep at three modulation levels")
     sp.add_argument("--fbar-grid", default="0.1:4:0.05", help="lo:hi:step")
     sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_fig3)
 
-    sp = sub.add_parser("fig4", help="state-diffusion vs linearized overlay")
-    _add_model_flags(sp)
+    sp = _command(sub, "fig4", cmd_fig4, "state-diffusion vs linearized overlay")
     _add_ensemble_flags(sp, 512, qsd)
     sp.add_argument("--nmax", type=int, default=None)
     sp.add_argument(
         "--full", action="store_true",
         help="realistic-scale nonlinearity (long run, excluded from CI)",
     )
-    sp.set_defaults(func=cmd_fig4)
 
     return ap
 

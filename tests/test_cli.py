@@ -454,6 +454,19 @@ def test_times_past_the_pump_integrals_digits_are_refused(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("points", ["3", "801"])
+def test_closed_form_over_its_work_budget_is_refused(tmp_path, points):
+    # the f1 = 1.2 fbar level's pump dips below threshold, so its period of
+    # 23.9M panels cannot stop early; it used to run for hours
+    cmd = [sys.executable, "-m", "modnopo.cli", "fig1", "--delta", "1e-6", "--points", points,
+           "--out", str(tmp_path)]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: closed form") and "budget" in lines[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_stiff_budget_keeps_pump_ratio_1e3(tmp_path):
     # the digest of the CSV from before the stiffness budget existed
     assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", "1e3:1e3:1",

@@ -126,3 +126,28 @@ def test_slow_modulation_variance_memory_stays_small():
         tracemalloc.stop()
         _variance_evaluator.cache_clear()
     assert peak < 16 * 2**20
+
+
+def test_work_budget_refuses_a_period_that_cannot_stop_early(monkeypatch):
+    # 100 panels on 2 times are 100 * (2 + 60) units of work
+    kw = dict(period=100.0, rate=4.0, b_max=1.0)
+    flat = (np.zeros(2), lambda t, s, past: 1.7 * s, lambda past: 1.0)
+    monkeypatch.setattr(_tailquad, "WORK_BUDGET", 6200)
+    M, A = _tailquad.periodic_solution(*flat, k_min=-1.0, **kw)
+    np.testing.assert_allclose(np.exp(M) * A, 1.0 / 1.7, rtol=1e-15, atol=0.0)
+    monkeypatch.setattr(_tailquad, "WORK_BUDGET", 6199)
+    with pytest.raises(InvalidParameterError, match="100 panels on 2 times, 6.2e\\+03 units"):
+        _tailquad.periodic_solution(*flat, k_min=-1.0, **kw)
+    # a decay rate that stays positive proves its early stop, so it is let through
+    M, A = _tailquad.periodic_solution(*flat, k_min=1.7, **kw)
+    np.testing.assert_allclose(np.exp(M) * A, 1.0 / 1.7, rtol=1e-15, atol=0.0)
+
+
+def test_work_budget_at_its_real_size():
+    # the deepest fig1 level at delta = 1e-6 tiles one period with 23.9M
+    # panels and used to run for hours; delta = 1e-3 costs 2e7 units at 801
+    # points and still runs
+    p = params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=1.2, delta_over_gamma=1e-6)
+    with pytest.raises(InvalidParameterError, match="23876105 panels on 3 times"):
+        asymptotic_log_n0(p, np.zeros(3))
+    assert 23877 * (801 + 60) < _tailquad.WORK_BUDGET < 23876105 * (3 + 60)
