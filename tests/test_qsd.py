@@ -440,8 +440,10 @@ def _ensemble_digest(ens) -> str:
 class TestFrozenBytes:
     """Regression freezes: sha256 of every QsdEnsemble field of two small
     runs and of a qsd_step sequence, taken at commit 33169d0 before the
-    trajectory loop moved into _ensemble.  A rewrite of the loop, the noise
-    draw or the kernel must keep every byte."""
+    trajectory loop moved into _ensemble, and of a run at the benchmark's
+    shapes, taken at commit b1d2e25 while the kernel still applied sparse
+    matrices.  A rewrite of the loop, the noise draw or the kernel must keep
+    every byte."""
 
     P = params_from_ratios(fbar_over_fth=0.5, f1_over_fbar=1.0,
                            delta_over_gamma=2.0, lam_over_gamma=LAM)
@@ -464,6 +466,17 @@ class TestFrozenBytes:
         assert ens.n_max == 10
         assert _ensemble_digest(ens) == (
             "22945bd3248e34b2336d3a9b80c2a1eff85e0cf8fc22203debaa8c4fcb9cc841")
+
+    def test_benchmark_shapes(self):
+        # the state_diffusion benchmark's cutoff and batch widths: at n_max
+        # 22 a pilot of two jobs of 16, then one full batch of 64, on two
+        # workers
+        ens = simulate_qsd_ensemble(self.P, n_max=22, n_traj=96,
+                                    t_grid=np.linspace(0.0, 0.5, 3), seed=1204,
+                                    relax=1.0, n_workers=2)
+        assert ens.n_max == 22
+        assert _ensemble_digest(ens) == (
+            "ccb466c6d12fa1e8f652c15a4667f704b9b18ad23365cab65b0f4eba785db2e1")
 
     def test_step_sequence(self):
         ops = build_operators(self.P, 8)
