@@ -222,7 +222,7 @@ def map_ordered(fn, jobs: list, n_workers: int) -> list:
     one that cannot be pickled raises at once; a pickling error inside the
     pool's feeder thread would leave the pool waiting for good.  Workers
     are forked where the platform can, since a fresh interpreter per pool
-    re-imports numpy and scipy.  A failed job cancels the jobs not yet
+    re-imports numpy and the package.  A failed job cancels the jobs not yet
     started and sets the pool's stop event, so jobs inside run_lockstep end
     with Aborted at their next step.  The exception raised is the first
     failure in job order that is not Aborted; with no job stopped early

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, FockDimensionError, InvalidParameterError, TruncationError
 from ._ensemble import (DIVERGENCE_BUDGET, check_dt, check_survivors, draw_noise,
@@ -43,30 +42,25 @@ _MAX_GROW_ROUNDS = 25
 _PILOT_TRAJ = 32
 
 
-def ladder(n_max: int) -> sp.csr_matrix:
-    """Single-mode annihilation operator on n_max+1 Fock levels."""
-    if n_max < 1:
-        raise InvalidParameterError("ladder operator needs n_max >= 1")
-    off = np.sqrt(np.arange(1.0, n_max + 1.0))
-    return sp.diags(off, offsets=1, format="csr", dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class OperatorSet:
-    """Sparse operators over the |n1,n2> product basis, plus model rates.
+    """The |n1,n2> product basis at cutoff n_max, plus model rates.
 
-    The drive enters through ``eps(t)``; everything else is time independent
-    and shared read-only across trajectories.  ``loss_diag`` carries the
-    diagonal 1/2 sum(L^dag L) = gamma*(n1+n2) + lam*n1*n2 used by the drift,
-    and ``tail_mask`` marks basis states within TAIL_LEVELS of either cutoff.
+    |n1,n2> is row n1*(n_max+1) + n2 of a state.  No operator is held as a
+    matrix: ``images`` applies the ladder operators through the complex
+    (dim, 1) columns ``root1`` = sqrt(n1+1), ``root2`` = sqrt(n2+1) and
+    ``root_pair`` = their product.  The drive enters through ``eps(t)``;
+    everything else is time independent and shared read-only across
+    trajectories.  ``loss_diag`` carries the diagonal 1/2 sum(L^dag L) =
+    gamma*(n1+n2) + lam*n1*n2 used by the drift, and ``tail_mask`` marks
+    basis states within TAIL_LEVELS of either cutoff.
     """
 
     n_max: int
     dim: int
-    a1: sp.csr_matrix
-    a2: sp.csr_matrix
-    pair: sp.csr_matrix
-    pair_dag: sp.csr_matrix
+    root1: np.ndarray
+    root2: np.ndarray
+    root_pair: np.ndarray
     n1_diag: np.ndarray
     n2_diag: np.ndarray
     loss_diag: np.ndarray
@@ -77,15 +71,6 @@ class OperatorSet:
 
     def eps(self, t):
         return self.derived.eps(t)
-
-    def hamiltonian(self, t: float) -> sp.csr_matrix:
-        e = float(self.derived.eps(t))
-        return (1j * e) * (self.pair_dag - self.pair)
-
-    def lindblad_ops(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        root_g = math.sqrt(2.0 * self.gamma)
-        root_l = math.sqrt(2.0 * self.lam)
-        return root_g * self.a1, root_g * self.a2, root_l * self.pair
 
 
 @dataclass(frozen=True)
@@ -120,23 +105,21 @@ def build_operators(p: ModelParams, n_max: int) -> OperatorSet:
             f"(n_max={n_max})"
         )
     d = derive_params(p)
-    a = ladder(n_max)
-    eye = sp.identity(n_max + 1, format="csr", dtype=np.complex128)
-    a1 = sp.kron(a, eye, format="csr")
-    a2 = sp.kron(eye, a, format="csr")
-    pair = (a1 @ a2).tocsr()
     levels = np.arange(n_max + 1.0)
     n1_diag = np.repeat(levels, n_max + 1)
     n2_diag = np.tile(levels, n_max + 1)
+    # complex with zero imaginary parts, as the Kronecker-built matrices and
+    # their product hold sqrt(n+1) and sqrt(n1+1)*sqrt(n2+1)
+    root1 = np.sqrt(n1_diag + 1.0)
+    root2 = np.sqrt(n2_diag + 1.0)
     loss_diag = d.gamma * (n1_diag + n2_diag) + d.lam * n1_diag * n2_diag
     tail = (n1_diag > n_max - TAIL_LEVELS) | (n2_diag > n_max - TAIL_LEVELS)
     return OperatorSet(
         n_max=n_max,
         dim=dim,
-        a1=a1,
-        a2=a2,
-        pair=pair,
-        pair_dag=pair.conj().T.tocsr(),
+        root1=root1.astype(np.complex128)[:, None],
+        root2=root2.astype(np.complex128)[:, None],
+        root_pair=(root1 * root2).astype(np.complex128)[:, None],
         n1_diag=n1_diag,
         n2_diag=n2_diag,
         loss_diag=loss_diag,
@@ -148,7 +131,7 @@ def build_operators(p: ModelParams, n_max: int) -> OperatorSet:
 
 
 def expectation(psi: FockState, op) -> complex:
-    """<psi|op|psi> via sparse (or dense) action."""
+    """<psi|op|psi> for a (dim, dim) operator, applied with ``@``."""
     v = psi.amplitudes
     if op.shape != (v.size, v.size):
         raise FockDimensionError(
@@ -157,13 +140,38 @@ def expectation(psi: FockState, op) -> complex:
     return complex(np.vdot(v, op @ v))
 
 
+def images(psi, ops: OperatorSet) -> np.ndarray:
+    """a1 psi, a2 psi, a1 a2 psi and (a1 a2)^dag psi as one (4, dim, batch) array.
+
+    With m = n_max + 1, row i of the four images is row i + m, i + 1,
+    i + m + 1 and i - m - 1 of psi times a coefficient, and the rows an
+    operator empties are set to zero, over the products that wrapped across
+    a mode.  The bits are those of sparse products of the Kronecker-built
+    operators: the coefficients are complex, as the matrices' entries are,
+    and psi is first added to +0, so a -0.0 amplitude gives the +0.0 of a
+    zero-started row sum.  After that the sign of a zero imaginary part
+    reaches no bit, so the adjoint reuses the pair's coefficients.
+    """
+    m = ops.n_max + 1
+    z = psi + 0.0
+    out = np.empty((4, ops.dim, psi.shape[1]), dtype=np.complex128)
+    a1, a2, pair, pair_dag = out
+    np.multiply(ops.root1[:-m], z[m:], out=a1[:-m])
+    np.multiply(ops.root2[:-1], z[1:], out=a2[:-1])
+    np.multiply(ops.root_pair[:-m - 1], z[m + 1:], out=pair[:-m - 1])
+    np.multiply(ops.root_pair[:-m - 1], z[:-m - 1], out=pair_dag[m + 1:])
+    a1[-m:] = a2[m - 1::m] = pair[m - 1::m] = pair[-m:] = 0.0
+    pair_dag[:m] = pair_dag[::m] = 0.0
+    return out
+
+
 def _step_batch(psi, eps_t, ops, dt, xi):
     """One Euler-Maruyama diffusion step on a (dim, batch) state block.
 
     The Gisin-Percival update
     psi + [-iH - 1/2 sum L^dag L + sum <L>* L - 1/2 sum |<L>|^2] psi dt
         + sum (L - <L>) psi dxi
-    is folded into one linear combination of psi and its four sparse images,
+    is folded into one linear combination of psi and its four ladder images,
     psi k0 - dt loss psi + k1 a1 psi + k2 a2 psi + k3 pair psi + k4 pair^dag psi,
     whose coefficients are per-trajectory scalars.  xi holds six standard
     normals per trajectory, shape (6, batch), and dxi_k = sqrt(dt/2) times
@@ -171,10 +179,7 @@ def _step_batch(psi, eps_t, ops, dt, xi):
     renormalize and check tails so that scalar and ensemble paths share the
     same kernel.
     """
-    a1p = ops.a1 @ psi
-    a2p = ops.a2 @ psi
-    prp = ops.pair @ psi
-    pdp = ops.pair_dag @ psi
+    a1p, a2p, prp, pdp = images(psi, ops)
 
     psi_c = psi.conj()
     e_a1 = np.einsum("ib,ib->b", psi_c, a1p)
@@ -308,12 +313,12 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
         psi *= 1.0 / np.sqrt(nrm2)  # far cheaper than complex division
 
     # Recording reuses the diagonal number vectors; only the pair
-    # expectation needs a matvec.
+    # expectation needs an image.
     def record():
         w = np.abs(psi) ** 2
         n1 = ops.n1_diag @ w
         n2 = ops.n2_diag @ w
-        pair = np.einsum("ib,ib->b", psi.conj(), ops.pair @ psi)
+        pair = np.einsum("ib,ib->b", psi.conj(), images(psi, ops)[2])
         return {"v": 1.0 + n1 + n2 - 2.0 * pair.real, "n1": n1, "n2": n2,
                 "pair": pair, "tail": tail_rows @ w}
 

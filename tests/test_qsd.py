@@ -1,11 +1,13 @@
 """Truncated-basis diffusion unraveling: operators, generator, ensembles.
 
 The load-bearing check here builds the full master-equation generator as a
-dense matrix from the module's own Hamiltonian and jump operators and
-verifies that d<A>/dt for the basic observables comes out as the closed
-moment forms the rest of the package integrates.  States are kept two
-levels clear of the cutoff so ladder truncation cannot leak into the
-comparison; agreement is then at rounding level, not statistical.
+dense matrix from the module's own ladder images and verifies that d<A>/dt
+for the basic observables comes out as the closed moment forms the rest of
+the package integrates.  States are kept two levels clear of the cutoff so
+ladder truncation cannot leak into the comparison; agreement is then at
+rounding level, not statistical.  The dense operators are the images of the
+identity, one column per basis state, and they equal the Kronecker products
+of a dense one-mode ladder bit for bit.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from modnopo import (
     vacuum_state,
 )
 import modnopo.qsd as qsd
-from modnopo.qsd import FockState, _step_batch, auto_n_max, ladder
+from modnopo.qsd import FockState, _step_batch, auto_n_max, images
 
 LAM = 0.1  # nonlinearity-to-damping ratio for the stochastic test runs
 _RUN_BATCH = qsd._run_batch
@@ -47,33 +49,74 @@ def _basis_index(n1, n2, n_max):
     return n1 * (n_max + 1) + n2
 
 
+def _ladder(n_max):
+    """Dense one-mode annihilation operator on n_max+1 Fock levels."""
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), k=1).astype(complex)
+
+
+def _dense(ops):
+    """The module's a1, a2, a1 a2 and (a1 a2)^dag as dense matrices: column
+    j is the image of basis state j."""
+    return tuple(images(np.eye(ops.dim, dtype=complex), ops))
+
+
+def _dense_model(ops, t):
+    """The Hamiltonian and the three jump operators, built densely from the
+    module's images: H = i eps(t) (P^dag - P) and sqrt(2 gamma) a1,
+    sqrt(2 gamma) a2, sqrt(2 lam) P."""
+    A1, A2, P, Pd = _dense(ops)
+    root_g, root_l = math.sqrt(2.0 * ops.gamma), math.sqrt(2.0 * ops.lam)
+    return 1j * float(ops.eps(t)) * (Pd - P), (root_g * A1, root_g * A2, root_l * P)
+
+
 class TestOperators:
+    P = params_from_ratios(fbar_over_fth=0.5, lam_over_gamma=LAM)
+
     def test_ladder_smallest(self):
-        a = ladder(1).toarray()
-        np.testing.assert_array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_array_equal((a.conj().T @ a).diagonal(), [0.0, 1.0])
+        # n_max = 2, the smallest cutoff build_operators takes
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, math.sqrt(2.0)], [0.0, 0.0, 0.0]])
+        a1, a2, _, _ = _dense(build_operators(self.P, 2))
+        np.testing.assert_array_equal(a1, np.kron(a, np.eye(3)))
+        np.testing.assert_array_equal(a2, np.kron(np.eye(3), a))
+        np.testing.assert_allclose((a1.conj().T @ a1).diagonal(),
+                                   [0, 0, 0, 1, 1, 1, 2, 2, 2], atol=1e-15)
 
     def test_ladder_commutator_below_cutoff(self):
         n_max = 7
-        a = ladder(n_max).toarray()
-        comm = (a @ a.conj().T - a.conj().T @ a).diagonal().real
-        np.testing.assert_allclose(comm[:n_max], 1.0, atol=1e-14)
-        assert comm[n_max] == pytest.approx(-n_max)  # truncation edge
+        a1, a2, _, _ = _dense(build_operators(self.P, n_max))
+        for a, axis in ((a1, 0), (a2, 1)):
+            comm = (a @ a.conj().T - a.conj().T @ a).diagonal().real
+            comm = comm.reshape(n_max + 1, n_max + 1)
+            # 1 below the lowered mode's cutoff, -n_max at its edge
+            np.testing.assert_allclose(np.delete(comm, n_max, axis=axis), 1.0, atol=1e-14)
+            np.testing.assert_allclose(np.take(comm, n_max, axis=axis), -n_max)
 
-    def test_ladder_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ladder(0)
+    def test_dense_operators_are_kron_products(self):
+        # the images of the identity equal Kronecker products of a dense
+        # one-mode ladder, bit for bit, and the pair its matrix product
+        for n_max in (2, 3, 6):
+            a, eye = _ladder(n_max), np.eye(n_max + 1, dtype=complex)
+            a1, a2 = np.kron(a, eye), np.kron(eye, a)
+            want = (a1, a2, a1 @ a2, (a1 @ a2).conj().T)
+            for name, got, ref in zip(("a1", "a2", "pair", "pair_dag"),
+                                      _dense(build_operators(self.P, n_max)), want):
+                # every zero of an image is +0.0, as a zero-started row sum
+                # makes it; the conjugate transpose leaves -0.0 imaginary
+                # parts in the reference, so it is added to +0 first
+                np.testing.assert_array_equal(got, ref)
+                assert got.tobytes() == (ref + 0.0).tobytes(), (n_max, name)
 
     def test_pair_jump_lowers_both_modes(self):
-        p = params_from_ratios(fbar_over_fth=0.5, lam_over_gamma=LAM)
-        d = derive_params(p)
-        ops = build_operators(p, 4)
-        state = np.zeros(ops.dim, dtype=complex)
+        ops = build_operators(self.P, 4)
+        state = np.zeros((ops.dim, 1), dtype=complex)
         state[_basis_index(1, 1, 4)] = 1.0
-        out = ops.lindblad_ops()[2] @ state
-        want = np.zeros(ops.dim, dtype=complex)
-        want[_basis_index(0, 0, 4)] = math.sqrt(2.0 * d.lam)
-        np.testing.assert_allclose(out, want, atol=1e-15)
+        a1, a2, pair, pair_dag = images(state, ops)[:, :, 0]
+        for out, (n1, n2), amp in ((a1, (0, 1), 1.0), (a2, (1, 0), 1.0),
+                                   (pair, (0, 0), 1.0),
+                                   (pair_dag, (2, 2), math.sqrt(2.0) * math.sqrt(2.0))):
+            want = np.zeros(ops.dim, dtype=complex)
+            want[_basis_index(n1, n2, 4)] = amp
+            np.testing.assert_array_equal(out, want)
 
     def test_build_validation(self):
         p = params_from_ratios()
@@ -99,6 +142,39 @@ class TestOperators:
             expectation(vac, np.eye(5))
 
 
+@pytest.mark.parametrize("n_max", [2, 6, 22])
+@pytest.mark.parametrize("batch", [1, 16, 64])
+def test_images_are_sparse_products_bit_for_bit(n_max, batch):
+    # the operators as the kernel once applied them: CSR matrices built from
+    # Kronecker products of the one-mode ladder.  scipy is a test oracle
+    # only.  Signed zeros, infinities and NaNs are scattered through the
+    # block; an inf times a zero imaginary part gives NaN in both
+    import scipy.sparse as sp
+
+    a = sp.diags(np.sqrt(np.arange(1.0, n_max + 1.0)), offsets=1, format="csr",
+                 dtype=np.complex128)
+    eye = sp.identity(n_max + 1, format="csr", dtype=np.complex128)
+    a1, a2 = sp.kron(a, eye, format="csr"), sp.kron(eye, a, format="csr")
+    pair = (a1 @ a2).tocsr()
+    csr = (a1, a2, pair, pair.conj().T.tocsr())
+
+    ops = build_operators(params_from_ratios(lam_over_gamma=LAM), n_max)
+    rng = np.random.default_rng(100 * n_max + batch)
+    psi = rng.standard_normal((ops.dim, batch)) + 1j * rng.standard_normal((ops.dim, batch))
+    special = [complex(-0.0, -0.0), complex(-0.0, 2.0), complex(1.5, -0.0),
+               complex(0.0, -0.0), complex(math.inf, 0.5), complex(0.5, -math.inf),
+               complex(math.nan, 1.0), complex(-0.0, math.nan)]
+    flat = psi.reshape(-1)
+    spots = rng.permutation(flat.size)
+    for k, spot in enumerate(spots[:4 * len(special)]):
+        flat[spot] = special[k % len(special)]
+    with np.errstate(invalid="ignore"):
+        got = images(psi, ops)
+    assert got.shape == (4, ops.dim, batch)
+    for name, img, op in zip(("a1", "a2", "pair", "pair_dag"), got, csr):
+        assert img.tobytes() == (op @ psi).tobytes(), name
+
+
 class TestGeneratorConsistency:
     """Module operators reproduce the closed moment evolution forms."""
 
@@ -112,8 +188,7 @@ class TestGeneratorConsistency:
         t = 0.37
         eps_t = float(d.eps(t))
 
-        H = ops.hamiltonian(t).toarray()
-        Ls = [L.toarray() for L in ops.lindblad_ops()]
+        H, Ls = _dense_model(ops, t)
 
         # random state supported two levels below the cutoff, so every
         # operator product in the comparison acts exactly as untruncated
@@ -132,8 +207,8 @@ class TestGeneratorConsistency:
             lind += L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL)
 
         eye = np.eye(ops.dim)
-        A1 = np.kron(ladder(n_max).toarray(), np.eye(n_max + 1))
-        A2 = np.kron(np.eye(n_max + 1), ladder(n_max).toarray())
+        A1 = np.kron(_ladder(n_max), np.eye(n_max + 1))
+        A2 = np.kron(np.eye(n_max + 1), _ladder(n_max))
         N1, N2 = A1.conj().T @ A1, A2.conj().T @ A2
         P = A1 @ A2
 
@@ -179,7 +254,7 @@ class TestStepKernel:
         # the folded per-trajectory coefficients of the fused kernel must
         # reproduce psi + [-iH - 1/2 sum L^dag L + sum <L>* L
         # - 1/2 sum |<L>|^2] psi dt + sum (L - <L>) psi dxi, built densely
-        # from the module's Hamiltonian and jump operators
+        # from the module's ladder images
         p = params_from_ratios(fbar_over_fth=0.8, f1_over_fbar=0.3,
                                delta_over_gamma=1.7, phi=0.4,
                                lam_over_gamma=0.05)
@@ -191,8 +266,7 @@ class TestStepKernel:
         xi = rng.standard_normal((6, 3))
         got = _step_batch(psi, float(ops.eps(t)), ops, dt, xi)
 
-        H = ops.hamiltonian(t).toarray()
-        Ls = [L.toarray() for L in ops.lindblad_ops()]
+        H, Ls = _dense_model(ops, t)
         for b in range(3):
             v = psi[:, b]
             means = [complex(v.conj() @ L @ v) for L in Ls]
@@ -233,7 +307,7 @@ class TestSingleTrajectory:
         dt = 1e-5
         s = qsd_step(vacuum_state(ops), ops, dt, np.random.default_rng(0))
         w = np.abs(s.amplitudes) ** 2
-        pair = complex(s.amplitudes.conj() @ (ops.pair @ s.amplitudes))
+        pair = complex(s.amplitudes.conj() @ images(s.amplitudes[:, None], ops)[2, :, 0])
         v = 1.0 + float(ops.n1_diag @ w + ops.n2_diag @ w) - 2.0 * pair.real
         assert (v - 1.0) / dt == pytest.approx(-2.0 * float(d.eps(0.0)), rel=1e-3)
 
