@@ -116,15 +116,30 @@ def _variance_curve(p: ModelParams, t: np.ndarray) -> np.ndarray:
     return integrate_variance(p).interp(t)
 
 
-def _warn_validity(p: ModelParams) -> float:
-    ratio = linearization_validity(p)
-    if ratio < VALIDITY_MARGIN:
-        print(
-            f"warning: linearization validity ratio {ratio:.3g} < "
-            f"{VALIDITY_MARGIN:g}; linearized results are unreliable here",
-            file=sys.stderr,
-        )
-    return ratio
+def _warn_validity(ratios, what: str | None = None) -> None:
+    """One stderr line for the linearization validity ratios under
+    VALIDITY_MARGIN: the ratio of a single point (``what`` None), else how
+    many of the ``what`` are untrusted and the smallest ratio."""
+    low = [r for r in ratios if not r >= VALIDITY_MARGIN]
+    if not low:
+        return
+    if what is None:
+        text = (f"linearization validity ratio {low[0]:.3g} < {VALIDITY_MARGIN:g}; "
+                "linearized results are unreliable here")
+    else:
+        text = (f"{len(low)} of {len(ratios)} {what} have a linearization validity ratio "
+                f"< {VALIDITY_MARGIN:g} (smallest {min(low):.3g}); linearized results "
+                "are unreliable there")
+    print(f"warning: {text}", file=sys.stderr)
+
+
+def _variance_curves(ps, t: np.ndarray, what: str | None = None) -> tuple[list, list]:
+    """V(t) for each parameter set, and each set's validity ratio.  Every V
+    the command line writes comes from here, so the untrusted sets are
+    warned about first, in one line."""
+    ratios = [linearization_validity(p) for p in ps]
+    _warn_validity(ratios, what)
+    return [_variance_curve(p, t) for p in ps], ratios
 
 
 def cmd_semiclassical(args) -> int:
@@ -139,8 +154,7 @@ def cmd_variance(args) -> int:
     p, cfg = _resolve_model(args)
     t = _curve_grid(p, args.points, args.periods)
     out = _out_dir(args)
-    _warn_validity(p)
-    V = _variance_curve(p, t)
+    (V,), _ = _variance_curves([p], t)
     write_csv(out / "variance.csv", ["t", "V", "n0"], [t, V, _orbit(p, t)], _meta(args, cfg))
     return 0
 
@@ -175,18 +189,6 @@ def _sweep_csv(out, name, cells, meta):
     return write_csv(out / name, _SWEEP_FIELDS, cols, meta)
 
 
-def _warn_untrusted(cells) -> None:
-    """One stderr line for the cells where the linearization does not hold."""
-    ratios = [c.validity_ratio for c in cells if not c.trusted]
-    if ratios:
-        print(
-            f"warning: {len(ratios)} of {len(cells)} sweep cells have a linearization "
-            f"validity ratio < {VALIDITY_MARGIN:g} (smallest {min(ratios):.3g}); "
-            "linearized results are unreliable there",
-            file=sys.stderr,
-        )
-
-
 def _sweep_cells(p: ModelParams, grid, levels, n_workers: int) -> list:
     """sweep_vmin's cells, warned about where untrusted; an error names the
     first failed cell."""
@@ -196,7 +198,7 @@ def _sweep_cells(p: ModelParams, grid, levels, n_workers: int) -> list:
         c = failed[0]
         raise RuntimeError(f"{len(failed)} of {len(cells)} sweep cells failed, the first "
                            f"at fbar={c.fbar_over_fth} f1={c.f1_over_fbar}: {c.error}")
-    _warn_untrusted(cells)
+    _warn_validity([c.validity_ratio for c in cells], "sweep cells")
     return cells
 
 
@@ -258,10 +260,8 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     d = derive_params(p)
     lam_ratio = d.lam / d.gamma
-    ratio = _warn_validity(p)
     t = _period_grid(p, args.grid_points)
-
-    v_lin = _variance_curve(p, t)
+    (v_lin,), (ratio,) = _variance_curves([p], t)
     tol = 2.0 * lam_ratio
 
     def within(dev, stderr) -> int:
@@ -316,25 +316,28 @@ def _figure(out, name, header, columns, meta, xlabel, ylabel, titles, **plot) ->
     return 0
 
 
-def _level_figure(args, name, ylabel, curve, periods=1.0, **plot) -> int:
-    """One curve per modulation level f1/fbar = 0, 0.4, 1.2 on a period grid."""
+def _level_figure(args, name, ylabel, curves, periods=1.0, **plot) -> int:
+    """One curve per modulation level f1/fbar = 0, 0.4, 1.2 on a period grid;
+    ``curves`` maps the levels' parameter sets and the grid to the curves."""
     p, cfg = _resolve_model(args)
     t = _curve_grid(p, args.points, periods)
     out = _out_dir(args)
     meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
-    curves = [curve(config_to_params(dict(cfg, f1_over_fbar=level)), t)
-              for level in (0.0, 0.4, 1.2)]
+    curves = curves([config_to_params(dict(cfg, f1_over_fbar=level))
+                     for level in (0.0, 0.4, 1.2)], t)
     return _figure(out, name, ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
                    [t, *curves], meta, "t (1/gamma)", ylabel,
                    ["f1=0", "f1=0.4 fbar", "f1=1.2 fbar"], **plot)
 
 
 def cmd_fig1(args) -> int:
-    return _level_figure(args, "fig1", "n0", asymptotic_n0, periods=2.0, logscale_y=True)
+    return _level_figure(args, "fig1", "n0", lambda ps, t: [asymptotic_n0(p, t) for p in ps],
+                         periods=2.0, logscale_y=True)
 
 
 def cmd_fig2(args) -> int:
-    return _level_figure(args, "fig2", "V", _variance_curve)
+    return _level_figure(args, "fig2", "V",
+                         lambda ps, t: _variance_curves(ps, t, "modulation levels")[0])
 
 
 def cmd_fig3(args) -> int:
@@ -356,9 +359,8 @@ def cmd_fig4(args) -> int:
     overrides = {"fbar_over_fth": 1.0, "f1_over_fbar": 0.5}
     p, cfg = _resolve_model(args, overrides, desk_lam=0.01 if args.full else 0.1)
     out = _out_dir(args)
-    ratio = _warn_validity(p)
     t = _period_grid(p, args.grid_points)
-    v_lin = _variance_curve(p, t)
+    (v_lin,), (ratio,) = _variance_curves([p], t)
     ens = simulate_qsd_ensemble(p, n_max=args.nmax, n_traj=args.traj,
                                 **_run_flags(args, t))
     meta = _meta(

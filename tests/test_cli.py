@@ -197,6 +197,26 @@ def test_untrusted_sweep_cells_warn_once(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv,first", [
+    (["fig2", "--delta", "0.01", "--points", "9"],
+     "warning: 2 of 3 modulation levels have a linearization validity ratio < 10 "
+     "(smallest 4.06e-305)"),
+    (["variance", "--delta", "0.01", "--f1", "1.2", "--points", "9"],
+     "warning: linearization validity ratio 4.06e-305 < 10"),
+    (["compare", "--fbar", "0.3", "--traj", "32", "--qsd-traj", "8", "--grid-points", "3",
+      "--relax", "1"], "warning: linearization validity ratio 7 < 10"),
+    (["fig4", "--traj", "8", "--grid-points", "3", "--relax", "0.5", "--nmax", "10"],
+     "warning: linearization validity ratio 1.35e-15 < 10"),
+])
+def test_untrusted_variance_outputs_warn_once(tmp_path, capsys, argv, first):
+    # every V the command line writes passes one validity check, which
+    # prints one line: fig2 one for its three levels (at delta 0.01 the f1 =
+    # 0.4 and 1.2 fbar levels are untrusted), as a sweep does for its cells
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first), lines
+
+
 def test_fig4_schema_and_warning(tmp_path, capsys):
     assert main(["fig4", "--out", str(tmp_path), "--traj", "12",
                  "--grid-points", "3", "--relax", "1.0", "--nmax", "26"]) == 0
@@ -390,11 +410,11 @@ def test_stiff_orbit_is_refused_up_front(tmp_path, argv):
 
 
 def test_cli_does_not_import_scipy_integrate():
-    # the ODE routes run their own RK45 and every spline is model.Curve's own,
-    # so the command line loads scipy.sparse (for qsd) and nothing more of it
-    code = ("import sys, modnopo.cli; print(sorted(m for m in ('scipy.interpolate', "
-            "'scipy.linalg', 'scipy.special', 'scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
+    # the ODE routes run their own RK45, every spline is model.Curve's own
+    # and state diffusion applies its ladder operators as shifted slices, so
+    # neither the package nor the command line loads any part of scipy
+    code = ("import sys, modnopo, modnopo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
     assert res.returncode == 0 and res.stdout.strip() == "[]", res.stdout + res.stderr
