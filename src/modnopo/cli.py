@@ -109,13 +109,6 @@ def _orbit(p: ModelParams, t: np.ndarray) -> np.ndarray:
     return np.zeros_like(t)
 
 
-def _variance_curve(p: ModelParams, t: np.ndarray) -> np.ndarray:
-    """V(t) in any pump regime: the closed form above threshold, else the ODE."""
-    if regime_classify(p) is Regime.ABOVE_THRESHOLD:
-        return asymptotic_variance(p, t)
-    return integrate_variance(p).interp(t)
-
-
 def _warn_validity(ratios, what: str | None = None) -> None:
     """One stderr line for the linearization validity ratios under
     VALIDITY_MARGIN: the ratio of a single point (``what`` None), else how
@@ -134,12 +127,14 @@ def _warn_validity(ratios, what: str | None = None) -> None:
 
 
 def _variance_curves(ps, t: np.ndarray, what: str | None = None) -> tuple[list, list]:
-    """V(t) for each parameter set, and each set's validity ratio.  Every V
-    the command line writes comes from here, so the untrusted sets are
-    warned about first, in one line."""
+    """V(t) for each parameter set in any pump regime (the closed form above
+    threshold, else the ODE), and each set's validity ratio.  Every V the
+    command line writes comes from here, so the untrusted sets are warned
+    about first, in one line."""
     ratios = [linearization_validity(p) for p in ps]
     _warn_validity(ratios, what)
-    return [_variance_curve(p, t) for p in ps], ratios
+    return [asymptotic_variance(p, t) if regime_classify(p) is Regime.ABOVE_THRESHOLD
+            else integrate_variance(p).interp(t) for p in ps], ratios
 
 
 def cmd_semiclassical(args) -> int:
@@ -323,10 +318,10 @@ def _level_figure(args, name, ylabel, curves, periods=1.0, **plot) -> int:
     t = _curve_grid(p, args.points, periods)
     out = _out_dir(args)
     meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
-    curves = curves([config_to_params(dict(cfg, f1_over_fbar=level))
-                     for level in (0.0, 0.4, 1.2)], t)
+    ys = curves([config_to_params(dict(cfg, f1_over_fbar=level))
+                 for level in (0.0, 0.4, 1.2)], t)
     return _figure(out, name, ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
-                   [t, *curves], meta, "t (1/gamma)", ylabel,
+                   [t, *ys], meta, "t (1/gamma)", ylabel,
                    ["f1=0", "f1=0.4 fbar", "f1=1.2 fbar"], **plot)
 
 

@@ -110,8 +110,7 @@ def build_operators(p: ModelParams, n_max: int) -> OperatorSet:
     n2_diag = np.tile(levels, n_max + 1)
     # complex with zero imaginary parts, as the Kronecker-built matrices and
     # their product hold sqrt(n+1) and sqrt(n1+1)*sqrt(n2+1)
-    root1 = np.sqrt(n1_diag + 1.0)
-    root2 = np.sqrt(n2_diag + 1.0)
+    root1, root2 = np.sqrt(n1_diag + 1.0), np.sqrt(n2_diag + 1.0)
     loss_diag = d.gamma * (n1_diag + n2_diag) + d.lam * n1_diag * n2_diag
     tail = (n1_diag > n_max - TAIL_LEVELS) | (n2_diag > n_max - TAIL_LEVELS)
     return OperatorSet(
@@ -143,14 +142,12 @@ def expectation(psi: FockState, op) -> complex:
 def images(psi, ops: OperatorSet) -> np.ndarray:
     """a1 psi, a2 psi, a1 a2 psi and (a1 a2)^dag psi as one (4, dim, batch) array.
 
-    With m = n_max + 1, row i of the four images is row i + m, i + 1,
-    i + m + 1 and i - m - 1 of psi times a coefficient, and the rows an
-    operator empties are set to zero, over the products that wrapped across
-    a mode.  The bits are those of sparse products of the Kronecker-built
-    operators: the coefficients are complex, as the matrices' entries are,
-    and psi is first added to +0, so a -0.0 amplitude gives the +0.0 of a
-    zero-started row sum.  After that the sign of a zero imaginary part
-    reaches no bit, so the adjoint reuses the pair's coefficients.
+    Row i of each image is row i + m, i + 1, i + m + 1 or i - m - 1 of psi
+    (m = n_max + 1) times a complex coefficient; the rows the operator
+    empties, where a product wrapped across a mode, are zeroed.  The bits
+    are those of sparse products of the Kronecker-built operators: psi is
+    added to +0 first, as a zero-started row sum is, and after that the sign
+    of a zero imaginary part reaches no bit, so the adjoint reuses the pair's.
     """
     m = ops.n_max + 1
     z = psi + 0.0
