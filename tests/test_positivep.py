@@ -436,6 +436,20 @@ class TestFrozenBytes:
             assert _moments_digest(ens) == (
                 "6989a3fdd9a140e489a7b74ad1407d092e8b2e94fd40cbc46b15a93bf779e13a")
 
+    def test_benchmark_cli_point(self):
+        # the phase_space benchmark's CLI ensemble (delta 4, relax 1, one
+        # modulation period on 17 points), cut to four full batches and a
+        # partial one; taken before the noise was handed over as complex
+        # pairs and the kernel wrote into per-job arrays
+        p = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.25,
+                               delta_over_gamma=4.0, lam_over_gamma=LAM)
+        t_grid = np.linspace(0.0, derive_params(p).period, 17)
+        for n_workers in (1, 2):
+            ens = simulate_ensemble(p, 1037, t_grid, seed=1107, relax=1.0,
+                                    n_workers=n_workers)
+            assert _moments_digest(ens) == (
+                "261d5067310f988a899d4fa0aea437a5e65562600311c34ca4fdf8a48458661d")
+
 
 def _masked_batch_args(p):
     """_run_batch's arguments after the indices for TestFrozenBytes.P on six
