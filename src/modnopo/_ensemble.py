@@ -9,9 +9,10 @@ worker count.
 
 Within a batch both routes step their trajectories in lockstep through one
 loop, run_lockstep.  It draws each trajectory's normals from its own stream
-in chunks (draw_noise), calls the route's advance(step, eta, alive) once per
-step and its record() once per grid point after the relaxation window, owns
-the alive mask that advance may clear, and returns the records as rows.
+in chunks (draw_noise), calls the route's advance(step, z, alive) once per
+step, with z the step's normals as complex pairs, and its record() once
+per grid point after the relaxation window, owns the alive mask that
+advance may clear, and returns the records as rows.
 One reducer, slice_sums, sums rows over their live trajectories.
 
 Both drivers share their front and back too.  The front, step_layout,
@@ -110,20 +111,23 @@ def step_layout(t_grid, dt: float, relax: float, n_traj: int, n_workers: int):
 
 
 def draw_noise(streams: list, out: np.ndarray) -> None:
-    """Fill out, shape (steps, k, B), with normals from the B streams.
+    """Fill out, shape (steps, k, B) complex, with normals from the B streams.
 
-    Each stream draws its k normals per step in order, and normal r of step
-    s of stream i lands at out[s, r, i]; a stream's draws are sequential, so
-    splitting a run into chunks of any length gives the same values.
-    Streams draw DRAW_BLOCK at a time into a small buffer, so the transpose
-    to trajectory-last order stays in cache.
+    Each stream draws its 2k normals per step in order, and normals 2r and
+    2r + 1 of step s of stream i land at out[s, r, i] as its real and
+    imaginary parts, a view of the draws and so unrounded; a stream's draws
+    are sequential, so splitting a run into chunks of any length gives the
+    same values.  Streams draw DRAW_BLOCK at a time into a small buffer, so
+    the transpose to trajectory-last order stays in cache.
     """
-    eta = np.empty((DRAW_BLOCK, *out.shape[:2]))
+    steps, k = out.shape[:2]
+    eta = np.empty((DRAW_BLOCK, steps, 2 * k))
+    pairs = eta.view(np.complex128)
     for lo in range(0, len(streams), DRAW_BLOCK):
         group = streams[lo:lo + DRAW_BLOCK]
         for g, buf in zip(group, eta):
             g.standard_normal(out=buf)
-        out[:, :, lo:lo + len(group)] = eta[:len(group)].transpose(1, 2, 0)
+        out[:, :, lo:lo + len(group)] = pairs[:len(group)].transpose(1, 2, 0)
 
 
 def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
@@ -131,9 +135,9 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
     """Step a batch of len(streams) trajectories together; return its rows.
 
     The run is n_relax relaxation steps and then spi steps per grid
-    interval (step_layout).  Each step calls advance(step, eta, alive), with
-    eta that step's n_normals normals per trajectory, shape (n_normals, B),
-    or None when n_normals is 0.  advance may clear entries of alive, a
+    interval (step_layout).  Each step calls advance(step, z, alive), with
+    z that step's n_normals normals per trajectory as n_normals/2 complex
+    pairs (draw_noise), shape (n_normals/2, B), or None when n_normals is 0.  advance may clear entries of alive, a
     boolean array of B that starts all true.  record() is called once per
     grid point j, in order: before the first step when there is no
     relaxation, else after the step that reaches it.  It returns a dict of
@@ -153,7 +157,8 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
         kept.append({**record(), "live": alive.copy()})
 
     chunk = min(NOISE_CHUNK, NOISE_NORMALS // max(n_normals * len(streams), 1))
-    noise = np.empty((min(chunk, n_steps), n_normals, len(streams)))
+    noise = np.empty((min(chunk, n_steps), n_normals // 2, len(streams)),
+                     dtype=np.complex128)
     if n_relax == 0:
         keep()
     for step in range(n_steps):

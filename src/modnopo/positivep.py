@@ -71,45 +71,62 @@ def divergence_guard(p: ModelParams | DerivedParams) -> float:
     return DIVERGENCE_GUARD_FACTOR * math.sqrt(d.gamma / d.lam)
 
 
-def _increments(amps, eps_t, gamma, lam, dt, noise):
+def _workspace(B: int) -> tuple:
+    """The arrays _increments writes into for a batch of B; one set per job."""
+    shapes = ((3, B), (2, B), (2, B), (2, 2, B), (2, 2, B))
+    return tuple(np.empty(s, dtype=np.complex128) for s in shapes)
+
+
+def _increments(amps, eps_t, gamma, lam, dt, z, work):
     """Euler-Maruyama increment of a batch of trajectories, and its noise part.
 
     amps holds the batch as a (4, B) array with rows alpha1, alpha2, beta1,
     beta2, seen as A = [[alpha1, alpha2], [beta1, beta2]]; both increments
-    come back in the (2, 2, B) shape of A.  noise is one step of
-    _draw_noise's layout, or None for the drift alone (the noise part is
-    then None).  Within each group the pair sqrt(d dt/2)*z and
-    sqrt(d dt/2)*conj(z) has cross-correlation d*dt and vanishing
-    self-correlations; d is complex in general and the principal branch of
-    the square root is used (either branch gives identical statistics, the
-    sign folds into the Gaussians).  The ensemble and the scalar helpers
-    share this one kernel.
+    come back in the (2, 2, B) shape of A, as views of work (_workspace(B)),
+    so they hold until the next call.  z is one step of run_lockstep's
+    complex pairs, shape (2, B) with rows for the alpha and beta groups, or
+    None for the drift alone (the noise part is then None).  Within each
+    group the pair sqrt(d dt/2)*z and sqrt(d dt/2)*conj(z) has
+    cross-correlation d*dt and vanishing self-correlations; d is complex in
+    general and the principal branch of the square root is used (either
+    branch gives identical statistics, the sign folds into the Gaussians).
+    The ensemble and the scalar helpers share this one kernel.
     """
+    la, g, root, part, u = work
     A = amps.reshape(2, 2, -1)
-    la = lam * amps
-    g = gamma + la[:2] * amps[2:]   # decay seen by modes 2 and 1: [g21, g12]
-    drift = (-g[::-1] * A + eps_t * A[::-1, ::-1]) * dt
-    if noise is None:
-        return drift, None
-    root = np.sqrt(0.5 * dt * (eps_t - la[::2] * amps[1::2]))   # [alpha, beta] groups
-    w = root[:, None] * noise
-    drift += w
-    return drift, w
+    np.multiply(lam, amps[:3], out=la)          # lam * [alpha1, alpha2, beta1]
+    np.multiply(la[:2], amps[2:], out=g)
+    np.add(gamma, g, out=g)                     # decay seen by modes 2 and 1
+    np.multiply(eps_t, A[::-1, ::-1], out=u)
+    np.multiply(g[::-1], A, out=part)
+    np.subtract(u, part, out=u)
+    np.multiply(u, dt, out=u)
+    if z is None:
+        return u, None
+    np.multiply(la[::2], amps[1::2], out=root)  # [alpha, beta] groups
+    np.subtract(eps_t, root, out=root)
+    np.multiply(0.5 * dt, root, out=root)
+    np.sqrt(root, out=root)
+    np.multiply(root, z, out=part[:, 0])
+    np.conjugate(z, out=part[:, 1])
+    np.multiply(root, part[:, 1], out=part[:, 1])
+    np.add(u, part, out=u)
+    return u, part
 
 
-def _complex_noise(eta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One step of draw_noise's normals, shape (4, B), as complex noise.
+def _past_guard(amps: np.ndarray, guard: float):
+    """(np.abs(amps) > guard).any(axis=0), or None where that is all false.
 
-    Trajectory i gets out[..., i] = [[za, conj(za)], [zb, conj(zb)]] with
-    za = eta0 + i*eta1 and zb = eta2 + i*eta3, assigned part by part (the
-    conjugates by a sign flip) so that no value is rounded; out has shape
-    (2, 2, B).
+    A screen on the float view comes first: |a| <= sqrt(2) max(|Re a|,
+    |Im a|), so when every part lies within guard/2, no amplitude is past
+    the guard and no modulus is taken.  Otherwise, NaN included, the exact
+    test runs; NaN is past the guard under neither rule.
     """
-    im = eta[1::2]
-    out.real[...] = eta[0::2, None]
-    out.imag[:, 0] = im
-    np.negative(im, out=out.imag[:, 1])
-    return out
+    parts = amps.view(np.float64)
+    half = 0.5 * guard
+    if -half <= parts.min() and parts.max() <= half:
+        return None
+    return (np.abs(amps) > guard).any(axis=0)
 
 
 def _amplitudes(state: PPState) -> np.ndarray:
@@ -119,10 +136,10 @@ def _amplitudes(state: PPState) -> np.ndarray:
 
 
 def _one_noise(rng: np.random.Generator) -> np.ndarray:
-    """One step of noise for a batch of one, shape (2, 2, 1)."""
-    eta = np.empty((1, 4, 1))
-    draw_noise([rng], eta)
-    return _complex_noise(eta[0], np.empty((2, 2, 1), dtype=np.complex128))
+    """One step of noise pairs for a batch of one, shape (2, 1)."""
+    z = np.empty((1, 2, 1), dtype=np.complex128)
+    draw_noise([rng], z)
+    return z[0]
 
 
 def sample_noise(
@@ -130,7 +147,8 @@ def sample_noise(
 ) -> NoiseIncrement:
     """Draw one set of noise increments at the current state."""
     check_dt(dt)
-    _, w = _increments(_amplitudes(state), eps_t, 0.0, lam, dt, _one_noise(rng))
+    _, w = _increments(_amplitudes(state), eps_t, 0.0, lam, dt, _one_noise(rng),
+                       _workspace(1))
     return NoiseIncrement(*(complex(x) for x in w.ravel()))
 
 
@@ -151,7 +169,8 @@ def step_trajectory(
     d = p if isinstance(p, DerivedParams) else derive_params(p)
     amps = _amplitudes(state)
     noise = _one_noise(rng) if with_noise else None
-    u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt, noise)
+    u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt, noise,
+                       _workspace(1))
     new = [complex(x) for x in (amps.reshape(u.shape) + u).ravel()]
     guard = divergence_guard(d)
     if max(abs(z) for z in new) > guard:
@@ -240,16 +259,17 @@ def _run_batch(
     A = amps.reshape(2, 2, B)
     a1, a2, b1, b2 = amps   # row views, read by record
     mask = None             # alive as complex, once a trajectory has died
-    noise = np.empty((2, 2, B), dtype=np.complex128)   # one step's, refilled
+    work = _workspace(B)
 
-    def advance(step, eta, alive):
+    def advance(step, z, alive):
         nonlocal mask
-        u, _ = _increments(amps, eps_steps[step], gamma, lam, dt, _complex_noise(eta, noise))
+        u, _ = _increments(amps, eps_steps[step], gamma, lam, dt, z, work)
         if mask is not None:
             u *= mask
         np.add(A, u, out=A)
-        if (np.abs(amps) > guard).any():
-            bad = alive & (np.abs(amps) > guard).any(axis=0)
+        bad = _past_guard(amps, guard)
+        if bad is not None and bad.any():
+            bad &= alive
             amps[:, bad] = 0.0
             alive &= ~bad
             mask = alive.astype(np.complex128)

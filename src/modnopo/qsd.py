@@ -170,9 +170,9 @@ def _step_batch(psi, eps_t, ops, dt, xi):
         + sum (L - <L>) psi dxi
     is folded into one linear combination of psi and its four ladder images,
     psi k0 - dt loss psi + k1 a1 psi + k2 a2 psi + k3 pair psi + k4 pair^dag psi,
-    whose coefficients are per-trajectory scalars.  xi holds six standard
-    normals per trajectory, shape (6, batch), and dxi_k = sqrt(dt/2) times
-    (xi[2k] + i xi[2k+1]).  Returns the unnormalized updated block; callers
+    whose coefficients are per-trajectory scalars.  xi holds three complex
+    pairs of standard normals per trajectory, shape (3, batch), as
+    run_lockstep hands them over, and dxi_k = sqrt(dt/2) xi[k].  Returns the unnormalized updated block; callers
     renormalize and check tails so that scalar and ensemble paths share the
     same kernel.
     """
@@ -187,9 +187,9 @@ def _step_batch(psi, eps_t, ops, dt, xi):
     two_l = 2.0 * ops.lam
     # sqrt(2 rate) dxi per channel
     root = math.sqrt(0.5 * dt)
-    w1 = (math.sqrt(two_g) * root) * (xi[0] + 1j * xi[1])
-    w2 = (math.sqrt(two_g) * root) * (xi[2] + 1j * xi[3])
-    w3 = (math.sqrt(two_l) * root) * (xi[4] + 1j * xi[5])
+    w1 = (math.sqrt(two_g) * root) * xi[0]
+    w2 = (math.sqrt(two_g) * root) * xi[1]
+    w3 = (math.sqrt(two_l) * root) * xi[2]
     half_sq = 0.5 * (
         two_g * (np.abs(e_a1) ** 2 + np.abs(e_a2) ** 2) + two_l * np.abs(e_pr) ** 2
     )
@@ -226,7 +226,7 @@ def qsd_step(
             f"state dimension {v.shape[0]} does not match operator set {ops.dim}"
         )
     eps_t = float(ops.derived.eps(psi.t))
-    xi = np.empty((1, 6, 1))
+    xi = np.empty((1, 3, 1), dtype=np.complex128)
     draw_noise([rng], xi)
     out = _step_batch(v, eps_t, ops, dt, xi[0])[:, 0]
     nrm = np.linalg.norm(out)

@@ -198,8 +198,8 @@ def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid
     n_steps = n_relax + (n_grid - 1) * spi
     calls = []
 
-    def advance(step, eta, alive):
-        calls.append(("step", step, eta.copy()))
+    def advance(step, z, alive):
+        calls.append(("step", step, z.copy()))
         if step == 2:
             alive[1] = False
 
@@ -211,7 +211,7 @@ def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid
     def taken(n):
         return sum(1 for c in calls[:n] if c[0] == "step")
 
-    rows = run_lockstep(streams, 2, n_relax, spi, n_grid, advance, record)
+    rows = run_lockstep(streams, 4, n_relax, spi, n_grid, advance, record)
     steps = [c for c in calls if c[0] == "step"]
     assert [c[1] for c in steps] == list(range(n_steps))
     assert set(rows) == {"rank", "live", "alive"}
@@ -225,11 +225,15 @@ def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid
     want_live = [[True, n_relax + j * spi <= 2, True] for j in range(n_grid)]
     assert rows["live"].tolist() == want_live
     assert rows["alive"].tolist() == [True, n_steps <= 2, True]
-    # the normals are each stream's own, drawn in order
+    assert all(c[2].dtype == np.complex128 and c[2].shape == (2, 3) for c in steps)
+    # the normals are each stream's own, drawn in order: pair r of a step
+    # holds its normals 2r and 2r + 1 as real and imaginary parts
     for i, s in enumerate((1, 2, 3)):
-        want = np.random.default_rng(s).standard_normal((n_steps, 2))
-        got = np.array([c[2][:, i] for c in steps]).reshape(n_steps, 2)
-        assert got.tobytes() == want.tobytes()
+        want = np.random.default_rng(s).standard_normal((n_steps, 4))
+        got = np.array([c[2][:, i] for c in steps], dtype=np.complex128)
+        got = got.reshape(n_steps, 2)
+        assert got.real.tobytes() == want[:, 0::2].tobytes()
+        assert got.imag.tobytes() == want[:, 1::2].tobytes()
 
 
 def test_lockstep_without_noise_passes_none():

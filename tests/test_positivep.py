@@ -157,6 +157,42 @@ class TestScalarIsBatchKernel:
         assert np.mean(R).real == pytest.approx(ens.R_mean[-1], rel=1e-12)
 
 
+class TestGuardScreen:
+    GUARD = 13.5
+
+    def _same_as_moduli(self, amps):
+        got = positivep._past_guard(amps, self.GUARD)
+        want = (np.abs(amps) > self.GUARD).any(axis=0)
+        np.testing.assert_array_equal(np.zeros_like(want) if got is None else got, want)
+        return got
+
+    def test_parts_under_half_the_guard_skip_the_moduli(self):
+        under = np.nextafter(0.5 * self.GUARD, 0.0)
+        amps = np.full((4, 3), complex(under, -under))
+        amps[:, 1] = complex(-under, under)
+        amps[:, 2] = 0.0
+        assert self._same_as_moduli(amps) is None
+
+    @pytest.mark.parametrize("z", [
+        complex(13.5, 0.0),                  # exactly at the guard: kept
+        complex(0.0, -13.5),
+        complex(0.9 * 13.5, 0.9 * 13.5),     # parts inside, modulus past it
+        complex(0.5 * 13.5, 0.0),            # exactly half the guard
+        complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(1.0, -math.inf),
+        complex(math.nan, 0.0), complex(0.0, math.nan),   # NaN stays alive
+        complex(math.inf, math.nan),
+    ])
+    def test_screened_rule_discards_what_the_moduli_do(self, z):
+        # each case alone in a row of an otherwise quiet batch, and beside
+        # a NaN, which must not hide it from the screen
+        for row in range(4):
+            amps = np.full((4, 3), 1.0 + 1.0j)
+            amps[row, 1] = z
+            self._same_as_moduli(amps)
+            amps[(row + 1) % 4, 2] = math.nan
+            self._same_as_moduli(amps)
+
+
 class TestEnsembleVsAnalytics:
     def test_flat_above_threshold_level(self):
         p = params_from_ratios(fbar_over_fth=2.0, lam_over_gamma=LAM)

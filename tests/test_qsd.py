@@ -264,7 +264,9 @@ class TestStepKernel:
         psi = rng.standard_normal((ops.dim, 3)) + 1j * rng.standard_normal((ops.dim, 3))
         psi /= np.linalg.norm(psi, axis=0)
         xi = rng.standard_normal((6, 3))
-        got = _step_batch(psi, float(ops.eps(t)), ops, dt, xi)
+        pairs = np.empty((3, 3), dtype=np.complex128)   # as run_lockstep hands them
+        pairs.real, pairs.imag = xi[0::2], xi[1::2]
+        got = _step_batch(psi, float(ops.eps(t)), ops, dt, pairs)
 
         H, Ls = _dense_model(ops, t)
         for b in range(3):
