@@ -137,10 +137,11 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
     The run is n_relax relaxation steps and then spi steps per grid
     interval (step_layout).  Each step calls advance(step, z, alive), with
     z that step's n_normals normals per trajectory as n_normals/2 complex
-    pairs (draw_noise), shape (n_normals/2, B), or None when n_normals is 0.  advance may clear entries of alive, a
-    boolean array of B that starts all true.  record() is called once per
-    grid point j, in order: before the first step when there is no
-    relaxation, else after the step that reaches it.  It returns a dict of
+    pairs (draw_noise), shape (n_normals/2, B), or None when n_normals is
+    0.  advance may clear entries of alive, a boolean array of B that
+    starts all true.  record() is called once per grid point j, in order:
+    before the first step when there is no relaxation, else after the step
+    that reaches it.  It returns a dict of
     per-trajectory arrays, which become row j of (n_grid, B) arrays under
     the same keys; "live" holds the alive mask at each grid point and
     "alive" the final mask.  In a pool worker it raises Aborted before any

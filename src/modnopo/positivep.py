@@ -35,8 +35,9 @@ from .semiclassical import classical_orbit
 
 BATCH = 256                 # trajectories summed together; fixed for determinism
 # Batches stepped as one array.  Serial kernel throughput at criterion 7's
-# modulated point (2-vCPU x86 VM) went from 8.0M trajectory-steps/s at one
-# batch to 11.3M at four and 11.8M at eight: past four the gain flattens
+# modulated point (2-vCPU x86 VM, the step without its draws) goes from
+# 6.5M trajectory-steps/s at one batch to 9.9M at four and 11.4M at eight,
+# but with the draws and two workers eight batches are no faster than four
 # while a job's arrays keep growing.
 _STEP_GROUP = 4
 DEFAULT_DT = 1e-3
@@ -90,7 +91,9 @@ def _increments(amps, eps_t, gamma, lam, dt, z, work):
     cross-correlation d*dt and vanishing self-correlations; d is complex in
     general and the principal branch of the square root is used (either
     branch gives identical statistics, the sign folds into the Gaussians).
-    The ensemble and the scalar helpers share this one kernel.
+    The drift is formed as eps*A' - g*A, which rounds as -g*A + eps*A'
+    does, since negation is exact.  The ensemble and the scalar helpers
+    share this one kernel.
     """
     la, g, root, part, u = work
     A = amps.reshape(2, 2, -1)

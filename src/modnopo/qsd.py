@@ -172,9 +172,9 @@ def _step_batch(psi, eps_t, ops, dt, xi):
     psi k0 - dt loss psi + k1 a1 psi + k2 a2 psi + k3 pair psi + k4 pair^dag psi,
     whose coefficients are per-trajectory scalars.  xi holds three complex
     pairs of standard normals per trajectory, shape (3, batch), as
-    run_lockstep hands them over, and dxi_k = sqrt(dt/2) xi[k].  Returns the unnormalized updated block; callers
-    renormalize and check tails so that scalar and ensemble paths share the
-    same kernel.
+    run_lockstep hands them over, and dxi_k = sqrt(dt/2) xi[k].  Returns
+    the unnormalized updated block; callers renormalize and check tails so
+    that scalar and ensemble paths share the same kernel.
     """
     a1p, a2p, prp, pdp = images(psi, ops)
 
