@@ -194,6 +194,8 @@ def test_built_jobs_survive_pickling(monkeypatch, module, run):
 @pytest.mark.parametrize("chunk", [7, 1024])
 def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid, chunk):
     monkeypatch.setattr(_ensemble, "NOISE_CHUNK", chunk)
+    # the three streams draw as a full block of 2 and a partial one
+    monkeypatch.setattr(_ensemble, "DRAW_BLOCK", 2)
     streams = [np.random.default_rng(s) for s in (1, 2, 3)]
     n_steps = n_relax + (n_grid - 1) * spi
     calls = []
