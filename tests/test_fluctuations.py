@@ -281,6 +281,12 @@ def _tabulated_above():
                        modulation=TabulatedPeriodic(period=math.pi, samples=tuple(samples)))
 
 
+def _tabulated(samples):
+    """The reference rates with a tabulated pump of period pi."""
+    return ModelParams(gamma=1.0, gamma3=25.0, k=5e-4,
+                       modulation=TabulatedPeriodic(period=math.pi, samples=tuple(samples)))
+
+
 class TestFrozenBytes:
     """Regression freezes of the ODE routes: sha256 of the periodic orbit,
     the periodic variance, find_vmin's (v_min, t0, n0_at_t0) and the float
@@ -363,6 +369,34 @@ class TestFrozenBytes:
         r = find_vmin(p, route="closed")
         items.append(("vmin", (r.v_min, r.t0, r.n0_at_t0)))
         assert _sha256(items) == self.CLOSED[name]
+
+    # sha256 of linearization_validity and of find_vmin's (v_min, t0,
+    # n0_at_t0, validity_ratio) on both routes, for tabulated pumps: one
+    # modulated, one flat and one whose spread is a single subnormal
+    TABLES = {
+        "modulated": (_tabulated_above,
+                      "71ca90ccfe1201f1775610eabdb392a0690ef27f8e2404a44f901018129a938a"),
+        "flat": (lambda: _tabulated([2.0 * 25.0 / 5e-4] * 64),
+                 "7e4bbac1382be9be7e3b94686d3f1feb81f1009869c9206ab20102d42083d8bd"),
+        "subnormal": (lambda: _tabulated([0.0] * 63 + [5e-324]),
+                      "9546ce183bccd9ec0b26ba73bf5daaf76bba25e315c6df30a04bbd65f0eaa9af"),
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_tabulated_vmin_and_validity(self, name):
+        make, want = self.TABLES[name]
+        p = make()
+        items = [("validity", linearization_validity(p))]
+        for route in ("ode", "closed"):
+            r = find_vmin(p, route=route)
+            items.append((route, (r.v_min, r.t0, r.n0_at_t0, r.validity_ratio)))
+        assert _sha256(items) == want
+
+    def test_negative_depth_sweep_cell(self):
+        # sha256 of a sweep cell whose depth is negative (a phase-flipped pump)
+        cells = sweep_vmin(params_from_ratios(phi=0.4), [1.6], [-0.75])
+        assert _sha256([("cells", cells)]) == (
+            "7be01683dd6414d9f1c8e7ca1e4d70e484bec1b420aec3adb25ea4ed95405433")
 
     def test_transient(self):
         # a non-periodic spline over a span that starts after t = 0; the

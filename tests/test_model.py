@@ -177,6 +177,14 @@ class TestRegimes:
         # the at-threshold band is far narrower than a finite offset
         assert regime_classify(params_from_ratios(fbar_over_fth=1.0005)) is Regime.ABOVE_THRESHOLD
 
+    def test_frozen_band_edges(self):
+        # sha256 of the regimes at and around the at-threshold band's edges
+        # and at the sweep grid's nearest points to threshold
+        ratios = (1.0, 1.0 - 0.5e-9, 1.0 + 0.5e-9, 1.0 - 2e-9, 1.0 + 2e-9, 0.95, 1.05)
+        got = [regime_classify(params_from_ratios(fbar_over_fth=r)).value for r in ratios]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+            "70b373684203d9c7d483ebe02a16dd97446e94dacc0d3fa417366f05023341e5")
+
     def test_modulation_depth_does_not_move_the_mean(self):
         # classification depends on the period average only
         p = params_from_ratios(fbar_over_fth=0.8, f1_over_fbar=2.0)
