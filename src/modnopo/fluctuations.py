@@ -37,7 +37,6 @@ from .model import (
     Harmonic,
     ModelParams,
     Regime,
-    TabulatedPeriodic,
     derive_params,
     regime_classify,
 )
@@ -270,13 +269,6 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
 _FLAT_REL = 1e-12
 
 
-def _pump_is_flat(m) -> bool:
-    if isinstance(m, Harmonic):
-        return m.f1 == 0.0
-    samples = np.asarray(m.samples, dtype=float)
-    return float(samples.max()) == float(samples.min())
-
-
 @dataclass(frozen=True)
 class VminResult:
     """Location and value of the per-period variance minimum."""
@@ -319,7 +311,7 @@ def find_vmin(p: ModelParams, route: str = "ode") -> VminResult:
     i = int(np.argmin(v_s))
     # flat pump: the curve is constant up to integrator noise, which the
     # refinement loop would otherwise mistake for structure
-    if _pump_is_flat(p.modulation) or (
+    if p.modulation.swing() == 0.0 or (
         np.max(v_s) - np.min(v_s) < _FLAT_REL * max(1.0, abs(np.max(v_s)))
     ):
         t0, v_min = 0.0, float(v_s[0])
@@ -342,25 +334,18 @@ def linearization_validity(p: ModelParams) -> float:
     """Margin ratio of the linearized theory near threshold.
 
     Returns |fbar/f_th - 1| divided by the critical-region width
-    (lam/gamma) * exp(2 (f1/f_th) (gamma/delta)); values >= VALIDITY_MARGIN
+    (lam/gamma) * exp(2 (swing/f_th) (gamma/delta)); values >= VALIDITY_MARGIN
     (10) mean the linearized results can be trusted.  Computed in
     log space: the exponential easily overflows for slow deep modulation.
-    Tabulated profiles use the half peak-to-trough swing for f1 and the
-    fundamental for delta.
+    The profile supplies its swing (f1 for a harmonic pump, half the
+    samples' peak-to-trough range for a table) and its fundamental delta.
     """
     d = derive_params(p)
     m = p.modulation
-    if isinstance(m, Harmonic):
-        f1, delta = m.f1, m.delta
-    else:
-        samples = np.asarray(m.samples, dtype=float)
-        f1 = (float(samples.max()) - float(samples.min())) / 2.0
-        delta = 2.0 * math.pi / m.period
-    r = d.eps_bar / d.gamma  # == fbar/f_th
-    if r == 1.0:
+    if d.pump_ratio == 1.0:
         return 0.0
-    log_width = math.log(d.lam / d.gamma) + 2.0 * (f1 / d.f_th) * (d.gamma / delta)
-    log_ratio = math.log(abs(r - 1.0)) - log_width
+    log_width = math.log(d.lam / d.gamma) + 2.0 * (m.swing() / d.f_th) * (d.gamma / m.delta)
+    log_ratio = math.log(abs(d.pump_ratio - 1.0)) - log_width
     if log_ratio > 700.0:
         return math.inf
     with np.errstate(under="ignore"):
@@ -394,10 +379,8 @@ def _sweep_cell(p: ModelParams, cell: tuple[float, float]) -> SweepCell:
     if not math.isfinite(fbar):
         raise InvalidParameterError(
             f"pump ratio fbar/f_th={ratio!r} gives a pump fbar={fbar} that is not finite")
-    f1, phi = level * fbar, p.modulation.phi
-    if f1 < 0:
-        f1, phi = -f1, phi + math.pi
-    cell_p = replace(p, modulation=Harmonic(fbar, f1, p.modulation.delta, phi))
+    m = Harmonic.from_depth(fbar, level, p.modulation.delta, p.modulation.phi)
+    cell_p = replace(p, modulation=m)
     regime = regime_classify(cell_p).value
     try:
         r = find_vmin(cell_p)

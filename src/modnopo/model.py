@@ -23,6 +23,7 @@ real and positive.
 from __future__ import annotations
 
 import enum
+import inspect
 import json
 import math
 import warnings
@@ -43,7 +44,7 @@ ADIABATIC_RATIO_WARN = 10.0
 # be smooth at ODE-integrator accuracy.
 MIN_TABULATED_SAMPLES = 64
 
-# |mean(f)/f_th - 1| below this counts as sitting exactly at threshold.
+# |fbar/f_th - 1| below this counts as sitting exactly at threshold.
 AT_THRESHOLD_BAND = 1e-9
 
 
@@ -384,6 +385,14 @@ class Harmonic:
             raise InvalidParameterError(
                 f"fbar and phi must be finite, got {self.fbar} and {self.phi}")
 
+    @classmethod
+    def from_depth(cls, fbar: float, depth: float, delta: float, phi: float) -> Harmonic:
+        """f1 = depth*fbar; a negative depth is the positive one shifted by pi in phi."""
+        f1 = depth * fbar
+        if f1 < 0:
+            f1, phi = -f1, phi + math.pi
+        return cls(fbar=fbar, f1=f1, delta=delta, phi=phi)
+
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.delta
@@ -401,6 +410,10 @@ class Harmonic:
     def minimum(self) -> float:
         """Smallest value of f over a period."""
         return self.fbar - self.f1
+
+    def swing(self) -> float:
+        """Half the peak-to-trough range of f."""
+        return self.f1
 
     def integral(self, t0, t1):
         """Exact integral of f over [t0, t1] from the closed-form antiderivative."""
@@ -456,6 +469,10 @@ class TabulatedPeriodic:
     def minimum(self) -> float:
         """Smallest value of the interpolated f over a period."""
         return self._curve.minimum()
+
+    def swing(self) -> float:
+        """Half the peak-to-trough range of the samples."""
+        return (max(self.samples) - min(self.samples)) / 2.0
 
     def integral(self, t0, t1):
         """Integral of f over [t0, t1] via the spline antiderivative plus
@@ -526,6 +543,11 @@ class DerivedParams:
         return self._eps_scale * self._profile.value(t)
 
     @property
+    def pump_ratio(self) -> float:
+        """fbar/f_th, the period-averaged pump over threshold."""
+        return self.eps_bar / self.gamma
+
+    @property
     def eps_min(self) -> float:
         """Smallest effective pump over a period."""
         return self._eps_scale * self._profile.minimum()
@@ -567,10 +589,10 @@ def regime_classify(p: ModelParams) -> Regime:
     """Compare the period-averaged pump against threshold.
 
     The AT_THRESHOLD band only distinguishes exactly marginal setups from
-    finite offsets; AT_THRESHOLD_BAND is relative on mean(f)/f_th.
+    finite offsets; AT_THRESHOLD_BAND is relative on the pump ratio
+    fbar/f_th (DerivedParams.pump_ratio, eps_bar/gamma).
     """
-    d = derive_params(p)
-    ratio = p.modulation.mean() / d.f_th
+    ratio = derive_params(p).pump_ratio
     if abs(ratio - 1.0) < AT_THRESHOLD_BAND:
         return Regime.AT_THRESHOLD
     return Regime.ABOVE_THRESHOLD if ratio > 1.0 else Regime.BELOW_THRESHOLD
@@ -579,18 +601,6 @@ def regime_classify(p: ModelParams) -> Regime:
 # --------------------------------------------------------------------------
 # Configuration interface: dimensionless ratios, as documented in README.
 # Defaults reproduce the reference figure-caption parameter set.
-
-CONFIG_DEFAULTS = {
-    "gamma3_over_gamma": 25.0,
-    "k_over_gamma": 5e-4,
-    "fbar_over_fth": 3.0,
-    "f1_over_fbar": 0.0,
-    "delta_over_gamma": 2.0,
-    "phi": 0.0,
-    "phi_L": 0.0,
-    "phi_K": 0.0,
-}
-
 
 def params_from_ratios(
     gamma3_over_gamma: float = 25.0,
@@ -611,18 +621,23 @@ def params_from_ratios(
     """
     gamma = 1.0
     gamma3 = gamma3_over_gamma * gamma
-    if lam_over_gamma is not None:
+    if lam_over_gamma is None:
+        k = k_over_gamma * gamma
+    elif 0.0 < lam_over_gamma < math.inf:
         k = math.sqrt(lam_over_gamma * gamma * gamma3)
     else:
-        k = k_over_gamma * gamma
+        raise InvalidParameterError(f"lam_over_gamma must be finite and > 0, got {lam_over_gamma}")
     f_th = gamma * gamma3 / k
     fbar = fbar_over_fth * f_th
-    f1 = f1_over_fbar * fbar
-    if f1 < 0:  # negative depth == half-period phase shift
-        f1, phi = -f1, phi + math.pi
-    modulation = Harmonic(fbar=fbar, f1=f1, delta=delta_over_gamma * gamma, phi=phi)
+    modulation = Harmonic.from_depth(fbar, f1_over_fbar, delta_over_gamma * gamma, phi)
     return ModelParams(gamma=gamma, gamma3=gamma3, k=k, modulation=modulation,
                        phi_L=phi_L, phi_K=phi_K)
+
+
+# Every ratio with a default is a configuration key; lam_over_gamma is not.
+CONFIG_DEFAULTS = {name: arg.default
+                   for name, arg in inspect.signature(params_from_ratios).parameters.items()
+                   if arg.default is not None}
 
 
 def config_to_params(cfg: dict) -> ModelParams:

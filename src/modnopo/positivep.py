@@ -129,7 +129,8 @@ def _past_guard(amps: np.ndarray, guard: float):
     half = 0.5 * guard
     if -half <= parts.min() and parts.max() <= half:
         return None
-    return (np.abs(amps) > guard).any(axis=0)
+    bad = (np.abs(amps) > guard).any(axis=0)
+    return bad if bad.any() else None
 
 
 def _amplitudes(state: PPState) -> np.ndarray:
@@ -174,13 +175,13 @@ def step_trajectory(
     noise = _one_noise(rng) if with_noise else None
     u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt, noise,
                        _workspace(1))
-    new = [complex(x) for x in (amps.reshape(u.shape) + u).ravel()]
+    new = amps + u.reshape(amps.shape)
     guard = divergence_guard(d)
-    if max(abs(z) for z in new) > guard:
+    if _past_guard(new, guard) is not None:
         raise DivergenceError(
             f"trajectory amplitude exceeded {guard:.3e} at t={state.t + dt:.4f}"
         )
-    return PPState(*new, t=state.t + dt)
+    return PPState(*new.ravel().tolist(), t=state.t + dt)
 
 
 @dataclass
@@ -271,7 +272,7 @@ def _run_batch(
             u *= mask
         np.add(A, u, out=A)
         bad = _past_guard(amps, guard)
-        if bad is not None and bad.any():
+        if bad is not None:
             bad &= alive
             amps[:, bad] = 0.0
             alive &= ~bad

@@ -309,7 +309,7 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     steps = rate * T / 3.3
     if steps > _STEP_BUDGET:
         raise InvalidParameterError(
-            f"{route} is too stiff at pump ratio fbar/f_th={d.eps_bar / d.gamma:.3g}: "
+            f"{route} is too stiff at pump ratio fbar/f_th={d.pump_ratio:.3g}: "
             f"RK45 would need about {steps:.3g} steps per period, over the budget "
             f"of {_STEP_BUDGET:,}")
     offsets = np.linspace(0.0, T, N_GRID, endpoint=False)
@@ -349,7 +349,7 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     else:
         raise ConvergenceError(
             f"{route} did not become periodic in {MAX_PERIODS:,} periods "
-            f"(pump ratio fbar/f_th={d.eps_bar / d.gamma:.6g})")
+            f"(pump ratio fbar/f_th={d.pump_ratio:.6g})")
     return offsets, now, Curve(now, T), period_idx + 1
 
 

@@ -1,5 +1,6 @@
 """Parameter plumbing: pump profiles, derived rates, regimes, config files."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -26,7 +27,9 @@ from modnopo import (
     params_from_ratios,
     pump_amplitude,
     regime_classify,
+    sweep_vmin,
 )
+from modnopo import fluctuations
 from modnopo.model import Curve
 
 
@@ -41,6 +44,8 @@ class TestHarmonic:
 
     def test_mean_is_offset(self):
         assert Harmonic(fbar=2.5, f1=1.0, delta=0.7).mean() == 2.5
+        # and half the peak-to-trough range is the depth
+        assert Harmonic(fbar=2.5, f1=1.3, delta=0.7, phi=0.2).swing() == 1.3
 
     def test_integral_against_quadrature(self):
         m = Harmonic(fbar=1.5, f1=0.8, delta=3.0, phi=1.1)
@@ -81,6 +86,12 @@ class TestTabulatedPeriodic:
         t = np.linspace(0.0, 3.0 * h.period, 101)
         np.testing.assert_allclose(m.value(t), h.value(t), atol=5e-8)
         assert m.mean() == pytest.approx(2.0, abs=1e-10)
+        # the swing is half the samples' spread, short of f1 on this odd grid
+        assert m.swing() == float(np.ptp(m.samples)) / 2.0 < h.swing()
+        # an even grid at phi = 0 holds both extremes; fbar +- f1 are exact here
+        h = Harmonic(fbar=2.0, f1=0.5, delta=2.0)
+        m = TabulatedPeriodic(h.period, h.value(np.linspace(0.0, h.period, 64, endpoint=False)))
+        assert m.swing() == h.swing() == 0.5
 
     def test_integral_consistent(self):
         h = Harmonic(fbar=1.0, f1=0.5, delta=1.0)
@@ -97,7 +108,8 @@ class TestTabulatedPeriodic:
         assert m.minimum() <= dense.min() < min(m.samples)
         assert m.minimum() == pytest.approx(dense.min(), abs=1e-9)
         assert m.minimum() == pytest.approx(h.minimum(), abs=1e-4)
-        assert TabulatedPeriodic(period=1.0, samples=(3.0,) * 64).minimum() == 3.0
+        flat = TabulatedPeriodic(period=1.0, samples=(3.0,) * 64)
+        assert flat.minimum() == 3.0 and flat.swing() == 0.0
 
     def test_frozen_bytes(self):
         # sha256 of value (array and float), integral and minimum: the
@@ -153,7 +165,7 @@ class TestDerivedParams:
         assert d.lam == pytest.approx(0.1)
         assert p.k == pytest.approx(math.sqrt(0.1 * 25.0))
 
-    def test_negative_depth_becomes_phase_flip(self):
+    def test_negative_depth_becomes_phase_flip(self, monkeypatch):
         plus = params_from_ratios(f1_over_fbar=0.4)
         minus = params_from_ratios(f1_over_fbar=-0.4)
         t = np.linspace(0.0, math.pi, 9)
@@ -163,6 +175,14 @@ class TestDerivedParams:
             plus.modulation.value(t + plus.modulation.period / 2.0),
             rtol=1e-12,
         )
+        # a sweep cell at a negative level builds the same pump, bit for bit
+        seen = []
+        monkeypatch.setattr(fluctuations, "find_vmin", seen.append)
+        sweep_vmin(params_from_ratios(phi=0.3), [1.7], [-0.4])
+        want = params_from_ratios(fbar_over_fth=1.7, f1_over_fbar=-0.4, phi=0.3).modulation
+        assert want.phi != 0.3
+        got = seen[0].modulation
+        assert (_bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))).all()
 
     def test_adiabatic_ratio_warning(self):
         with pytest.warns(UserWarning, match="elimination"):
@@ -176,6 +196,10 @@ class TestRegimes:
         assert regime_classify(params_from_ratios(fbar_over_fth=2.5)) is Regime.ABOVE_THRESHOLD
         # the at-threshold band is far narrower than a finite offset
         assert regime_classify(params_from_ratios(fbar_over_fth=1.0005)) is Regime.ABOVE_THRESHOLD
+        # AT_THRESHOLD_BAND is 1e-9: inside it at a quarter-band, outside at twice it
+        for offset, want in ((0.5e-9, Regime.AT_THRESHOLD), (2e-9, Regime.ABOVE_THRESHOLD),
+                             (-0.5e-9, Regime.AT_THRESHOLD), (-2e-9, Regime.BELOW_THRESHOLD)):
+            assert regime_classify(params_from_ratios(fbar_over_fth=1.0 + offset)) is want
 
     def test_frozen_band_edges(self):
         # sha256 of the regimes at and around the at-threshold band's edges
@@ -202,6 +226,16 @@ class TestConfig:
         p = config_to_params({})
         q = params_from_ratios()
         assert p == q
+        # the figure-caption set, in the order the CSV header prints it
+        assert list(CONFIG_DEFAULTS.items()) == [
+            ("gamma3_over_gamma", 25.0), ("k_over_gamma", 5e-4), ("fbar_over_fth", 3.0),
+            ("f1_over_fbar", 0.0), ("delta_over_gamma", 2.0), ("phi", 0.0), ("phi_L", 0.0),
+            ("phi_K", 0.0)]
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_bad_lam_over_gamma_rejected(self, lam):
+        with pytest.raises(InvalidParameterError, match="lam_over_gamma"):
+            params_from_ratios(lam_over_gamma=lam)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown"):

@@ -17,6 +17,7 @@ from scipy.integrate import solve_ivp
 
 from modnopo import (
     DivergenceBudgetError,
+    DivergenceError,
     InvalidParameterError,
     check_moment_equations,
     derive_params,
@@ -191,6 +192,17 @@ class TestGuardScreen:
             self._same_as_moduli(amps)
             amps[(row + 1) % 4, 2] = math.nan
             self._same_as_moduli(amps)
+
+
+    def test_single_step_sees_past_a_nan(self):
+        # step_trajectory takes the batch guard: a largest modulus over a
+        # Python max dropped every value after a NaN, and this step came
+        # back with beta1 near 3.16e4 against a guard near 3.16e3
+        d = derive_params(params_from_ratios(fbar_over_fth=2.0, lam_over_gamma=0.1))
+        guard = positivep.divergence_guard(d)
+        s = PPState(complex(math.nan, 0.0), 1 + 0j, complex(10.0 * guard, 0.0), 1 + 0j, t=0.0)
+        with pytest.raises(DivergenceError, match="exceeded"):
+            step_trajectory(s, d, 1e-3, np.random.default_rng(0), with_noise=False)
 
 
 class TestEnsembleVsAnalytics:
