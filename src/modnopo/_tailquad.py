@@ -4,7 +4,8 @@ n0 (through w = 1/n0), the depletion memory and V are such solutions,
 with k and b periodic in the modulation period T.  The periodic solution
 is y(t) = integral_0^inf exp(-K(t, s)) b(t - s) ds with K(t, s) the
 integral of k over [t - s, t].  K(t, s + T) = K(t, s) + D with
-D = K(T, T) > 0, so the tail is a geometric series of period integrals
+D = K(T, T), which must be > 0 (else no periodic state attracts, and the
+solution is refused), so the tail is a geometric series of period integrals
 (Floquet theory: exp(-D) is the period multiplier) and exactly
 
     y(t) = integral_0^T exp(-K(t, s)) b(t - s) ds / (1 - exp(-D)).
@@ -27,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import ConvergenceError, InvalidParameterError
 
 # The rest of the period is dropped once bounded below this share of the
 # sum (as a logarithm) in every row: far below float64 rounding.
@@ -53,9 +54,13 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
     and once with the floats (T, T, 0.0) for D.  b may return a scalar.
     rate bounds |k|, k_min is k's minimum and b_max bounds b.  [0, T] is
     tiled by equal panels of the 32-point Gauss-Legendre rule, at most
-    min(T/4, 4/rate) wide.  Times where rate*(|t| + T) exceeds
-    MAX_RATE_TIME are refused, and so is a period with k_min < 0 whose
-    work is over WORK_BUDGET.
+    min(T/4, 4/rate) wide.
+
+    Refuses, in this order: times where rate*(|t| + T) exceeds
+    MAX_RATE_TIME (InvalidParameterError); a decay D = K(T, T) that is
+    not > 0, where no periodic state attracts (ConvergenceError); and a
+    period with k_min < 0 whose work is over WORK_BUDGET
+    (InvalidParameterError).
 
     Returns (M, A) with y = exp(M) * A elementwise: callers that need the
     logarithm of y use log(A) + M directly and never materialize y when it
@@ -68,6 +73,10 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
             f"closed form: times reach rate*(|t| + T) = {reach:.3g}, over {MAX_RATE_TIME:.3g}, "
             f"where the pump integral has lost its digits")
     decay = float(k_int(period, period, period - period))
+    if not decay > 0.0:
+        raise ConvergenceError(
+            f"closed form: one period's decay D = {decay:.3g} is not > 0, so its "
+            f"multiplier exp(-D) does not shrink a deviation and no periodic state attracts")
     x, w = np.polynomial.legendre.leggauss(32)
     n = math.ceil(period / min(period / 4.0, 4.0 / rate))
     work = n * (t.size + 60)

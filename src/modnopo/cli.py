@@ -26,6 +26,7 @@ from .fluctuations import (
     VALIDITY_MARGIN,
     asymptotic_variance,
     integrate_variance,
+    is_trusted,
     linearization_validity,
     sweep_vmin,
 )
@@ -36,6 +37,7 @@ from .model import (
     config_number,
     config_to_params,
     derive_params,
+    k_from_lam,
     read_config,
     regime_classify,
 )
@@ -71,8 +73,8 @@ def _resolve_model(args, overrides=None, desk_lam=None) -> tuple[ModelParams, di
         lam = desk_lam
     if lam is not None:
         # lam/gamma is not itself a config key; it fixes the coupling k.
-        g3 = config_number("gamma3_over_gamma", cfg["gamma3_over_gamma"])
-        cfg["k_over_gamma"] = math.sqrt(lam * g3)
+        cfg["k_over_gamma"] = k_from_lam(
+            lam, config_number("gamma3_over_gamma", cfg["gamma3_over_gamma"]))
     return config_to_params(cfg), cfg
 
 
@@ -113,7 +115,7 @@ def _warn_validity(ratios, what: str | None = None) -> None:
     """One stderr line for the linearization validity ratios under
     VALIDITY_MARGIN: the ratio of a single point (``what`` None), else how
     many of the ``what`` are untrusted and the smallest ratio."""
-    low = [r for r in ratios if not r >= VALIDITY_MARGIN]
+    low = [r for r in ratios if not is_trusted(r)]
     if not low:
         return
     if what is None:

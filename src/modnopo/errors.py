@@ -17,11 +17,13 @@ class TruncationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """A periodic state was not reached: a period loop ran MAX_PERIODS
-    periods; was refused after its second period because its predicted
-    period count was over twice that, or once it ran past twice its
-    prediction plus ten; stopped with an error bound over the routes'
-    tolerance; or no periodic state attracts."""
+    """A periodic state was not reached.  Raised before any work where no
+    periodic state attracts: the closed form's decay D = K(T, T) is not
+    > 0, or an ODE period loop's multiplier m is not below 1.  Raised by a
+    period loop that ran MAX_PERIODS periods; was refused after its second
+    period because its predicted period count was over twice that, or once
+    it ran past twice its prediction plus ten; or stopped with an error
+    bound over the routes' tolerance."""
 
 
 class CrossCheckError(RuntimeError):

@@ -30,9 +30,8 @@ import numpy as np
 
 from . import _tailquad
 from ._ensemble import map_ordered
-from .errors import ConvergenceError, InvalidParameterError
+from .errors import InvalidParameterError
 from .model import (
-    AT_THRESHOLD_BAND,
     Curve,
     Harmonic,
     ModelParams,
@@ -137,14 +136,8 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     n0_traj = classical_orbit(p)
     gamma, lam, T = d.gamma, d.lam, d.period
     # V's period map multiplies deviations by exp(-2 T <gamma + eps + lam n0>),
-    # J's by exp(-4 gamma T); without net damping no periodic state
-    # attracts (V grows without end).
+    # J's by exp(-4 gamma T); the period loop refuses a larger one not below 1.
     damping = gamma + d.eps_bar + lam * n0_traj.mean_n0()
-    if not damping > AT_THRESHOLD_BAND * gamma:
-        raise ConvergenceError(
-            f"variance has no periodic state: period-averaged damping {damping:.3g} "
-            "is not positive"
-        )
 
     def rhs(t, y):
         V, J = y
@@ -269,6 +262,12 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
 _FLAT_REL = 1e-12
 
 
+def is_trusted(validity_ratio: float) -> bool:
+    """Whether the linearization holds at this validity ratio: at least
+    VALIDITY_MARGIN.  NaN, a failed sweep cell's ratio, is not trusted."""
+    return validity_ratio >= VALIDITY_MARGIN
+
+
 @dataclass(frozen=True)
 class VminResult:
     """Location and value of the per-period variance minimum."""
@@ -282,8 +281,8 @@ class VminResult:
 
     @property
     def trusted(self) -> bool:
-        """Whether the linearization holds here (see linearization_validity)."""
-        return self.validity_ratio >= VALIDITY_MARGIN
+        """Whether the linearization holds here (see is_trusted)."""
+        return is_trusted(self.validity_ratio)
 
 
 def find_vmin(p: ModelParams, route: str = "ode") -> VminResult:
@@ -370,7 +369,7 @@ class SweepCell:
     @property
     def trusted(self) -> bool:
         """Whether the linearization holds here; a failed cell is not trusted."""
-        return self.validity_ratio >= VALIDITY_MARGIN
+        return is_trusted(self.validity_ratio)
 
 
 def _sweep_cell(p: ModelParams, cell: tuple[float, float]) -> SweepCell:

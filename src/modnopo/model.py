@@ -616,22 +616,45 @@ def params_from_ratios(
     """Build ModelParams from dimensionless ratios with gamma = 1.
 
     lam_over_gamma, when given, overrides k_over_gamma via
-    k = sqrt(lam * gamma3): convenient for stochastic runs that are
-    parameterized by the nonlinearity-to-damping ratio directly.
+    k = sqrt(lam * gamma3) (k_from_lam): convenient for stochastic runs
+    that are parameterized by the nonlinearity-to-damping ratio directly.
+    gamma3_over_gamma and the coupling's ratio must be finite and > 0, and
+    the threshold pump gamma*gamma3/k and the nonlinearity k^2/gamma3 they
+    give must be too; each refusal names the ratio.
     """
     gamma = 1.0
-    gamma3 = gamma3_over_gamma * gamma
+    gamma3 = _ratio("gamma3_over_gamma", gamma3_over_gamma) * gamma
     if lam_over_gamma is None:
-        k = k_over_gamma * gamma
-    elif 0.0 < lam_over_gamma < math.inf:
-        k = math.sqrt(lam_over_gamma * gamma * gamma3)
+        key, value = "k_over_gamma", k_over_gamma
+        k = _ratio(key, k_over_gamma) * gamma
     else:
-        raise InvalidParameterError(f"lam_over_gamma must be finite and > 0, got {lam_over_gamma}")
-    f_th = gamma * gamma3 / k
+        key, value = "lam_over_gamma", lam_over_gamma
+        k = k_from_lam(lam_over_gamma, gamma3_over_gamma) * gamma
+    f_th = gamma * gamma3 / k if k > 0.0 else math.inf
+    lam = k * k / gamma3
+    if not (0.0 < f_th < math.inf and 0.0 < lam < math.inf):
+        raise InvalidParameterError(
+            f"{key}={value!r} with gamma3_over_gamma={gamma3_over_gamma!r} gives a threshold "
+            f"pump gamma*gamma3/k={f_th!r} and a nonlinearity k^2/gamma3={lam!r}; both must "
+            f"be finite and > 0")
     fbar = fbar_over_fth * f_th
     modulation = Harmonic.from_depth(fbar, f1_over_fbar, delta_over_gamma * gamma, phi)
     return ModelParams(gamma=gamma, gamma3=gamma3, k=k, modulation=modulation,
                        phi_L=phi_L, phi_K=phi_K)
+
+
+def _ratio(key: str, value: float) -> float:
+    """value, if it is a finite ratio > 0; else an error naming key."""
+    if not 0.0 < value < math.inf:
+        raise InvalidParameterError(f"{key} must be finite and > 0, got {value!r}")
+    return value
+
+
+def k_from_lam(lam_over_gamma: float, gamma3_over_gamma: float) -> float:
+    """k/gamma = sqrt(lam/gamma * gamma3/gamma), the coupling whose
+    nonlinearity k^2/gamma3 is lam; both ratios are checked first."""
+    return math.sqrt(_ratio("lam_over_gamma", lam_over_gamma)
+                     * _ratio("gamma3_over_gamma", gamma3_over_gamma))
 
 
 # Every ratio with a default is a configuration key; lam_over_gamma is not.

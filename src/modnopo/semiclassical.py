@@ -296,7 +296,8 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     rate is the ODE's fastest damping rate and m the factor by which one
     period shrinks a deviation from the attractor.  gap(prev, now) returns
     the change between two consecutive grids and the bound it must fall
-    below.  Refuses before integrating when RK45 would need more than
+    below.  Refuses before integrating when m is not below 1 (no periodic
+    state attracts, or m rounds to 1) and when RK45 would need more than
     _STEP_BUDGET steps a period; after the second period when the
     predicted period count is over twice MAX_PERIODS; once the loop runs
     past twice that prediction plus ten periods (it chases integrator
@@ -305,6 +306,10 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     barely moved a slowly shrinking deviation).  Returns the grid, the
     first component on it, its periodic Curve and the periods run.
     """
+    if not m < 1.0:
+        raise ConvergenceError(
+            f"{route} has no periodic state to iterate to: its period multiplier, "
+            f"{m:.9g} in float64, is not below 1")
     T = d.period
     steps = rate * T / 3.3
     if steps > _STEP_BUDGET:
@@ -325,7 +330,7 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
         if prev is not None:
             change, bound = gap(prev, now)
             if change < bound:
-                error = change * m / (1.0 - m) if m < 1.0 else math.inf
+                error = change * m / (1.0 - m)
                 if error > (CROSS_TOL / PERIODIC_TOL) * bound:
                     raise ConvergenceError(
                         f"{route} changed by only {change:.3g} in period {period_idx + 1}, "
@@ -339,7 +344,7 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
                     f"twice the {need:.3g} predicted after two (it chases integrator noise)")
             if period_idx == 1 and m > 0.0:
                 # the change shrinks by about m a period from here on
-                need = 2.0 + math.log(bound / change) / math.log(m) if m < 1.0 else math.inf
+                need = 2.0 + math.log(bound / change) / math.log(m)
                 if need > 2 * MAX_PERIODS:
                     raise ConvergenceError(
                         f"{route} would need about {need:.3g} periods to become periodic "

@@ -21,9 +21,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from modnopo import (Regime, config_to_params, derive_params, periodic_steady_state,
-                     positivep, qsd, regime_classify)
-from modnopo.cli import build_parser, main
+from modnopo import (VALIDITY_MARGIN, Regime, SweepCell, VminResult, classify_entanglement,
+                     config_to_params, derive_params, periodic_steady_state, positivep, qsd,
+                     regime_classify)
+from modnopo.cli import _warn_validity, build_parser, main
+from modnopo.fluctuations import is_trusted
 
 
 def read_output(path):
@@ -336,6 +338,21 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratio,trusted", [
+    (math.nan, False), (math.inf, True), (-math.inf, False), (0.0, False),
+    (VALIDITY_MARGIN, True), (math.nextafter(VALIDITY_MARGIN, 0.0), False),
+])
+def test_one_trusted_rule_for_minima_cells_and_warnings(capsys, ratio, trusted):
+    crit = classify_entanglement(0.5, 0.5)
+    vmin = VminResult(v_min=0.5, t0=0.0, n0_at_t0=1.0, period=1.0, criteria=crit,
+                      validity_ratio=ratio)
+    cell = SweepCell(fbar_over_fth=2.0, f1_over_fbar=0.0, regime="above", v_min=0.5, t0=0.0,
+                     n0_at_t0=1.0, inseparable=True, epr=False, validity_ratio=ratio)
+    _warn_validity([ratio])
+    warned = capsys.readouterr().err.startswith("warning: linearization validity ratio")
+    assert [is_trusted(ratio), vmin.trusted, cell.trusted, not warned] == [trusted] * 4
+
+
 def test_non_numeric_config_with_lam_fails_cleanly(tmp_path, capsys):
     # --lam reads gamma3 from the config before the config is checked
     cfg = tmp_path / "bad.json"
@@ -586,6 +603,26 @@ def test_fuzzed_sweep_flags_give_finite_csv_or_one_error(grid, step, f1, lam):
     event(f"exit {code}")
     if code == 0:
         assert cols["v_min"].size == cells, argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    key=st.sampled_from(["gamma3_over_gamma", "k_over_gamma"]),
+    value=st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e-320, 1e308]),
+    lam=st.sampled_from([None, "0.1"]),
+)
+def test_config_ratios_give_finite_csv_or_one_error(key, value, lam):
+    # k/gamma = 0, and gamma3/gamma = 0 with --lam, ended in a ZeroDivisionError
+    # traceback; gamma3/gamma = -25 with --lam in "math domain error"; NaN
+    # ratios and k/gamma = 1e-320 blamed the modulation depth f1
+    with tempfile.TemporaryDirectory() as folder:
+        cfg = Path(folder) / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["variance", "--points", "3", "--config", str(cfg)]
+        if lam is not None:
+            argv.append(f"--lam={lam}")
+        code, _, _ = _run_checked(argv)
+    event(f"exit {code}")
 
 
 @pytest.mark.parametrize("command", ["qsd", "positivep"])

@@ -237,6 +237,32 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="lam_over_gamma"):
             params_from_ratios(lam_over_gamma=lam)
 
+    @pytest.mark.parametrize("key", ["gamma3_over_gamma", "k_over_gamma"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_bad_rate_ratio_rejected(self, key, value):
+        # k/gamma = 0 used to end in a ZeroDivisionError, NaN ratios in an
+        # error that blamed the modulation depth f1
+        with pytest.raises(InvalidParameterError, match=f"^{key} must be finite and > 0"):
+            params_from_ratios(**{key: value})
+
+    @pytest.mark.parametrize("g3", [0.0, -25.0, math.nan, math.inf])
+    def test_bad_gamma3_rejected_before_the_lam_root(self, g3):
+        # 0 used to divide by the zero coupling, -25 to fail in math.sqrt
+        with pytest.raises(InvalidParameterError, match="^gamma3_over_gamma must be"):
+            params_from_ratios(gamma3_over_gamma=g3, lam_over_gamma=0.1)
+
+    @pytest.mark.parametrize("kw,key", [
+        ({"k_over_gamma": 1e-320}, "k_over_gamma"),    # f_th overflows
+        ({"k_over_gamma": 1e-170}, "k_over_gamma"),    # lam underflows to 0
+        ({"k_over_gamma": 1e308}, "k_over_gamma"),     # lam overflows
+        ({"gamma3_over_gamma": 1e308}, "k_over_gamma"),
+        ({"gamma3_over_gamma": 1e308, "lam_over_gamma": 1e308}, "lam_over_gamma"),
+        ({"gamma3_over_gamma": 1e-10, "lam_over_gamma": 1e-320}, "lam_over_gamma"),
+    ])
+    def test_rates_outside_the_float_range_name_the_ratio(self, kw, key):
+        with pytest.raises(InvalidParameterError, match=f"^{key}=.* both must be finite and > 0$"):
+            params_from_ratios(**kw)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown"):
             config_to_params({"fbar_over_fth": 2.0, "fbar": 2.0})

@@ -15,6 +15,7 @@ from scipy.integrate import RK45, quad, solve_ivp
 
 from modnopo import (
     BelowThresholdError,
+    ConvergenceError,
     InvalidParameterError,
     ModelParams,
     TabulatedPeriodic,
@@ -289,6 +290,21 @@ class TestRK45:
                     r"^the variance integration failed: Required step size is less than "
                     r"spacing between numbers\.$")):
                 _periodic_attractor(d, rhs, [1.0], None, "the variance", 1.0, 0.5)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_multiplier_not_below_one_is_refused_before_any_step(self, m):
+        # a rate far over the step budget: the existence rule comes first
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (-y[0],)
+
+        d = derive_params(params_from_ratios())
+        with pytest.raises(ConvergenceError,
+                           match=rf"period multiplier, {m:g} in float64, is not below 1$"):
+            _periodic_attractor(d, rhs, [1.0], None, "the variance", 1e12, m)
+        assert calls == []
 
     def test_backward_span_or_too_few_points_is_refused(self):
         # the integrator runs forward only; one point or none used to fail

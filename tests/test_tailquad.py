@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from modnopo import _tailquad, asymptotic_variance, derive_params, params_from_ratios
-from modnopo.errors import InvalidParameterError
+from modnopo.errors import ConvergenceError, InvalidParameterError
 from modnopo.fluctuations import _variance_evaluator
 from modnopo.semiclassical import asymptotic_log_n0
 
@@ -65,6 +65,23 @@ def test_early_stop_matches_full_period(monkeypatch, delta, depth):
     _variance_evaluator.cache_clear()
     np.testing.assert_allclose(n0, n0_full, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(V, V_full, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("D", [0.0, -1.0, math.nan])
+def test_no_decay_is_refused_before_any_panel(D):
+    # no periodic state attracts where D = K(T, T) is not > 0; the period
+    # would also be far over WORK_BUDGET, which is checked after
+    T = 10.0
+    calls = []
+
+    def k_int(t, s, past):
+        calls.append(np.ndim(past))
+        return D * s / T
+
+    with pytest.raises(ConvergenceError, match="decay D = .* is not > 0"):
+        _tailquad.periodic_solution(np.zeros(1), k_int, lambda past: 1.0, period=T,
+                                    rate=1e9, k_min=-1.0, b_max=1.0)
+    assert calls == [0]  # the float call for D only
 
 
 def test_early_stop_waits_for_a_rebound(monkeypatch):
