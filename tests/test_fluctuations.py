@@ -123,23 +123,19 @@ class TestNoPeriodicState:
     # negative, so no periodic state attracts.  The closed route returned
     # V = -1.73 and -3.12 at -1.5 f_th, and inf with only RuntimeWarnings at
     # -1.0 f_th; each route's own kernel now refuses, from its own D or m.
-    ROUTES = {
-        "asymptotic_variance": lambda p: asymptotic_variance(p, np.array([0.0, 1.0])),
-        "find_vmin-closed": lambda p: find_vmin(p, route="closed"),
-        "integrate_variance": integrate_variance,
-        "find_vmin-ode": find_vmin,
-    }
-
     @pytest.mark.parametrize("ratio", [-1.5, -1.0])
-    @pytest.mark.parametrize("route", list(ROUTES))
-    def test_every_route_refuses(self, ratio, route):
+    @pytest.mark.parametrize("route,message", [
+        (lambda p: asymptotic_variance(p, np.array([0.0, 1.0])), "decay D = .* is not > 0"),
+        (lambda p: find_vmin(p, route="closed"), "decay D = .* is not > 0"),
+        (integrate_variance, "period multiplier, .* is not below 1"),
+        (find_vmin, "period multiplier, .* is not below 1"),
+    ], ids=["asymptotic_variance", "find_vmin-closed", "integrate_variance", "find_vmin-ode"])
+    def test_every_route_refuses(self, ratio, route, message):
         p = params_from_ratios(fbar_over_fth=ratio, f1_over_fbar=0.3)
-        message = ("decay D = .* is not > 0" if "closed" in route or "asymptotic" in route
-                   else "period multiplier, .* is not below 1")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConvergenceError, match=message):
-                self.ROUTES[route](p)
+                route(p)
 
 
 class TestMinimaRegression:
