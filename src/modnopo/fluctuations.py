@@ -137,7 +137,11 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     gamma, lam, T = d.gamma, d.lam, d.period
     # V's period map multiplies deviations by exp(-2 T <gamma + eps + lam n0>),
     # J's by exp(-4 gamma T); the period loop refuses a larger one not below 1.
-    damping = gamma + d.eps_bar + lam * n0_traj.mean_n0()
+    # Growth past float64's range is an infinite multiplier, refused alike.
+    try:
+        m = math.exp(-2.0 * (gamma + d.eps_bar + lam * n0_traj.mean_n0()) * T)
+    except OverflowError:
+        m = math.inf
 
     def rhs(t, y):
         V, J = y
@@ -152,7 +156,7 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     offsets, V_grid, curve, periods = _periodic_attractor(
         d, rhs, [1.0, lam * n0_traj.mean_n0()], gap, "the variance",
         2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()),
-        max(math.exp(-2.0 * damping * T), math.exp(-4.0 * gamma * T)))
+        max(m, math.exp(-4.0 * gamma * T)))
     return VarianceTrajectory(t_grid=offsets, V=V_grid, period=T, n0_ref=n0_traj,
                               theta_opt=d.theta_opt, periods_to_converge=periods,
                               _curve=curve)

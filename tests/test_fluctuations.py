@@ -123,15 +123,17 @@ class TestNoPeriodicState:
     # negative, so no periodic state attracts.  The closed route returned
     # V = -1.73 and -3.12 at -1.5 f_th, and inf with only RuntimeWarnings at
     # -1.0 f_th; each route's own kernel now refuses, from its own D or m.
-    @pytest.mark.parametrize("ratio", [-1.5, -1.0])
+    # At -2 f_th and delta 0.01 the ODE route's multiplier, exp(1257),
+    # overflowed float64 into an OverflowError.
+    @pytest.mark.parametrize("ratio,delta", [(-1.5, 2.0), (-1.0, 2.0), (-2.0, 0.01)])
     @pytest.mark.parametrize("route,message", [
         (lambda p: asymptotic_variance(p, np.array([0.0, 1.0])), "decay D = .* is not > 0"),
         (lambda p: find_vmin(p, route="closed"), "decay D = .* is not > 0"),
         (integrate_variance, "period multiplier, .* is not below 1"),
         (find_vmin, "period multiplier, .* is not below 1"),
     ], ids=["asymptotic_variance", "find_vmin-closed", "integrate_variance", "find_vmin-ode"])
-    def test_every_route_refuses(self, ratio, route, message):
-        p = params_from_ratios(fbar_over_fth=ratio, f1_over_fbar=0.3)
+    def test_every_route_refuses(self, ratio, delta, route, message):
+        p = params_from_ratios(fbar_over_fth=ratio, f1_over_fbar=0.3, delta_over_gamma=delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConvergenceError, match=message):
