@@ -44,6 +44,14 @@ MAX_RATE_TIME = 2.0**43
 WORK_BUDGET = 2**28
 
 
+def require_decay(decay: float, route: str) -> None:
+    """Refuse a period decay D not > 0, where no periodic state attracts."""
+    if not decay > 0.0:
+        raise ConvergenceError(
+            f"{route}: one period's decay D = {decay:.3g} is not > 0, so its "
+            f"multiplier exp(-D) does not shrink a deviation and no periodic state attracts")
+
+
 def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
                       b_max: float):
     """The periodic solution y(t) of y' = -k y + b on a grid of times t.
@@ -73,10 +81,7 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
             f"closed form: times reach rate*(|t| + T) = {reach:.3g}, over {MAX_RATE_TIME:.3g}, "
             f"where the pump integral has lost its digits")
     decay = float(k_int(period, period, period - period))
-    if not decay > 0.0:
-        raise ConvergenceError(
-            f"closed form: one period's decay D = {decay:.3g} is not > 0, so its "
-            f"multiplier exp(-D) does not shrink a deviation and no periodic state attracts")
+    require_decay(decay, "closed form")
     x, w = np.polynomial.legendre.leggauss(32)
     n = math.ceil(period / min(period / 4.0, 4.0 / rate))
     work = n * (t.size + 60)

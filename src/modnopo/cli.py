@@ -132,11 +132,13 @@ def _variance_curves(ps, t: np.ndarray, what: str | None = None) -> tuple[list, 
     """V(t) for each parameter set in any pump regime (the closed form above
     threshold, else the ODE), and each set's validity ratio.  Every V the
     command line writes comes from here, so the untrusted sets are warned
-    about first, in one line."""
+    about in one line, once every curve is computed: a refused run warns
+    about nothing."""
+    curves = [asymptotic_variance(p, t) if regime_classify(p) is Regime.ABOVE_THRESHOLD
+              else integrate_variance(p).interp(t) for p in ps]
     ratios = [linearization_validity(p) for p in ps]
     _warn_validity(ratios, what)
-    return [asymptotic_variance(p, t) if regime_classify(p) is Regime.ABOVE_THRESHOLD
-            else integrate_variance(p).interp(t) for p in ps], ratios
+    return curves, ratios
 
 
 def cmd_semiclassical(args) -> int:

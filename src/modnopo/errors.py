@@ -18,12 +18,12 @@ class TruncationError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """A periodic state was not reached.  Raised before any work where no
-    periodic state attracts: the closed form's decay D = K(T, T) is not
-    > 0, or an ODE period loop's multiplier m is not below 1.  Raised by a
-    period loop that ran MAX_PERIODS periods; was refused after its second
-    period because its predicted period count was over twice that, or once
-    it ran past twice its prediction plus ten; or stopped with an error
-    bound over the routes' tolerance."""
+    periodic state attracts: one period's decay D (a deviation shrinks by
+    exp(-D)) is not > 0, in the closed form and the ODE period loops alike.
+    Raised by a period loop that ran MAX_PERIODS periods; was refused after
+    its second period because its predicted period count was over twice
+    that, or once it ran past twice its prediction plus ten; or stopped
+    with an error bound over the routes' tolerance."""
 
 
 class CrossCheckError(RuntimeError):

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import _tailquad
 from ._ensemble import map_ordered
-from .errors import InvalidParameterError
 from .model import (
     Curve,
     Harmonic,
@@ -135,13 +134,6 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     d = derive_params(p)
     n0_traj = classical_orbit(p)
     gamma, lam, T = d.gamma, d.lam, d.period
-    # V's period map multiplies deviations by exp(-2 T <gamma + eps + lam n0>),
-    # J's by exp(-4 gamma T); the period loop refuses a larger one not below 1.
-    # Growth past float64's range is an infinite multiplier, refused alike.
-    try:
-        m = math.exp(-2.0 * (gamma + d.eps_bar + lam * n0_traj.mean_n0()) * T)
-    except OverflowError:
-        m = math.inf
 
     def rhs(t, y):
         V, J = y
@@ -153,10 +145,12 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     def gap(V_prev, V_now):
         return np.max(np.abs(V_now - V_prev)), PERIODIC_TOL
 
+    # V's period map shrinks deviations by exp(-D) with D = 2 T <gamma + eps +
+    # lam n0>, J's with D = 4 gamma T; the slower of the two sets the pace.
     offsets, V_grid, curve, periods = _periodic_attractor(
         d, rhs, [1.0, lam * n0_traj.mean_n0()], gap, "the variance",
         2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()),
-        max(m, math.exp(-4.0 * gamma * T)))
+        min(2.0 * (gamma + d.eps_bar + lam * n0_traj.mean_n0()) * T, 4.0 * gamma * T))
     return VarianceTrajectory(t_grid=offsets, V=V_grid, period=T, n0_ref=n0_traj,
                               theta_opt=d.theta_opt, periods_to_converge=periods,
                               _curve=curve)
@@ -378,11 +372,8 @@ class SweepCell:
 
 def _sweep_cell(p: ModelParams, cell: tuple[float, float]) -> SweepCell:
     ratio, level = cell
-    fbar = ratio * derive_params(p).f_th
-    if not math.isfinite(fbar):
-        raise InvalidParameterError(
-            f"pump ratio fbar/f_th={ratio!r} gives a pump fbar={fbar} that is not finite")
-    m = Harmonic.from_depth(fbar, level, p.modulation.delta, p.modulation.phi)
+    m = Harmonic.from_ratios(derive_params(p).f_th, ratio, level, p.modulation.delta,
+                             p.modulation.phi)
     cell_p = replace(p, modulation=m)
     regime = regime_classify(cell_p).value
     try:

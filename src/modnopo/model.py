@@ -26,6 +26,7 @@ import enum
 import inspect
 import json
 import math
+import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -270,7 +271,9 @@ class Curve:
         """
         x = self.knots
         last = x.size - 2
-        guess = (t - x[0]) * ((last + 1) / (x[-1] - x[0]))
+        # knots a subnormal span apart overflow the scale: Python's division
+        # gives inf there without a numpy warning, and the cap keeps 0 * scale 0
+        guess = (t - x[0]) * min((last + 1) / float(x[-1] - x[0]), sys.float_info.max)
         i = np.fmin(np.fmax(guess, 0.0), last).astype(np.intp)
         left = x.take(i)
         wrong = ((t < left) & (i > 0)) | ((t >= x.take(i + 1)) & (i < last))
@@ -378,17 +381,28 @@ class Harmonic:
         if not (0.0 <= self.f1 < math.inf):
             raise InvalidParameterError(
                 f"modulation depth f1 must be finite and >= 0, got {self.f1}")
-        if not (0.0 < self.delta < math.inf):
+        if not (0.0 < self.delta < math.inf and self.period < math.inf):
             raise InvalidParameterError(
-                f"modulation frequency delta must be finite and > 0, got {self.delta}")
+                f"modulation frequency delta must be finite and > 0 with a finite period "
+                f"2*pi/delta, got {self.delta}")
         if not (math.isfinite(self.fbar) and math.isfinite(self.phi)):
             raise InvalidParameterError(
                 f"fbar and phi must be finite, got {self.fbar} and {self.phi}")
 
     @classmethod
-    def from_depth(cls, fbar: float, depth: float, delta: float, phi: float) -> Harmonic:
-        """f1 = depth*fbar; a negative depth is the positive one shifted by pi in phi."""
-        f1 = depth * fbar
+    def from_ratios(cls, f_th: float, fbar_over_fth: float, f1_over_fbar: float,
+                    delta: float, phi: float) -> Harmonic:
+        """fbar = fbar_over_fth*f_th and f1 = f1_over_fbar*fbar, a negative
+        depth being the positive one shifted by pi in phi.  Zero and negative
+        ratios are legal; one whose fbar or f1 is not finite is refused by
+        its name."""
+        fbar = fbar_over_fth * f_th
+        f1 = f1_over_fbar * fbar
+        for key, ratio, name, pump in (("fbar_over_fth", fbar_over_fth, "fbar", fbar),
+                                       ("f1_over_fbar", f1_over_fbar, "f1", f1)):
+            if not math.isfinite(pump):
+                raise InvalidParameterError(
+                    f"pump ratio {key}={ratio!r} gives {name}={pump!r}, which is not finite")
         if f1 < 0:
             f1, phi = -f1, phi + math.pi
         return cls(fbar=fbar, f1=f1, delta=delta, phi=phi)
@@ -637,8 +651,8 @@ def params_from_ratios(
             f"{key}={value!r} with gamma3_over_gamma={gamma3_over_gamma!r} gives a threshold "
             f"pump gamma*gamma3/k={f_th!r} and a nonlinearity k^2/gamma3={lam!r}; both must "
             f"be finite and > 0")
-    fbar = fbar_over_fth * f_th
-    modulation = Harmonic.from_depth(fbar, f1_over_fbar, delta_over_gamma * gamma, phi)
+    modulation = Harmonic.from_ratios(f_th, fbar_over_fth, f1_over_fbar,
+                                      delta_over_gamma * gamma, phi)
     return ModelParams(gamma=gamma, gamma3=gamma3, k=k, modulation=modulation,
                        phi_L=phi_L, phi_K=phi_K)
 

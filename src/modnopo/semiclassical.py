@@ -289,27 +289,24 @@ def integrate_n0(
 
 
 def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: float,
-                        m: float):
+                        decay: float):
     """Integrate rhs period by period from y0 until its first component
     stops changing on the grid.
 
-    rate is the ODE's fastest damping rate and m the factor by which one
-    period shrinks a deviation from the attractor.  gap(prev, now) returns
-    the change between two consecutive grids and the bound it must fall
-    below.  Refuses before integrating when m is not below 1 (no periodic
-    state attracts, or m rounds to 1) and when RK45 would need more than
-    _STEP_BUDGET steps a period; after the second period when the
-    predicted period count is over twice MAX_PERIODS; once the loop runs
-    past twice that prediction plus ten periods (it chases integrator
-    noise); and at a stop whose error bound change*m/(1 - m) exceeds
-    CROSS_TOL/PERIODIC_TOL times the bound, a relative 1e-4 (one period
-    barely moved a slowly shrinking deviation).  Returns the grid, the
-    first component on it, its periodic Curve and the periods run.
+    rate is the ODE's fastest damping rate; one period shrinks a deviation
+    from the attractor by m = exp(-decay).  gap(prev, now) returns the
+    change between two consecutive grids and the bound it must fall below.
+    Refuses before integrating a decay D not > 0 (no periodic state
+    attracts) and a period needing over _STEP_BUDGET RK45 steps; after the
+    second period a predicted count 2 + ln(change/bound)/D over twice
+    MAX_PERIODS; a loop past twice that prediction plus ten periods (it
+    chases integrator noise); and a stop whose error bound change*m/(1 - m)
+    exceeds CROSS_TOL/PERIODIC_TOL times the bound, a relative 1e-4 (one
+    period barely moved a slowly shrinking deviation, or moved it less than
+    a rounding).  Returns the grid, the first component on it, its periodic
+    Curve and the periods run.
     """
-    if not m < 1.0:
-        raise ConvergenceError(
-            f"{route} has no periodic state to iterate to: its period multiplier, "
-            f"{m:.9g} in float64, is not below 1")
+    _tailquad.require_decay(decay, route)
     T = d.period
     steps = rate * T / 3.3
     if steps > _STEP_BUDGET:
@@ -330,25 +327,27 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
         if prev is not None:
             change, bound = gap(prev, now)
             if change < bound:
-                error = change * m / (1.0 - m)
+                # a change under float64's spacing at the bound's scale is unseen
+                seen = max(change, bound * np.finfo(float).eps / PERIODIC_TOL)
+                error = seen * math.exp(-decay) / -math.expm1(-decay)
                 if error > (CROSS_TOL / PERIODIC_TOL) * bound:
                     raise ConvergenceError(
                         f"{route} changed by only {change:.3g} in period {period_idx + 1}, "
-                        f"but with period multiplier {m:.9g} it may still sit {error:.3g} "
-                        f"from its periodic state, over {CROSS_TOL / PERIODIC_TOL:g} times "
-                        f"the bound {bound:.3g}")
+                        f"but with decay D = {decay:.3g} a period it may still sit "
+                        f"{error:.3g} from its periodic state, over "
+                        f"{CROSS_TOL / PERIODIC_TOL:g} times the bound {bound:.3g}")
                 break
             if period_idx + 1 > 2.0 * need + 10.0:
                 raise ConvergenceError(
                     f"{route} did not become periodic in {period_idx + 1} periods, over "
                     f"twice the {need:.3g} predicted after two (it chases integrator noise)")
-            if period_idx == 1 and m > 0.0:
-                # the change shrinks by about m a period from here on
-                need = 2.0 + math.log(bound / change) / math.log(m)
+            if period_idx == 1:
+                # the change shrinks by about exp(-D) a period from here on
+                need = 2.0 + math.log(change / bound) / decay
                 if need > 2 * MAX_PERIODS:
                     raise ConvergenceError(
                         f"{route} would need about {need:.3g} periods to become periodic "
-                        f"(period multiplier {m:.9g}), over twice the limit of "
+                        f"(decay D = {decay:.3g} a period), over twice the limit of "
                         f"{MAX_PERIODS:,}")
         prev = now
     else:
@@ -386,7 +385,7 @@ def periodic_steady_state(p: ModelParams) -> SemiclassicalTrajectory:
     # D = 2 (eps_bar - gamma) T.
     offsets, u_grid, log_n0, periods = _periodic_attractor(
         d, _du_dt(d), [math.log(d.gamma / d.lam)], _orbit_gap, "the photon-number orbit",
-        2.0 * max(d.eps_peak - d.gamma, 0.0), math.exp(-2.0 * (d.eps_bar - d.gamma) * d.period))
+        2.0 * max(d.eps_peak - d.gamma, 0.0), 2.0 * (d.eps_bar - d.gamma) * d.period)
     with np.errstate(under="ignore"):
         n0 = np.exp(u_grid)
     traj = SemiclassicalTrajectory(

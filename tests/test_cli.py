@@ -445,7 +445,7 @@ def test_cli_does_not_import_scipy_integrate():
 ], ids=["variance-weak-damping", "sweep-just-above-threshold"])
 def test_hopeless_period_loop_is_refused_after_two_periods(tmp_path, argv, route):
     # both used to run 10,000 periods for 14-23 s and then fail; after two
-    # periods the loop predicts its period count from the period multiplier
+    # periods the loop predicts its period count from the period decay D
     cmd = [sys.executable, "-m", "modnopo.cli", *argv, "--out", str(tmp_path)]
     res = subprocess.run(cmd, capture_output=True, text=True, timeout=5)
     assert res.returncode == 1
@@ -536,7 +536,8 @@ def _fuzzed(lo, hi):
 def _run_checked(argv):
     """Run argv into a fresh directory and check the CLI's contract: exit 0
     with one finite CSV, or exit 1 with one error line and no file.  Returns
-    the exit code and, on exit 0, the CSV's meta and columns."""
+    the exit code and, on exit 0, the CSV's meta and columns, on exit 1 the
+    error line and None."""
     with tempfile.TemporaryDirectory() as out:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -549,7 +550,7 @@ def _run_checked(argv):
             assert all(np.isfinite(c).all() for c in cols.values()), argv
             return code, meta, cols
         assert code == 1 and len(errors) == 1 and not written, (argv, err.getvalue())
-        return code, None, None
+        return code, errors[0], None
 
 
 @settings(max_examples=200, deadline=None)
@@ -557,7 +558,7 @@ def _run_checked(argv):
     command=st.sampled_from(["semiclassical", "variance"]),
     # (fbar, delta), now and then a weakly damped fast point whose variance
     # loop would need tens of thousands of periods, and a growing slow one
-    # whose period multiplier overflows float64
+    # whose period multiplier exp(-D) overflows float64
     point=st.one_of(*[st.tuples(_fuzzed(0.0, 5.0), _fuzzed(0.5, 50.0))] * 3,
                     st.tuples(st.floats(-1.0, -0.999), st.floats(40.0, 400.0)),
                     st.tuples(st.floats(-5.0, -1.5), st.floats(0.01, 0.05))),
@@ -607,30 +608,50 @@ def test_fuzzed_sweep_flags_give_finite_csv_or_one_error(grid, step, f1, lam):
         assert cols["v_min"].size == cells, argv
 
 
-@pytest.mark.parametrize("key", ["gamma3_over_gamma", "k_over_gamma"])
+@pytest.mark.parametrize("key", ["gamma3_over_gamma", "k_over_gamma", "fbar_over_fth",
+                                 "f1_over_fbar"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e-320, 1e308])
 @pytest.mark.parametrize("lam", [None, "0.1"])
 def test_config_ratios_give_finite_csv_or_one_error(key, value, lam):
     # k/gamma = 0, and gamma3/gamma = 0 with --lam, ended in a ZeroDivisionError
     # traceback; gamma3/gamma = -25 with --lam in "math domain error"; NaN
-    # ratios and k/gamma = 1e-320 blamed the modulation depth f1
+    # ratios, k/gamma = 1e-320 and pump ratios whose pump overflows blamed
+    # the modulation depth f1
     with tempfile.TemporaryDirectory() as folder:
         cfg = Path(folder) / "run.json"
         cfg.write_text(json.dumps({key: value}))
         argv = ["variance", "--points", "3", "--config", str(cfg)]
         if lam is not None:
             argv.append(f"--lam={lam}")
-        _run_checked(argv)
+        code, error, _ = _run_checked(argv)
+    # --lam sets k in place of the file's k_over_gamma
+    overridden = key == "k_over_gamma" and lam is not None
+    pump_overflow = value == 1e308 and key in ("fbar_over_fth", "f1_over_fbar")
+    if not overridden and (not math.isfinite(value) or pump_overflow):
+        assert code == 1 and key in error, error
+
+
+@pytest.mark.parametrize("delta,code", [("1e308", 0), ("1e-320", 1)])
+def test_extreme_delta_gives_finite_csv_or_names_delta(delta, code):
+    # 1e308 exited 0 after an overflow warning in the spline's piece lookup
+    # on knots a subnormal period apart; at 1e-320 the period 2*pi/delta is
+    # inf, and the run warned in its time grid and then blamed
+    # rate*(|t| + T) = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, error, _ = _run_checked(["variance", "--points", "3", f"--delta={delta}"])
+    assert got == code and (code == 0 or "delta" in error), error
 
 
 @pytest.mark.parametrize("command", ["variance", "fig2"])
 def test_growing_variance_fails_cleanly(tmp_path, capsys, command):
     # past -f_th no periodic state attracts; at delta 0.01 the ODE route's
-    # period multiplier, exp(1257), overflowed into an OverflowError traceback
+    # period multiplier, exp(1257), overflowed into an OverflowError traceback,
+    # and fig2 warned about the validity of curves it then refused
     assert main([command, "--out", str(tmp_path), "--fbar", "-2", "--delta", "0.01",
                  "--points", "5"]) == 1
-    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
-    assert len(err) == 1 and "is not below 1" in err[0], err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "decay D" in err[0], err
     assert not list(tmp_path.iterdir())
 
 

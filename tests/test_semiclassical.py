@@ -291,8 +291,8 @@ class TestRK45:
                     r"spacing between numbers\.$")):
                 _periodic_attractor(d, rhs, [1.0], None, "the variance", 1.0, 0.5)
 
-    @pytest.mark.parametrize("m", [1.0, 2.0])
-    def test_multiplier_not_below_one_is_refused_before_any_step(self, m):
+    @pytest.mark.parametrize("decay", [0.0, -1.0, math.nan, -math.inf])
+    def test_decay_not_above_zero_is_refused_before_any_step(self, decay):
         # a rate far over the step budget: the existence rule comes first
         calls = []
 
@@ -301,10 +301,58 @@ class TestRK45:
             return (-y[0],)
 
         d = derive_params(params_from_ratios())
-        with pytest.raises(ConvergenceError,
-                           match=rf"period multiplier, {m:g} in float64, is not below 1$"):
-            _periodic_attractor(d, rhs, [1.0], None, "the variance", 1e12, m)
+        with pytest.raises(ConvergenceError, match=(
+                rf"^the variance: one period's decay D = {decay:.3g} is not > 0, so its "
+                rf"multiplier exp\(-D\) does not shrink a deviation and no periodic state "
+                rf"attracts$")):
+            _periodic_attractor(d, rhs, [1.0], None, "the variance", 1e12, decay)
         assert calls == []
+
+    @staticmethod
+    def _drift(monkeypatch, decay, most):
+        """Run the loop on y' = 1, which never settles (each period moves y
+        by T), and return the periods it integrated; more than ``most``
+        fails at once."""
+        periods = []
+        rk45 = semiclassical._rk45
+
+        def counted(*args):
+            periods.append(args[1])
+            assert len(periods) <= most, f"ran past {most} periods"
+            return rk45(*args)
+
+        monkeypatch.setattr(semiclassical, "_rk45", counted)
+        d = derive_params(params_from_ratios())
+        gap = lambda prev, now: (float(np.max(np.abs(now - prev))), semiclassical.PERIODIC_TOL)
+        with pytest.raises(ConvergenceError) as err:
+            _periodic_attractor(d, lambda t, y: (1.0,), [0.0], gap, "the variance", 1.0, decay)
+        return len(periods), str(err.value)
+
+    def test_decay_too_small_to_shrink_m_is_refused_after_two_periods(self, monkeypatch):
+        # exp(-1e-300) rounds to 1; the predicted count divides by D, not by
+        # 1 - m or ln m, so it neither divides by zero nor waits
+        periods, message = self._drift(monkeypatch, 1e-300, 2)
+        assert periods == 2
+        assert message.startswith("the variance would need about 1.96e+301 periods"), message
+
+    @pytest.mark.parametrize("decay,need", [(1e3, "2.02"), (math.inf, "2")])
+    def test_fast_decay_gets_a_prediction(self, monkeypatch, decay, need):
+        # exp(-D) underflows to 0 here; the loop skipped its prediction at a
+        # zero multiplier, so a loop that never settles ran to MAX_PERIODS
+        periods, message = self._drift(monkeypatch, decay, 15)
+        assert periods == 15
+        assert message == (f"the variance did not become periodic in 15 periods, over twice "
+                           f"the {need} predicted after two (it chases integrator noise)")
+
+    def test_change_below_rounding_is_no_convergence(self):
+        # a state that stands still in float64 while exp(-D) rounds to 1
+        # (the variance below threshold at delta 1e308) is not shown to be
+        # periodic
+        d = derive_params(params_from_ratios())
+        gap = lambda prev, now: (0.0, semiclassical.PERIODIC_TOL)
+        with pytest.raises(ConvergenceError, match="changed by only 0 in period 2, but with "
+                                                   "decay D = 1e-300 a period it may still sit"):
+            _periodic_attractor(d, lambda t, y: (0.0,), [0.0], gap, "the variance", 1.0, 1e-300)
 
     def test_backward_span_or_too_few_points_is_refused(self):
         # the integrator runs forward only; one point or none used to fail
