@@ -29,9 +29,7 @@ from .model import (
     TabulatedPeriodic,
     config_to_params,
     derive_params,
-    load_config,
     params_from_ratios,
-    pump_amplitude,
     regime_classify,
 )
 from .semiclassical import (
@@ -46,7 +44,6 @@ from .fluctuations import (
     INSEPARABILITY_BOUND,
     VALIDITY_MARGIN,
     CriteriaReport,
-    MomentSet,
     SweepCell,
     VarianceTrajectory,
     VminResult,
@@ -69,7 +66,6 @@ from .qsd import (
     OperatorSet,
     QsdEnsemble,
     build_operators,
-    expectation,
     qsd_step,
     simulate_qsd_ensemble,
     vacuum_state,
@@ -94,9 +90,7 @@ __all__ = [
     "TabulatedPeriodic",
     "config_to_params",
     "derive_params",
-    "load_config",
     "params_from_ratios",
-    "pump_amplitude",
     "regime_classify",
     "SemiclassicalTrajectory",
     "asymptotic_n0",
@@ -107,7 +101,6 @@ __all__ = [
     "INSEPARABILITY_BOUND",
     "VALIDITY_MARGIN",
     "CriteriaReport",
-    "MomentSet",
     "SweepCell",
     "VarianceTrajectory",
     "VminResult",
@@ -126,7 +119,6 @@ __all__ = [
     "OperatorSet",
     "QsdEnsemble",
     "build_operators",
-    "expectation",
     "qsd_step",
     "simulate_qsd_ensemble",
     "vacuum_state",

@@ -139,17 +139,16 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
     The run is n_relax relaxation steps and then spi steps per grid
     interval (step_layout).  Each step calls advance(step, z, alive), with
     z that step's n_normals normals per trajectory as n_normals/2 complex
-    pairs (draw_noise), shape (n_normals/2, B), or None when n_normals is
-    0.  advance may clear entries of alive, a boolean array of B that
-    starts all true.  record() is called once per grid point j, in order:
-    before the first step when there is no relaxation, else after the step
-    that reaches it.  It returns a dict of
-    per-trajectory arrays, which become row j of (n_grid, B) arrays under
-    the same keys; "live" holds the alive mask at each grid point and
-    "alive" the final mask.  In a pool worker it raises Aborted before any
-    step taken once the pool's stop event is set.  The normals are drawn
-    NOISE_CHUNK steps at a time, or fewer where that would hold more than
-    NOISE_NORMALS values.
+    pairs (draw_noise), shape (n_normals/2, B).  advance may clear entries
+    of alive, a boolean array of B that starts all true.  record() is
+    called once per grid point j, in order: before the first step when
+    there is no relaxation, else after the step that reaches it.  It
+    returns a dict of per-trajectory arrays, which become row j of (n_grid,
+    B) arrays under the same keys; "live" holds the alive mask at each grid
+    point and "alive" the final mask.  In a pool worker it raises Aborted
+    before any step taken once the pool's stop event is set.  The normals
+    are drawn NOISE_CHUNK steps at a time, or fewer where that would hold
+    more than NOISE_NORMALS values.
     """
     stop = _stop
     n_steps = n_relax + (n_grid - 1) * spi
@@ -159,7 +158,7 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
     def keep() -> None:
         kept.append({**record(), "live": alive.copy()})
 
-    chunk = min(NOISE_CHUNK, NOISE_NORMALS // max(n_normals * len(streams), 1))
+    chunk = min(NOISE_CHUNK, NOISE_NORMALS // (n_normals * len(streams)))
     noise = np.empty((min(chunk, n_steps), n_normals // 2, len(streams)),
                      dtype=np.complex128)
     if n_relax == 0:
@@ -168,9 +167,9 @@ def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
         if stop is not None and stop.is_set():
             raise Aborted
         k = step % chunk
-        if n_normals and k == 0:
+        if k == 0:
             draw_noise(streams, noise[:n_steps - step])
-        advance(step, noise[k] if n_normals else None, alive)
+        advance(step, noise[k], alive)
         done = step + 1 - n_relax   # steps taken past the relaxation window
         if done >= 0 and done % spi == 0:
             keep()

@@ -8,7 +8,8 @@ headers; figure pipelines additionally emit a gnuplot script.
 
 The output directory must already exist: this tool never creates paths, so a
 typo cannot scatter files.  Runs are deterministic for a fixed seed unless
-wall-clock stamping is requested explicitly.
+wall-clock stamping is requested explicitly.  main prints a command's
+warning lines once it has succeeded, else its one error line.
 """
 
 from __future__ import annotations
@@ -91,17 +92,15 @@ def _meta(args, cfg, extra=None) -> list[str]:
     )
 
 
-def _period_grid(p: ModelParams, points: int, periods: float = 1.0) -> np.ndarray:
-    T = derive_params(p).period
-    return np.linspace(0.0, periods * T, points)
-
-
-def _curve_grid(p: ModelParams, points: int, periods: float = 1.0) -> np.ndarray:
-    """_period_grid for the curve subcommands, whose --points and --periods it checks."""
-    if not (points >= 2 and 0.0 < periods < math.inf):
-        raise InvalidParameterError(
-            f"need --points >= 2 and a finite --periods > 0, got {points} and {periods}")
-    return _period_grid(p, points, periods)
+def _period_grid(p: ModelParams, points: int, flag: str, periods: float = 1.0) -> np.ndarray:
+    """points times over periods of p's pump, the count given by flag: a
+    curve's --points must be 2 or more, an ensemble's --grid-points 1 or more."""
+    least = 2 if flag == "--points" else 1
+    if not points >= least:
+        raise InvalidParameterError(f"need {flag} >= {least}, got {points}")
+    if not 0.0 < periods < math.inf:
+        raise InvalidParameterError(f"need a finite --periods > 0, got {periods}")
+    return np.linspace(0.0, periods * derive_params(p).period, points)
 
 
 def _orbit(p: ModelParams, t: np.ndarray) -> np.ndarray:
@@ -111,13 +110,14 @@ def _orbit(p: ModelParams, t: np.ndarray) -> np.ndarray:
     return np.zeros_like(t)
 
 
-def _warn_validity(ratios, what: str | None = None) -> None:
-    """One stderr line for the linearization validity ratios under
-    VALIDITY_MARGIN: the ratio of a single point (``what`` None), else how
-    many of the ``what`` are untrusted and the smallest ratio."""
+def _warn_validity(ratios, what: str | None = None) -> list[str]:
+    """The warning for the linearization validity ratios under
+    VALIDITY_MARGIN, as a list of one line, or of none where every ratio is
+    trusted: the ratio of a single point (``what`` None), else how many of
+    the ``what`` are untrusted and the smallest ratio."""
     low = [r for r in ratios if not is_trusted(r)]
     if not low:
-        return
+        return []
     if what is None:
         text = (f"linearization validity ratio {low[0]:.3g} < {VALIDITY_MARGIN:g}; "
                 "linearized results are unreliable here")
@@ -125,37 +125,34 @@ def _warn_validity(ratios, what: str | None = None) -> None:
         text = (f"{len(low)} of {len(ratios)} {what} have a linearization validity ratio "
                 f"< {VALIDITY_MARGIN:g} (smallest {min(low):.3g}); linearized results "
                 "are unreliable there")
-    print(f"warning: {text}", file=sys.stderr)
+    return [f"warning: {text}"]
 
 
-def _variance_curves(ps, t: np.ndarray, what: str | None = None) -> tuple[list, list]:
+def _variance_curves(ps, t: np.ndarray, what: str | None = None) -> tuple[list, list, list]:
     """V(t) for each parameter set in any pump regime (the closed form above
-    threshold, else the ODE), and each set's validity ratio.  Every V the
-    command line writes comes from here, so the untrusted sets are warned
-    about in one line, once every curve is computed: a refused run warns
-    about nothing."""
+    threshold, else the ODE), the warning for the untrusted sets, and each
+    set's validity ratio.  Every V the command line writes comes from here."""
     curves = [asymptotic_variance(p, t) if regime_classify(p) is Regime.ABOVE_THRESHOLD
               else integrate_variance(p).interp(t) for p in ps]
     ratios = [linearization_validity(p) for p in ps]
-    _warn_validity(ratios, what)
-    return curves, ratios
+    return curves, _warn_validity(ratios, what), ratios
 
 
-def cmd_semiclassical(args) -> int:
+def cmd_semiclassical(args) -> list[str]:
     p, cfg = _resolve_model(args)
-    t = _curve_grid(p, args.points, args.periods)
+    t = _period_grid(p, args.points, "--points", args.periods)
     out = _out_dir(args)
     write_csv(out / "semiclassical.csv", ["t", "n0"], [t, _orbit(p, t)], _meta(args, cfg))
-    return 0
+    return []
 
 
-def cmd_variance(args) -> int:
+def cmd_variance(args) -> list[str]:
     p, cfg = _resolve_model(args)
-    t = _curve_grid(p, args.points, args.periods)
+    t = _period_grid(p, args.points, "--points", args.periods)
     out = _out_dir(args)
-    (V,), _ = _variance_curves([p], t)
+    (V,), warned, _ = _variance_curves([p], t)
     write_csv(out / "variance.csv", ["t", "V", "n0"], [t, V, _orbit(p, t)], _meta(args, cfg))
-    return 0
+    return warned
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -175,40 +172,32 @@ def _parse_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _parse_levels(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
-
-
 _SWEEP_FIELDS = ["fbar_over_fth", "f1_over_fbar", "v_min", "t0", "n0_at_t0", "inseparable",
                  "epr", "validity_ratio"]
 
 
-def _sweep_csv(out, name, cells, meta):
-    cols = [[getattr(c, f) for c in cells] for f in _SWEEP_FIELDS]
-    return write_csv(out / name, _SWEEP_FIELDS, cols, meta)
-
-
-def _sweep_cells(p: ModelParams, grid, levels, n_workers: int) -> list:
-    """sweep_vmin's cells, warned about where untrusted; an error names the
-    first failed cell."""
+def _sweep_cells(p: ModelParams, grid, levels, n_workers: int) -> tuple[list, list]:
+    """sweep_vmin's cells and the warning for the untrusted ones; an error
+    names the first failed cell."""
     cells = sweep_vmin(p, grid, levels, n_workers=n_workers)
     failed = [c for c in cells if c.error is not None]
     if failed:
         c = failed[0]
         raise RuntimeError(f"{len(failed)} of {len(cells)} sweep cells failed, the first "
                            f"at fbar={c.fbar_over_fth} f1={c.f1_over_fbar}: {c.error}")
-    _warn_validity([c.validity_ratio for c in cells], "sweep cells")
-    return cells
+    return cells, _warn_validity([c.validity_ratio for c in cells], "sweep cells")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[str]:
     p, cfg = _resolve_model(args)
     out = _out_dir(args)
     grid = _parse_grid(args.fbar_grid)
-    cells = _sweep_cells(p, grid, _parse_levels(args.f1_levels), args.workers)
+    levels = [float(x) for x in args.f1_levels.split(",")]
+    cells, warned = _sweep_cells(p, grid, levels, args.workers)
     extra = {"fbar_grid": args.fbar_grid, "f1_levels": args.f1_levels}
-    _sweep_csv(out, "sweep.csv", cells, _meta(args, cfg, extra))
-    return 0
+    cols = [[getattr(c, f) for c in cells] for f in _SWEEP_FIELDS]
+    write_csv(out / "sweep.csv", _SWEEP_FIELDS, cols, _meta(args, cfg, extra))
+    return warned
 
 
 def _run_flags(args, t: np.ndarray) -> dict:
@@ -217,10 +206,10 @@ def _run_flags(args, t: np.ndarray) -> dict:
             "n_workers": args.workers}
 
 
-def cmd_positivep(args) -> int:
+def cmd_positivep(args) -> list[str]:
     p, cfg = _resolve_model(args)
     out = _out_dir(args)
-    t = _period_grid(p, args.grid_points)
+    t = _period_grid(p, args.grid_points, "--grid-points")
     m = simulate_ensemble(p, n_traj=args.traj, **_run_flags(args, t))
     # worker count deliberately left out: results must not depend on it
     extra = {"dt": m.dt, "traj": m.n_traj}
@@ -231,13 +220,13 @@ def cmd_positivep(args) -> int:
         [m.t_grid, *(getattr(m, c) for c in cols), m.alive, m.n_traj - m.alive],
         _meta(args, cfg, extra),
     )
-    return 0
+    return []
 
 
-def cmd_qsd(args) -> int:
+def cmd_qsd(args) -> list[str]:
     p, cfg = _resolve_model(args)
     out = _out_dir(args)
-    t = _period_grid(p, args.grid_points)
+    t = _period_grid(p, args.grid_points, "--grid-points")
     ens = simulate_qsd_ensemble(p, n_max=args.nmax, n_traj=args.traj,
                                 **_run_flags(args, t))
     extra = {"n_max": ens.n_max, "dt": ens.dt, "traj": ens.n_traj}
@@ -249,18 +238,18 @@ def cmd_qsd(args) -> int:
          np.full(t.shape, ens.n_traj - ens.discarded)],
         _meta(args, cfg, extra),
     )
-    return 0
+    return []
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list[str]:
     # Desk-scale defaults: large enough nonlinearity that the quantum runs
     # are cheap, pump away from threshold so the linearization is trusted.
     p, cfg = _resolve_model(args, overrides={"fbar_over_fth": 2.0}, desk_lam=0.1)
     out = _out_dir(args)
     d = derive_params(p)
     lam_ratio = d.lam / d.gamma
-    t = _period_grid(p, args.grid_points)
-    (v_lin,), (ratio,) = _variance_curves([p], t)
+    t = _period_grid(p, args.grid_points, "--grid-points")
+    (v_lin,), warned, (ratio,) = _variance_curves([p], t)
     tol = 2.0 * lam_ratio
 
     def within(dev, stderr) -> int:
@@ -304,62 +293,64 @@ def cmd_compare(args) -> int:
         [t, v_lin, pp.V_mean, pp.V_stderr, v_qsd, e_qsd, dev_pp, dev_qsd],
         _meta(args, cfg, extra),
     )
-    return 0
+    return warned
 
 
-def _figure(out, name, header, columns, meta, xlabel, ylabel, titles, **plot) -> int:
+def _figure(out, name, header, columns, meta, xlabel, ylabel, titles, **plot) -> None:
     """name.csv and its gnuplot script, one line per title from column 2 on."""
     csv = write_csv(out / f"{name}.csv", header, columns, meta)
     write_gnuplot(out / f"{name}.gp", csv.name, xlabel, ylabel, enumerate(titles, 2), meta,
                   **plot)
-    return 0
 
 
-def _level_figure(args, name, ylabel, curves, periods=1.0, **plot) -> int:
+def _level_figure(args, name, ylabel, curves, periods=1.0, **plot) -> list[str]:
     """One curve per modulation level f1/fbar = 0, 0.4, 1.2 on a period grid;
-    ``curves`` maps the levels' parameter sets and the grid to the curves."""
+    ``curves`` maps the levels' parameter sets and the grid to the curves
+    and their warning, which this returns."""
     p, cfg = _resolve_model(args)
-    t = _curve_grid(p, args.points, periods)
+    t = _period_grid(p, args.points, "--points", periods)
     out = _out_dir(args)
     meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
-    ys = curves([config_to_params(dict(cfg, f1_over_fbar=level))
-                 for level in (0.0, 0.4, 1.2)], t)
-    return _figure(out, name, ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
-                   [t, *ys], meta, "t (1/gamma)", ylabel,
-                   ["f1=0", "f1=0.4 fbar", "f1=1.2 fbar"], **plot)
+    ys, warned = curves([config_to_params(dict(cfg, f1_over_fbar=level))
+                         for level in (0.0, 0.4, 1.2)], t)
+    _figure(out, name, ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
+            [t, *ys], meta, "t (1/gamma)", ylabel,
+            ["f1=0", "f1=0.4 fbar", "f1=1.2 fbar"], **plot)
+    return warned
 
 
-def cmd_fig1(args) -> int:
-    return _level_figure(args, "fig1", "n0", lambda ps, t: [asymptotic_n0(p, t) for p in ps],
+def cmd_fig1(args) -> list[str]:
+    return _level_figure(args, "fig1", "n0",
+                         lambda ps, t: ([asymptotic_n0(p, t) for p in ps], []),
                          periods=2.0, logscale_y=True)
 
 
-def cmd_fig2(args) -> int:
+def cmd_fig2(args) -> list[str]:
     return _level_figure(args, "fig2", "V",
-                         lambda ps, t: _variance_curves(ps, t, "modulation levels")[0])
+                         lambda ps, t: _variance_curves(ps, t, "modulation levels")[:2])
 
 
-def cmd_fig3(args) -> int:
+def cmd_fig3(args) -> list[str]:
     p, cfg = _resolve_model(args)
     out = _out_dir(args)
     grid = _parse_grid(args.fbar_grid)
     levels = (0.0, 0.75, 2.0)
     meta = _meta(args, cfg, {"fbar_grid": args.fbar_grid, "f1_levels": "0,0.75,2"})
     # one pool for all three levels; the cells come back levels outer
-    cells = _sweep_cells(p, grid, levels, args.workers)
+    cells, warned = _sweep_cells(p, grid, levels, args.workers)
     v_min = np.array([c.v_min for c in cells]).reshape(len(levels), grid.size)
-    return _figure(out, "fig3", ["fbar_over_fth", "v_min_curve1", "v_min_curve2",
-                                 "v_min_curve3"],
-                   [grid, *v_min], meta, "fbar/f_th", "V_min",
-                   ["f1=0", "f1=0.75 fbar", "f1=2 fbar"])
+    _figure(out, "fig3", ["fbar_over_fth", "v_min_curve1", "v_min_curve2", "v_min_curve3"],
+            [grid, *v_min], meta, "fbar/f_th", "V_min",
+            ["f1=0", "f1=0.75 fbar", "f1=2 fbar"])
+    return warned
 
 
-def cmd_fig4(args) -> int:
+def cmd_fig4(args) -> list[str]:
     overrides = {"fbar_over_fth": 1.0, "f1_over_fbar": 0.5}
-    p, cfg = _resolve_model(args, overrides, desk_lam=0.01 if args.full else 0.1)
+    p, cfg = _resolve_model(args, overrides, desk_lam=0.1)
     out = _out_dir(args)
-    t = _period_grid(p, args.grid_points)
-    (v_lin,), (ratio,) = _variance_curves([p], t)
+    t = _period_grid(p, args.grid_points, "--grid-points")
+    (v_lin,), warned, (ratio,) = _variance_curves([p], t)
     ens = simulate_qsd_ensemble(p, n_max=args.nmax, n_traj=args.traj,
                                 **_run_flags(args, t))
     meta = _meta(
@@ -372,9 +363,10 @@ def cmd_fig4(args) -> int:
             "traj": ens.n_traj,
         },
     )
-    return _figure(out, "fig4", ["t", "V_analytic", "V_qsd", "V_qsd_stderr"],
-                   [t, v_lin, ens.V_mean, ens.V_stderr], meta, "t (1/gamma)", "V",
-                   ["linearized", "state diffusion"])
+    _figure(out, "fig4", ["t", "V_analytic", "V_qsd", "V_qsd_stderr"],
+            [t, v_lin, ens.V_mean, ens.V_stderr], meta, "t (1/gamma)", "V",
+            ["linearized", "state diffusion"])
+    return warned
 
 
 def _command(sub, name, func, help):
@@ -453,21 +445,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _command(sub, "fig4", cmd_fig4, "state-diffusion vs linearized overlay")
     _add_ensemble_flags(sp, 512, qsd)
     sp.add_argument("--nmax", type=int, default=None)
-    sp.add_argument(
-        "--full", action="store_true",
-        help="realistic-scale nonlinearity (long run, excluded from CI)",
-    )
 
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  It returns its warning lines, printed only once
+    it has succeeded: a refused run prints its one error line alone."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        warned = args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in warned:
+        print(line, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

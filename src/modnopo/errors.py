@@ -12,8 +12,7 @@ class BelowThresholdError(RuntimeError):
 
 class TruncationError(RuntimeError):
     """A truncated Fock state accumulated too much population near the
-    cutoff, or lost its norm.  The closed-form tail quadratures never raise
-    it: they integrate one period exactly and sum the rest in closed form."""
+    cutoff, or lost its norm."""
 
 
 class ConvergenceError(RuntimeError):

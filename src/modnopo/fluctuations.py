@@ -58,24 +58,6 @@ B_MAX_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
-class MomentSet:
-    """Point values of the three coupled second-order moments.
-
-    n_plus is the total photon number of the subharmonic pair, squeeze_corr
-    the correlator whose mean shifts the squeezed-quadrature variance off
-    the vacuum level, imbalance_sq the squared photon-number imbalance.
-    """
-
-    n_plus: float
-    squeeze_corr: float
-    imbalance_sq: float
-
-    @property
-    def variance(self) -> float:
-        return 1.0 + self.squeeze_corr
-
-
-@dataclass(frozen=True)
 class CriteriaReport:
     """Entanglement classification of a two-angle variance pair."""
 

@@ -594,11 +594,6 @@ def derive_params(p: ModelParams) -> DerivedParams:
     )
 
 
-def pump_amplitude(m: Harmonic | TabulatedPeriodic, t):
-    """Instantaneous pump amplitude f(t)."""
-    return m.value(t)
-
-
 def regime_classify(p: ModelParams) -> Regime:
     """Compare the period-averaged pump against threshold.
 
@@ -709,8 +704,3 @@ def read_config(path: str | Path) -> dict:
     if not isinstance(cfg, dict):
         raise InvalidParameterError("configuration file must contain a JSON object")
     return cfg
-
-
-def load_config(path: str | Path) -> ModelParams:
-    """Read a JSON configuration file and convert it to ModelParams."""
-    return config_to_params(read_config(path))

@@ -66,9 +66,8 @@ class NoiseIncrement:
     dW_beta2: complex
 
 
-def divergence_guard(p: ModelParams | DerivedParams) -> float:
+def divergence_guard(d: DerivedParams) -> float:
     """Amplitude bound past which a trajectory counts as diverged."""
-    d = p if isinstance(p, DerivedParams) else derive_params(p)
     return DIVERGENCE_GUARD_FACTOR * math.sqrt(d.gamma / d.lam)
 
 

@@ -36,9 +36,8 @@ GROW_STEP = 4
 # dense state batches stop fitting comfortably in memory and the run should
 # be reconsidered rather than silently ground through.
 MAX_PRODUCT_DIM = 40_000
-# Target elements per state batch; caps batches at 64 trajectories.
-_BATCH_ELEMENTS = 4_194_304
 _MAX_GROW_ROUNDS = 25
+_BATCH = 64                 # trajectories per job after the pilot
 _PILOT_TRAJ = 32
 
 
@@ -127,16 +126,6 @@ def build_operators(p: ModelParams, n_max: int) -> OperatorSet:
         lam=d.lam,
         derived=d,
     )
-
-
-def expectation(psi: FockState, op) -> complex:
-    """<psi|op|psi> for a (dim, dim) operator, applied with ``@``."""
-    v = psi.amplitudes
-    if op.shape != (v.size, v.size):
-        raise FockDimensionError(
-            f"operator shape {op.shape} does not match state dimension {v.size}"
-        )
-    return complex(np.vdot(v, op @ v))
 
 
 def images(psi, ops: OperatorSet) -> np.ndarray:
@@ -279,11 +268,11 @@ def auto_n_max(p: ModelParams) -> int:
     return int(math.ceil(4.0 * peak + 10.0))
 
 
-def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol):
+def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt):
     """Run one batch of trajectories; returns run_lockstep's rows.
 
     All trajectories start from vacuum at the first step.  Raises
-    _TailTripped once a live trajectory's tail population passes tail_tol.
+    _TailTripped once a live trajectory's tail population passes TAIL_TOL.
     Dead (non-finite) trajectories are zeroed.  The rows are V, n1, n2, the
     pair expectation and the tail population.  A trajectory's rows do not
     depend on the batch it runs in when the batch is cut at a multiple of 8
@@ -305,7 +294,7 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt, tail_tol
             alive &= ~bad
             nrm2[bad] = 1.0
             psi[:, bad] = 0.0
-        if ((tail_rows @ w > tail_tol * nrm2) & alive).any():
+        if ((tail_rows @ w > TAIL_TOL * nrm2) & alive).any():
             raise _TailTripped
         psi *= 1.0 / np.sqrt(nrm2)  # far cheaper than complex division
 
@@ -341,7 +330,7 @@ def simulate_qsd_ensemble(
     in batches; the pilot's sums count toward the ensemble.  The pilot runs
     as two jobs, sent ahead of the batches through one pool, and the first
     trip stops the jobs still running.  Jobs return rows for each
-    trajectory, and the batch layout, fixed by (n_traj, cutoff), sets the
+    trajectory, and the batch layout, fixed by n_traj alone, sets the
     order of every sum.  Growth reruns the whole ensemble with the same
     per-trajectory noise streams, so results depend only on (params, seed,
     final cutoff) and not on n_workers.  Trajectories whose norm is lost are
@@ -367,6 +356,7 @@ def simulate_qsd_ensemble(
     # or unaligned pieces switch BLAS and einsum kernels.
     cuts = (0, 8 * round(n_pilot / 16), n_pilot) if n_pilot >= 16 else (0, n_pilot)
     pilot = [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    rest = [np.arange(lo, min(lo + _BATCH, n_traj)) for lo in range(n_pilot, n_traj, _BATCH)]
     for _ in range(_MAX_GROW_ROUNDS + 1):
         ops = build_operators(p, n_here)
         # The explicit step damps the top Fock level by 1 - dt*loss; past
@@ -378,13 +368,7 @@ def simulate_qsd_ensemble(
                 f"explicit step needs dt < {dt_max:.4g} there"
             )
         job = partial(_run_batch, ops=ops, seed=seed, eps_steps=eps_steps,
-                      n_relax=n_relax, spi=spi, n_grid=n_grid, dt=dt_eff,
-                      tail_tol=TAIL_TOL)
-        batch = min(64, max(1, _BATCH_ELEMENTS // ops.dim))
-        rest = [
-            np.arange(lo, min(lo + batch, n_traj))
-            for lo in range(n_pilot, n_traj, batch)
-        ]
+                      n_relax=n_relax, spi=spi, n_grid=n_grid, dt=dt_eff)
         try:
             rows = map_ordered(job, pilot + rest, n_workers)
             break

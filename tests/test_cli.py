@@ -342,14 +342,17 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     (math.nan, False), (math.inf, True), (-math.inf, False), (0.0, False),
     (VALIDITY_MARGIN, True), (math.nextafter(VALIDITY_MARGIN, 0.0), False),
 ])
-def test_one_trusted_rule_for_minima_cells_and_warnings(capsys, ratio, trusted):
+def test_one_trusted_rule_for_minima_cells_and_warnings(ratio, trusted):
     crit = classify_entanglement(0.5, 0.5)
     vmin = VminResult(v_min=0.5, t0=0.0, n0_at_t0=1.0, period=1.0, criteria=crit,
                       validity_ratio=ratio)
     cell = SweepCell(fbar_over_fth=2.0, f1_over_fbar=0.0, regime="above", v_min=0.5, t0=0.0,
                      n0_at_t0=1.0, inseparable=True, epr=False, validity_ratio=ratio)
-    _warn_validity([ratio])
-    warned = capsys.readouterr().err.startswith("warning: linearization validity ratio")
+    # the warning is one line for an untrusted ratio and nothing at all else
+    lines = _warn_validity([ratio])
+    warned = len(lines) == 1 and lines[0].startswith(
+        f"warning: linearization validity ratio {ratio:.3g} < 10; ")
+    assert lines == [] or warned, lines
     assert [is_trusted(ratio), vmin.trusted, cell.trusted, not warned] == [trusted] * 4
 
 
@@ -652,6 +655,29 @@ def test_growing_variance_fails_cleanly(tmp_path, capsys, command):
                  "--points", "5"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "decay D" in err[0], err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--traj", "8", "--grid-points", "3"],
+    ["compare", "--traj", "8", "--qsd-traj", "8", "--grid-points", "3", "--fbar", "0.3"],
+], ids=["fig4", "compare"])
+def test_refused_run_prints_no_warning(tmp_path, capsys, argv):
+    # both runs are untrusted (validity ratios 1.35e-15 and 7); the warning
+    # used to come before the error line of the ensemble that then refused
+    assert main([*argv, "--out", str(tmp_path), "--dt", "nan"]) == 1
+    assert _one_error_line(capsys)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["positivep", "qsd", "compare", "fig4"])
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_bad_grid_points_are_named(tmp_path, capsys, command, points):
+    # 0 used to be refused as an empty t_grid, -3 by numpy's linspace
+    assert main([command, "--out", str(tmp_path), "--traj", "8",
+                 f"--grid-points={points}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: need --grid-points >= 1, got {points}\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -32,6 +32,7 @@ import test_positivep
 import test_qsd
 from modnopo import DivergenceBudgetError, InvalidParameterError, params_from_ratios
 from modnopo._ensemble import _usable_cpus, map_ordered, run_lockstep, slice_sums
+from modnopo._streams import SALT_PHASE_SPACE, trajectory_stream
 
 needs_two_cpus = pytest.mark.skipif(
     _usable_cpus() < 2, reason="the pool is capped at the usable CPUs")
@@ -124,8 +125,8 @@ def _step_or_refuse(bad, x):
     if x == bad:
         time.sleep(0.2)
         raise InvalidParameterError(f"job {x} refused")
-    run_lockstep([None], 0, 0, 1, 10_001, lambda step, eta, alive: time.sleep(1e-3),
-                 dict)
+    run_lockstep([trajectory_stream(1, x, SALT_PHASE_SPACE)], 2, 0, 1, 10_001,
+                 lambda step, z, alive: time.sleep(1e-3), dict)
     return x
 
 
@@ -146,13 +147,14 @@ def test_lockstep_stops_once_the_stop_event_is_set(monkeypatch):
     monkeypatch.setattr(_ensemble, "_stop", stop)
     steps = []
 
-    def advance(step, eta, alive):
+    def advance(step, z, alive):
         steps.append(step)
         if step == 4:
             stop.set()
 
     with pytest.raises(_ensemble.Aborted):
-        run_lockstep([None], 0, 0, 1, 100, advance, dict)
+        run_lockstep([trajectory_stream(1, 0, SALT_PHASE_SPACE)], 2, 0, 1, 100, advance,
+                     dict)
     assert steps == [0, 1, 2, 3, 4]
 
 
@@ -236,13 +238,6 @@ def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid
         got = got.reshape(n_steps, 2)
         assert got.real.tobytes() == want[:, 0::2].tobytes()
         assert got.imag.tobytes() == want[:, 1::2].tobytes()
-
-
-def test_lockstep_without_noise_passes_none():
-    etas = []
-    run_lockstep([object()], 0, 3, 2, 3, lambda step, eta, alive: etas.append(eta),
-                 dict)
-    assert etas == [None] * 7
 
 
 def _plain_sums(live, cols, sums, squares):

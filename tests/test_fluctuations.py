@@ -23,11 +23,9 @@ from modnopo import (
     EPR_BOUND,
     INSEPARABILITY_BOUND,
     ConvergenceError,
-    CriteriaReport,
     Harmonic,
     InvalidParameterError,
     ModelParams,
-    MomentSet,
     TabulatedPeriodic,
     asymptotic_n0,
     asymptotic_variance,
@@ -204,11 +202,6 @@ class TestCriteria:
         rep = classify_entanglement(v, v)
         if rep.epr:
             assert rep.inseparable
-
-    def test_moment_set_variance(self):
-        m = MomentSet(n_plus=4.0, squeeze_corr=-0.375, imbalance_sq=6.0)
-        assert m.variance == 0.625
-        assert isinstance(classify_entanglement(m.variance, m.variance), CriteriaReport)
 
 
 class TestValidity:

@@ -23,14 +23,12 @@ from modnopo import (
     TabulatedPeriodic,
     config_to_params,
     derive_params,
-    load_config,
     params_from_ratios,
-    pump_amplitude,
     regime_classify,
     sweep_vmin,
 )
 from modnopo import fluctuations
-from modnopo.model import Curve
+from modnopo.model import Curve, read_config
 
 
 class TestHarmonic:
@@ -218,7 +216,7 @@ class TestRegimes:
 class TestPumpHelpers:
     def test_pump_amplitude_dispatch(self):
         m = Harmonic(fbar=2.0, f1=1.0, delta=1.0)
-        assert float(pump_amplitude(m, 0.0)) == pytest.approx(3.0)
+        assert float(m.value(0.0)) == pytest.approx(3.0)
 
 
 class TestConfig:
@@ -278,14 +276,14 @@ class TestConfig:
         cfg["fbar_over_fth"] = 1.7
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
-        p = load_config(path)
+        p = config_to_params(read_config(path))
         assert derive_params(p).eps_bar == pytest.approx(1.7)
 
     def test_load_config_rejects_non_object(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("[1, 2]")
         with pytest.raises(InvalidParameterError):
-            load_config(path)
+            config_to_params(read_config(path))
 
     @given(
         fbar=st.floats(0.1, 4.0),

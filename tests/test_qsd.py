@@ -24,7 +24,6 @@ from modnopo import (
     TruncationError,
     build_operators,
     derive_params,
-    expectation,
     params_from_ratios,
     qsd_step,
     simulate_qsd_ensemble,
@@ -130,16 +129,15 @@ class TestOperators:
         ops = build_operators(p, 3)
         vac = vacuum_state(ops)
         n1 = np.diag(ops.n1_diag)
-        assert expectation(vac, n1) == 0.0
+        assert np.vdot(vac.amplitudes, n1 @ vac.amplitudes) == 0.0
         # equal superposition of |0,0> and |1,1>
         amps = np.zeros(ops.dim, dtype=complex)
         amps[_basis_index(0, 0, 3)] = 1.0 / math.sqrt(2.0)
         amps[_basis_index(1, 1, 3)] = 1.0 / math.sqrt(2.0)
         psi = FockState(amplitudes=amps, t=0.0)
-        assert expectation(psi, n1).real == pytest.approx(0.5)
-        assert abs(expectation(psi, n1).imag) < 1e-14
-        with pytest.raises(FockDimensionError):
-            expectation(vac, np.eye(5))
+        n1_psi = np.vdot(psi.amplitudes, n1 @ psi.amplitudes)
+        assert n1_psi.real == pytest.approx(0.5)
+        assert abs(n1_psi.imag) < 1e-14
 
 
 @pytest.mark.parametrize("n_max", [2, 6, 22])
@@ -426,7 +424,7 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("n_max", [6, 14])
     @pytest.mark.parametrize("width,cut", [(32, 16), (24, 16), (17, 8)])
-    def test_batch_rows_do_not_depend_on_the_split(self, n_max, width, cut):
+    def test_batch_rows_do_not_depend_on_the_split(self, monkeypatch, n_max, width, cut):
         # the premise of the split pilot and of every freeze: a trajectory's
         # rows keep their bytes when its batch is cut at a multiple of 8
         # into pieces of 8 or more (the cuts simulate_qsd_ensemble makes)
@@ -435,7 +433,8 @@ class TestEnsemble:
         dt, n_steps = 1e-3, 300
         eps_steps = np.asarray(derive_params(p).eps(dt * np.arange(n_steps)), dtype=float)
         # a tail bound of 1 never trips, so every piece runs to the end
-        args = (build_operators(p, n_max), 9, eps_steps, 0, 100, 4, dt, 1.0)
+        monkeypatch.setattr(qsd, "TAIL_TOL", 1.0)
+        args = (build_operators(p, n_max), 9, eps_steps, 0, 100, 4, dt)
         whole = qsd._run_batch(np.arange(width), *args)
         head = qsd._run_batch(np.arange(cut), *args)
         tail = qsd._run_batch(np.arange(cut, width), *args)
@@ -443,6 +442,25 @@ class TestEnsemble:
         for key, rows in whole.items():
             joined = np.concatenate([head[key], tail[key]], axis=-1)
             assert joined.tobytes() == rows.tobytes(), key
+
+    @pytest.mark.parametrize("n_max", [22, 199])
+    def test_job_layout_is_the_same_at_every_cutoff(self, monkeypatch, n_max):
+        # 199 is the largest cutoff MAX_PRODUCT_DIM admits; the batches are
+        # 64 wide there too, after the pilot's two halves of 16
+        assert (199 + 1) ** 2 <= qsd.MAX_PRODUCT_DIM < (200 + 1) ** 2
+        jobs = []
+
+        def record(fn, batches, n_workers):
+            jobs.append([(int(b[0]), int(b[-1]) + 1) for b in batches])
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(qsd, "map_ordered", record)
+        # at lam 0.01 gamma the top level decays at 794 gamma, so dt 1e-3 is stable
+        p = params_from_ratios(fbar_over_fth=0.3, lam_over_gamma=0.01)
+        with pytest.raises(RuntimeError, match="recorded"):
+            simulate_qsd_ensemble(p, n_max=n_max, n_traj=200, t_grid=np.linspace(0, 1, 3),
+                                  dt=1e-3, relax=0.5)
+        assert jobs == [[(0, 16), (16, 32), (32, 96), (96, 160), (160, 200)]]
 
     def test_workers_do_not_change_results(self):
         # batch layouts: a pilot of 32 (two jobs of 16), then 64, then a
