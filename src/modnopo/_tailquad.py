@@ -25,6 +25,7 @@ WORK_BUDGET.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +51,13 @@ def require_decay(decay: float, route: str) -> None:
         raise ConvergenceError(
             f"{route}: one period's decay D = {decay:.3g} is not > 0, so its "
             f"multiplier exp(-D) does not shrink a deviation and no periodic state attracts")
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """The 32-point Gauss-Legendre nodes and weights on [-1, 1], built on
+    first use: leggauss solves an eigenvalue problem each time it runs."""
+    return np.polynomial.legendre.leggauss(32)
 
 
 def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
@@ -82,7 +90,7 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
             f"where the pump integral has lost its digits")
     decay = float(k_int(period, period, period - period))
     require_decay(decay, "closed form")
-    x, w = np.polynomial.legendre.leggauss(32)
+    x, w = _gauss_legendre()
     n = math.ceil(period / min(period / 4.0, 4.0 / rate))
     work = n * (t.size + 60)
     if k_min < 0.0 and work > WORK_BUDGET:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -450,15 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  It returns its warning lines, printed only once
-    it has succeeded: a refused run prints its one error line alone."""
+    """Run one subcommand.  Its warning lines, the model's warnings first
+    (gamma3/gamma under 10, say) and then the lines it returns, are printed
+    once each and only once it has succeeded: a refused run prints its one
+    error line alone."""
     args = build_parser().parse_args(argv)
-    try:
-        warned = args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for line in warned:
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            warned = args.func(args)
+        except (ValueError, RuntimeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    for line in dict.fromkeys([f"warning: {w.message}" for w in caught] + warned):
         print(line, file=sys.stderr)
     return 0
 

@@ -116,13 +116,16 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     d = derive_params(p)
     n0_traj = classical_orbit(p)
     gamma, lam, T = d.gamma, d.lam, d.period
+    eps, n0_at = d.eps_at_float(), n0_traj.interp_at_float()
+    # the constant factors, grouped as the left-to-right products group them
+    two_lam, two_gamma = 2.0 * lam, 2.0 * gamma
+    minus_four_gamma, four_gamma_lam = -4.0 * gamma, 4.0 * gamma * lam
 
     def rhs(t, y):
         V, J = y
-        n0 = n0_traj.interp(t)
-        dV = -2.0 * (gamma + d.eps(t) + lam * n0) * V + 2.0 * lam * n0 + 2.0 * gamma + J
-        dJ = -4.0 * gamma * J + 4.0 * gamma * lam * n0
-        return (dV, dJ)
+        n0 = n0_at(t)
+        dV = -2.0 * (gamma + eps(t) + lam * n0) * V + two_lam * n0 + two_gamma + J
+        return (dV, minus_four_gamma * J + four_gamma_lam * n0)
 
     def gap(V_prev, V_now):
         return np.max(np.abs(V_now - V_prev)), PERIODIC_TOL

@@ -191,8 +191,9 @@ class Curve:
     taken as repeated products.  A periodic curve maps t to
     t % period % period first (the first remainder can round up to
     period).  At one float the same sum runs on plain lists, free of
-    numpy's per-call overhead.  The lists and the antiderivative are built
-    on first use.
+    numpy's per-call overhead; at_float() hands it out prebuilt, as a
+    function of one float.  The lists and the antiderivative are built on
+    first use.
     """
 
     __slots__ = ("period", "knots", "coeffs", "_knot_list", "_pieces", "_anti")
@@ -224,26 +225,9 @@ class Curve:
 
     def __call__(self, t):
         """The curve at t; a float t gives a float, anything else an array."""
-        period = self.period
         if isinstance(t, float):
-            x = self._knot_list
-            if x is None:
-                c = self.coeffs
-                x = self._knot_list = self.knots.tolist()
-                # 0.0 + c[3] is the running sum's first step, which turns
-                # -0.0 into 0.0; the last piece is listed twice, so that t
-                # at the last knot finds it
-                self._pieces = list(zip(x, (c[3] + 0.0).tolist(), *c[2::-1].tolist()))
-                self._pieces.append(self._pieces[-1])
-            t = float(t)
-            if period is not None:
-                t = t % period % period
-            elif not x[0] <= t <= x[-1]:
-                self._refuse(t)
-            xi, c3, c2, c1, c0 = self._pieces[bisect_right(x, t) - 1]
-            s = t - xi
-            ss = s * s
-            return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+            return self.at_float()(float(t))
+        period = self.period
         shape = np.shape(t)
         t = np.asarray(t, dtype=float).ravel()
         if period is not None:
@@ -259,6 +243,33 @@ class Curve:
         c0, c1, c2, c3 = self.coeffs.take(i, axis=1)
         ss = s * s
         return ((((0.0 + c3) + c2 * s) + c1 * ss) + c0 * (ss * s)).reshape(shape)
+
+    def at_float(self):
+        """The curve as a function of one Python float, with self(t)'s bits
+        and none of its dispatch: the ODE right-hand sides evaluate through
+        it at every stage."""
+        x = self._knot_list
+        if x is None:
+            c = self.coeffs
+            x = self._knot_list = self.knots.tolist()
+            # 0.0 + c[3] is the running sum's first step, which turns -0.0
+            # into 0.0; the last piece is listed twice, so that t at the
+            # last knot finds it
+            self._pieces = list(zip(x, (c[3] + 0.0).tolist(), *c[2::-1].tolist()))
+            self._pieces.append(self._pieces[-1])
+        pieces, period, first, last = self._pieces, self.period, x[0], x[-1]
+
+        def at(t):
+            if period is not None:
+                t = t % period % period
+            elif not first <= t <= last:
+                self._refuse(t)
+            xi, c3, c2, c1, c0 = pieces[bisect_right(x, t) - 1]
+            s = t - xi
+            ss = s * s
+            return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+
+        return at
 
     def _locate(self, t: np.ndarray):
         """Each t's piece, the last knot at or below t clamped to the end
@@ -413,9 +424,17 @@ class Harmonic:
 
     def value(self, t):
         """f(t); a float t gives a float, anything else an array."""
-        scalar = isinstance(t, float)
-        cos = np.cos(self.delta * (t if scalar else np.asarray(t, dtype=float)) + self.phi)
-        return self.fbar + self.f1 * (float(cos) if scalar else cos)
+        if isinstance(t, float):
+            return self.at_float(1.0)(t)
+        return self.fbar + self.f1 * np.cos(self.delta * np.asarray(t, dtype=float) + self.phi)
+
+    def at_float(self, scale: float):
+        """scale*f as a function of one float, with the bits of scale times
+        value's element.  It keeps np.cos, the array path's cosine: math.cos
+        agrees with it on this build, but not with a numpy whose float64
+        cosine is SIMD code."""
+        fbar, f1, delta, phi, cos = self.fbar, self.f1, self.delta, self.phi, np.cos
+        return lambda t: scale * (fbar + f1 * float(cos(delta * t + phi)))
 
     def mean(self) -> float:
         """Average of f over one period (the cosine integrates to zero)."""
@@ -475,6 +494,12 @@ class TabulatedPeriodic:
         """f(t); a float t gives a float, anything else an array."""
         return self._curve(t)
 
+    def at_float(self, scale: float):
+        """scale*f as a function of one float, with the bits of scale times
+        value's element."""
+        curve = self._curve.at_float()
+        return lambda t: scale * curve(t)
+
     def mean(self) -> float:
         # Uniform periodic samples: the plain mean equals the trapezoid
         # average because the wrap point is shared.
@@ -523,8 +548,21 @@ class ModelParams:
             warnings.warn(
                 f"gamma3/gamma = {self.gamma3 / self.gamma:.3g} < {ADIABATIC_RATIO_WARN:g}: "
                 "pump-mode elimination is questionable at this ratio",
-                stacklevel=2,
+                stacklevel=_outside_caller(),
             )
+
+
+def _outside_caller() -> int:
+    """The stacklevel, for a warnings.warn in the function that calls this,
+    of the innermost frame outside this package and the dataclass machinery
+    (the generated __init__ runs with this module's globals, replace in
+    dataclasses): the caller's own line, not a line of ours."""
+    frame, level = sys._getframe(1), 1
+    while (frame.f_back is not None
+           and frame.f_globals.get("__name__", "").partition(".")[0] in ("modnopo",
+                                                                          "dataclasses")):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class Regime(enum.Enum):
@@ -555,6 +593,11 @@ class DerivedParams:
     def eps(self, t):
         """Effective pump eps(t) = k*f(t)/gamma3."""
         return self._eps_scale * self._profile.value(t)
+
+    def eps_at_float(self):
+        """eps as a function of one Python float, prebuilt, with eps(t)'s
+        bits: the ODE right-hand sides evaluate the pump through it."""
+        return self._profile.at_float(self._eps_scale)
 
     @property
     def pump_ratio(self) -> float:

@@ -45,11 +45,14 @@ ODE_ATOL = 1e-12
 # steps up to about 3.3/r on a damping of rate r, so a period takes about
 # r*T/3.3 steps whatever the tolerance (flat pump at delta=2: 1,995 steps
 # counted against 1,902 estimated at pump ratio 1e3, 19,073 against 19,038
-# at 1e4).  A step of the orbit costs 26-29 us on a 2-vCPU x86 VM (it
-# cost 69-75 us there through scipy's solve_ivp) and the period iteration
-# runs several periods, so the budget is a few seconds per period: pump
-# ratio 1e4 still runs (a sweep cell in 6.8 s, 15.1 s through solve_ivp),
-# 1e6 would need about 2e6 steps per period.
+# at 1e4).  _rk45 takes one component (the orbit) or two (the variance).
+# At pump ratio 1e3 a step of the orbit costs 11-16 us and one of the
+# variance 16-20 us on a 2-vCPU x86 VM (22-25 us and 30-37 us with a
+# generic n-component step, 69-75 us for the orbit through scipy's
+# solve_ivp), and the period iteration runs several periods, so the budget
+# is a few seconds per period: pump ratio 1e4 still runs (a sweep cell in
+# 5.2 s, 6.9 s with the generic step, 15.1 s through solve_ivp), 1e6
+# would need about 2e6 steps per period.
 _STEP_BUDGET = 100_000
 
 
@@ -78,16 +81,27 @@ class SemiclassicalTrajectory:
     def interp(self, t):
         """n0 at any time on a periodic orbit, and within t_span on a transient.
 
-        A float t (the ODE right-hand sides' case) gives a float, with the
-        bits of the array path's element; anything else gives an array.
+        A float t gives a float, with the bits of the array path's element;
+        anything else gives an array.
         """
-        scalar = isinstance(t, float)
+        if isinstance(t, float):
+            return self.interp_at_float()(float(t))
         if self.is_zero:
-            return 0.0 if scalar else np.zeros_like(np.asarray(t, dtype=float))
+            return np.zeros_like(np.asarray(t, dtype=float))
         if self._log_n0 is None:
             raise ValueError("trajectory carries no interpolant")
-        u = self._log_n0(t)
-        return float(np.exp(u)) if scalar else np.exp(u)
+        return np.exp(self._log_n0(t))
+
+    def interp_at_float(self):
+        """interp as a function of one Python float, prebuilt, with its
+        bits: the variance's right-hand side evaluates the orbit through it.
+        It keeps np.exp, whose rounding math.exp does not share."""
+        if self.is_zero:
+            return lambda t: 0.0
+        if self._log_n0 is None:
+            raise ValueError("trajectory carries no interpolant")
+        log_n0, exp = self._log_n0.at_float(), np.exp
+        return lambda t: float(exp(log_n0(t)))
 
     def max_n0(self) -> float:
         return float(np.max(self.n0))
@@ -114,16 +128,16 @@ def classical_orbit(p: ModelParams) -> SemiclassicalTrajectory:
 
 
 def _du_dt(d: DerivedParams):
-    gamma = d.gamma
-    lam = d.lam
+    gamma, lam = d.gamma, d.lam
+    eps, exp = d.eps_at_float(), np.exp
 
     def rhs(t, y):
         # Clip keeps rejected trial steps of the solver from overflowing;
         # any physical orbit stays far below exp(700).  Scalar floats carry
         # the arithmetic (a NaN u stays NaN); np.exp keeps numpy's bits.
         (u,) = y
-        n0 = float(np.exp(u if not u > 700.0 else 700.0))
-        return (2.0 * (d.eps(t) - gamma - lam * n0),)
+        n0 = float(exp(u if not u > 700.0 else 700.0))
+        return (2.0 * (eps(t) - gamma - lam * n0),)
 
     return rhs
 
@@ -158,51 +172,106 @@ _P = np.array([
 _EXPONENT = -1 / 5      # -1/(error estimator order + 1)
 
 
+def _rms(x: np.ndarray) -> float:
+    """scipy's error norm, the root mean square of x."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
 def _rk45(rhs, t0: float, t1: float, y0, t_eval: np.ndarray, rtol: float, atol: float,
           route: str):
-    """RK45 from t0 to t1 > t0: y on the ascending t_eval as an (n,
-    len(t_eval)) array, and y at t1 from the last step's dense output.
+    """RK45 from t0 to t1 > t0 on one or two components y0: y on the
+    ascending t_eval as an (n, len(t_eval)) array, and y at t1 from the last
+    step's dense output.
 
     Takes scipy's RK45 under solve_ivp(t_eval=..., dense_output=True)
     operation for operation, so it gives scipy's bits: the same initial
-    step, step control and dense output, and each sum scipy forms with
-    np.dot stays an np.dot on scipy's operand shapes (this BLAS evaluates
-    them as fused multiply-add chains).  The elementwise work runs on
-    Python floats; rhs(t, y) takes and returns floats.  A step that must
-    shrink below ten float spacings of t (a NaN error does that) raises
-    RuntimeError naming the route.
+    step, step control and dense output.  Each sum scipy forms with np.dot
+    over two or more terms stays a dot on scipy's operand shapes (this
+    BLAS evaluates them as fused multiply-add chains); a one-term sum, the
+    first stage's and the one-component norm's, is a float product.  A
+    step's stages, update, error scale and error norm are straight-line
+    code on Python floats, one body for each state size; rhs(t, y) takes
+    and returns a sequence of floats.  A step that must shrink below ten
+    float spacings of t (a NaN error does that) raises RuntimeError naming
+    the route.
     """
     n = len(y0)
-    root_n = n ** 0.5
-
-    def rms(x):
-        x = np.array(x)
-        return math.sqrt(x.dot(x)) / root_n
-
     rtol = max(rtol, 100 * np.finfo(float).eps)
-    K = np.empty((7, n))
-    stages = [(s, K[:s].T, _A[s, :s], c) for s, c in enumerate(_C.tolist()) if s]
-    K_B, K_T = K[:-1].T, K.T
-    y = [float(v) for v in y0]
-    f = rhs(t0, y)
+    y = np.array(y0, dtype=float)
+    f = np.array(rhs(t0, y.tolist()))
 
-    # The first step, as scipy's select_initial_step takes it for order 4.
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = rms([v / w for v, w in zip(y, scale)])
-    d1 = rms([v / w for v, w in zip(f, scale)])
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
-    f1 = rhs(t0 + h0, [v + h0 * g for v, g in zip(y, f)])
-    d2 = rms([(a - b) / w for a, b, w in zip(f1, f, scale)]) / h0
+    # The first step, as scipy's select_initial_step takes it for order 4,
+    # on arrays that overflow to inf and nan silently, as the floats do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+        f1 = np.array(rhs(t0 + h0, (y + h0 * f).tolist()))
+        d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, t1 - t0)
 
+    # The stage matrix, and the bound K[:s].T.dot of each sum over it:
+    # np.dot's own code without np.dot's dispatch, which costs as much again.
+    K = np.empty((7, n))
+    Kf = K.reshape(7 * n)
+    dot2, dot3, dot4, dot5, dot_B, dot_E, dot_P = (K[:s].T.dot for s in (2, 3, 4, 5, 6, 7, 7))
+    a1 = float(_A[1, 0])
+    a2, a3, a4, a5 = (_A[s, :s] for s in (2, 3, 4, 5))
+    c1, c2, c3, c4, c5 = _C[1:].tolist()
+
+    if n == 1:
+        def attempt(t, h, y, f):
+            """(y, f at t + h, error norm) of one step of h from (t, y, f)."""
+            (u,), (k,) = y, f
+            Kf[0] = k
+            Kf[1] = rhs(t + c1 * h, (u + k * a1 * h,))[0]
+            Kf[2] = rhs(t + c2 * h, (u + dot2(a2).item() * h,))[0]
+            Kf[3] = rhs(t + c3 * h, (u + dot3(a3).item() * h,))[0]
+            Kf[4] = rhs(t + c4 * h, (u + dot4(a4).item() * h,))[0]
+            Kf[5] = rhs(t + c5 * h, (u + dot5(a5).item() * h,))[0]
+            u_new = u + h * dot_B(_B).item()
+            Kf[6] = k = rhs(t + h, (u_new,))[0]
+            # a NaN-propagating max, as np.maximum is
+            a, b = abs(u), abs(u_new)
+            x = dot_E(_E).item() * h / (atol + (b if b > a or b != b else a) * rtol)
+            return (u_new,), (k,), math.sqrt(x * x)
+    else:
+        x = np.empty(2)
+        root_2 = 2 ** 0.5
+
+        def attempt(t, h, y, f):
+            """(y, f at t + h, error norm) of one step of h from (t, y, f)."""
+            (v, w), (kv, kw) = y, f
+            Kf[0], Kf[1] = kv, kw
+            Kf[2], Kf[3] = rhs(t + c1 * h, (v + kv * a1 * h, w + kw * a1 * h))
+            dv, dw = dot2(a2).tolist()
+            Kf[4], Kf[5] = rhs(t + c2 * h, (v + dv * h, w + dw * h))
+            dv, dw = dot3(a3).tolist()
+            Kf[6], Kf[7] = rhs(t + c3 * h, (v + dv * h, w + dw * h))
+            dv, dw = dot4(a4).tolist()
+            Kf[8], Kf[9] = rhs(t + c4 * h, (v + dv * h, w + dw * h))
+            dv, dw = dot5(a5).tolist()
+            Kf[10], Kf[11] = rhs(t + c5 * h, (v + dv * h, w + dw * h))
+            dv, dw = dot_B(_B).tolist()
+            y_new = v_new, w_new = v + h * dv, w + h * dw
+            Kf[12], Kf[13] = f_new = rhs(t + h, y_new)
+            ev, ew = dot_E(_E).tolist()
+            # a NaN-propagating max, as np.maximum is
+            a, b = abs(v), abs(v_new)
+            x[0] = ev * h / (atol + (b if b > a or b != b else a) * rtol)
+            a, b = abs(w), abs(w_new)
+            x[1] = ew * h / (atol + (b if b > a or b != b else a) * rtol)
+            return y_new, f_new, math.sqrt(x.dot(x)) / root_2
+
     te = t_eval.tolist()
     steps = []          # (grid points, t_old, h, y_old, Q) of each step that holds some
     i = 0
     t = t0
+    y, f = tuple(y.tolist()), tuple(f.tolist())
     while t < t1:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -215,15 +284,7 @@ def _rk45(rhs, t0: float, t1: float, y0, t_eval: np.ndarray, rtol: float, atol: 
             if t_new > t1:
                 t_new = t1
             h = h_abs = t_new - t
-            K[0] = f
-            for s, KT, a, c in stages:
-                K[s] = rhs(t + c * h, [v + d * h for v, d in zip(y, np.dot(KT, a).tolist())])
-            y_new = [v + h * d for v, d in zip(y, np.dot(K_B, _B).tolist())]
-            f_new = K[6] = rhs(t + h, y_new)
-            # a NaN-propagating max, as np.maximum is
-            scale = [atol + (b if b > a or b != b else a) * rtol
-                     for a, b in ((abs(u), abs(v)) for u, v in zip(y, y_new))]
-            error_norm = rms([e * h / w for e, w in zip(np.dot(K_T, _E).tolist(), scale)])
+            y_new, f_new, error_norm = attempt(t, h, y, f)
             # scipy's SAFETY 0.9, MAX_FACTOR 10 and MIN_FACTOR 0.2
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** _EXPONENT)
@@ -232,10 +293,9 @@ def _rk45(rhs, t0: float, t1: float, y0, t_eval: np.ndarray, rtol: float, atol: 
             h_abs *= max(0.2, 0.9 * error_norm ** _EXPONENT)
             rejected = True
         t_old, t, y_old, y, f = t, t_new, y, y_new, f_new
-        Q = K_T.dot(_P)
         j = bisect_right(te, t)
         if j > i:
-            steps.append((j - i, t_old, h, y_old, Q))
+            steps.append((j - i, t_old, h, y_old, dot_P(_P)))
             i = j
 
     # Each step's quartic at its grid points, the elementwise work done for
@@ -249,9 +309,10 @@ def _rk45(rhs, t0: float, t1: float, y0, t_eval: np.ndarray, rtol: float, atol: 
     for k in 1, 2, 3:
         np.multiply(p[k - 1], x, out=p[k])
     ends = np.cumsum(m).tolist()
-    qp = np.hstack([np.dot(q, p[:, b - k:b]) for q, k, b in zip(Qs, m, ends)])
+    qp = np.hstack([q.dot(p[:, b - k:b]) for q, k, b in zip(Qs, m, ends)])
     out = h_at * qp + np.repeat(np.array(y_olds).T, m, axis=1)
-    return out, [v + h * q for v, q in zip(y_old, np.dot(Q, np.ones(4)).tolist())]
+    # the last step's quartic at x = 1
+    return out, np.array(y_old) + h * np.dot(dot_P(_P), np.ones(4))
 
 
 def integrate_n0(

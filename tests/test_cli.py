@@ -658,6 +658,26 @@ def test_growing_variance_fails_cleanly(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+def test_adiabatic_ratio_warning_is_one_line_after_success(tmp_path):
+    # gamma3/gamma = 5 used to print Python's "<string>:9: UserWarning: ..."
+    # first, even before the error line of a run that then refused
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"gamma3_over_gamma": 5}))
+    out = tmp_path / "out"
+    out.mkdir()
+    cmd = [sys.executable, "-m", "modnopo.cli", "variance", "--config", str(cfg),
+           "--points", "3", "--out"]
+    refused = subprocess.run(cmd + [str(tmp_path / "missing")], capture_output=True,
+                             text=True, timeout=60)
+    assert (refused.returncode, refused.stderr) == (
+        1, f"error: output directory does not exist: {tmp_path / 'missing'}\n")
+    ran = subprocess.run(cmd + [str(out)], capture_output=True, text=True, timeout=60)
+    assert (ran.returncode, ran.stderr) == (
+        0, "warning: gamma3/gamma = 5 < 10: pump-mode elimination is questionable at this "
+           "ratio\n")
+    assert [path.name for path in out.iterdir()] == ["variance.csv"]
+
+
 @pytest.mark.parametrize("argv", [
     ["fig4", "--traj", "8", "--grid-points", "3"],
     ["compare", "--traj", "8", "--qsd-traj", "8", "--grid-points", "3", "--fbar", "0.3"],

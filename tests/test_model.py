@@ -186,6 +186,17 @@ class TestDerivedParams:
         with pytest.warns(UserWarning, match="elimination"):
             ModelParams(gamma=1.0, gamma3=5.0, k=1e-3, modulation=Harmonic(fbar=1.0))
 
+    def test_adiabatic_ratio_warning_names_the_callers_line(self):
+        # it used to point into the dataclass-generated __init__ ("<string>")
+        p = params_from_ratios()
+        for build in (lambda: ModelParams(gamma=1.0, gamma3=5.0, k=1e-3,
+                                          modulation=Harmonic(fbar=1.0)),
+                      lambda: params_from_ratios(gamma3_over_gamma=5.0),
+                      lambda: dataclasses.replace(p, gamma3=5.0)):
+            with pytest.warns(UserWarning, match="elimination") as caught:
+                build()
+            assert [w.filename for w in caught] == [__file__]
+
 
 class TestRegimes:
     def test_three_way_classification(self):
@@ -389,6 +400,26 @@ class TestScalarEvaluation:
         want = _bits(d.eps(t))
         assert (_bits([d.eps(float(x)) for x in t]) == want).all()
         assert (_bits([d.eps(x) for x in t]) == want).all()
+
+    @pytest.mark.parametrize("kind", ["harmonic", "tabulated"])
+    def test_prebuilt_eps_is_eps(self, kind):
+        # the function the ODE right-hand sides evaluate the pump through:
+        # eps's bits at t = 0, at every knot, just below and at T, at
+        # negative times and many periods out
+        h = Harmonic(fbar=2.0e4, f1=3.0e4, delta=2.0, phi=0.3)
+        T = h.period
+        knots = np.linspace(0.0, T, 129)
+        m = h if kind == "harmonic" else TabulatedPeriodic(T, h.value(knots[:-1]))
+        d = derive_params(ModelParams(gamma=1.0, gamma3=25.0, k=5e-4, modulation=m))
+        rng = np.random.default_rng(1505)
+        t = np.concatenate([[0.0, -0.0, np.nextafter(T, 0.0), T, -T, -0.25, -7.5 * T],
+                            knots, -knots, rng.uniform(-50.0 * T, 50.0 * T, 300),
+                            1e4 * T + knots, 1e6 * T + rng.uniform(0.0, T, 20)])
+        eps = d.eps_at_float()
+        got = [eps(float(x)) for x in t]
+        assert all(type(v) is float for v in got)
+        assert (_bits(got) == _bits([d.eps(float(x)) for x in t])).all()
+        assert (_bits(got) == _bits(d.eps(t))).all()
 
     def test_tabulated_pump_pickles(self):
         # process pools pickle the parameters, scalar evaluator included

@@ -216,6 +216,51 @@ class TestScalarInterp:
         assert (zero.interp(np.linspace(-1.0, 9.0, 7)) == 0.0).all()
 
 
+def _edge_times(knots, T, seed):
+    """t = 0, every knot, just below and at T, negative times and many
+    periods out."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.0, -0.0, np.nextafter(T, 0.0), T, -T, -0.25, -7.5 * T],
+                           knots, -knots, rng.uniform(-50.0 * T, 50.0 * T, 300),
+                           1e4 * T + knots, 1e6 * T + rng.uniform(0.0, T, 20)])
+
+
+class TestPrebuiltInterp:
+    """interp_at_float, the function the variance's right-hand side
+    evaluates the orbit through, gives interp's bits, at a float and on an
+    array."""
+
+    @pytest.mark.parametrize("pump", ["harmonic", "tabulated"])
+    def test_periodic_orbit(self, pump):
+        p = (params_from_ratios(f1_over_fbar=1.2, phi=0.3) if pump == "harmonic"
+             else _tabulated_pump())
+        orbit = periodic_steady_state(p)
+        T = orbit.period
+        t = _edge_times(np.append(orbit.t_grid, T), T, 1506)
+        at = orbit.interp_at_float()
+        got = [at(float(x)) for x in t]
+        assert all(type(v) is float for v in got)
+        assert (_bits(got) == _bits([orbit.interp(float(x)) for x in t])).all()
+        assert (_bits(got) == _bits(orbit.interp(t))).all()
+
+    def test_zero_orbit(self):
+        zero = zero_trajectory(params_from_ratios(fbar_over_fth=0.5))
+        t = _edge_times(zero.t_grid, zero.period, 1507)
+        at = zero.interp_at_float()
+        got = [at(float(x)) for x in t]
+        assert all(type(v) is float for v in got)
+        assert (_bits(got) == _bits(0.0)).all() and (_bits(zero.interp(t)) == _bits(0.0)).all()
+
+    def test_transient_within_its_span(self):
+        traj = integrate_n0(params_from_ratios(f1_over_fbar=0.4), t_span=(1.3, 4.0),
+                            n0_init=1e7, n_points=101)
+        t = np.concatenate([traj.t_grid, np.random.default_rng(1508).uniform(1.3, 4.0, 300)])
+        at = traj.interp_at_float()
+        assert (_bits([at(float(x)) for x in t]) == _bits(traj.interp(t))).all()
+        with pytest.raises(InvalidParameterError, match="span"):
+            at(4.5)
+
+
 def _tabulated_pump():
     """A two-harmonic tabulated pump at 1.6 times threshold."""
     x = np.arange(128) * (2.0 * math.pi / 128)
