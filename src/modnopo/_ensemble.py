@@ -8,21 +8,28 @@ same fixed order, so their results depend on the seed and never on the
 worker count.
 
 Within a batch both routes step their trajectories in lockstep through one
-loop, run_lockstep.  It draws each trajectory's normals from its own stream
-in chunks (draw_noise), calls the route's advance(step, z, alive) once per
-step, with z the step's normals as complex pairs, and its record() once
-per grid point after the relaxation window, owns the alive mask that
-advance may clear, and returns the records as rows.
-One reducer, slice_sums, sums rows over their live trajectories.
+loop, run_lockstep.  It builds each trajectory's noise stream, draws its
+normals in chunks (draw_noise), calls the route's advance(step, z, alive)
+once per step, with z the step's normals as complex pairs, and its
+record() once per grid point after the relaxation window, owns the alive
+mask that advance may clear, and returns the records as rows.  One
+reducer, slice_sums, sums rows over their live trajectories.
+
+Each trajectory owns a counter-based Philox stream, trajectory_stream,
+keyed by (seed XOR the route's salt, the trajectory's global index).  The
+stream depends only on the seed, the route and the index: batching,
+worker count and scheduling cannot change what any trajectory draws, and
+the two salts keep the routes' draws for one seed decorrelated.
 
 Both drivers share their front and back too.  The front, step_layout,
-refuses fewer than 2 trajectories and a bad worker count or grid, and
-lays the steps onto the grid.  The back is check_survivors, which refuses
-a grid point with fewer than 2 live trajectories and a run that lost more
-than DIVERGENCE_BUDGET, and mean_and_stderr, which turns the reduced sums
-into a mean and its standard error.  A route keeps only its step kernel,
-its guard, what it records and sums, its job layout and its pump clock;
-state diffusion also keeps its pilot and cutoff growth.
+refuses fewer than 2 trajectories, a bad worker count or grid and a run
+past MAX_TRAJ_STEPS, and lays the steps onto the grid.  The back is
+check_survivors, which refuses a grid point with fewer than 2 live
+trajectories and a run that lost more than DIVERGENCE_BUDGET, and
+mean_and_stderr, which turns the reduced sums into a mean and its standard
+error.  A route keeps only its step kernel, its guard, what it records and
+sums, its job layout and its pump clock; state diffusion also keeps its
+pilot and cutoff growth.
 
 Each pool has one stop event, handed to its workers when they start.  The
 pool sets it as soon as a job fails, and run_lockstep checks it once per
@@ -45,6 +52,12 @@ from .errors import DivergenceBudgetError, InvalidParameterError
 # Euler steps one trajectory may take: 2000 times the default relaxation
 # window at the default step, and already minutes to hours per batch.
 MAX_STEPS = 10**7
+# Trajectory-steps one ensemble may take, n_traj times the steps of one
+# trajectory (at least 1): about 3 days of positive-P at 4.25M
+# trajectory-steps/s.
+# Criterion 7 takes about 8.1e7 (10,000 x 8,142) and criterion 8 about
+# 4.2e6, so the headroom is over 10^4.
+MAX_TRAJ_STEPS = 2**40
 NOISE_CHUNK = 1024          # steps of normals drawn per stream at a time
 # Normals held per chunk, 8 MB: NOISE_CHUNK steps of positive-P's 4 normals
 # for one batch of 256 streams.  Wider lockstep groups draw fewer steps at
@@ -56,6 +69,9 @@ DRAW_BLOCK = 64
 # Largest share of a run's trajectories that may leave through the route's
 # guard; past it the bias of dropping them would not show in the errors.
 DIVERGENCE_BUDGET = 1e-3
+# Salts of the two routes' streams (trajectory_stream).
+SALT_PHASE_SPACE = 0
+SALT_STATE_DIFFUSION = 0x9E3779B97F4A7C15
 
 _stop = None                # the pool's stop event, in a worker process
 
@@ -75,12 +91,12 @@ def step_layout(t_grid, dt: float, relax: float, n_traj: int, n_workers: int):
 
     Refuses fewer than 2 trajectories, a worker count below 1, a t_grid
     that is not uniform and increasing, a bad dt or relax, and a run past
-    MAX_STEPS.  dt is rounded down so that every grid time lands on a
-    step, and the relaxation window before the first grid time is a whole
-    number of steps (a negative relax means none).  Returns (t_grid, spi,
-    dt_eff, n_relax, t_start, n_steps): the grid as floats, steps per grid
-    interval, the step used, the relaxation steps, the start time and the
-    steps of one trajectory.
+    MAX_STEPS or an ensemble past MAX_TRAJ_STEPS.  dt is rounded down so
+    that every grid time lands on a step, and the relaxation window before
+    the first grid time is a whole number of steps (a negative relax means
+    none).  Returns (t_grid, spi, dt_eff, n_relax, t_start, n_steps): the
+    grid as floats, steps per grid interval, the step used, the relaxation
+    steps, the start time and the steps of one trajectory.
     """
     if n_traj < 2:
         raise InvalidParameterError(f"need at least 2 trajectories, got {n_traj}")
@@ -108,8 +124,19 @@ def step_layout(t_grid, dt: float, relax: float, n_traj: int, n_workers: int):
             f"relax={relax} and the grid at dt={dt} need {n_steps} steps per "
             f"trajectory, more than {MAX_STEPS}; shorten relax or the grid, or raise dt"
         )
+    per_traj = max(n_steps, 1)   # a trajectory of no step still records once
+    if n_traj * per_traj > MAX_TRAJ_STEPS:
+        raise InvalidParameterError(
+            f"{n_traj} trajectories x {per_traj} steps exceed the budget of "
+            f"{MAX_TRAJ_STEPS} trajectory-steps; run fewer trajectories or steps")
     t_start = float(t_grid[0]) - n_relax * dt_eff
     return t_grid, spi, dt_eff, n_relax, t_start, n_steps
+
+
+def trajectory_stream(seed: int, index: int, salt: int) -> np.random.Generator:
+    """The noise stream of trajectory index of a run with this seed and salt."""
+    key = np.array([(seed ^ salt) % 2**64, index % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def draw_noise(streams: list, out: np.ndarray) -> None:
@@ -132,25 +159,35 @@ def draw_noise(streams: list, out: np.ndarray) -> None:
         out[:, :, lo:lo + len(group)] = pairs[:len(group)].transpose(1, 2, 0)
 
 
-def run_lockstep(streams: list, n_normals: int, n_relax: int, spi: int,
-                 n_grid: int, advance, record) -> dict:
-    """Step a batch of len(streams) trajectories together; return its rows.
+def one_step_noise(rng: np.random.Generator, n_normals: int) -> np.ndarray:
+    """One step of n_normals normals from rng as a batch of one, the pairs
+    draw_noise gives, shape (n_normals/2, 1)."""
+    z = np.empty((1, n_normals // 2, 1), dtype=np.complex128)
+    draw_noise([rng], z)
+    return z[0]
 
-    The run is n_relax relaxation steps and then spi steps per grid
-    interval (step_layout).  Each step calls advance(step, z, alive), with
-    z that step's n_normals normals per trajectory as n_normals/2 complex
-    pairs (draw_noise), shape (n_normals/2, B).  advance may clear entries
-    of alive, a boolean array of B that starts all true.  record() is
-    called once per grid point j, in order: before the first step when
-    there is no relaxation, else after the step that reaches it.  It
-    returns a dict of per-trajectory arrays, which become row j of (n_grid,
-    B) arrays under the same keys; "live" holds the alive mask at each grid
-    point and "alive" the final mask.  In a pool worker it raises Aborted
-    before any step taken once the pool's stop event is set.  The normals
-    are drawn NOISE_CHUNK steps at a time, or fewer where that would hold
-    more than NOISE_NORMALS values.
+
+def run_lockstep(seed: int, salt: int, indices, n_normals: int, n_relax: int,
+                 spi: int, n_grid: int, advance, record) -> dict:
+    """Step the B trajectories of the global indices together; return their rows.
+
+    Trajectory i draws from trajectory_stream(seed, i, salt), so its draws
+    do not depend on the batch it runs in.  The run is n_relax relaxation
+    steps and then spi steps per grid interval (step_layout).  Each step
+    calls advance(step, z, alive), with z that step's n_normals normals per
+    trajectory as n_normals/2 complex pairs (draw_noise), shape
+    (n_normals/2, B).  advance may clear entries of alive, a boolean array
+    of B that starts all true.  record() is called once per grid point j, in
+    order: before the first step when there is no relaxation, else after the
+    step that reaches it.  It returns a dict of per-trajectory arrays, which
+    become row j of (n_grid, B) arrays under the same keys; "live" holds the
+    alive mask at each grid point and "alive" the final mask.  In a pool
+    worker it raises Aborted before any step taken once the pool's stop
+    event is set.  The normals are drawn NOISE_CHUNK steps at a time, or
+    fewer where that would hold more than NOISE_NORMALS values.
     """
     stop = _stop
+    streams = [trajectory_stream(seed, int(i), salt) for i in indices]
     n_steps = n_relax + (n_grid - 1) * spi
     alive = np.ones(len(streams), dtype=bool)
     kept = []   # each grid point's record, with the alive mask as "live"

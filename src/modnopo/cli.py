@@ -459,8 +459,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             warned = args.func(args)
-        except (ValueError, RuntimeError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 1
     for line in dict.fromkeys([f"warning: {w.message}" for w in caught] + warned):
         print(line, file=sys.stderr)

@@ -737,7 +737,11 @@ def config_number(key: str, value) -> float:
     """The configuration value of key as a float; anything else is refused."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidParameterError(f"configuration key {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"configuration key {key} is too large for a float") from None
 
 
 def read_config(path: str | Path) -> dict:

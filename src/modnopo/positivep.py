@@ -25,10 +25,9 @@ from functools import partial
 
 import numpy as np
 
-from ._ensemble import (DIVERGENCE_BUDGET, check_dt, check_survivors, draw_noise,
-                        map_ordered, mean_and_stderr, run_lockstep, slice_sums,
-                        step_layout, std_error, sum_parts)
-from ._streams import SALT_PHASE_SPACE, trajectory_stream
+from ._ensemble import (DIVERGENCE_BUDGET, SALT_PHASE_SPACE, check_dt, check_survivors,
+                        map_ordered, mean_and_stderr, one_step_noise, run_lockstep,
+                        slice_sums, step_layout, std_error, sum_parts)
 from .errors import DivergenceError, InvalidParameterError
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import classical_orbit
@@ -138,19 +137,12 @@ def _amplitudes(state: PPState) -> np.ndarray:
     return np.array(amps, dtype=np.complex128)
 
 
-def _one_noise(rng: np.random.Generator) -> np.ndarray:
-    """One step of noise pairs for a batch of one, shape (2, 1)."""
-    z = np.empty((1, 2, 1), dtype=np.complex128)
-    draw_noise([rng], z)
-    return z[0]
-
-
 def sample_noise(
     state: PPState, eps_t: float, lam: float, dt: float, rng: np.random.Generator
 ) -> NoiseIncrement:
     """Draw one set of noise increments at the current state."""
     check_dt(dt)
-    _, w = _increments(_amplitudes(state), eps_t, 0.0, lam, dt, _one_noise(rng),
+    _, w = _increments(_amplitudes(state), eps_t, 0.0, lam, dt, one_step_noise(rng, 4),
                        _workspace(1))
     return NoiseIncrement(*(complex(x) for x in w.ravel()))
 
@@ -171,7 +163,7 @@ def step_trajectory(
     check_dt(dt)
     d = p if isinstance(p, DerivedParams) else derive_params(p)
     amps = _amplitudes(state)
-    noise = _one_noise(rng) if with_noise else None
+    noise = one_step_noise(rng, 4) if with_noise else None
     u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt, noise,
                        _workspace(1))
     new = amps + u.reshape(amps.shape)
@@ -183,7 +175,7 @@ def step_trajectory(
     return PPState(*new.ravel().tolist(), t=state.t + dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleMoments:
     """Grid-sampled ensemble moments of a positive-P run.
 
@@ -255,7 +247,6 @@ def _run_batch(
     """
     B = indices.size
     gamma, lam = d.gamma, d.lam
-    rngs = [trajectory_stream(seed, int(i), SALT_PHASE_SPACE) for i in indices]
     slices = [slice(lo, lo + BATCH) for lo in range(0, B, BATCH)]
 
     amps = np.full((4, B), amp0, dtype=np.complex128)
@@ -280,7 +271,8 @@ def _run_batch(
     def record() -> dict:
         return {"n1": a1 * b1, "n2": a2 * b2, "R": (a1 - b2) * (b1 - a2)}
 
-    rows = run_lockstep(rngs, 4, n_relax, spi, t_grid.size, advance, record)
+    rows = run_lockstep(seed, SALT_PHASE_SPACE, indices, 4, n_relax, spi, t_grid.size,
+                        advance, record)
     n1, n2, R, live = rows["n1"], rows["n2"], rows["R"], rows["live"]
     np_ = n1 + n2
     Z = (n1 - n2) ** 2 + np_
@@ -394,7 +386,14 @@ def simulate_ensemble(
     p2_mean = total["sum_p2"].real / cnt
     pd_se = std_error(total["sq_pd"], p1_mean - p2_mean, cnt)
 
-    out = EnsembleMoments(
+    extended = {}
+    if collect_extended:
+        rc = total["res_count"].astype(float)
+        res_mean = total["res_sum"] / rc
+        extended = dict(n_plus_sq_mean=total["sum_np2"].real / cnt,
+                        n_plus_R_mean=total["sum_npR"].real / cnt, residual_mean=res_mean,
+                        residual_stderr=std_error(total["res_sq"], res_mean, rc))
+    return EnsembleMoments(
         t_grid=t_grid,
         n_plus_mean=np_mean, n_plus_stderr=np_se,
         R_mean=R_mean, R_stderr=R_se,
@@ -402,15 +401,8 @@ def simulate_ensemble(
         V_mean=1.0 + R_mean, V_stderr=R_se,
         pair1_mean=p1_mean, pair2_mean=p2_mean, pair_diff_stderr=pd_se,
         alive=total["count"].copy(), n_traj=n_traj, discarded=discarded,
-        seed=seed, dt=dt_eff,
+        seed=seed, dt=dt_eff, **extended,
     )
-    if collect_extended:
-        out.n_plus_sq_mean = total["sum_np2"].real / cnt
-        out.n_plus_R_mean = total["sum_npR"].real / cnt
-        rc = total["res_count"].astype(float)
-        out.residual_mean = total["res_sum"] / rc
-        out.residual_stderr = std_error(total["res_sq"], out.residual_mean, rc)
-    return out
 
 
 @dataclass(frozen=True)

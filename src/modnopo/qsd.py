@@ -20,10 +20,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ConvergenceError, FockDimensionError, InvalidParameterError, TruncationError
-from ._ensemble import (DIVERGENCE_BUDGET, check_dt, check_survivors, draw_noise,
-                        map_ordered, mean_and_stderr, run_lockstep, slice_sums,
-                        step_layout, std_error, sum_parts)
-from ._streams import SALT_STATE_DIFFUSION, trajectory_stream
+from ._ensemble import (DIVERGENCE_BUDGET, SALT_STATE_DIFFUSION, check_dt,
+                        check_survivors, map_ordered, mean_and_stderr, one_step_noise,
+                        run_lockstep, slice_sums, step_layout, std_error, sum_parts)
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import classical_orbit
 
@@ -215,9 +214,7 @@ def qsd_step(
             f"state dimension {v.shape[0]} does not match operator set {ops.dim}"
         )
     eps_t = float(ops.derived.eps(psi.t))
-    xi = np.empty((1, 3, 1), dtype=np.complex128)
-    draw_noise([rng], xi)
-    out = _step_batch(v, eps_t, ops, dt, xi[0])[:, 0]
+    out = _step_batch(v, eps_t, ops, dt, one_step_noise(rng, 6))[:, 0]
     nrm = np.linalg.norm(out)
     if not np.isfinite(nrm) or nrm <= 0.0:
         raise TruncationError("state norm lost during step; reduce dt")
@@ -281,7 +278,6 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt):
     psi = np.zeros((ops.dim, len(indices)), dtype=np.complex128)
     psi[0, :] = 1.0
     tail_rows = ops.tail_mask.astype(float)
-    rngs = [trajectory_stream(seed, int(i), SALT_STATE_DIFFUSION) for i in indices]
 
     def advance(step, xi, alive):
         nonlocal psi
@@ -308,34 +304,36 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt):
         return {"v": 1.0 + n1 + n2 - 2.0 * pair.real, "n1": n1, "n2": n2,
                 "pair": pair, "tail": tail_rows @ w}
 
-    return run_lockstep(rngs, 6, n_relax, spi, n_grid, advance, record)
+    return run_lockstep(seed, SALT_STATE_DIFFUSION, indices, 6, n_relax, spi, n_grid,
+                        advance, record)
 
 
 def simulate_qsd_ensemble(
     p: ModelParams,
-    n_max: int | None = None,
-    n_traj: int = 512,
-    t_grid=None,
-    seed: int = 0,
+    n_traj: int,
+    t_grid,
+    seed: int,
     dt: float = DEFAULT_DT,
     relax: float = RELAX_WINDOW,
     n_workers: int = 1,
+    n_max: int | None = None,
 ) -> QsdEnsemble:
     """Diffusion-unraveling ensemble estimate of V(t) from vacuum.
 
-    The cutoff starts at ``n_max`` (or an automatic classical estimate) and
-    grows by GROW_STEP whenever any trajectory pushes population past the
-    tail bound.  At each cutoff a pilot batch of the leading trajectories
-    runs first, so an undersized cutoff is found cheaply, and then the rest
-    in batches; the pilot's sums count toward the ensemble.  The pilot runs
-    as two jobs, sent ahead of the batches through one pool, and the first
-    trip stops the jobs still running.  Jobs return rows for each
-    trajectory, and the batch layout, fixed by n_traj alone, sets the
-    order of every sum.  Growth reruns the whole ensemble with the same
-    per-trajectory noise streams, so results depend only on (params, seed,
-    final cutoff) and not on n_workers.  Trajectories whose norm is lost are
-    dropped from later averages; a lost fraction above DIVERGENCE_BUDGET
-    raises (check_survivors).
+    Takes simulate_ensemble's leading arguments in its order, then the
+    starting cutoff.  The cutoff starts at ``n_max`` (or an automatic
+    classical estimate) and grows by GROW_STEP whenever any trajectory
+    pushes population past the tail bound.  At each cutoff a pilot batch of
+    the leading trajectories runs first, so an undersized cutoff is found
+    cheaply, and then the rest in batches; the pilot's sums count toward the
+    ensemble.  The pilot runs as two jobs, sent ahead of the batches through
+    one pool, and the first trip stops the jobs still running.  Jobs return
+    rows for each trajectory, and the batch layout, fixed by n_traj alone,
+    sets the order of every sum.  Growth reruns the whole ensemble with the
+    same per-trajectory noise streams, so results depend only on (params,
+    seed, final cutoff) and not on n_workers.  Trajectories whose norm is
+    lost are dropped from later averages; a lost fraction above
+    DIVERGENCE_BUDGET raises (check_survivors).
     """
     t_grid, spi, dt_eff, n_relax, t_start, n_steps = step_layout(
         t_grid, dt, relax, n_traj, n_workers)
@@ -395,17 +393,8 @@ def simulate_qsd_ensemble(
     n2_mean = total["sum_n2"] / count
 
     return QsdEnsemble(
-        t_grid=t_grid,
-        V_mean=v_mean,
-        V_stderr=v_se,
-        n1_mean=n1_mean,
-        n2_mean=n2_mean,
+        t_grid=t_grid, V_mean=v_mean, V_stderr=v_se, n1_mean=n1_mean, n2_mean=n2_mean,
         diff_stderr=std_error(total["sq_d"], n1_mean - n2_mean, count),
-        pair_mean=total["sum_pair"] / count,
-        tail_max=tail_max,
-        n_traj=n_traj,
-        discarded=dead,
-        n_max=n_here,
-        dt=dt_eff,
-        seed=seed,
+        pair_mean=total["sum_pair"] / count, tail_max=tail_max, n_traj=n_traj,
+        discarded=dead, n_max=n_here, dt=dt_eff, seed=seed,
     )

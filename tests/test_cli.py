@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 import tempfile
@@ -854,6 +855,58 @@ def test_bad_relax_or_workers_fails_cleanly(tmp_path, capsys, command, flag, val
     assert main([command, "--out", str(tmp_path), *_SMALL_RUN[command],
                  flag, value]) == 1
     assert _one_error_line(capsys)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key,flags", [
+    ("fbar_over_fth", []),
+    ("gamma3_over_gamma", ["--lam", "0.1"]),
+], ids=["pump-ratio", "gamma3-with-lam"])
+def test_config_integer_past_float_range_is_named(tmp_path, capsys, key, flags):
+    # a 400-digit integer ended in an OverflowError traceback from float()
+    cfg = tmp_path / "big.json"
+    cfg.write_text(f'{{"{key}": {"9" * 400}}}')
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["variance", "--config", str(cfg), "--points", "3", *flags,
+                 "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0], lines
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--points", "100000000000000000"],
+    ["positivep", "--grid-points", "100000000000000000", "--traj", "4"],
+], ids=["variance", "positivep"])
+def test_unallocatable_grid_is_one_error_line(tmp_path, capsys, argv):
+    # a grid of 1e17 points (711 PiB, past any address space) ended in a
+    # traceback of numpy's MemoryError
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
+    assert not list(tmp_path.iterdir())
+
+
+def _address_space_2gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["positivep", "--traj", "100000000000000000000", "--grid-points", "3"],
+    ["positivep", "--traj", "100000000000000000000", "--grid-points", "1", "--relax", "-1"],
+    ["qsd", "--traj", "100000000000", "--grid-points", "3", "--nmax", "4", "--lam", "0.1",
+     "--fbar", "0.3"],
+], ids=["positivep", "positivep-no-steps", "qsd"])
+def test_ensemble_past_the_trajectory_steps_budget_is_refused(tmp_path, argv):
+    # both used to build job lists for minutes; the child runs with a
+    # timeout and a 2 GiB address space, so a hang cannot stall the suite
+    # or fill the machine's memory
+    cmd = [sys.executable, "-m", "modnopo.cli", *argv, "--out", str(tmp_path)]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=5,
+                         preexec_fn=_address_space_2gib)
+    assert res.returncode == 1
+    assert res.stderr.count("\n") == 1 and "trajectory-steps" in res.stderr, res.stderr
     assert not list(tmp_path.iterdir())
 
 

@@ -31,8 +31,8 @@ import modnopo.qsd as qsd
 import test_positivep
 import test_qsd
 from modnopo import DivergenceBudgetError, InvalidParameterError, params_from_ratios
-from modnopo._ensemble import _usable_cpus, map_ordered, run_lockstep, slice_sums
-from modnopo._streams import SALT_PHASE_SPACE, trajectory_stream
+from modnopo._ensemble import (SALT_PHASE_SPACE, _usable_cpus, map_ordered, run_lockstep,
+                               slice_sums, trajectory_stream)
 
 needs_two_cpus = pytest.mark.skipif(
     _usable_cpus() < 2, reason="the pool is capped at the usable CPUs")
@@ -125,7 +125,7 @@ def _step_or_refuse(bad, x):
     if x == bad:
         time.sleep(0.2)
         raise InvalidParameterError(f"job {x} refused")
-    run_lockstep([trajectory_stream(1, x, SALT_PHASE_SPACE)], 2, 0, 1, 10_001,
+    run_lockstep(1, SALT_PHASE_SPACE, [x], 2, 0, 1, 10_001,
                  lambda step, z, alive: time.sleep(1e-3), dict)
     return x
 
@@ -153,8 +153,7 @@ def test_lockstep_stops_once_the_stop_event_is_set(monkeypatch):
             stop.set()
 
     with pytest.raises(_ensemble.Aborted):
-        run_lockstep([trajectory_stream(1, 0, SALT_PHASE_SPACE)], 2, 0, 1, 100, advance,
-                     dict)
+        run_lockstep(1, SALT_PHASE_SPACE, [0], 2, 0, 1, 100, advance, dict)
     assert steps == [0, 1, 2, 3, 4]
 
 
@@ -198,7 +197,6 @@ def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid
     monkeypatch.setattr(_ensemble, "NOISE_CHUNK", chunk)
     # the three streams draw as a full block of 2 and a partial one
     monkeypatch.setattr(_ensemble, "DRAW_BLOCK", 2)
-    streams = [np.random.default_rng(s) for s in (1, 2, 3)]
     n_steps = n_relax + (n_grid - 1) * spi
     calls = []
 
@@ -215,7 +213,8 @@ def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid
     def taken(n):
         return sum(1 for c in calls[:n] if c[0] == "step")
 
-    rows = run_lockstep(streams, 4, n_relax, spi, n_grid, advance, record)
+    rows = run_lockstep(7, SALT_PHASE_SPACE, [1, 2, 3], 4, n_relax, spi, n_grid, advance,
+                        record)
     steps = [c for c in calls if c[0] == "step"]
     assert [c[1] for c in steps] == list(range(n_steps))
     assert set(rows) == {"rank", "live", "alive"}
@@ -230,10 +229,10 @@ def test_lockstep_records_each_grid_point_once(monkeypatch, n_relax, spi, n_grid
     assert rows["live"].tolist() == want_live
     assert rows["alive"].tolist() == [True, n_steps <= 2, True]
     assert all(c[2].dtype == np.complex128 and c[2].shape == (2, 3) for c in steps)
-    # the normals are each stream's own, drawn in order: pair r of a step
-    # holds its normals 2r and 2r + 1 as real and imaginary parts
+    # the normals are each trajectory's own stream's, drawn in order: pair r
+    # of a step holds its normals 2r and 2r + 1 as real and imaginary parts
     for i, s in enumerate((1, 2, 3)):
-        want = np.random.default_rng(s).standard_normal((n_steps, 4))
+        want = trajectory_stream(7, s, SALT_PHASE_SPACE).standard_normal((n_steps, 4))
         got = np.array([c[2][:, i] for c in steps], dtype=np.complex128)
         got = got.reshape(n_steps, 2)
         assert got.real.tobytes() == want[:, 0::2].tobytes()
@@ -364,11 +363,28 @@ def test_an_emptied_grid_point_is_refused(monkeypatch, module, empty, run):
 def test_both_routes_refuse_one_trajectory_alike():
     refusals = []
     for run in (lambda: positivep.simulate_ensemble(_P, 1, _GRID, seed=1),
-                lambda: qsd.simulate_qsd_ensemble(_P, n_traj=1, t_grid=_GRID)):
+                lambda: qsd.simulate_qsd_ensemble(_P, n_traj=1, t_grid=_GRID, seed=1)):
         with pytest.raises(InvalidParameterError) as info:
             run()
         refusals.append((type(info.value), str(info.value)))
     assert refusals[0] == refusals[1]
+
+
+def test_trajectory_steps_budget_is_checked_up_front():
+    # 2^30 trajectories of 1,024 relaxation steps fill the budget; one more
+    # trajectory is refused before any job list is built
+    layout = [np.zeros(1), 1e-3, 1.024]
+    assert _ensemble.MAX_TRAJ_STEPS == 2**40
+    assert _ensemble.step_layout(*layout, 2**30, 1)[-1] == 1024
+    for n_traj in (2**30 + 1, 10**20):
+        with pytest.raises(InvalidParameterError, match="trajectory-steps"):
+            _ensemble.step_layout(*layout, n_traj, 1)
+    # with one grid point and no relaxation a trajectory takes no step, but
+    # its job is still laid out, so it counts as one
+    no_steps = [np.zeros(1), 1e-3, -1.0]
+    assert _ensemble.step_layout(*no_steps, 2**40, 1)[-1] == 0
+    with pytest.raises(InvalidParameterError, match="x 1 steps"):
+        _ensemble.step_layout(*no_steps, 2**40 + 1, 1)
 
 
 def test_both_routes_share_one_divergence_budget():

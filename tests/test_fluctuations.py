@@ -9,7 +9,6 @@ are cross-checked against each other and against values frozen from
 runs that were verified against the stochastic simulators.
 """
 
-import hashlib
 import math
 import warnings
 
@@ -19,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from helpers import sha256, tabulated_pump
 from modnopo import (
     EPR_BOUND,
     INSEPARABILITY_BOUND,
@@ -280,24 +280,6 @@ class TestPeriodicity:
         )
 
 
-def _sha256(items) -> str:
-    h = hashlib.sha256()
-    for name, val in items:
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(val).tobytes() if isinstance(val, np.ndarray)
-                 else repr(val).encode())
-    return h.hexdigest()
-
-
-def _tabulated_above():
-    """A two-harmonic tabulated pump at 1.6 times threshold."""
-    x = np.arange(128) * (2.0 * math.pi / 128)
-    f_th = 25.0 / 5e-4
-    samples = f_th * (1.6 + 0.9 * np.cos(x) + 0.3 * np.sin(2.0 * x))
-    return ModelParams(gamma=1.0, gamma3=25.0, k=5e-4,
-                       modulation=TabulatedPeriodic(period=math.pi, samples=tuple(samples)))
-
-
 def _tabulated(samples):
     """The reference rates with a tabulated pump of period pi."""
     return ModelParams(gamma=1.0, gamma3=25.0, k=5e-4,
@@ -322,7 +304,7 @@ class TestFrozenBytes:
         "fast": (lambda: params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.8,
                                             delta_over_gamma=15.0),
                  "3a5c94d9830488ef8c7fadb1f3dce154521945b8316873ae6b2913a4840f31ea"),
-        "tabulated": (_tabulated_above,
+        "tabulated": (tabulated_pump,
                       "123a626f77bdfcf117f123c87637e1019f94663cbdbe822c2db224b0263860c4"),
     }
 
@@ -334,7 +316,7 @@ class TestFrozenBytes:
         traj = integrate_variance(p)
         r = find_vmin(p)
         times = [0.0, 0.37, -2.9, np.nextafter(d.period, 0.0), 7.0 * d.period + 0.1]
-        got = _sha256([
+        got = sha256([
             ("n0", traj.n0_ref.n0), ("V", traj.V),
             ("vmin", (r.v_min, r.t0, r.n0_at_t0)),
             ("interp", [float(traj.n0_ref.interp(t)) for t in times]),
@@ -385,13 +367,13 @@ class TestFrozenBytes:
             items += [("n0", asymptotic_n0(p, t)), ("n01", asymptotic_n0(p, 0.37))]
         r = find_vmin(p, route="closed")
         items.append(("vmin", (r.v_min, r.t0, r.n0_at_t0)))
-        assert _sha256(items) == self.CLOSED[name]
+        assert sha256(items) == self.CLOSED[name]
 
     # sha256 of linearization_validity and of find_vmin's (v_min, t0,
     # n0_at_t0, validity_ratio) on both routes, for tabulated pumps: one
     # modulated, one flat and one whose spread is a single subnormal
     TABLES = {
-        "modulated": (_tabulated_above,
+        "modulated": (tabulated_pump,
                       "71ca90ccfe1201f1775610eabdb392a0690ef27f8e2404a44f901018129a938a"),
         "flat": (lambda: _tabulated([2.0 * 25.0 / 5e-4] * 64),
                  "7e4bbac1382be9be7e3b94686d3f1feb81f1009869c9206ab20102d42083d8bd"),
@@ -407,12 +389,12 @@ class TestFrozenBytes:
         for route in ("ode", "closed"):
             r = find_vmin(p, route=route)
             items.append((route, (r.v_min, r.t0, r.n0_at_t0, r.validity_ratio)))
-        assert _sha256(items) == want
+        assert sha256(items) == want
 
     def test_negative_depth_sweep_cell(self):
         # sha256 of a sweep cell whose depth is negative (a phase-flipped pump)
         cells = sweep_vmin(params_from_ratios(phi=0.4), [1.6], [-0.75])
-        assert _sha256([("cells", cells)]) == (
+        assert sha256([("cells", cells)]) == (
             "7be01683dd6414d9f1c8e7ca1e4d70e484bec1b420aec3adb25ea4ed95405433")
 
     def test_transient(self):
@@ -422,7 +404,7 @@ class TestFrozenBytes:
         traj = integrate_n0(params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=2.0, phi=1.1),
                             t_span=(1.3, 4.0), n0_init=2.0e7, n_points=257)
         times = [1.3, 2.77, 4.0]
-        got = _sha256([("n0", traj.n0), ("interp", [float(traj.interp(t)) for t in times])])
+        got = sha256([("n0", traj.n0), ("interp", [float(traj.interp(t)) for t in times])])
         assert got == (
             "ca4db8415971d0fd44ef2a796a8474368070b28e1a6dba131c6eb11e45c449a4")
         for t in (0.5, 5.5):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from helpers import bits
 from modnopo import (
     CONFIG_DEFAULTS,
     Harmonic,
@@ -180,7 +181,7 @@ class TestDerivedParams:
         want = params_from_ratios(fbar_over_fth=1.7, f1_over_fbar=-0.4, phi=0.3).modulation
         assert want.phi != 0.3
         got = seen[0].modulation
-        assert (_bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))).all()
+        assert (bits(dataclasses.astuple(got)) == bits(dataclasses.astuple(want))).all()
 
     def test_adiabatic_ratio_warning(self):
         with pytest.warns(UserWarning, match="elimination"):
@@ -312,31 +313,26 @@ class TestConfig:
         assert d.lam * d.f_th == pytest.approx(p.k * p.gamma, rel=1e-10)
 
 
-def _bits(values) -> np.ndarray:
-    """The float64 bit patterns of values, so that -0.0 and 0.0 differ."""
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
 def _assert_scipys(curve: Curve, spl: CubicSpline, t: np.ndarray) -> None:
     """curve is spl bit for bit: the coefficients, the curve at the array t
     and at each of its floats, after pickling, the minimum from the
     derivative's roots and, if periodic, the running integral."""
-    assert (_bits(curve.coeffs) == _bits(spl.c)).all()
+    assert (bits(curve.coeffs) == bits(spl.c)).all()
     period = curve.period
-    want = _bits(spl(np.mod(t, period)) if period is not None else spl(t))
-    assert (_bits(curve(t)) == want).all()
-    assert (_bits([curve(float(v)) for v in t]) == want).all()
+    want = bits(spl(np.mod(t, period)) if period is not None else spl(t))
+    assert (bits(curve(t)) == want).all()
+    assert (bits([curve(float(v)) for v in t]) == want).all()
     back = pickle.loads(pickle.dumps(curve))
-    assert (_bits(back(t)) == want).all()
+    assert (bits(back(t)) == want).all()
     crit = spl.derivative().roots(extrapolate=False)
     crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
     low = min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf))
-    assert _bits(curve.minimum()) == _bits(low)
+    assert bits(curve.minimum()) == bits(low)
     if period is not None:
         anti = spl.antiderivative()
         wraps = np.floor(t / period)
         want = anti(t - wraps * period) + wraps * float(anti(period))
-        assert (_bits(curve.running_integral(t)) == _bits(want)).all()
+        assert (bits(curve.running_integral(t)) == bits(want)).all()
 
 
 class TestScalarEvaluation:
@@ -397,9 +393,9 @@ class TestScalarEvaluation:
                  -3.0 * h.period + 0.25]
         t = np.concatenate([knots, rng.uniform(-4.0 * h.period, 6.0 * h.period, 400), edges])
         assert type(d.eps(0.5)) is float and type(m.value(np.float64(0.5))) is float
-        want = _bits(d.eps(t))
-        assert (_bits([d.eps(float(x)) for x in t]) == want).all()
-        assert (_bits([d.eps(x) for x in t]) == want).all()
+        want = bits(d.eps(t))
+        assert (bits([d.eps(float(x)) for x in t]) == want).all()
+        assert (bits([d.eps(x) for x in t]) == want).all()
 
     @pytest.mark.parametrize("kind", ["harmonic", "tabulated"])
     def test_prebuilt_eps_is_eps(self, kind):
@@ -418,15 +414,15 @@ class TestScalarEvaluation:
         eps = d.eps_at_float()
         got = [eps(float(x)) for x in t]
         assert all(type(v) is float for v in got)
-        assert (_bits(got) == _bits([d.eps(float(x)) for x in t])).all()
-        assert (_bits(got) == _bits(d.eps(t))).all()
+        assert (bits(got) == bits([d.eps(float(x)) for x in t])).all()
+        assert (bits(got) == bits(d.eps(t))).all()
 
     def test_tabulated_pump_pickles(self):
         # process pools pickle the parameters, scalar evaluator included
         h = Harmonic(fbar=2.0, f1=0.9, delta=2.0)
         m = TabulatedPeriodic(h.period, h.value(np.linspace(0.0, h.period, 64, endpoint=False)))
         back = pickle.loads(pickle.dumps(m))
-        assert back == m and _bits(back.value(1.1)) == _bits(m.value(1.1))
+        assert back == m and bits(back.value(1.1)) == bits(m.value(1.1))
 
 
 class TestCurveIsScipys:
@@ -455,7 +451,7 @@ class TestCurveIsScipys:
             i, s = curve._locate(t)
             want = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
             assert (i == want).all()
-            assert (_bits(s) == _bits(t - x[want])).all()
+            assert (bits(s) == bits(t - x[want])).all()
 
     def test_tridiagonal_solve_is_lapacks(self):
         # the knot-slope solver against scipy's solve_banded (LAPACK dgtsv):
@@ -478,7 +474,7 @@ class TestCurveIsScipys:
             swapped += any(factors[0])
             ab = np.array([[0.0, *du], d, [*dl, 0.0]])
             want = solve_banded((1, 1), ab, np.array(b))
-            assert (_bits(_tridiagonal_solve(factors, b)) == _bits(want)).all()
+            assert (bits(_tridiagonal_solve(factors, b)) == bits(want)).all()
         assert 0 < swapped < len(systems)
 
     @pytest.mark.parametrize("name", ["near", "sign_change", "fast", "tabulated"])

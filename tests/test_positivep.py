@@ -8,13 +8,13 @@ recorded per-trajectory residuals against the moment evolution equations.
 """
 
 import dataclasses
-import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from helpers import sha256
 from modnopo import (
     DivergenceBudgetError,
     DivergenceError,
@@ -26,8 +26,7 @@ from modnopo import (
     periodic_steady_state,
     simulate_ensemble,
 )
-from modnopo._ensemble import step_layout
-from modnopo._streams import SALT_PHASE_SPACE, trajectory_stream
+from modnopo._ensemble import SALT_PHASE_SPACE, step_layout, trajectory_stream
 from modnopo import positivep
 from modnopo.positivep import (
     BATCH,
@@ -243,6 +242,17 @@ class TestEnsembleVsAnalytics:
         with pytest.raises(ValueError, match="extended"):
             check_moment_equations(ens, p)
 
+    def test_results_are_frozen(self):
+        # the extended fields are set when the result is built, and no
+        # field can be reassigned afterwards
+        p = params_from_ratios(fbar_over_fth=2.0, lam_over_gamma=LAM)
+        ens = simulate_ensemble(p, 16, np.linspace(0.0, 0.1, 3), seed=1, relax=0.1,
+                                collect_extended=True)
+        assert ens.residual_mean.shape == ens.residual_stderr.shape == (3, 1)
+        for field in dataclasses.fields(ens):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ens, field.name, None)
+
 
 class TestEnsembleInvariants:
     def test_variance_is_one_plus_correlator(self):
@@ -405,17 +415,8 @@ class TestGuards:
                 sample_noise(st, 1.0, 0.1, dt, rng)
 
 
-def _sha256(items) -> str:
-    h = hashlib.sha256()
-    for name, val in items:
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(val).tobytes() if isinstance(val, np.ndarray)
-                 else repr(val).encode())
-    return h.hexdigest()
-
-
 def _moments_digest(ens) -> str:
-    return _sha256((f.name, getattr(ens, f.name)) for f in dataclasses.fields(ens))
+    return sha256((f.name, getattr(ens, f.name)) for f in dataclasses.fields(ens))
 
 
 class TestFrozenBytes:
@@ -458,15 +459,15 @@ class TestFrozenBytes:
         # alive mask multiplies the later updates
         acc = _run_batch(np.arange(40, 140), *_masked_batch_args(self.P))[0]
         np.testing.assert_array_equal(acc["count"], [100, 96, 72, 39, 25, 21])
-        assert _sha256((k, acc[k]) for k in sorted(acc)) == (
+        assert sha256((k, acc[k]) for k in sorted(acc)) == (
             "1048910354fedd1108d5138b0a581172d3c28685ec3e550c0b851c6574f019a9")
 
     def test_four_masked_batches(self):
         # the accumulators of four consecutive full batches at the masked
         # guard, stepped as one array and summed batch by batch
         accs = _run_batch(np.arange(40, 1064), *_masked_batch_args(self.P))
-        assert _sha256((f"{n}:{k}", acc[k]) for n, acc in enumerate(accs)
-                       for k in sorted(acc)) == (
+        assert sha256((f"{n}:{k}", acc[k]) for n, acc in enumerate(accs)
+                      for k in sorted(acc)) == (
             "53c18a292d24c599b88bfff3db6e13cf76a94cd0153e1ce565ea27e89ed3617d")
 
     def test_four_full_batches_and_a_partial(self):

@@ -11,13 +11,14 @@ of a dense one-mode ladder bit for bit.
 """
 
 import dataclasses
-import hashlib
+import inspect
 import math
 from functools import partial
 
 import numpy as np
 import pytest
 
+from helpers import sha256
 from modnopo import (
     FockDimensionError,
     InvalidParameterError,
@@ -26,6 +27,7 @@ from modnopo import (
     derive_params,
     params_from_ratios,
     qsd_step,
+    simulate_ensemble,
     simulate_qsd_ensemble,
     vacuum_state,
 )
@@ -459,7 +461,7 @@ class TestEnsemble:
         p = params_from_ratios(fbar_over_fth=0.3, lam_over_gamma=0.01)
         with pytest.raises(RuntimeError, match="recorded"):
             simulate_qsd_ensemble(p, n_max=n_max, n_traj=200, t_grid=np.linspace(0, 1, 3),
-                                  dt=1e-3, relax=0.5)
+                                  seed=0, dt=1e-3, relax=0.5)
         assert jobs == [[(0, 16), (16, 32), (32, 96), (96, 160), (160, 200)]]
 
     def test_workers_do_not_change_results(self):
@@ -499,36 +501,49 @@ class TestEnsemble:
     def test_input_validation(self):
         p = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
         with pytest.raises(InvalidParameterError, match="trajectories"):
-            simulate_qsd_ensemble(p, n_traj=1, t_grid=np.linspace(0, 1, 3))
+            simulate_qsd_ensemble(p, n_traj=1, t_grid=np.linspace(0, 1, 3), seed=1)
         with pytest.raises(InvalidParameterError):
-            simulate_qsd_ensemble(p, n_traj=8, t_grid=np.array([0.0, 0.1, 0.5]))
+            simulate_qsd_ensemble(p, n_traj=8, t_grid=np.array([0.0, 0.1, 0.5]),
+                                  seed=1)
         # a non-positive dt must not silently become the grid spacing
         for dt in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidParameterError, match="dt"):
-                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3), dt=dt)
+                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3), seed=1,
+                                      dt=dt)
         # a non-finite relaxation window has no step count
         for relax in (math.nan, math.inf):
             with pytest.raises(InvalidParameterError, match="relax"):
-                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3),
+                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3), seed=1,
                                       relax=relax)
         # a worker count below one is refused
         for n_workers in (0, -2):
             with pytest.raises(InvalidParameterError, match="n_workers"):
-                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3),
+                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3), seed=1,
                                       n_workers=n_workers)
 
-
-def _sha256(items) -> str:
-    h = hashlib.sha256()
-    for name, val in items:
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(val).tobytes() if isinstance(val, np.ndarray)
-                 else repr(val).encode())
-    return h.hexdigest()
+    def test_call_contract_is_positive_ps(self):
+        # simulate_ensemble's leading arguments in its order, none of the
+        # first four with a default, then the cutoff; the old t_grid=None
+        # default was refused on every call
+        pp = list(inspect.signature(simulate_ensemble).parameters.values())[:7]
+        ours = list(inspect.signature(simulate_qsd_ensemble).parameters.values())
+        assert [(a.name, a.default) for a in ours] == [
+            *((a.name, a.default) for a in pp), ("n_max", None)]
+        p = params_from_ratios(fbar_over_fth=0.3, lam_over_gamma=LAM)
+        grid = np.linspace(0.0, 1.0, 3)
+        ens = simulate_qsd_ensemble(p, 40, grid, 1, n_max=6)
+        assert _ensemble_digest(ens) == _ensemble_digest(simulate_qsd_ensemble(
+            p=p, n_traj=40, t_grid=grid, seed=1, n_max=6))
+        for partial_call in (lambda: simulate_qsd_ensemble(p, 40, seed=1, n_max=6),
+                             lambda: simulate_qsd_ensemble(p, 40, grid, n_max=6)):
+            with pytest.raises(TypeError):
+                partial_call()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ens.n_max = 7
 
 
 def _ensemble_digest(ens) -> str:
-    return _sha256((f.name, getattr(ens, f.name)) for f in dataclasses.fields(ens))
+    return sha256((f.name, getattr(ens, f.name)) for f in dataclasses.fields(ens))
 
 
 class TestFrozenBytes:
@@ -580,5 +595,5 @@ class TestFrozenBytes:
         for _ in range(40):
             psi = qsd_step(psi, ops, 2e-3, rng)
             states.append((repr(psi.t), psi.amplitudes))
-        assert _sha256(states) == (
+        assert sha256(states) == (
             "ba8d2dc9e6bc01f9ed12678f7ddae5f5c117f93ace5fd4b14c36fc7c3d3328cf")

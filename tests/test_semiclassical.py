@@ -8,23 +8,25 @@ so the oracle needs no nested quadrature.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import RK45, quad, solve_ivp
 
+from helpers import bits, tabulated_pump
 from modnopo import (
     BelowThresholdError,
     ConvergenceError,
+    CrossCheckError,
     InvalidParameterError,
-    ModelParams,
-    TabulatedPeriodic,
     asymptotic_n0,
     derive_params,
     integrate_n0,
     integrate_variance,
     params_from_ratios,
     periodic_steady_state,
+    sweep_vmin,
     zero_trajectory,
 )
 from modnopo import semiclassical
@@ -88,6 +90,22 @@ class TestClosedFormOracle:
         for t in (0.0, 5.0, 12.0):
             want = 1.0 / oracle_inverse_n0(p, t)
             assert float(asymptotic_n0(p, t)) == pytest.approx(want, rel=1e-7)
+
+    def test_disagreeing_routes_are_refused(self, monkeypatch):
+        # the ODE orbit is checked against the closed form at 64 points; a
+        # closed form off by 1e-3 fails that check, and a sweep cell at the
+        # point carries the failure instead of a minimum
+        closed = semiclassical.asymptotic_n0
+        monkeypatch.setattr(semiclassical, "asymptotic_n0",
+                            lambda p, t: closed(p, t) * (1.0 + 1e-3))
+        p = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5)
+        message = ("ODE and closed-form photon numbers disagree: max relative error "
+                   r"9\.990e-04 > 0\.0001")
+        with pytest.raises(CrossCheckError, match=message):
+            periodic_steady_state(p)
+        (cell,) = sweep_vmin(p, [2.0], [0.5])
+        assert cell.error is not None and cell.error.startswith("CrossCheckError: ")
+        assert re.search(message, cell.error) and math.isnan(cell.v_min)
 
 
 class TestStationary:
@@ -172,11 +190,6 @@ class TestOrbitShape:
         assert float(asymptotic_n0(p_shallow, 2.51)) == pytest.approx(1.7027e8, rel=1e-3)
 
 
-def _bits(values) -> np.ndarray:
-    """The float64 bit patterns of values, so that -0.0 and 0.0 differ."""
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
 class TestScalarInterp:
     """interp at one float takes a scalar branch (the ODE right-hand sides
     call it so); it must give the array path's element bit for bit."""
@@ -188,10 +201,10 @@ class TestScalarInterp:
         t = np.concatenate([orbit.t_grid, np.random.default_rng(1501).uniform(-4 * T, 6 * T, 400),
                             [0.0, np.nextafter(T, 0.0), T, 5.0 * T, -3.0 * T + 0.25]])
         assert type(orbit.interp(0.5)) is float
-        want = _bits(orbit.interp(t))
-        assert (_bits([orbit.interp(float(x)) for x in t]) == want).all()
+        want = bits(orbit.interp(t))
+        assert (bits([orbit.interp(float(x)) for x in t]) == want).all()
         # np.float64, the solver's time type, is a float too
-        assert (_bits([orbit.interp(x) for x in t]) == want).all()
+        assert (bits([orbit.interp(x) for x in t]) == want).all()
 
     def test_transient_outside_its_span(self):
         # inside its span a transient agrees bit for bit at every knot, at
@@ -202,7 +215,7 @@ class TestScalarInterp:
                             n0_init=1e7, n_points=101)
         t = np.concatenate([traj.t_grid, np.random.default_rng(1502).uniform(1.3, 4.0, 300),
                             [1.3, 4.0]])
-        assert (_bits([traj.interp(float(x)) for x in t]) == _bits(traj.interp(t))).all()
+        assert (bits([traj.interp(float(x)) for x in t]) == bits(traj.interp(t))).all()
         for x in (np.nextafter(1.3, 0.0), np.nextafter(4.0, 5.0), 0.0, 5.5, 9.0, math.nan):
             with pytest.raises(InvalidParameterError, match="span"):
                 traj.interp(float(x))
@@ -212,7 +225,7 @@ class TestScalarInterp:
     def test_zero_orbit(self):
         zero = zero_trajectory(params_from_ratios(fbar_over_fth=0.5))
         got = zero.interp(0.3)
-        assert type(got) is float and _bits(got) == _bits(0.0)
+        assert type(got) is float and bits(got) == bits(0.0)
         assert (zero.interp(np.linspace(-1.0, 9.0, 7)) == 0.0).all()
 
 
@@ -233,15 +246,15 @@ class TestPrebuiltInterp:
     @pytest.mark.parametrize("pump", ["harmonic", "tabulated"])
     def test_periodic_orbit(self, pump):
         p = (params_from_ratios(f1_over_fbar=1.2, phi=0.3) if pump == "harmonic"
-             else _tabulated_pump())
+             else tabulated_pump())
         orbit = periodic_steady_state(p)
         T = orbit.period
         t = _edge_times(np.append(orbit.t_grid, T), T, 1506)
         at = orbit.interp_at_float()
         got = [at(float(x)) for x in t]
         assert all(type(v) is float for v in got)
-        assert (_bits(got) == _bits([orbit.interp(float(x)) for x in t])).all()
-        assert (_bits(got) == _bits(orbit.interp(t))).all()
+        assert (bits(got) == bits([orbit.interp(float(x)) for x in t])).all()
+        assert (bits(got) == bits(orbit.interp(t))).all()
 
     def test_zero_orbit(self):
         zero = zero_trajectory(params_from_ratios(fbar_over_fth=0.5))
@@ -249,25 +262,16 @@ class TestPrebuiltInterp:
         at = zero.interp_at_float()
         got = [at(float(x)) for x in t]
         assert all(type(v) is float for v in got)
-        assert (_bits(got) == _bits(0.0)).all() and (_bits(zero.interp(t)) == _bits(0.0)).all()
+        assert (bits(got) == bits(0.0)).all() and (bits(zero.interp(t)) == bits(0.0)).all()
 
     def test_transient_within_its_span(self):
         traj = integrate_n0(params_from_ratios(f1_over_fbar=0.4), t_span=(1.3, 4.0),
                             n0_init=1e7, n_points=101)
         t = np.concatenate([traj.t_grid, np.random.default_rng(1508).uniform(1.3, 4.0, 300)])
         at = traj.interp_at_float()
-        assert (_bits([at(float(x)) for x in t]) == _bits(traj.interp(t))).all()
+        assert (bits([at(float(x)) for x in t]) == bits(traj.interp(t))).all()
         with pytest.raises(InvalidParameterError, match="span"):
             at(4.5)
-
-
-def _tabulated_pump():
-    """A two-harmonic tabulated pump at 1.6 times threshold."""
-    x = np.arange(128) * (2.0 * math.pi / 128)
-    f_th = 25.0 / 5e-4
-    samples = f_th * (1.6 + 0.9 * np.cos(x) + 0.3 * np.sin(2.0 * x))
-    return ModelParams(gamma=1.0, gamma3=25.0, k=5e-4,
-                       modulation=TabulatedPeriodic(period=math.pi, samples=tuple(samples)))
 
 
 class TestRK45:
@@ -286,8 +290,8 @@ class TestRK45:
                             method="RK45", t_eval=t_eval, rtol=rtol, atol=atol,
                             dense_output=True)
             assert ref.success
-            assert grid.shape == ref.y.shape and (_bits(grid) == _bits(ref.y)).all(), (route, t0)
-            assert (_bits(end) == _bits(ref.sol(t1))).all(), (route, t0)
+            assert grid.shape == ref.y.shape and (bits(grid) == bits(ref.y)).all(), (route, t0)
+            assert (bits(end) == bits(ref.sol(t1))).all(), (route, t0)
             routes.append(route)
             return grid, end
 
@@ -304,7 +308,7 @@ class TestRK45:
                                      f1_over_fbar=rng.uniform(0.0, 2.0),
                                      phi=rng.uniform(0.0, 2.0 * math.pi))
                   for k in range(12)]
-        for p in [*points, _tabulated_pump(), params_from_ratios(fbar_over_fth=1e3)]:
+        for p in [*points, tabulated_pump(), params_from_ratios(fbar_over_fth=1e3)]:
             integrate_variance(p)
         assert calls.count("the variance") >= 3 * 14
         assert calls.count("the photon-number orbit") >= 3 * 12
@@ -318,7 +322,7 @@ class TestRK45:
     def test_tableau_is_scipys(self):
         for name in "CABEP":
             ours, theirs = getattr(semiclassical, f"_{name}"), getattr(RK45, name)
-            assert ours.shape == theirs.shape and (_bits(ours) == _bits(theirs)).all(), name
+            assert ours.shape == theirs.shape and (bits(ours) == bits(theirs)).all(), name
 
     def test_nan_rhs_raises_naming_the_route(self):
         # NaN from t = 0.3 on: scipy fails there too; NaN from the start,
