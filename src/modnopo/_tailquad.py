@@ -20,6 +20,16 @@ at most at rate -k_min, so the rest of the period is at most
 Where k dips below zero that bound rarely falls far enough, and the whole
 period runs; such a period is refused up front when its work is over
 WORK_BUDGET.
+
+Each panel walks the times in equal blocks of at most BLOCK_ROWS rows, so
+the memory a panel needs does not grow with the grid.  The stop is still
+decided once a panel, over all rows: every row then runs the same panels
+as in one block, and its sums run over its own 32 nodes, so the block
+size cannot move a bit.  A stop decided block by block could end a row's
+period before a later panel raises its running maximum, and so rescales
+its sum, where k dips below zero.  On a 2-CPU x86 host `variance --points
+100001` peaks at 59 MB where the grid in one block peaked at 481 MB, and
+at 20,001 points at 40 MB instead of 124 MB.
 """
 
 from __future__ import annotations
@@ -40,9 +50,15 @@ LOG_STOP = -60.0 * math.log(2.0)
 MAX_RATE_TIME = 2.0**43
 
 # Work of a period that runs all its panels, in units of panels * (times
-# + 60): a panel costs about as much as 60 rows of the time grid.  One unit
-# took about 1 us on a 2-CPU x86 host, so the budget is a few minutes.
+# + 60): a panel costs about as much as 60 rows of the time grid.  At 513
+# and 20,001 times on a 2-CPU x86 host one unit took 0.5-0.8 us for n0 and
+# 1.6-5 us for V, so the budget is 2-4 minutes of n0 or 7-24 of V.
 WORK_BUDGET = 2**28
+
+# Rows of the time grid per block.  Each panel runs block by block, so its
+# (rows, 32) float64 temporaries hold at most 256 KB each whatever the grid
+# size; blocks of 512 rows saved little more memory and ran about 5% slower.
+BLOCK_ROWS = 1024
 
 
 def require_decay(decay: float, route: str) -> None:
@@ -65,9 +81,10 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
     """The periodic solution y(t) of y' = -k y + b on a grid of times t.
 
     k_int(t, s, past) is K(t, s), the integral of k over [past, t] with
-    past = t - s.  The quadrature calls it with t of shape (n_t, 1), s of
-    shape (nq,) and past of shape (n_t, nq), which b(past) receives too,
-    and once with the floats (T, T, 0.0) for D.  b may return a scalar.
+    past = t - s.  The quadrature calls it with t of shape (rows, 1), a
+    block of at most BLOCK_ROWS times, s of shape (nq,) and past of shape
+    (rows, nq), which b(past) receives too, and once with the floats
+    (T, T, 0.0) for D.  b may return a scalar.
     rate bounds |k|, k_min is k's minimum and b_max bounds b.  [0, T] is
     tiled by equal panels of the 32-point Gauss-Legendre rule, at most
     min(T/4, 4/rate) wide.
@@ -99,22 +116,28 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
             f"{n} panels on {t.size} times, {work:.3g} units of panels*(times + 60), "
             f"over the budget of {WORK_BUDGET:.3g}")
     half = 0.5 * period / n
-    col = t[:, None]
+    blocks = -(-t.size // BLOCK_ROWS)
+    edges = [t.size * i // blocks for i in range(blocks + 1)]
     M = np.full(t.size, -np.inf)
     A = np.zeros(t.size)
     for k in range(n):
         s_nodes = half * (2 * k + 1 + x)
-        past = col - s_nodes[None, :]
-        gv = np.broadcast_to(-k_int(col, s_nodes, past), past.shape)
-        bv = b(past) * (half * w)  # fold quadrature weights into b
-        M_new = np.maximum(M, gv.max(axis=1))
-        # exp(-inf - -inf) would be nan; guard the first panel explicitly.
-        scale = np.where(np.isneginf(M), 0.0, np.exp(M - M_new))
-        A = A * scale + (np.exp(gv - M_new[:, None]) * bv).sum(axis=1)
-        M = M_new
         rest = period - s_nodes[-1]
-        with np.errstate(divide="ignore"):
-            log_rest = math.log(rest * b_max) + max(-k_min, 0.0) * rest + gv[:, -1]
-            if np.all(log_rest < M + np.log(A) + LOG_STOP):
-                break
+        log_slope = math.log(rest * b_max) + max(-k_min, 0.0) * rest
+        stop = True
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            col = t[lo:hi, None]
+            past = col - s_nodes[None, :]
+            gv = np.broadcast_to(-k_int(col, s_nodes, past), past.shape)
+            bv = b(past) * (half * w)  # fold quadrature weights into b
+            m, a = M[lo:hi], A[lo:hi]
+            M_new = np.maximum(m, gv.max(axis=1))
+            # exp(-inf - -inf) would be nan; guard the first panel explicitly.
+            scale = np.where(np.isneginf(m), 0.0, np.exp(m - M_new))
+            a[:] = a * scale + (np.exp(gv - M_new[:, None]) * bv).sum(axis=1)
+            m[:] = M_new
+            with np.errstate(divide="ignore"):
+                stop = stop and bool(np.all(log_slope + gv[:, -1] < m + np.log(a) + LOG_STOP))
+        if stop:
+            break
     return M, A / -math.expm1(-decay)

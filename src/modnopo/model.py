@@ -747,7 +747,14 @@ def config_number(key: str, value) -> float:
 def read_config(path: str | Path) -> dict:
     """Read a JSON configuration file as a mapping (see CONFIG_DEFAULTS)."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            # bad UTF-8, bad JSON, or an integer past int()'s digit limit,
+            # whose message ends in advice on a Python call: cut at the ';'
+            raise InvalidParameterError(
+                f"configuration file {path} cannot be read as JSON: {str(exc).split(';')[0]}"
+            ) from None
     if not isinstance(cfg, dict):
-        raise InvalidParameterError("configuration file must contain a JSON object")
+        raise InvalidParameterError(f"configuration file {path} must contain a JSON object")
     return cfg

@@ -875,6 +875,25 @@ def test_config_integer_past_float_range_is_named(tmp_path, capsys, key, flags):
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("text,reason", [
+    ('{"fbar_over_fth": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ('{"fbar_over_fth": 2.0,\n', "Expecting property name"),
+], ids=["integer-past-digit-limit", "truncated"])
+def test_unreadable_config_names_its_file(tmp_path, capsys, text, reason):
+    # json's own message named neither the file nor, past int()'s digit
+    # limit, anything but a Python call to raise that limit
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["variance", "--config", str(cfg), "--points", "3", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: configuration file {cfg} ") and reason in lines[0], lines
+    assert "sys." not in lines[0]
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["variance", "--points", "100000000000000000"],
     ["positivep", "--grid-points", "100000000000000000", "--traj", "4"],

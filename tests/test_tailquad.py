@@ -3,7 +3,7 @@
 The closed-form routes integrate one modulation period and sum the rest of
 the tail as a geometric series.  These tests pin the cost side (never more
 panels than tile one period, bounded memory) and check that the proven
-early stop changes nothing a float64 can show.
+early stop and the row blocks change nothing a float64 can show.
 """
 
 import math
@@ -12,7 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modnopo import _tailquad, asymptotic_variance, derive_params, params_from_ratios
+from helpers import bits, tabulated_pump
+from modnopo import (_tailquad, asymptotic_n0, asymptotic_variance, derive_params,
+                     params_from_ratios)
 from modnopo.errors import ConvergenceError, InvalidParameterError
 from modnopo.fluctuations import _variance_evaluator
 from modnopo.semiclassical import asymptotic_log_n0
@@ -34,15 +36,18 @@ def test_panels_never_exceed_one_period(monkeypatch, delta):
     inner = _tailquad.periodic_solution
 
     def counting(t, k_int, b, period, rate, k_min, b_max):
-        calls = [0]
+        rows = {}  # times each panel's nodes were called on
 
         def k_counted(t_, s, past):
-            # one call a panel; the call at floats for D is not a panel
-            calls[0] += np.ndim(past) > 0
+            # the call at floats for D is not a panel
+            if np.ndim(past) > 0:
+                key = np.asarray(s).tobytes()
+                rows[key] = rows.get(key, 0) + len(past)
             return k_int(t_, s, past)
 
         out = inner(t, k_counted, b, period, rate, k_min, b_max)
-        seen.append((calls[0], math.ceil(period / min(period / 4.0, 4.0 / rate))))
+        assert set(rows.values()) == {np.size(t)}  # each panel covers every time once
+        seen.append((len(rows), math.ceil(period / min(period / 4.0, 4.0 / rate))))
         return out
 
     monkeypatch.setattr(_tailquad, "periodic_solution", counting)
@@ -50,7 +55,7 @@ def test_panels_never_exceed_one_period(monkeypatch, delta):
     _closed_forms(p, np.linspace(0.0, derive_params(p).period, 33))
     # the orbit on t, then on V's set-up grid, the memory term and V
     assert len(seen) == 4
-    assert all(0 < calls <= budget for calls, budget in seen), seen
+    assert all(0 < panels <= budget for panels, budget in seen), seen
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -131,18 +136,65 @@ def test_times_past_the_pump_integrals_digits_are_refused():
     _variance_evaluator.cache_clear()
 
 
-def test_slow_modulation_variance_memory_stays_small():
-    p = params_from_ratios(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=0.05)
-    t = np.linspace(0.0, derive_params(p).period, 513)
+@pytest.mark.parametrize("delta,points", [(0.05, 513), (2.0, 20001)])
+def test_slow_modulation_variance_memory_stays_small(delta, points):
+    # the quadrature's temporaries are bounded by its row blocks, not the grid
+    p = params_from_ratios(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=delta)
+    t = np.linspace(0.0, derive_params(p).period, points)
     _variance_evaluator.cache_clear()
     tracemalloc.start()
     try:
         asymptotic_variance(p, t)
+        asymptotic_n0(p, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         _variance_evaluator.cache_clear()
     assert peak < 16 * 2**20
+
+
+def _rebound(t):
+    # k(tau) = D/T + (60 pi/T) sin(2 pi tau/T): for times near T/2, -K falls
+    # 60 nats by mid-period and climbs back; for times near 0 it rises first
+    T, D = 10.0, 1.0
+
+    def k_int(t, s, past):
+        return D * s / T + 30.0 * (np.cos(2.0 * np.pi * past / T) - np.cos(2.0 * np.pi * t / T))
+
+    return _tailquad.periodic_solution(t, k_int, lambda past: 1.0, period=T, rate=20.0,
+                                       k_min=(D - 60.0 * np.pi) / T, b_max=1.0)
+
+
+BLOCK_CASES = {
+    # slow and fast modulation, and a pump minimum far below zero, where
+    # k_min < 0 and no period stops early
+    "slow": dict(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=0.05),
+    "fast": dict(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=2.0),
+    "k_min<0": dict(fbar_over_fth=1.5, f1_over_fbar=2.0, delta_over_gamma=2.0),
+    "tabulated": None,
+    "rebound": None,
+}
+
+
+def _block_outputs(case):
+    if case == "rebound":
+        return [bits(_rebound(np.linspace(0.0, 10.0, 75)))]
+    p = tabulated_pump() if case == "tabulated" else params_from_ratios(**BLOCK_CASES[case])
+    t = np.linspace(0.0, 2.0 * derive_params(p).period, 75)
+    _variance_evaluator.cache_clear()
+    return [bits(f(p, t)) for f in (asymptotic_log_n0, asymptotic_n0, asymptotic_variance)]
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+@pytest.mark.parametrize("rows", [1, 37])
+def test_block_size_moves_no_bit(monkeypatch, case, rows):
+    monkeypatch.setattr(_tailquad, "BLOCK_ROWS", 2**31)  # one block on every grid
+    whole = _block_outputs(case)
+    monkeypatch.setattr(_tailquad, "BLOCK_ROWS", rows)
+    blocked = _block_outputs(case)
+    _variance_evaluator.cache_clear()
+    for a, b in zip(whole, blocked, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_work_budget_refuses_a_period_that_cannot_stop_early(monkeypatch):
