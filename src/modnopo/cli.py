@@ -88,9 +88,7 @@ def _out_dir(args) -> Path:
 
 
 def _meta(args, cfg, extra=None) -> list[str]:
-    return metadata_lines(
-        __version__, cfg, args.seed, getattr(args, "timestamp", False), extra
-    )
+    return metadata_lines(__version__, cfg, args.seed, args.timestamp, extra)
 
 
 def _period_grid(p: ModelParams, points: int, flag: str, periods: float = 1.0) -> np.ndarray:

@@ -95,7 +95,6 @@ class VarianceTrajectory:
     V: np.ndarray
     period: float
     n0_ref: SemiclassicalTrajectory
-    theta_opt: float
     periods_to_converge: int = 0
     _curve: Curve | None = field(default=None, repr=False)
 
@@ -137,8 +136,7 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
         2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()),
         min(2.0 * (gamma + d.eps_bar + lam * n0_traj.mean_n0()) * T, 4.0 * gamma * T))
     return VarianceTrajectory(t_grid=offsets, V=V_grid, period=T, n0_ref=n0_traj,
-                              theta_opt=d.theta_opt, periods_to_converge=periods,
-                              _curve=curve)
+                              periods_to_converge=periods, _curve=curve)
 
 
 # --- closed-form route ------------------------------------------------

@@ -14,10 +14,9 @@ survives of the pump is an effective time-dependent amplitude
     eps(t) = f(t) * k / gamma3,
 
 an effective two-photon nonlinearity lam = k**2 / gamma3, and the threshold
-pump amplitude f_th = gamma * gamma3 / k.  The pump phase phi_L and coupling
-phase phi_K are carried only to report the optimal quadrature angle; the
-dynamics is integrated in the phase-cancelled frame where the coupling is
-real and positive.
+pump amplitude f_th = gamma * gamma3 / k.  The dynamics is integrated in
+the phase-cancelled frame where the coupling is real and positive, so the
+pump and coupling phases drop out of every result.
 """
 
 from __future__ import annotations
@@ -528,16 +527,12 @@ class ModelParams:
              pump model to apply (warning below that)
     k      : down-conversion coupling
     modulation : Harmonic or TabulatedPeriodic pump profile
-    phi_L, phi_K : pump and coupling phases (radians), reported through the
-             optimal quadrature angle only
     """
 
     gamma: float
     gamma3: float
     k: float
     modulation: Harmonic | TabulatedPeriodic
-    phi_L: float = 0.0
-    phi_K: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("gamma", "gamma3", "k"):
@@ -586,7 +581,6 @@ class DerivedParams:
     f_th: float
     eps_bar: float
     period: float
-    theta_opt: float
     _profile: Harmonic | TabulatedPeriodic = field(repr=False, compare=False)
     _eps_scale: float = field(repr=False, compare=False)
 
@@ -631,7 +625,6 @@ def derive_params(p: ModelParams) -> DerivedParams:
         f_th=f_th,
         eps_bar=eps_scale * p.modulation.mean(),
         period=p.modulation.period,
-        theta_opt=-(p.phi_L + p.phi_K),
         _profile=p.modulation,
         _eps_scale=eps_scale,
     )
@@ -672,7 +665,9 @@ def params_from_ratios(
     that are parameterized by the nonlinearity-to-damping ratio directly.
     gamma3_over_gamma and the coupling's ratio must be finite and > 0, and
     the threshold pump gamma*gamma3/k and the nonlinearity k^2/gamma3 they
-    give must be too; each refusal names the ratio.
+    give must be too; each refusal names the ratio.  phi_L and phi_K, the
+    pump and coupling phases, are configuration keys that record provenance
+    in the output headers only: the phase-cancelled dynamics never reads them.
     """
     gamma = 1.0
     gamma3 = _ratio("gamma3_over_gamma", gamma3_over_gamma) * gamma
@@ -691,8 +686,7 @@ def params_from_ratios(
             f"be finite and > 0")
     modulation = Harmonic.from_ratios(f_th, fbar_over_fth, f1_over_fbar,
                                       delta_over_gamma * gamma, phi)
-    return ModelParams(gamma=gamma, gamma3=gamma3, k=k, modulation=modulation,
-                       phi_L=phi_L, phi_K=phi_K)
+    return ModelParams(gamma=gamma, gamma3=gamma3, k=k, modulation=modulation)
 
 
 def _ratio(key: str, value: float) -> float:

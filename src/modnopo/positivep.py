@@ -82,13 +82,13 @@ def _increments(amps, eps_t, gamma, lam, dt, z, work):
     amps holds the batch as a (4, B) array with rows alpha1, alpha2, beta1,
     beta2, seen as A = [[alpha1, alpha2], [beta1, beta2]]; both increments
     come back in the (2, 2, B) shape of A, as views of work (_workspace(B)),
-    so they hold until the next call.  z is one step of run_lockstep's
-    complex pairs, shape (2, B) with rows for the alpha and beta groups, or
-    None for the drift alone (the noise part is then None).  Within each
-    group the pair sqrt(d dt/2)*z and sqrt(d dt/2)*conj(z) has
-    cross-correlation d*dt and vanishing self-correlations; d is complex in
-    general and the principal branch of the square root is used (either
-    branch gives identical statistics, the sign folds into the Gaussians).
+    so they hold until the next call.  z is always a noise block: one step
+    of run_lockstep's complex pairs, shape (2, B) with rows for the alpha
+    and beta groups.  Within each group the pair sqrt(d dt/2)*z and
+    sqrt(d dt/2)*conj(z) has cross-correlation d*dt and vanishing
+    self-correlations; d is complex in general and the principal branch of
+    the square root is used (either branch gives identical statistics, the
+    sign folds into the Gaussians).
     The drift is formed as eps*A' - g*A, which rounds as -g*A + eps*A'
     does, since negation is exact.  The ensemble and the scalar helpers
     share this one kernel.
@@ -102,8 +102,6 @@ def _increments(amps, eps_t, gamma, lam, dt, z, work):
     np.multiply(g[::-1], A, out=part)
     np.subtract(u, part, out=u)
     np.multiply(u, dt, out=u)
-    if z is None:
-        return u, None
     np.multiply(la[::2], amps[1::2], out=root)  # [alpha, beta] groups
     np.subtract(eps_t, root, out=root)
     np.multiply(0.5 * dt, root, out=root)
@@ -152,20 +150,16 @@ def step_trajectory(
     p: ModelParams | DerivedParams,
     dt: float,
     rng: np.random.Generator,
-    with_noise: bool = True,
 ) -> PPState:
     """One Euler-Maruyama step of a single trajectory.
 
-    The ensemble's batch kernel at batch size 1, plus the divergence guard;
-    with_noise=False exposes the deterministic drift for the
-    classical-limit checks.
+    The ensemble's batch kernel at batch size 1, plus the divergence guard.
     """
     check_dt(dt)
     d = p if isinstance(p, DerivedParams) else derive_params(p)
     amps = _amplitudes(state)
-    noise = one_step_noise(rng, 4) if with_noise else None
-    u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt, noise,
-                       _workspace(1))
+    u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt,
+                       one_step_noise(rng, 4), _workspace(1))
     new = amps + u.reshape(amps.shape)
     guard = divergence_guard(d)
     if _past_guard(new, guard) is not None:

@@ -47,11 +47,11 @@ class OperatorSet:
     |n1,n2> is row n1*(n_max+1) + n2 of a state.  No operator is held as a
     matrix: ``images`` applies the ladder operators through the complex
     (dim, 1) columns ``root1`` = sqrt(n1+1), ``root2`` = sqrt(n2+1) and
-    ``root_pair`` = their product.  The drive enters through ``eps(t)``;
-    everything else is time independent and shared read-only across
-    trajectories.  ``loss_diag`` carries the diagonal 1/2 sum(L^dag L) =
-    gamma*(n1+n2) + lam*n1*n2 used by the drift, and ``tail_mask`` marks
-    basis states within TAIL_LEVELS of either cutoff.
+    ``root_pair`` = their product.  The drive enters through
+    ``derived.eps(t)``; everything else is time independent and shared
+    read-only across trajectories.  ``loss_diag`` carries the diagonal
+    1/2 sum(L^dag L) = gamma*(n1+n2) + lam*n1*n2 used by the drift, and
+    ``tail_mask`` marks basis states within TAIL_LEVELS of either cutoff.
     """
 
     n_max: int
@@ -66,9 +66,6 @@ class OperatorSet:
     gamma: float
     lam: float
     derived: DerivedParams
-
-    def eps(self, t):
-        return self.derived.eps(t)
 
 
 @dataclass(frozen=True)
@@ -321,27 +318,28 @@ def simulate_qsd_ensemble(
     """Diffusion-unraveling ensemble estimate of V(t) from vacuum.
 
     Takes simulate_ensemble's leading arguments in its order, then the
-    starting cutoff.  The cutoff starts at ``n_max`` (or an automatic
-    classical estimate) and grows by GROW_STEP whenever any trajectory
-    pushes population past the tail bound.  At each cutoff a pilot batch of
-    the leading trajectories runs first, so an undersized cutoff is found
-    cheaply, and then the rest in batches; the pilot's sums count toward the
-    ensemble.  The pilot runs as two jobs, sent ahead of the batches through
-    one pool, and the first trip stops the jobs still running.  Jobs return
-    rows for each trajectory, and the batch layout, fixed by n_traj alone,
-    sets the order of every sum.  Growth reruns the whole ensemble with the
-    same per-trajectory noise streams, so results depend only on (params,
-    seed, final cutoff) and not on n_workers.  Trajectories whose norm is
-    lost are dropped from later averages; a lost fraction above
-    DIVERGENCE_BUDGET raises (check_survivors).
+    starting cutoff.  The cutoff starts at ``n_max``, an integer >= 2 (or an
+    automatic classical estimate), and grows by GROW_STEP whenever any
+    trajectory pushes population past the tail bound.  At each cutoff a
+    pilot batch of the leading trajectories runs first, so an undersized
+    cutoff is found cheaply, and then the rest in batches; the pilot's sums
+    count toward the ensemble.  The pilot runs as two jobs, sent ahead of
+    the batches through one pool, and the first trip stops the jobs still
+    running.  Jobs return rows for each trajectory, and the batch layout,
+    fixed by n_traj alone, sets the order of every sum.  Growth reruns the
+    whole ensemble with the same per-trajectory noise streams, so results
+    depend only on (params, seed, final cutoff) and not on n_workers.
+    Trajectories whose norm is lost are dropped from later averages; a lost
+    fraction above DIVERGENCE_BUDGET raises (check_survivors).
     """
+    if n_max is not None and not (isinstance(n_max, (int, np.integer)) and n_max >= 2):
+        raise InvalidParameterError(f"n_max must be an integer >= 2, got {n_max!r}")
     t_grid, spi, dt_eff, n_relax, t_start, n_steps = step_layout(
         t_grid, dt, relax, n_traj, n_workers)
     n_grid = t_grid.size
 
     d = derive_params(p)
     n_here = int(n_max) if n_max is not None else auto_n_max(p)
-    n_here = max(n_here, 2)
 
     eps_steps = np.asarray(
         d.eps(t_start + dt_eff * np.arange(max(n_steps, 1))), dtype=float

@@ -69,7 +69,6 @@ class SemiclassicalTrajectory:
 
     t_grid: np.ndarray
     n0: np.ndarray
-    converged_periodic: bool = False
     periods_to_converge: int = 0
     period: float = 0.0
     _log_n0: Curve | None = field(default=None, repr=False)
@@ -114,10 +113,7 @@ def zero_trajectory(p: ModelParams) -> SemiclassicalTrajectory:
     """The empty-cavity orbit n0 = 0, an exact fixed point at any pump."""
     d = derive_params(p)
     t = np.linspace(0.0, d.period, N_GRID, endpoint=False)
-    return SemiclassicalTrajectory(
-        t_grid=t, n0=np.zeros(N_GRID), converged_periodic=True,
-        periods_to_converge=0, period=d.period,
-    )
+    return SemiclassicalTrajectory(t_grid=t, n0=np.zeros(N_GRID), period=d.period)
 
 
 def classical_orbit(p: ModelParams) -> SemiclassicalTrajectory:
@@ -177,11 +173,10 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _rk45(rhs, t0: float, t1: float, y0, t_eval: np.ndarray, rtol: float, atol: float,
-          route: str):
-    """RK45 from t0 to t1 > t0 on one or two components y0: y on the
-    ascending t_eval as an (n, len(t_eval)) array, and y at t1 from the last
-    step's dense output.
+def _rk45(rhs, t0: float, t1: float, y0, t_eval: np.ndarray, rtol: float, route: str):
+    """RK45 from t0 to t1 > t0 on one or two components y0, at tolerances
+    rtol and ODE_ATOL: y on the ascending t_eval as an (n, len(t_eval))
+    array, and y at t1 from the last step's dense output.
 
     Takes scipy's RK45 under solve_ivp(t_eval=..., dense_output=True)
     operation for operation, so it gives scipy's bits: the same initial
@@ -196,7 +191,7 @@ def _rk45(rhs, t0: float, t1: float, y0, t_eval: np.ndarray, rtol: float, atol: 
     the route.
     """
     n = len(y0)
-    rtol = max(rtol, 100 * np.finfo(float).eps)
+    atol = ODE_ATOL
     y = np.array(y0, dtype=float)
     f = np.array(rhs(t0, y.tolist()))
 
@@ -342,7 +337,7 @@ def integrate_n0(
         return SemiclassicalTrajectory(t_grid=t_eval, n0=np.zeros(n_points),
                                        period=d.period)
     u = _rk45(_du_dt(d), float(t_span[0]), float(t_span[1]), [math.log(n0_init)], t_eval,
-              ODE_RTOL, ODE_ATOL, "photon-number")[0][0]
+              ODE_RTOL, "photon-number")[0][0]
     with np.errstate(under="ignore"):
         n0 = np.exp(u)
     return SemiclassicalTrajectory(t_grid=t_eval, n0=n0, period=d.period,
@@ -383,7 +378,7 @@ def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: 
     need = math.inf
     for period_idx in range(MAX_PERIODS):
         t0 = period_idx * T
-        grid, y0 = _rk45(rhs, t0, t0 + T, y0, t0 + offsets, rtol, ODE_ATOL, route)
+        grid, y0 = _rk45(rhs, t0, t0 + T, y0, t0 + offsets, rtol, route)
         now = grid[0]
         if prev is not None:
             change, bound = gap(prev, now)
@@ -450,8 +445,8 @@ def periodic_steady_state(p: ModelParams) -> SemiclassicalTrajectory:
     with np.errstate(under="ignore"):
         n0 = np.exp(u_grid)
     traj = SemiclassicalTrajectory(
-        t_grid=offsets, n0=n0, converged_periodic=True,
-        periods_to_converge=periods, period=d.period, _log_n0=log_n0,
+        t_grid=offsets, n0=n0, periods_to_converge=periods, period=d.period,
+        _log_n0=log_n0,
     )
 
     idx = np.linspace(0, N_GRID - 1, 64).astype(int)

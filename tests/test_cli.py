@@ -726,6 +726,17 @@ def test_unstable_qsd_step_fails_cleanly(tmp_path, capsys, dt):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["qsd", "fig4"])
+@pytest.mark.parametrize("nmax", ["-5", "0", "1"])
+def test_cutoff_below_two_is_refused(tmp_path, capsys, command, nmax):
+    # these ran at a starting cutoff raised to 2 silently and exited 0
+    assert main([command, "--out", str(tmp_path), "--traj", "4", "--grid-points", "3",
+                 "--lam", "0.1", "--fbar", "0.3", "--relax", "0.5", f"--nmax={nmax}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: n_max must be an integer >= 2, got {nmax}\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("dt,code", [("1", 1), ("0.5", 0)])
 def test_unstable_positivep_step_fails_cleanly(tmp_path, capsys, dt, code):
     # dt 1 gives a step of 0.785, past 1/(gamma + eps) = 0.769 below

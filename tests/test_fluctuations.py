@@ -169,6 +169,43 @@ class TestMinimaRegression:
         assert r.v_min == pytest.approx(2.0 / 3.0, rel=1e-7)
 
 
+def v_stationary(r):
+    """The flat-pump level V = 3/4 - 1/(4r) above threshold, r = fbar/f_th."""
+    return 0.75 - 0.25 / r
+
+
+@pytest.mark.parametrize("route", ["ode", "closed"])
+class TestModulationLimits:
+    """Both routes' V_min at the two ends of delta against limits of the
+    flat-pump level, at r = fbar/f_th = 3."""
+
+    R = 3.0
+
+    def test_fast_limit(self, route):
+        # V_min = Vbar - 2 eps1 Vbar/delta + O(delta^-2), Vbar = v_stationary(r),
+        # eps1 = (f1/fbar) r: 4.8/delta here, the remainder 34.7-35.7/delta^2
+        depth = 1.2
+        v_bar = v_stationary(self.R)
+        lead = 2.0 * depth * self.R * v_bar
+        for delta in (100.0, 200.0, 400.0, 800.0):
+            p = params_from_ratios(fbar_over_fth=self.R, f1_over_fbar=depth,
+                                   delta_over_gamma=delta)
+            v_min = find_vmin(p, route=route).v_min
+            assert abs(delta * (v_bar - v_min) - lead) <= 40.0 / delta, (delta, v_min)
+
+    def test_slow_limit(self, route):
+        # the pump stays above threshold all period, so V_min follows the
+        # stationary level at the pump's lowest point r_min = r (1 - f1/fbar)
+        # from below, 0.058-0.064 delta^2 off
+        depth = 0.3
+        v_lowest = v_stationary(self.R * (1.0 - depth))
+        for delta in (0.2, 0.05, 0.01):
+            p = params_from_ratios(fbar_over_fth=self.R, f1_over_fbar=depth,
+                                   delta_over_gamma=delta)
+            v_min = find_vmin(p, route=route).v_min
+            assert 0.0 < v_lowest - v_min <= 0.08 * delta**2, (delta, v_min)
+
+
 class TestCriteria:
     def test_truth_table(self):
         vacuum = classify_entanglement(1.0, 1.0)

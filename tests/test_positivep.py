@@ -40,6 +40,14 @@ from modnopo.positivep import (
 LAM = 1e-2  # nonlinearity-to-damping ratio for the stochastic test runs
 
 
+class _Silent:
+    """A noise source whose normals are all zero: a step then takes the
+    deterministic drift alone."""
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+
+
 def _stat_gate(scale, n, k=5.0):
     return k * scale / math.sqrt(n)
 
@@ -96,9 +104,8 @@ class TestDriftLimit:
         d = derive_params(p)
         a = math.sqrt(2e8)
         s = PPState(a + 0j, a + 0j, a + 0j, a + 0j, t=0.0)
-        rng = np.random.default_rng(0)
         for _ in range(50):
-            s = step_trajectory(s, d, 1e-3, rng, with_noise=False)
+            s = step_trajectory(s, d, 1e-3, _Silent())
         assert abs(s.alpha1) == pytest.approx(a, rel=1e-9)
         assert s.alpha2 == s.alpha1 and s.beta1 == s.alpha1
 
@@ -113,9 +120,8 @@ class TestDriftLimit:
         ref = solve_ivp(rhs, (0.0, 0.5), [50.0], rtol=1e-11, atol=1e-8,
                         dense_output=True)
         s = PPState(*([math.sqrt(50.0) + 0j] * 4), t=0.0)
-        rng = np.random.default_rng(0)
         for _ in range(5000):
-            s = step_trajectory(s, d, 1e-4, rng, with_noise=False)
+            s = step_trajectory(s, d, 1e-4, _Silent())
         n_end = (s.alpha1 * s.beta1).real
         assert n_end == pytest.approx(float(ref.sol(0.5)[0]), rel=2e-4)
 
@@ -201,7 +207,7 @@ class TestGuardScreen:
         guard = positivep.divergence_guard(d)
         s = PPState(complex(math.nan, 0.0), 1 + 0j, complex(10.0 * guard, 0.0), 1 + 0j, t=0.0)
         with pytest.raises(DivergenceError, match="exceeded"):
-            step_trajectory(s, d, 1e-3, np.random.default_rng(0), with_noise=False)
+            step_trajectory(s, d, 1e-3, _Silent())
 
 
 class TestEnsembleVsAnalytics:
@@ -407,9 +413,9 @@ class TestGuards:
         # these gave a NaN state, a step backward and NaN increments
         st = PPState(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, t=0.0)
         rng = np.random.default_rng(0)
-        for dt, noisy in ((math.inf, True), (-1.0, False), (math.nan, False)):
+        for dt, source in ((math.inf, rng), (-1.0, _Silent()), (math.nan, _Silent())):
             with pytest.raises(InvalidParameterError, match="dt"):
-                step_trajectory(st, p, dt, rng, with_noise=noisy)
+                step_trajectory(st, p, dt, source)
         for dt in (math.nan, math.inf, -1.0):
             with pytest.raises(InvalidParameterError, match="dt"):
                 sample_noise(st, 1.0, 0.1, dt, rng)

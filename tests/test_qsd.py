@@ -67,7 +67,7 @@ def _dense_model(ops, t):
     sqrt(2 gamma) a2, sqrt(2 lam) P."""
     A1, A2, P, Pd = _dense(ops)
     root_g, root_l = math.sqrt(2.0 * ops.gamma), math.sqrt(2.0 * ops.lam)
-    return 1j * float(ops.eps(t)) * (Pd - P), (root_g * A1, root_g * A2, root_l * P)
+    return 1j * float(ops.derived.eps(t)) * (Pd - P), (root_g * A1, root_g * A2, root_l * P)
 
 
 class TestOperators:
@@ -266,7 +266,7 @@ class TestStepKernel:
         xi = rng.standard_normal((6, 3))
         pairs = np.empty((3, 3), dtype=np.complex128)   # as run_lockstep hands them
         pairs.real, pairs.imag = xi[0::2], xi[1::2]
-        got = _step_batch(psi, float(ops.eps(t)), ops, dt, pairs)
+        got = _step_batch(psi, float(ops.derived.eps(t)), ops, dt, pairs)
 
         H, Ls = _dense_model(ops, t)
         for b in range(3):
@@ -520,6 +520,20 @@ class TestEnsemble:
             with pytest.raises(InvalidParameterError, match="n_workers"):
                 simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3), seed=1,
                                       n_workers=n_workers)
+
+    def test_cutoff_not_an_integer_from_two_is_refused_before_any_work(self, monkeypatch):
+        # -5, 0 and 1 used to run at a cutoff raised to 2 silently, and 6.7
+        # or "6" at 6
+        def no_work(*args):
+            raise AssertionError("operators built for a refused cutoff")
+
+        monkeypatch.setattr(qsd, "build_operators", no_work)
+        p = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
+        for n_max in (-5, 0, 1, True, 6.7, 6.0, "6"):
+            with pytest.raises(InvalidParameterError,
+                               match=rf"^n_max must be an integer >= 2, got {n_max!r}$"):
+                simulate_qsd_ensemble(p, n_traj=8, t_grid=np.linspace(0, 1, 3), seed=1,
+                                      n_max=n_max)
 
     def test_call_contract_is_positive_ps(self):
         # simulate_ensemble's leading arguments in its order, none of the
