@@ -62,13 +62,10 @@ from .positivep import (
     step_trajectory,
 )
 from .qsd import (
-    FockState,
     OperatorSet,
     QsdEnsemble,
     build_operators,
-    qsd_step,
     simulate_qsd_ensemble,
-    vacuum_state,
 )
 
 __version__ = "0.1.0"
@@ -115,12 +112,9 @@ __all__ = [
     "check_moment_equations",
     "simulate_ensemble",
     "step_trajectory",
-    "FockState",
     "OperatorSet",
     "QsdEnsemble",
     "build_operators",
-    "qsd_step",
     "simulate_qsd_ensemble",
-    "vacuum_state",
     "__version__",
 ]

@@ -46,6 +46,7 @@ from .model import (
 from . import positivep, qsd
 from .positivep import simulate_ensemble
 from .qsd import MAX_PRODUCT_DIM, auto_n_max, simulate_qsd_ensemble
+from ._ensemble import step_layout
 from .semiclassical import asymptotic_n0
 from ._output import metadata_lines, write_csv, write_gnuplot
 
@@ -248,6 +249,12 @@ def cmd_compare(args) -> list[str]:
     d = derive_params(p)
     lam_ratio = d.lam / d.gamma
     t = _period_grid(p, args.grid_points, "--grid-points")
+    # A refused trajectory count names its flag, and the state-diffusion
+    # request is refused before the positive-P ensemble runs, not after.
+    for flag, n_traj in (("--traj", args.traj), ("--qsd-traj", args.qsd_traj)):
+        if n_traj < 2:
+            raise InvalidParameterError(f"need {flag} >= 2, got {n_traj}")
+    step_layout(t, args.dt, args.relax, args.qsd_traj, args.workers)
     (v_lin,), warned, (ratio,) = _variance_curves([p], t)
     tol = 2.0 * lam_ratio
 

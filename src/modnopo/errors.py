@@ -12,7 +12,7 @@ class BelowThresholdError(RuntimeError):
 
 class TruncationError(RuntimeError):
     """A truncated Fock state accumulated too much population near the
-    cutoff, or lost its norm."""
+    cutoff."""
 
 
 class ConvergenceError(RuntimeError):

@@ -282,7 +282,7 @@ def _run_batch(
         # ensemble resolves as a spurious residual on modulated runs;
         # Simpson pushes the bias to O(h^4).
         h = float(t_grid[1] - t_grid[0])
-        eps = np.array([float(d.eps(t)) for t in t_grid])[:, None]
+        eps = d.eps(t_grid)[:, None]
         rhs = {
             "np": ((2.0 * eps - 2.0 * gamma - lam) * np_
                    - lam * np2 - 2.0 * eps * R + lam * Z),

@@ -20,9 +20,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ConvergenceError, FockDimensionError, InvalidParameterError, TruncationError
-from ._ensemble import (DIVERGENCE_BUDGET, SALT_STATE_DIFFUSION, check_dt,
-                        check_survivors, map_ordered, mean_and_stderr, one_step_noise,
-                        run_lockstep, slice_sums, step_layout, std_error, sum_parts)
+from ._ensemble import (DIVERGENCE_BUDGET, SALT_STATE_DIFFUSION, check_survivors,
+                        map_ordered, mean_and_stderr, run_lockstep, slice_sums,
+                        step_layout, std_error, sum_parts)
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import classical_orbit
 
@@ -42,14 +42,14 @@ _PILOT_TRAJ = 32
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """The |n1,n2> product basis at cutoff n_max, plus model rates.
+    """The |n1,n2> product basis at cutoff n_max, plus the model's rates.
 
     |n1,n2> is row n1*(n_max+1) + n2 of a state.  No operator is held as a
     matrix: ``images`` applies the ladder operators through the complex
     (dim, 1) columns ``root1`` = sqrt(n1+1), ``root2`` = sqrt(n2+1) and
-    ``root_pair`` = their product.  The drive enters through
-    ``derived.eps(t)``; everything else is time independent and shared
-    read-only across trajectories.  ``loss_diag`` carries the diagonal
+    ``root_pair`` = their product.  The rates and the drive ``eps(t)``
+    are read from ``derived``; everything else is time independent and
+    shared read-only across trajectories.  ``loss_diag`` carries the diagonal
     1/2 sum(L^dag L) = gamma*(n1+n2) + lam*n1*n2 used by the drift, and
     ``tail_mask`` marks basis states within TAIL_LEVELS of either cutoff.
     """
@@ -63,31 +63,7 @@ class OperatorSet:
     n2_diag: np.ndarray
     loss_diag: np.ndarray
     tail_mask: np.ndarray
-    gamma: float
-    lam: float
     derived: DerivedParams
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Normalized amplitude vector over the product basis at time t."""
-
-    amplitudes: np.ndarray
-    t: float
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def tail_population(self, ops: OperatorSet) -> float:
-        w = np.abs(self.amplitudes[ops.tail_mask]) ** 2
-        return float(w.sum())
-
-
-def vacuum_state(ops: OperatorSet, t: float = 0.0) -> FockState:
-    amps = np.zeros(ops.dim, dtype=np.complex128)
-    amps[0] = 1.0
-    return FockState(amplitudes=amps, t=t)
 
 
 def build_operators(p: ModelParams, n_max: int) -> OperatorSet:
@@ -118,8 +94,6 @@ def build_operators(p: ModelParams, n_max: int) -> OperatorSet:
         n2_diag=n2_diag,
         loss_diag=loss_diag,
         tail_mask=tail,
-        gamma=d.gamma,
-        lam=d.lam,
         derived=d,
     )
 
@@ -158,8 +132,7 @@ def _step_batch(psi, eps_t, ops, dt, xi):
     whose coefficients are per-trajectory scalars.  xi holds three complex
     pairs of standard normals per trajectory, shape (3, batch), as
     run_lockstep hands them over, and dxi_k = sqrt(dt/2) xi[k].  Returns
-    the unnormalized updated block; callers renormalize and check tails so
-    that scalar and ensemble paths share the same kernel.
+    the unnormalized updated block; the caller renormalizes and checks tails.
     """
     a1p, a2p, prp, pdp = images(psi, ops)
 
@@ -168,8 +141,8 @@ def _step_batch(psi, eps_t, ops, dt, xi):
     e_a2 = np.einsum("ib,ib->b", psi_c, a2p)
     e_pr = np.einsum("ib,ib->b", psi_c, prp)
 
-    two_g = 2.0 * ops.gamma
-    two_l = 2.0 * ops.lam
+    two_g = 2.0 * ops.derived.gamma
+    two_l = 2.0 * ops.derived.lam
     # sqrt(2 rate) dxi per channel
     root = math.sqrt(0.5 * dt)
     w1 = (math.sqrt(two_g) * root) * xi[0]
@@ -195,34 +168,6 @@ def _step_batch(psi, eps_t, ops, dt, xi):
     pdp *= k4
     out += pdp
     return out
-
-
-def qsd_step(
-    psi: FockState,
-    ops: OperatorSet,
-    dt: float,
-    rng: np.random.Generator,
-) -> FockState:
-    """Advance one trajectory by dt and renormalize."""
-    check_dt(dt)
-    v = psi.amplitudes.reshape(-1, 1)
-    if v.shape[0] != ops.dim:
-        raise FockDimensionError(
-            f"state dimension {v.shape[0]} does not match operator set {ops.dim}"
-        )
-    eps_t = float(ops.derived.eps(psi.t))
-    out = _step_batch(v, eps_t, ops, dt, one_step_noise(rng, 6))[:, 0]
-    nrm = np.linalg.norm(out)
-    if not np.isfinite(nrm) or nrm <= 0.0:
-        raise TruncationError("state norm lost during step; reduce dt")
-    out = out / nrm
-    new = FockState(amplitudes=out, t=psi.t + dt)
-    tail = new.tail_population(ops)
-    if tail > TAIL_TOL:
-        raise TruncationError(
-            f"tail population {tail:.3e} exceeds {TAIL_TOL:.1e} at n_max={ops.n_max}"
-        )
-    return new
 
 
 @dataclass(frozen=True)

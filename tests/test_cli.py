@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from modnopo import (VALIDITY_MARGIN, Regime, SweepCell, VminResult, classify_entanglement,
                      config_to_params, derive_params, periodic_steady_state, positivep, qsd,
                      regime_classify)
+from modnopo import cli
 from modnopo.cli import _warn_validity, build_parser, main
 from modnopo.fluctuations import is_trusted
 
@@ -688,6 +689,30 @@ def test_refused_run_prints_no_warning(tmp_path, capsys, argv):
     # used to come before the error line of the ensemble that then refused
     assert main([*argv, "--out", str(tmp_path), "--dt", "nan"]) == 1
     assert _one_error_line(capsys)
+    assert not list(tmp_path.iterdir())
+
+
+_COUNTS = [(flag, count, f"need {flag} >= 2, got {count}")
+           for flag in ("--traj", "--qsd-traj") for count in ("1", "0", "-3")]
+
+
+@pytest.mark.parametrize("flag,count,line", [
+    *_COUNTS,
+    ("--qsd-traj", "100000000000", "100000000000 trajectories x 8143 steps exceed the "
+     "budget of 1099511627776 trajectory-steps; run fewer trajectories or steps"),
+], ids=[*(f"{f}={c}" for f, c, _ in _COUNTS), "qsd-budget"])
+def test_compare_refuses_a_bad_count_by_its_flag(tmp_path, capsys, monkeypatch, flag, count,
+                                                  line):
+    # --qsd-traj 1 used to run the whole positive-P ensemble first, then
+    # exit 1 with the same line as --traj 1
+    def no_work(*args, **kwargs):
+        raise AssertionError("an ensemble ran for a refused count")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", no_work)
+    monkeypatch.setattr(cli, "simulate_qsd_ensemble", no_work)
+    assert main(["compare", "--out", str(tmp_path), "--traj", "8", "--qsd-traj", "8",
+                 "--grid-points", "3", f"{flag}={count}"]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
     assert not list(tmp_path.iterdir())
 
 

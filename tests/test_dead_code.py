@@ -3,13 +3,16 @@
 Each module of src/modnopo is parsed with ast.  An imported name must be
 read in its module (or listed in its __all__), and a module-level _private
 name must be read somewhere in the package, by name, as an attribute or
-through an import.  Docstrings and comments do not count as uses.
+through an import.  Docstrings and comments do not count as uses.  Every
+entry of the package's __all__ must name one of its attributes.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import modnopo
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "modnopo"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -84,3 +87,9 @@ def test_every_private_name_is_read():
     unread = [f"{path.name}:{line} {name}" for path in MODULES
               for line, name in _private_defs(_tree(path)) if name not in reads]
     assert not unread
+
+
+def test_every_public_name_exists():
+    # a deletion that leaves its __all__ entry behind breaks star imports
+    missing = [name for name in modnopo.__all__ if not hasattr(modnopo, name)]
+    assert not missing

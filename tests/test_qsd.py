@@ -22,17 +22,14 @@ from helpers import sha256
 from modnopo import (
     FockDimensionError,
     InvalidParameterError,
-    TruncationError,
     build_operators,
     derive_params,
     params_from_ratios,
-    qsd_step,
     simulate_ensemble,
     simulate_qsd_ensemble,
-    vacuum_state,
 )
 import modnopo.qsd as qsd
-from modnopo.qsd import FockState, _step_batch, auto_n_max, images
+from modnopo.qsd import _step_batch, auto_n_max, images
 
 LAM = 0.1  # nonlinearity-to-damping ratio for the stochastic test runs
 _RUN_BATCH = qsd._run_batch
@@ -66,7 +63,7 @@ def _dense_model(ops, t):
     module's images: H = i eps(t) (P^dag - P) and sqrt(2 gamma) a1,
     sqrt(2 gamma) a2, sqrt(2 lam) P."""
     A1, A2, P, Pd = _dense(ops)
-    root_g, root_l = math.sqrt(2.0 * ops.gamma), math.sqrt(2.0 * ops.lam)
+    root_g, root_l = math.sqrt(2.0 * ops.derived.gamma), math.sqrt(2.0 * ops.derived.lam)
     return 1j * float(ops.derived.eps(t)) * (Pd - P), (root_g * A1, root_g * A2, root_l * P)
 
 
@@ -129,15 +126,15 @@ class TestOperators:
     def test_expectations(self):
         p = params_from_ratios(fbar_over_fth=0.5, lam_over_gamma=LAM)
         ops = build_operators(p, 3)
-        vac = vacuum_state(ops)
+        vac = np.zeros(ops.dim, dtype=complex)
+        vac[0] = 1.0
         n1 = np.diag(ops.n1_diag)
-        assert np.vdot(vac.amplitudes, n1 @ vac.amplitudes) == 0.0
+        assert np.vdot(vac, n1 @ vac) == 0.0
         # equal superposition of |0,0> and |1,1>
-        amps = np.zeros(ops.dim, dtype=complex)
-        amps[_basis_index(0, 0, 3)] = 1.0 / math.sqrt(2.0)
-        amps[_basis_index(1, 1, 3)] = 1.0 / math.sqrt(2.0)
-        psi = FockState(amplitudes=amps, t=0.0)
-        n1_psi = np.vdot(psi.amplitudes, n1 @ psi.amplitudes)
+        psi = np.zeros(ops.dim, dtype=complex)
+        psi[_basis_index(0, 0, 3)] = 1.0 / math.sqrt(2.0)
+        psi[_basis_index(1, 1, 3)] = 1.0 / math.sqrt(2.0)
+        n1_psi = np.vdot(psi, n1 @ psi)
         assert n1_psi.real == pytest.approx(0.5)
         assert abs(n1_psi.imag) < 1e-14
 
@@ -283,53 +280,23 @@ class TestStepKernel:
 
 
 class TestSingleTrajectory:
+    """Single-trajectory physics, run through the ensemble's step kernel."""
+
     def test_vacuum_is_fixed_without_pump(self):
         p = params_from_ratios(fbar_over_fth=0.0, lam_over_gamma=LAM)
-        ops = build_operators(p, 4)
-        vac = vacuum_state(ops)
-        out = qsd_step(vac, ops, 1e-3, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.amplitudes, vac.amplitudes)
-        assert out.t == pytest.approx(1e-3)
-
-    def test_step_renormalizes(self):
-        p = params_from_ratios(fbar_over_fth=0.5, lam_over_gamma=LAM)
-        ops = build_operators(p, 6)
-        rng = np.random.default_rng(2)
-        s = vacuum_state(ops)
-        for _ in range(200):
-            s = qsd_step(s, ops, 1e-3, rng)
-        assert s.norm == pytest.approx(1.0, abs=1e-12)
+        ens = simulate_qsd_ensemble(p, 8, np.linspace(0.0, 1.0, 3), 0, relax=0.0, n_max=4)
+        assert (ens.V_mean == 1.0).all() and (ens.V_stderr == 0.0).all()
+        assert (ens.n1_mean == 0.0).all()
 
     def test_short_time_variance_slope(self):
-        # from vacuum the first step is deterministic and pulls V down
-        # at twice the pump rate
+        # from vacuum every trajectory's first step is deterministic and
+        # pulls V down at twice the pump rate
         p = params_from_ratios(fbar_over_fth=0.5, lam_over_gamma=LAM)
-        d = derive_params(p)
-        ops = build_operators(p, 4)
         dt = 1e-5
-        s = qsd_step(vacuum_state(ops), ops, dt, np.random.default_rng(0))
-        w = np.abs(s.amplitudes) ** 2
-        pair = complex(s.amplitudes.conj() @ images(s.amplitudes[:, None], ops)[2, :, 0])
-        v = 1.0 + float(ops.n1_diag @ w + ops.n2_diag @ w) - 2.0 * pair.real
-        assert (v - 1.0) / dt == pytest.approx(-2.0 * float(d.eps(0.0)), rel=1e-3)
-
-    def test_tail_breach_raises(self):
-        p = params_from_ratios(fbar_over_fth=0.5, lam_over_gamma=LAM)
-        ops = build_operators(p, 4)
-        amps = np.zeros(ops.dim, dtype=complex)
-        amps[_basis_index(4, 4, 4)] = 1.0
-        top = FockState(amplitudes=amps, t=0.0)
-        with pytest.raises(TruncationError, match="tail"):
-            qsd_step(top, ops, 1e-3, np.random.default_rng(0))
-
-    def test_bad_dt_and_dim(self):
-        p = params_from_ratios(fbar_over_fth=0.5, lam_over_gamma=LAM)
-        ops = build_operators(p, 4)
-        with pytest.raises(InvalidParameterError):
-            qsd_step(vacuum_state(ops), ops, 0.0, np.random.default_rng(0))
-        small = build_operators(p, 3)
-        with pytest.raises(FockDimensionError):
-            qsd_step(vacuum_state(small), ops, 1e-3, np.random.default_rng(0))
+        ens = simulate_qsd_ensemble(p, 8, [0.0, dt], 0, dt=dt, relax=0.0, n_max=4)
+        assert (ens.V_stderr == 0.0).all()
+        slope = (ens.V_mean[1] - 1.0) / dt
+        assert slope == pytest.approx(-2.0 * float(derive_params(p).eps(0.0)), rel=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -562,8 +529,8 @@ def _ensemble_digest(ens) -> str:
 
 class TestFrozenBytes:
     """Regression freezes: sha256 of every QsdEnsemble field of two small
-    runs and of a qsd_step sequence, taken at commit 33169d0 before the
-    trajectory loop moved into _ensemble, and of a run at the benchmark's
+    runs, taken at commit 33169d0 before the trajectory loop moved into
+    _ensemble, and of a run at the benchmark's
     shapes, taken at commit b1d2e25 while the kernel still applied sparse
     matrices.  A rewrite of the loop, the noise draw or the kernel must keep
     every byte."""
@@ -600,14 +567,3 @@ class TestFrozenBytes:
         assert ens.n_max == 22
         assert _ensemble_digest(ens) == (
             "ccb466c6d12fa1e8f652c15a4667f704b9b18ad23365cab65b0f4eba785db2e1")
-
-    def test_step_sequence(self):
-        ops = build_operators(self.P, 8)
-        rng = np.random.default_rng(1203)
-        psi = vacuum_state(ops, t=0.25)
-        states = []
-        for _ in range(40):
-            psi = qsd_step(psi, ops, 2e-3, rng)
-            states.append((repr(psi.t), psi.amplitudes))
-        assert sha256(states) == (
-            "ba8d2dc9e6bc01f9ed12678f7ddae5f5c117f93ace5fd4b14c36fc7c3d3328cf")
