@@ -15,7 +15,6 @@ from .errors import (
     ConvergenceError,
     CrossCheckError,
     DivergenceBudgetError,
-    DivergenceError,
     FockDimensionError,
     InvalidParameterError,
     TruncationError,
@@ -59,7 +58,6 @@ from .positivep import (
     MomentResidualReport,
     check_moment_equations,
     simulate_ensemble,
-    step_trajectory,
 )
 from .qsd import (
     OperatorSet,
@@ -75,7 +73,6 @@ __all__ = [
     "ConvergenceError",
     "CrossCheckError",
     "DivergenceBudgetError",
-    "DivergenceError",
     "FockDimensionError",
     "InvalidParameterError",
     "TruncationError",
@@ -111,7 +108,6 @@ __all__ = [
     "MomentResidualReport",
     "check_moment_equations",
     "simulate_ensemble",
-    "step_trajectory",
     "OperatorSet",
     "QsdEnsemble",
     "build_operators",

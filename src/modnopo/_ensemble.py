@@ -80,12 +80,6 @@ class Aborted(Exception):
     """A pooled job stopped because another job of its pool failed."""
 
 
-def check_dt(dt: float) -> None:
-    """Refuse a step that is not a positive finite number."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
-
-
 def step_layout(t_grid, dt: float, relax: float, n_traj: int, n_workers: int):
     """Check an ensemble's request and lay its fixed steps onto the grid.
 
@@ -104,7 +98,8 @@ def step_layout(t_grid, dt: float, relax: float, n_traj: int, n_workers: int):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or not np.isfinite(t_grid).all():
         raise InvalidParameterError("t_grid must be a nonempty 1-d array of finite times")
-    check_dt(dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(relax):
         raise InvalidParameterError(f"relax must be finite, got {relax}")
     if t_grid.size > 1:
@@ -157,14 +152,6 @@ def draw_noise(streams: list, out: np.ndarray) -> None:
         for g, buf in zip(group, eta):
             g.standard_normal(out=buf)
         out[:, :, lo:lo + len(group)] = pairs[:len(group)].transpose(1, 2, 0)
-
-
-def one_step_noise(rng: np.random.Generator, n_normals: int) -> np.ndarray:
-    """One step of n_normals normals from rng as a batch of one, the pairs
-    draw_noise gives, shape (n_normals/2, 1)."""
-    z = np.empty((1, n_normals // 2, 1), dtype=np.complex128)
-    draw_noise([rng], z)
-    return z[0]
 
 
 def run_lockstep(seed: int, salt: int, indices, n_normals: int, n_relax: int,

@@ -192,7 +192,11 @@ def cmd_sweep(args) -> list[str]:
     p, cfg = _resolve_model(args)
     out = _out_dir(args)
     grid = _parse_grid(args.fbar_grid)
-    levels = [float(x) for x in args.f1_levels.split(",")]
+    try:
+        levels = [float(x) for x in args.f1_levels.split(",")]
+    except ValueError:
+        raise ValueError(f"--f1-levels {args.f1_levels!r} needs comma-separated "
+                         "numbers") from None
     cells, warned = _sweep_cells(p, grid, levels, args.workers)
     extra = {"fbar_grid": args.fbar_grid, "f1_levels": args.f1_levels}
     cols = [[getattr(c, f) for c in cells] for f in _SWEEP_FIELDS]
@@ -249,11 +253,8 @@ def cmd_compare(args) -> list[str]:
     d = derive_params(p)
     lam_ratio = d.lam / d.gamma
     t = _period_grid(p, args.grid_points, "--grid-points")
-    # A refused trajectory count names its flag, and the state-diffusion
-    # request is refused before the positive-P ensemble runs, not after.
-    for flag, n_traj in (("--traj", args.traj), ("--qsd-traj", args.qsd_traj)):
-        if n_traj < 2:
-            raise InvalidParameterError(f"need {flag} >= 2, got {n_traj}")
+    # The state-diffusion request is refused before the positive-P
+    # ensemble runs, not after.
     step_layout(t, args.dt, args.relax, args.qsd_traj, args.workers)
     (v_lin,), warned, (ratio,) = _variance_curves([p], t)
     tol = 2.0 * lam_ratio
@@ -375,6 +376,14 @@ def cmd_fig4(args) -> list[str]:
     return warned
 
 
+def _check_counts(args) -> None:
+    """Refuse a trajectory or worker count below its least value by its flag."""
+    for name, least in (("traj", 2), ("qsd_traj", 2), ("workers", 1)):
+        n = getattr(args, name, least)
+        if n < least:
+            raise InvalidParameterError(f"need --{name.replace('_', '-')} >= {least}, got {n}")
+
+
 def _command(sub, name, func, help):
     """A subcommand parser that takes the model flags and runs func."""
     sp = sub.add_parser(name, help=help)
@@ -463,6 +472,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
+            _check_counts(args)
             warned = args.func(args)
         except (ValueError, RuntimeError, OSError, MemoryError) as exc:
             print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

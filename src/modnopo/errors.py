@@ -30,10 +30,6 @@ class CrossCheckError(RuntimeError):
     closed-form quadrature) disagree beyond the allowed tolerance."""
 
 
-class DivergenceError(RuntimeError):
-    """A single phase-space trajectory exceeded the divergence guard."""
-
-
 class DivergenceBudgetError(RuntimeError):
     """The fraction of discarded (diverged) trajectories exceeded the
     acceptable budget; ensemble averages would be biased."""

@@ -25,10 +25,10 @@ from functools import partial
 
 import numpy as np
 
-from ._ensemble import (DIVERGENCE_BUDGET, SALT_PHASE_SPACE, check_dt, check_survivors,
-                        map_ordered, mean_and_stderr, one_step_noise, run_lockstep,
-                        slice_sums, step_layout, std_error, sum_parts)
-from .errors import DivergenceError, InvalidParameterError
+from ._ensemble import (DIVERGENCE_BUDGET, SALT_PHASE_SPACE, check_survivors, map_ordered,
+                        mean_and_stderr, run_lockstep, slice_sums, step_layout,
+                        std_error, sum_parts)
+from .errors import InvalidParameterError
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import classical_orbit
 
@@ -42,27 +42,6 @@ _STEP_GROUP = 4
 DEFAULT_DT = 1e-3
 RELAX_WINDOW = 5.0          # discarded settling time before the grid, in 1/gamma
 DIVERGENCE_GUARD_FACTOR = 1e3
-
-
-@dataclass(frozen=True)
-class PPState:
-    """Phase-space point of one trajectory: two amplitudes per mode."""
-
-    alpha1: complex
-    alpha2: complex
-    beta1: complex
-    beta2: complex
-    t: float
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Correlated complex noise increments for one Euler step."""
-
-    dW_alpha1: complex
-    dW_alpha2: complex
-    dW_beta1: complex
-    dW_beta2: complex
 
 
 def divergence_guard(d: DerivedParams) -> float:
@@ -90,8 +69,7 @@ def _increments(amps, eps_t, gamma, lam, dt, z, work):
     the square root is used (either branch gives identical statistics, the
     sign folds into the Gaussians).
     The drift is formed as eps*A' - g*A, which rounds as -g*A + eps*A'
-    does, since negation is exact.  The ensemble and the scalar helpers
-    share this one kernel.
+    does, since negation is exact.
     """
     la, g, root, part, u = work
     A = amps.reshape(2, 2, -1)
@@ -127,46 +105,6 @@ def _past_guard(amps: np.ndarray, guard: float):
         return None
     bad = (np.abs(amps) > guard).any(axis=0)
     return bad if bad.any() else None
-
-
-def _amplitudes(state: PPState) -> np.ndarray:
-    """The state as a batch of one: rows alpha1, alpha2, beta1, beta2."""
-    amps = [[state.alpha1], [state.alpha2], [state.beta1], [state.beta2]]
-    return np.array(amps, dtype=np.complex128)
-
-
-def sample_noise(
-    state: PPState, eps_t: float, lam: float, dt: float, rng: np.random.Generator
-) -> NoiseIncrement:
-    """Draw one set of noise increments at the current state."""
-    check_dt(dt)
-    _, w = _increments(_amplitudes(state), eps_t, 0.0, lam, dt, one_step_noise(rng, 4),
-                       _workspace(1))
-    return NoiseIncrement(*(complex(x) for x in w.ravel()))
-
-
-def step_trajectory(
-    state: PPState,
-    p: ModelParams | DerivedParams,
-    dt: float,
-    rng: np.random.Generator,
-) -> PPState:
-    """One Euler-Maruyama step of a single trajectory.
-
-    The ensemble's batch kernel at batch size 1, plus the divergence guard.
-    """
-    check_dt(dt)
-    d = p if isinstance(p, DerivedParams) else derive_params(p)
-    amps = _amplitudes(state)
-    u, _ = _increments(amps, float(d.eps(state.t)), d.gamma, d.lam, dt,
-                       one_step_noise(rng, 4), _workspace(1))
-    new = amps + u.reshape(amps.shape)
-    guard = divergence_guard(d)
-    if _past_guard(new, guard) is not None:
-        raise DivergenceError(
-            f"trajectory amplitude exceeded {guard:.3e} at t={state.t + dt:.4f}"
-        )
-    return PPState(*new.ravel().tolist(), t=state.t + dt)
 
 
 @dataclass(frozen=True)

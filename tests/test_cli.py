@@ -692,25 +692,32 @@ def test_refused_run_prints_no_warning(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-_COUNTS = [(flag, count, f"need {flag} >= 2, got {count}")
+_COUNTS = [("compare", flag, count, f"need {flag} >= 2, got {count}")
            for flag in ("--traj", "--qsd-traj") for count in ("1", "0", "-3")]
+_TRAJ = [(command, "--traj", "1", "need --traj >= 2, got 1")
+         for command in ("positivep", "qsd", "fig4")]
 
 
-@pytest.mark.parametrize("flag,count,line", [
+@pytest.mark.parametrize("command,flag,count,line", [
     *_COUNTS,
-    ("--qsd-traj", "100000000000", "100000000000 trajectories x 8143 steps exceed the "
-     "budget of 1099511627776 trajectory-steps; run fewer trajectories or steps"),
-], ids=[*(f"{f}={c}" for f, c, _ in _COUNTS), "qsd-budget"])
-def test_compare_refuses_a_bad_count_by_its_flag(tmp_path, capsys, monkeypatch, flag, count,
-                                                  line):
+    ("compare", "--qsd-traj", "100000000000", "100000000000 trajectories x 8143 steps "
+     "exceed the budget of 1099511627776 trajectory-steps; run fewer trajectories or "
+     "steps"),
+    *_TRAJ,
+], ids=[*(f"{f}={c}" for _, f, c, _ in _COUNTS), "qsd-budget",
+        *(f"{c}-{f}={n}" for c, f, n, _ in _TRAJ)])
+def test_compare_refuses_a_bad_count_by_its_flag(tmp_path, capsys, monkeypatch, command,
+                                                  flag, count, line):
     # --qsd-traj 1 used to run the whole positive-P ensemble first, then
-    # exit 1 with the same line as --traj 1
+    # exit 1 with the same line as --traj 1; positivep, qsd and fig4 gave
+    # "need at least 2 trajectories, got 1", which names no flag
     def no_work(*args, **kwargs):
         raise AssertionError("an ensemble ran for a refused count")
 
     monkeypatch.setattr(cli, "simulate_ensemble", no_work)
     monkeypatch.setattr(cli, "simulate_qsd_ensemble", no_work)
-    assert main(["compare", "--out", str(tmp_path), "--traj", "8", "--qsd-traj", "8",
+    qsd_traj = ["--qsd-traj", "8"] if command == "compare" else []
+    assert main([command, "--out", str(tmp_path), "--traj", "8", *qsd_traj,
                  "--grid-points", "3", f"{flag}={count}"]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
     assert not list(tmp_path.iterdir())
@@ -878,19 +885,37 @@ _SMALL_RUN = {
     "positivep": ["--traj", "8", "--grid-points", "3", "--lam", "0.1", "--fbar", "0.3"],
     "qsd": ["--traj", "8", "--grid-points", "3", "--lam", "0.1", "--fbar", "0.3"],
     "sweep": ["--fbar-grid", "1:2:0.5", "--f1-levels", "0"],
+    "fig3": ["--fbar-grid", "1:2:0.5"],
+    "compare": ["--traj", "8", "--qsd-traj", "8", "--grid-points", "3"],
+    "fig4": ["--traj", "8", "--grid-points", "3"],
 }
 
 
 @pytest.mark.parametrize("command,flag,value", [
     *[(c, "--relax", v) for c in ("positivep", "qsd") for v in ("nan", "inf", "1e12")],
-    *[(c, "--workers", v) for c in ("sweep", "positivep", "qsd") for v in ("0", "-2")],
+    *[(c, "--workers", v) for c in ("sweep", "positivep", "qsd", "fig3", "compare", "fig4")
+      for v in ("0", "-2")],
 ])
 def test_bad_relax_or_workers_fails_cleanly(tmp_path, capsys, command, flag, value):
     # neither may run unrelaxed, overflow, step for hours, or fall back to
-    # one worker
+    # one worker; a bad worker count is refused by its flag ("n_workers
+    # must be at least 1" named none)
     assert main([command, "--out", str(tmp_path), *_SMALL_RUN[command],
                  flag, value]) == 1
-    assert _one_error_line(capsys)
+    if flag == "--workers":
+        assert capsys.readouterr().err == f"error: need --workers >= 1, got {value}\n"
+    else:
+        assert _one_error_line(capsys)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("levels", ["a", "0,,2", "0;2"])
+def test_bad_f1_levels_are_named(tmp_path, capsys, levels):
+    # "a" gave "could not convert string to float: 'a'"
+    assert main(["sweep", "--out", str(tmp_path), "--fbar-grid", "1:2:0.5",
+                 "--f1-levels", levels]) == 1
+    assert capsys.readouterr().err == (f"error: --f1-levels {levels!r} needs "
+                                       "comma-separated numbers\n")
     assert not list(tmp_path.iterdir())
 
 

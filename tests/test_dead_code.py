@@ -4,7 +4,9 @@ Each module of src/modnopo is parsed with ast.  An imported name must be
 read in its module (or listed in its __all__), and a module-level _private
 name must be read somewhere in the package, by name, as an attribute or
 through an import.  Docstrings and comments do not count as uses.  Every
-entry of the package's __all__ must name one of its attributes.
+entry of the package's __all__ must name one of its attributes and be read
+outside __init__, in the package, the demos or perfbench: a public name
+that only tests read is surface kept for its tests.
 """
 
 import ast
@@ -14,8 +16,12 @@ import pytest
 
 import modnopo
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "modnopo"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "modnopo"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# Code that uses the package: its own modules, the demos and the benchmark.
+CALLERS = ([p for p in MODULES if p.stem != "__init__"]
+           + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
 # perfbench's gates import DIVERGENCE_BUDGET from both ensemble modules
 REEXPORTS = {("positivep", "DIVERGENCE_BUDGET"), ("qsd", "DIVERGENCE_BUDGET")}
 
@@ -93,3 +99,10 @@ def test_every_public_name_exists():
     # a deletion that leaves its __all__ entry behind breaks star imports
     missing = [name for name in modnopo.__all__ if not hasattr(modnopo, name)]
     assert not missing
+
+
+def test_every_public_name_has_a_caller():
+    reads = set().union(*(_reads(_tree(path)) for path in CALLERS))
+    uncalled = [name for name in modnopo.__all__
+                if name != "__version__" and name not in reads]
+    assert not uncalled

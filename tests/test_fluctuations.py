@@ -170,40 +170,48 @@ class TestMinimaRegression:
 
 
 def v_stationary(r):
-    """The flat-pump level V = 3/4 - 1/(4r) above threshold, r = fbar/f_th."""
-    return 0.75 - 0.25 / r
+    """The flat-pump level at r = fbar/f_th: V = 3/4 - 1/(4r) above
+    threshold, and V = 1/(1 + r) below it, where n0 = 0."""
+    return 0.75 - 0.25 / r if r > 1.0 else 1.0 / (1.0 + r)
 
 
 @pytest.mark.parametrize("route", ["ode", "closed"])
 class TestModulationLimits:
     """Both routes' V_min at the two ends of delta against limits of the
-    flat-pump level, at r = fbar/f_th = 3."""
-
-    R = 3.0
+    flat-pump level, above threshold at r = fbar/f_th = 3 and below it at
+    r = 0.5."""
 
     def test_fast_limit(self, route):
         # V_min = Vbar - 2 eps1 Vbar/delta + O(delta^-2), Vbar = v_stationary(r),
-        # eps1 = (f1/fbar) r: 4.8/delta here, the remainder 34.7-35.7/delta^2
-        depth = 1.2
-        v_bar = v_stationary(self.R)
-        lead = 2.0 * depth * self.R * v_bar
-        for delta in (100.0, 200.0, 400.0, 800.0):
-            p = params_from_ratios(fbar_over_fth=self.R, f1_over_fbar=depth,
-                                   delta_over_gamma=delta)
-            v_min = find_vmin(p, route=route).v_min
-            assert abs(delta * (v_bar - v_min) - lead) <= 40.0 / delta, (delta, v_min)
+        # eps1 = (f1/fbar) r.  At r = 3, f1 = 1.2 fbar: 4.8/delta, the
+        # remainder 34.7-35.7/delta^2.  At r = 0.5, f1 = 0.3 fbar (1.2 would
+        # cross threshold): 0.2/delta, the remainder 0.046-0.054/delta^2 on
+        # the closed route; the ODE route's own integration error takes it
+        # to 0.31/delta^2 at delta 800.
+        for r, depth, bound in ((3.0, 1.2, 40.0), (0.5, 0.3, 0.4)):
+            v_bar = v_stationary(r)
+            lead = 2.0 * depth * r * v_bar
+            for delta in (100.0, 200.0, 400.0, 800.0):
+                p = params_from_ratios(fbar_over_fth=r, f1_over_fbar=depth,
+                                       delta_over_gamma=delta)
+                v_min = find_vmin(p, route=route).v_min
+                assert abs(delta * (v_bar - v_min) - lead) <= bound / delta, (r, delta, v_min)
 
     def test_slow_limit(self, route):
-        # the pump stays above threshold all period, so V_min follows the
-        # stationary level at the pump's lowest point r_min = r (1 - f1/fbar)
-        # from below, 0.058-0.064 delta^2 off
+        # the pump stays on one side of threshold all period, so V_min
+        # follows the stationary level at the pump's point where it is
+        # lowest: above threshold at r_min = r (1 - f1/fbar), from below,
+        # 0.058-0.064 delta^2 off at r = 3; below threshold at
+        # r_max = r (1 + f1/fbar), from above, 0.00253 delta^2 off at r = 0.5
         depth = 0.3
-        v_lowest = v_stationary(self.R * (1.0 - depth))
-        for delta in (0.2, 0.05, 0.01):
-            p = params_from_ratios(fbar_over_fth=self.R, f1_over_fbar=depth,
-                                   delta_over_gamma=delta)
-            v_min = find_vmin(p, route=route).v_min
-            assert 0.0 < v_lowest - v_min <= 0.08 * delta**2, (delta, v_min)
+        for r, r_low, sign, bound in ((3.0, 1.0 - depth, 1.0, 0.08),
+                                      (0.5, 1.0 + depth, -1.0, 0.003)):
+            v_lowest = v_stationary(r * r_low)
+            for delta in (0.2, 0.05, 0.01):
+                p = params_from_ratios(fbar_over_fth=r, f1_over_fbar=depth,
+                                       delta_over_gamma=delta)
+                v_min = find_vmin(p, route=route).v_min
+                assert 0.0 < sign * (v_lowest - v_min) <= bound * delta**2, (r, delta, v_min)
 
 
 class TestCriteria:

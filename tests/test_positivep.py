@@ -17,7 +17,6 @@ from scipy.integrate import solve_ivp
 from helpers import sha256
 from modnopo import (
     DivergenceBudgetError,
-    DivergenceError,
     InvalidParameterError,
     check_moment_equations,
     derive_params,
@@ -26,49 +25,60 @@ from modnopo import (
     periodic_steady_state,
     simulate_ensemble,
 )
-from modnopo._ensemble import SALT_PHASE_SPACE, step_layout, trajectory_stream
+from modnopo._ensemble import SALT_PHASE_SPACE, draw_noise, step_layout, trajectory_stream
 from modnopo import positivep
-from modnopo.positivep import (
-    BATCH,
-    PPState,
-    _classical_start,
-    _run_batch,
-    sample_noise,
-    step_trajectory,
-)
+from modnopo.positivep import BATCH, _classical_start, _run_batch
 
 LAM = 1e-2  # nonlinearity-to-damping ratio for the stochastic test runs
-
-
-class _Silent:
-    """A noise source whose normals are all zero: a step then takes the
-    deterministic drift alone."""
-
-    def standard_normal(self, out):
-        out[...] = 0.0
 
 
 def _stat_gate(scale, n, k=5.0):
     return k * scale / math.sqrt(n)
 
 
+def _normals(rng, n):
+    """n complex pairs of standard normals for each group, shape (2, n)."""
+    return rng.standard_normal((2, 2 * n)).view(np.complex128)
+
+
+def _walk(amps, d, dt, z):
+    """Step the (4, B) batch amps from t = 0 through the ensemble's kernel,
+    one step per (2, B) block of z; the clock is a running sum, as the
+    ensemble's is."""
+    amps = np.array(amps, dtype=np.complex128)
+    work = positivep._workspace(amps.shape[1])
+    t = 0.0
+    for zk in z:
+        u, _ = positivep._increments(amps, float(d.eps(t)), d.gamma, d.lam, dt, zk, work)
+        amps += u.reshape(amps.shape)
+        t += dt
+    return amps
+
+
+def _quiet(steps):
+    """Noise blocks of one trajectory that are all zero: a step then takes
+    the drift alone."""
+    return np.zeros((steps, 2, 1), dtype=np.complex128)
+
+
 class TestNoiseSampler:
     N = 40_000
 
+    def _noise(self, state, eps_t, lam, dt, seed):
+        """The kernel's noise part for N copies of state, as its (2, 2, N)
+        rows [[alpha1, alpha2], [beta1, beta2]]."""
+        amps = np.repeat(np.array(state, dtype=np.complex128)[:, None], self.N, axis=1)
+        z = _normals(np.random.default_rng(seed), self.N)
+        _, part = positivep._increments(amps, eps_t, 0.0, lam, dt, z,
+                                        positivep._workspace(self.N))
+        return part
+
     def test_cross_and_self_covariances(self):
-        rng = np.random.default_rng(42)
-        st = PPState(
-            alpha1=1.3 + 0.2j, alpha2=0.9 - 0.4j,
-            beta1=1.1 - 0.1j, beta2=0.8 + 0.3j, t=0.0,
-        )
+        state = (1.3 + 0.2j, 0.9 - 0.4j, 1.1 - 0.1j, 0.8 + 0.3j)
         eps_t, lam, dt = 2.5, 0.01, 1e-3
-        draws = [sample_noise(st, eps_t, lam, dt, rng) for _ in range(self.N)]
-        a1 = np.array([w.dW_alpha1 for w in draws])
-        a2 = np.array([w.dW_alpha2 for w in draws])
-        b1 = np.array([w.dW_beta1 for w in draws])
-        b2 = np.array([w.dW_beta2 for w in draws])
-        d_a = eps_t - lam * st.alpha1 * st.alpha2
-        d_b = eps_t - lam * st.beta1 * st.beta2
+        (a1, a2), (b1, b2) = self._noise(state, eps_t, lam, dt, seed=42)
+        d_a = eps_t - lam * state[0] * state[1]
+        d_b = eps_t - lam * state[2] * state[3]
         gate = _stat_gate(abs(d_a), self.N)
         # cross-correlations within each group carry the full diffusion
         assert abs(np.mean(a1 * a2) / dt - d_a) < gate
@@ -82,19 +92,9 @@ class TestNoiseSampler:
     def test_negative_diffusion_branch(self):
         # pump off, strong nonlinearity: d < 0, the root goes imaginary
         # and the cross-correlation must come out negative
-        rng = np.random.default_rng(7)
-        st = PPState(alpha1=2.0 + 0j, alpha2=2.0 + 0j,
-                     beta1=2.0 + 0j, beta2=2.0 + 0j, t=0.0)
         dt = 1e-3
-        draws = [sample_noise(st, 0.0, 0.25, dt, rng) for _ in range(self.N)]
-        a1 = np.array([w.dW_alpha1 for w in draws])
-        a2 = np.array([w.dW_alpha2 for w in draws])
+        (a1, a2), _ = self._noise((2.0,) * 4, 0.0, 0.25, dt, seed=7)
         assert abs(np.mean(a1 * a2) / dt - (-1.0)) < _stat_gate(1.0, self.N)
-
-    def test_bad_dt_rejected(self):
-        st = PPState(0j, 0j, 0j, 0j, t=0.0)
-        with pytest.raises(ValueError, match="dt"):
-            sample_noise(st, 1.0, 0.1, 0.0, np.random.default_rng(0))
 
 
 class TestDriftLimit:
@@ -103,11 +103,9 @@ class TestDriftLimit:
         p = params_from_ratios(fbar_over_fth=3.0)
         d = derive_params(p)
         a = math.sqrt(2e8)
-        s = PPState(a + 0j, a + 0j, a + 0j, a + 0j, t=0.0)
-        for _ in range(50):
-            s = step_trajectory(s, d, 1e-3, _Silent())
-        assert abs(s.alpha1) == pytest.approx(a, rel=1e-9)
-        assert s.alpha2 == s.alpha1 and s.beta1 == s.alpha1
+        alpha1, alpha2, beta1, _ = _walk(np.full((4, 1), a), d, 1e-3, _quiet(50))[:, 0]
+        assert abs(alpha1) == pytest.approx(a, rel=1e-9)
+        assert alpha2 == alpha1 and beta1 == alpha1
 
     def test_modulated_transient_matches_ivp(self):
         p = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5,
@@ -119,11 +117,9 @@ class TestDriftLimit:
 
         ref = solve_ivp(rhs, (0.0, 0.5), [50.0], rtol=1e-11, atol=1e-8,
                         dense_output=True)
-        s = PPState(*([math.sqrt(50.0) + 0j] * 4), t=0.0)
-        for _ in range(5000):
-            s = step_trajectory(s, d, 1e-4, _Silent())
-        n_end = (s.alpha1 * s.beta1).real
-        assert n_end == pytest.approx(float(ref.sol(0.5)[0]), rel=2e-4)
+        alpha1, _, beta1, _ = _walk(np.full((4, 1), math.sqrt(50.0)), d, 1e-4,
+                                    _quiet(5000))[:, 0]
+        assert (alpha1 * beta1).real == pytest.approx(float(ref.sol(0.5)[0]), rel=2e-4)
 
     def test_vacuum_kick(self):
         # from the origin the drift vanishes; one step gives the pair
@@ -131,19 +127,15 @@ class TestDriftLimit:
         p = params_from_ratios(fbar_over_fth=2.0, lam_over_gamma=LAM)
         d = derive_params(p)
         eps0 = float(d.eps(0.0))
-        vac = PPState(0j, 0j, 0j, 0j, t=0.0)
-        rng = np.random.default_rng(5)
         dt, m = 1e-3, 40_000
-        acc = sum(
-            (lambda s: s.alpha1 * s.alpha2)(step_trajectory(vac, d, dt, rng))
-            for _ in range(m)
-        )
-        assert abs(acc.real / m / dt - eps0) < _stat_gate(eps0, m)
+        z = _normals(np.random.default_rng(5), m)
+        alpha1, alpha2 = _walk(np.zeros((4, m)), d, dt, z[None])[:2]
+        assert abs(np.mean(alpha1 * alpha2).real / dt - eps0) < _stat_gate(eps0, m)
 
 
 class TestScalarIsBatchKernel:
     def test_scalar_steps_reproduce_ensemble_means(self):
-        # step_trajectory on each trajectory's own stream retraces the
+        # the kernel at B = 1 on each trajectory's own stream retraces the
         # ensemble: same kernel, same start point, same draws
         p = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5,
                                lam_over_gamma=LAM)
@@ -151,14 +143,14 @@ class TestScalarIsBatchKernel:
         seed, t_grid = 13, np.array([0.0, 0.05])
         ens = simulate_ensemble(p, 2, t_grid, seed=seed, relax=0.0)
         amp = math.sqrt(float(periodic_steady_state(p).interp(0.0)))
+        steps = round(t_grid[-1] / ens.dt)
         n_plus, R = [], []
         for i in range(2):
-            rng = trajectory_stream(seed, i, SALT_PHASE_SPACE)
-            s = PPState(*([amp + 0j] * 4), t=0.0)
-            while s.t < t_grid[-1] - 0.5 * ens.dt:
-                s = step_trajectory(s, d, ens.dt, rng)
-            n_plus.append(s.alpha1 * s.beta1 + s.alpha2 * s.beta2)
-            R.append((s.alpha1 - s.beta2) * (s.beta1 - s.alpha2))
+            z = np.empty((steps, 2, 1), dtype=np.complex128)
+            draw_noise([trajectory_stream(seed, i, SALT_PHASE_SPACE)], z)
+            a1, a2, b1, b2 = _walk(np.full((4, 1), amp), d, ens.dt, z)[:, 0]
+            n_plus.append(a1 * b1 + a2 * b2)
+            R.append((a1 - b2) * (b1 - a2))
         assert np.mean(n_plus).real == pytest.approx(ens.n_plus_mean[-1], rel=1e-12)
         assert np.mean(R).real == pytest.approx(ens.R_mean[-1], rel=1e-12)
 
@@ -184,30 +176,24 @@ class TestGuardScreen:
         complex(0.0, -13.5),
         complex(0.9 * 13.5, 0.9 * 13.5),     # parts inside, modulus past it
         complex(0.5 * 13.5, 0.0),            # exactly half the guard
+        complex(10.0 * 13.5, 0.0),           # far past it
         complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(1.0, -math.inf),
         complex(math.nan, 0.0), complex(0.0, math.nan),   # NaN stays alive
         complex(math.inf, math.nan),
     ])
     def test_screened_rule_discards_what_the_moduli_do(self, z):
-        # each case alone in a row of an otherwise quiet batch, and beside
-        # a NaN, which must not hide it from the screen
+        # each case alone in a row of an otherwise quiet batch, beside a
+        # NaN in another column, and with a NaN in its own column, which
+        # must hide it neither from the screen nor from the moduli (a
+        # largest modulus over a Python max dropped every value after a NaN)
         for row in range(4):
             amps = np.full((4, 3), 1.0 + 1.0j)
             amps[row, 1] = z
             self._same_as_moduli(amps)
             amps[(row + 1) % 4, 2] = math.nan
             self._same_as_moduli(amps)
-
-
-    def test_single_step_sees_past_a_nan(self):
-        # step_trajectory takes the batch guard: a largest modulus over a
-        # Python max dropped every value after a NaN, and this step came
-        # back with beta1 near 3.16e4 against a guard near 3.16e3
-        d = derive_params(params_from_ratios(fbar_over_fth=2.0, lam_over_gamma=0.1))
-        guard = positivep.divergence_guard(d)
-        s = PPState(complex(math.nan, 0.0), 1 + 0j, complex(10.0 * guard, 0.0), 1 + 0j, t=0.0)
-        with pytest.raises(DivergenceError, match="exceeded"):
-            step_trajectory(s, d, 1e-3, _Silent())
+            amps[(row + 1) % 4, 1] = math.nan
+            self._same_as_moduli(amps)
 
 
 class TestEnsembleVsAnalytics:
@@ -409,16 +395,6 @@ class TestGuards:
             with pytest.raises(InvalidParameterError, match="n_workers"):
                 simulate_ensemble(p, 8, np.linspace(0.0, 1.0, 3), seed=0,
                                   n_workers=n_workers)
-        # the scalar helpers check dt as the ensemble does, noise or not:
-        # these gave a NaN state, a step backward and NaN increments
-        st = PPState(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, t=0.0)
-        rng = np.random.default_rng(0)
-        for dt, source in ((math.inf, rng), (-1.0, _Silent()), (math.nan, _Silent())):
-            with pytest.raises(InvalidParameterError, match="dt"):
-                step_trajectory(st, p, dt, source)
-        for dt in (math.nan, math.inf, -1.0):
-            with pytest.raises(InvalidParameterError, match="dt"):
-                sample_noise(st, 1.0, 0.1, dt, rng)
 
 
 def _moments_digest(ens) -> str:
