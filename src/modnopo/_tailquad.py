@@ -14,22 +14,26 @@ Within the period the exponent can swing through hundreds of nats where
 the pump dips below threshold for long, so panels accumulate in
 shifted-exponent form (a running maximum M of -K factored out,
 log-sum-exp style) and the partial sums stay inside the float64 range.
-The period stops early only on a proven bound: past a node s, -K climbs
-at most at rate -k_min, so the rest of the period is at most
-(T - s) * b_max * exp(-K(t, s) + max(-k_min, 0) (T - s)).
-Where k dips below zero that bound rarely falls far enough, and the whole
-period runs; such a period is refused up front when its work is over
-WORK_BUDGET.
+Each time stops its period on its own once a proven bound holds after a
+panel: past a node s, -K climbs at most at rate -k_min, so the rest of
+the period is at most R = (T - s) b_max exp(-K(t, s) + max(-k_min, 0)
+(T - s)), and the time leaves the loop once R < 2^-60 A, with A its sum
+at running maximum M.  No later panel could move its bits: every later
+node has -K < M + ln(A / ((T - s) b_max)) - 60 ln 2, where A / b_max is
+at most the length integrated so far, under 730 n (T - s) with n <= 2^41
+panels (rate * T <= 2^43), so -K < M and each later rescaling is
+exp(0) = 1 exactly; and each later panel adds under 2^-60 A, less than
+half an ulp of A, so A plus it rounds to A.  Where k dips below zero the
+bound rarely falls far enough, and the whole period runs; such a period
+is refused up front when its work is over WORK_BUDGET, priced as if no
+time stopped early.
 
-Each panel walks the times in equal blocks of at most BLOCK_ROWS rows, so
-the memory a panel needs does not grow with the grid.  The stop is still
-decided once a panel, over all rows: every row then runs the same panels
-as in one block, and its sums run over its own 32 nodes, so the block
-size cannot move a bit.  A stop decided block by block could end a row's
-period before a later panel raises its running maximum, and so rescales
-its sum, where k dips below zero.  On a 2-CPU x86 host `variance --points
-100001` peaks at 59 MB where the grid in one block peaked at 481 MB, and
-at 20,001 points at 40 MB instead of 124 MB.
+Each panel walks the times still in the loop, in grid order, in equal
+blocks of at most BLOCK_ROWS rows, so the memory a panel needs does not
+grow with the grid; each row sums over its own 32 nodes, so no bit
+depends on the blocks.  On a 2-CPU x86 host `variance --points 100001`
+peaks at 59 MB where the grid in one block peaked at 481 MB, and at
+20,001 points at 40 MB instead of 124 MB.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
 
-# The rest of the period is dropped once bounded below this share of the
-# sum (as a logarithm) in every row: far below float64 rounding.
+# A row's rest of the period is dropped once bounded below this share of
+# its sum (as a logarithm): far below float64 rounding.
 LOG_STOP = -60.0 * math.log(2.0)
 
 # K(t, s) is a difference of integrals that grow like rate*(|t| + T), so
@@ -116,28 +120,31 @@ def periodic_solution(t, k_int, b, period: float, rate: float, k_min: float,
             f"{n} panels on {t.size} times, {work:.3g} units of panels*(times + 60), "
             f"over the budget of {WORK_BUDGET:.3g}")
     half = 0.5 * period / n
-    blocks = -(-t.size // BLOCK_ROWS)
-    edges = [t.size * i // blocks for i in range(blocks + 1)]
     M = np.full(t.size, -np.inf)
     A = np.zeros(t.size)
+    live = np.arange(t.size)  # the rows still in the loop, in grid order
     for k in range(n):
+        if not live.size:
+            break
         s_nodes = half * (2 * k + 1 + x)
         rest = period - s_nodes[-1]
         log_slope = math.log(rest * b_max) + max(-k_min, 0.0) * rest
-        stop = True
+        blocks = -(-live.size // BLOCK_ROWS)
+        edges = [live.size * i // blocks for i in range(blocks + 1)]
+        done = np.empty(live.size, dtype=bool)
         for lo, hi in zip(edges[:-1], edges[1:]):
-            col = t[lo:hi, None]
+            rows = live[lo:hi]
+            col = t[rows, None]
             past = col - s_nodes[None, :]
             gv = np.broadcast_to(-k_int(col, s_nodes, past), past.shape)
             bv = b(past) * (half * w)  # fold quadrature weights into b
-            m, a = M[lo:hi], A[lo:hi]
-            M_new = np.maximum(m, gv.max(axis=1))
+            m = M[rows]
+            M[rows] = M_new = np.maximum(m, gv.max(axis=1))
             # exp(-inf - -inf) would be nan; guard the first panel explicitly.
             scale = np.where(np.isneginf(m), 0.0, np.exp(m - M_new))
-            a[:] = a * scale + (np.exp(gv - M_new[:, None]) * bv).sum(axis=1)
-            m[:] = M_new
+            A[rows] = a = A[rows] * scale + (np.exp(gv - M_new[:, None]) * bv).sum(axis=1)
             with np.errstate(divide="ignore"):
-                stop = stop and bool(np.all(log_slope + gv[:, -1] < m + np.log(a) + LOG_STOP))
-        if stop:
-            break
+                done[lo:hi] = log_slope + gv[:, -1] < M_new + np.log(a) + LOG_STOP
+        if done.any():
+            live = live[~done]
     return M, A / -math.expm1(-decay)

@@ -159,15 +159,16 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
-        raise ValueError(f"grid {text!r} needs three numbers, lo:hi:step") from None
+        raise ValueError(f"--fbar-grid {text!r} needs three numbers, lo:hi:step") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and 0.0 < step < math.inf
             and math.isfinite((hi - lo) / step)):
-        raise ValueError(f"grid {text!r} needs finite lo <= hi and a positive finite step")
+        raise ValueError(f"--fbar-grid {text!r} needs finite lo <= hi and a positive "
+                         "finite step")
     n = int(round((hi - lo) / step))
     with np.errstate(over="ignore"):  # rounding scales by 1e12 first
         grid = np.round(np.linspace(lo, lo + n * step, n + 1), 12)
     if not np.isfinite(grid).all():
-        raise ValueError(f"grid {text!r} holds a pump ratio too large to round "
+        raise ValueError(f"--fbar-grid {text!r} holds a pump ratio too large to round "
                          f"to 12 decimals")
     return grid
 
@@ -384,6 +385,14 @@ def _check_counts(args) -> None:
             raise InvalidParameterError(f"need --{name.replace('_', '-')} >= {least}, got {n}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser: main refuses a flag value it cannot read
+    (`--nmax 1e3`) as one error line, where argparse exits 2 with usage."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 def _command(sub, name, func, help):
     """A subcommand parser that takes the model flags and runs func."""
     sp = sub.add_parser(name, help=help)
@@ -421,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with a modulated pump.",
     )
     ap.add_argument("--version", action="version", version=f"modnopo {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = _command(sub, "semiclassical", cmd_semiclassical, "periodic photon-number orbit")
     sp.add_argument("--points", type=int, default=801)
@@ -469,9 +478,9 @@ def main(argv=None) -> int:
     (gamma3/gamma under 10, say) and then the lines it returns, are printed
     once each and only once it has succeeded: a refused run prints its one
     error line alone."""
-    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
+            args = build_parser().parse_args(argv)
             _check_counts(args)
             warned = args.func(args)
         except (ValueError, RuntimeError, OSError, MemoryError) as exc:

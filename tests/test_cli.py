@@ -395,7 +395,7 @@ def test_bad_grid_string_fails(tmp_path, capsys):
                      "1:2", "1:2:1:1", "2:1:1", "2:1.6:1"):
             assert main([command, "--out", str(tmp_path), "--fbar-grid", grid]) == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: grid '{grid}'") and err.count("\n") == 1, grid
+            assert err.startswith(f"error: --fbar-grid '{grid}' ") and err.count("\n") == 1, grid
             assert not list(tmp_path.iterdir()), grid
 
 
@@ -720,6 +720,17 @@ def test_compare_refuses_a_bad_count_by_its_flag(tmp_path, capsys, monkeypatch, 
     assert main([command, "--out", str(tmp_path), "--traj", "8", *qsd_traj,
                  "--grid-points", "3", f"{flag}={count}"]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("qsd", "--nmax", "1e3"), ("positivep", "--traj", "1e3"), ("sweep", "--workers", "2.5"),
+    ("compare", "--qsd-traj", "x"), ("variance", "--points", "1e2"), ("fig1", "--seed", ""),
+])
+def test_integer_flag_given_other_text_is_named(tmp_path, capsys, command, flag, value):
+    # these used to exit 2 with argparse's usage text above its own error line
+    assert main([command, "--out", str(tmp_path), f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: invalid int value: '{value}'\n"
     assert not list(tmp_path.iterdir())
 
 

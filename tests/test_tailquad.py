@@ -30,32 +30,55 @@ def _closed_forms(p, t):
     return np.exp(asymptotic_log_n0(p, t)), asymptotic_variance(p, t)
 
 
-@pytest.mark.parametrize("delta", DELTAS)
-def test_panels_never_exceed_one_period(monkeypatch, delta):
+def _count_panels(monkeypatch):
+    """Wrap periodic_solution so that each call appends (panels, n): for
+    each panel run, in order, the times its nodes were called on, and the
+    panels that tile one period."""
     seen = []
     inner = _tailquad.periodic_solution
 
     def counting(t, k_int, b, period, rate, k_min, b_max):
-        rows = {}  # times each panel's nodes were called on
+        panels = {}
 
         def k_counted(t_, s, past):
             # the call at floats for D is not a panel
             if np.ndim(past) > 0:
-                key = np.asarray(s).tobytes()
-                rows[key] = rows.get(key, 0) + len(past)
+                panels.setdefault(np.asarray(s).tobytes(), []).extend(np.ravel(t_))
             return k_int(t_, s, past)
 
         out = inner(t, k_counted, b, period, rate, k_min, b_max)
-        assert set(rows.values()) == {np.size(t)}  # each panel covers every time once
-        seen.append((len(rows), math.ceil(period / min(period / 4.0, 4.0 / rate))))
+        seen.append((list(panels.values()),
+                     math.ceil(period / min(period / 4.0, 4.0 / rate))))
+        # each time runs one unbroken prefix of the panels, once in each
+        runs = [sorted(panel) for panel in panels.values()]
+        assert runs[0] == sorted(np.ravel(t))
+        for before, after in zip(runs, runs[1:]):
+            assert len(set(after)) == len(after) and set(after) <= set(before)
         return out
 
     monkeypatch.setattr(_tailquad, "periodic_solution", counting)
+    return seen
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_panels_never_exceed_one_period(monkeypatch, delta):
+    seen = _count_panels(monkeypatch)
     p = params_from_ratios(fbar_over_fth=1.5, f1_over_fbar=1.2, delta_over_gamma=delta)
     _closed_forms(p, np.linspace(0.0, derive_params(p).period, 33))
     # the orbit on t, then on V's set-up grid, the memory term and V
     assert len(seen) == 4
-    assert all(0 < panels <= budget for panels, budget in seen), seen
+    assert all(0 < len(panels) <= budget for panels, budget in seen), seen
+
+
+def test_rows_leave_once_their_own_bound_holds(monkeypatch):
+    # at slow modulation most times stop long before the last one does:
+    # 26,424 of 513 times x 110 panels where each time stops on its own
+    seen = _count_panels(monkeypatch)
+    p = params_from_ratios(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=0.05)
+    asymptotic_log_n0(p, np.linspace(0.0, derive_params(p).period, 513))
+    (panels, _), = seen
+    evaluated = sum(map(len, panels))
+    assert evaluated <= 0.6 * 513 * len(panels), (evaluated, len(panels))
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -68,8 +91,8 @@ def test_early_stop_matches_full_period(monkeypatch, delta, depth):
     monkeypatch.setattr(_tailquad, "LOG_STOP", -math.inf)
     n0_full, V_full = _closed_forms(p, t)
     _variance_evaluator.cache_clear()
-    np.testing.assert_allclose(n0, n0_full, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(V, V_full, rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(bits(n0), bits(n0_full))
+    np.testing.assert_array_equal(bits(V), bits(V_full))
 
 
 @pytest.mark.parametrize("D", [0.0, -1.0, math.nan])
@@ -102,7 +125,15 @@ def test_early_stop_waits_for_a_rebound(monkeypatch):
     M, A = _tailquad.periodic_solution(np.zeros(1), k_int, lambda past: 1.0, **kw)
     monkeypatch.setattr(_tailquad, "LOG_STOP", -math.inf)
     M_full, A_full = _tailquad.periodic_solution(np.zeros(1), k_int, lambda past: 1.0, **kw)
-    np.testing.assert_allclose(np.exp(M) * A, np.exp(M_full) * A_full, rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(bits([M, A]), bits([M_full, A_full]))
+
+
+def test_no_times_give_no_values():
+    # an empty grid used to stop at a division by its zero blocks
+    p = params_from_ratios(fbar_over_fth=2.5, f1_over_fbar=0.5, delta_over_gamma=2.0)
+    n0, V = _closed_forms(p, np.zeros(0))
+    _variance_evaluator.cache_clear()
+    assert n0.shape == V.shape == (0,)
 
 
 @pytest.mark.parametrize("period", [0.03, 1.0, 40.0])
@@ -186,12 +217,15 @@ def _block_outputs(case):
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
-@pytest.mark.parametrize("rows", [1, 37])
+@pytest.mark.parametrize("rows", [1, 37, _tailquad.BLOCK_ROWS])
 def test_block_size_moves_no_bit(monkeypatch, case, rows):
-    monkeypatch.setattr(_tailquad, "BLOCK_ROWS", 2**31)  # one block on every grid
-    whole = _block_outputs(case)
+    # nor does a row's early stop: every block size gives the bits of one
+    # block that runs the whole period in every row
     monkeypatch.setattr(_tailquad, "BLOCK_ROWS", rows)
     blocked = _block_outputs(case)
+    monkeypatch.setattr(_tailquad, "BLOCK_ROWS", 2**31)  # one block on every grid
+    monkeypatch.setattr(_tailquad, "LOG_STOP", -math.inf)  # no row stops early
+    whole = _block_outputs(case)
     _variance_evaluator.cache_clear()
     for a, b in zip(whole, blocked, strict=True):
         np.testing.assert_array_equal(a, b)
