@@ -455,3 +455,11 @@ class TestFrozenBytes:
         for t in (0.5, 5.5):
             with pytest.raises(InvalidParameterError, match="span"):
                 traj.interp(t)
+
+    def test_transient_grid(self):
+        # the same run's grid and photon numbers alone, without any
+        # interpolation between them
+        traj = integrate_n0(params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=2.0, phi=1.1),
+                            t_span=(1.3, 4.0), n0_init=2.0e7, n_points=257)
+        assert sha256([("t_grid", traj.t_grid), ("n0", traj.n0)]) == (
+            "cf4a795cbb7a2633d3e2829c5e64737ff80e6fa549c4be3582c51515f71142c7")
