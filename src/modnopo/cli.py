@@ -377,12 +377,18 @@ def cmd_fig4(args) -> list[str]:
     return warned
 
 
-def _check_counts(args) -> None:
-    """Refuse a trajectory or worker count below its least value by its flag."""
-    for name, least in (("traj", 2), ("qsd_traj", 2), ("workers", 1)):
-        n = getattr(args, name, least)
-        if n < least:
+def _check_flags(args) -> None:
+    """Refuse, by its flag and before any work, a count below its least
+    value, a step that is not positive and finite and a relaxation window
+    that is not finite."""
+    for name, least in (("traj", 2), ("qsd_traj", 2), ("workers", 1), ("nmax", 2)):
+        n = getattr(args, name, None)
+        if n is not None and n < least:
             raise InvalidParameterError(f"need --{name.replace('_', '-')} >= {least}, got {n}")
+    if not 0.0 < getattr(args, "dt", 1.0) < math.inf:
+        raise InvalidParameterError(f"need --dt > 0 and finite, got {args.dt}")
+    if not math.isfinite(getattr(args, "relax", 0.0)):
+        raise InvalidParameterError(f"need --relax finite, got {args.relax}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -481,7 +487,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = build_parser().parse_args(argv)
-            _check_counts(args)
+            _check_flags(args)
             warned = args.func(args)
         except (ValueError, RuntimeError, OSError, MemoryError) as exc:
             print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

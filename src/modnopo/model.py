@@ -50,146 +50,84 @@ AT_THRESHOLD_BAND = 1e-9
 
 def _tridiagonal(dl: list, d: list, du: list):
     """Eliminate the tridiagonal matrix with sub-, main and superdiagonals
-    dl, d and du as LAPACK's reference dgtsv does, row interchanges
-    included.  The elimination depends on the matrix alone, so it is done
-    once and applied to each right-hand side by _tridiagonal_solve.
-    Returns (swap, fact, d, du, dl): each step's interchange and multiplier,
-    and the upper triangle, with dl holding its second superdiagonal.
+    dl, d and du as LAPACK's reference dgtsv does where it interchanges no
+    rows, and refuse a matrix where it would.  A periodic spline's system
+    on evenly spaced knots never needs one: it is strictly diagonally
+    dominant, diagonal about 4h against off-diagonals about h, so every
+    pivot stays at or above about 3.73h.  The elimination depends on the
+    matrix alone, so it is done once and applied to each right-hand side by
+    _tridiagonal_solve.  Returns (fact, d, du): each step's multiplier and
+    the upper triangle.
     """
-    n = len(d)
-    dl, d, du = list(dl), list(d), list(du)
-    swap, fact = [], []
-    for i in range(n - 1):
-        swap.append(abs(d[i]) < abs(dl[i]))
-        if not swap[-1]:
-            if d[i] == 0.0:
-                raise InvalidParameterError("the spline's knots give a singular system")
-            f = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - f * du[i]
-            dl[i] = 0.0
-        else:
-            f = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - f * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -f * dl[i]
-            du[i] = temp
-        fact.append(f)
+    d = list(d)
+    fact = []
+    for i in range(len(d) - 1):
+        if abs(d[i]) < abs(dl[i]) or d[i] == 0.0:
+            raise InvalidParameterError(
+                "the spline's knot system needs a row interchange or is singular")
+        fact.append(dl[i] / d[i])
+        d[i + 1] = d[i + 1] - fact[-1] * du[i]
     if d[-1] == 0.0:
-        raise InvalidParameterError("the spline's knots give a singular system")
-    return swap, fact, d, du, dl
+        raise InvalidParameterError("the spline's knot system is singular")
+    return fact, d, du
 
 
 def _tridiagonal_solve(factors, b: list) -> np.ndarray:
     """dgtsv's forward and back sweeps over one right-hand side b."""
-    swap, fact, d, du, dl = factors
-    y = []
+    fact, d, du = factors
     cur = b[0]
-    for sw, f, nxt in zip(swap, fact, b[1:]):
-        if sw:
-            y.append(nxt)
-            cur = cur - f * nxt
-        else:
-            y.append(cur)
-            cur = nxt - f * cur
-    y.append(cur)
+    y = [cur]
+    for f, nxt in zip(fact, b[1:]):
+        cur = nxt - f * cur
+        y.append(cur)
     x2 = y[-1] / d[-1]
     x1 = (y[-2] - du[-1] * x2) / d[-2]
     x = [x2, x1]
-    for yi, ui, li, di in zip(y[-3::-1], du[-2::-1], dl[-2::-1], d[-3::-1]):
-        x0 = ((yi - ui * x1) - li * x2) / di
-        x.append(x0)
-        x2 = x1
-        x1 = x0
+    for yi, ui, di in zip(y[-3::-1], du[-2::-1], d[-3::-1]):
+        # dgtsv's term for the second superdiagonal, zero without
+        # interchanges, still turns -0.0 into 0.0 and inf into nan
+        x2, x1 = x1, ((yi - ui * x1) - 0.0 * x2) / di
+        x.append(x1)
     x.reverse()
     return np.fromiter(x, float, len(x))
 
 
 @lru_cache(maxsize=16)
-def _knot_system(key: bytes, periodic: bool):
-    """What the knot slopes' linear system keeps between splines on the
-    same n != 3 knots (key, their bytes): the factored tridiagonal matrix
-    and, for periodic ends, the correction solve s2 and its denominator."""
-    x = np.frombuffer(key)
-    n = x.size
-    dx = np.diff(x)
-    if n == 2:
-        # both ends clamped to the chord's slope
-        return _tridiagonal([0.0], [1.0, 1.0], [0.0])
-    if periodic:
-        # the (n - 2) system left once the last unknown is condensed out
-        m = n - 2
-        inner = (2 * (dx[:m - 1] + dx[1:m])).tolist()
-        factors = _tridiagonal(dx[1:m].tolist(), [2 * (dx[-1] + dx[0])] + inner,
-                               [dx[-1]] + dx[:m - 2].tolist())
-        b2 = [0.0] * m
-        b2[0], b2[-1] = -dx[0], -dx[-3]
-        s2 = _tridiagonal_solve(factors, b2)
-        den = 2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
-        return factors, s2, den
-    # not-a-knot ends
-    inner = (2 * (dx[:-1] + dx[1:])).tolist()
-    return _tridiagonal(dx[1:].tolist() + [x[-1] - x[-3]], [dx[1]] + inner + [dx[-2]],
-                        [x[2] - x[0]] + dx[:-1].tolist())
-
-
-def _knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray,
-                 periodic: bool) -> np.ndarray:
-    """The spline's first derivative at each knot x, as scipy 1.17.1's
-    CubicSpline(bc_type="periodic" or "not-a-knot") computes it from the
-    knot gaps dx and the chords' slopes."""
-    n = x.size
-    if n == 3 and periodic:
-        t = (slope[0] / dx[0] + slope[1] / dx[1]) / (1.0 / dx[0] + 1.0 / dx[1])
-        return np.full(3, t)
-    if n == 3:
-        # not-a-knot at both ends of three knots: the parabola through them
-        A = np.array([[1.0, 1.0, 0.0],
-                      [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
-                      [0.0, 1.0, 1.0]])
-        b = [2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]]
-        return np.linalg.solve(A, b)
-    system = _knot_system(x.tobytes(), periodic)
-    if n == 2:
-        return _tridiagonal_solve(system, [slope[0], slope[0]])
-    inner = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    if periodic:
-        factors, s2, den = system
-        b = [3 * (dx[0] * slope[-1] + dx[-1] * slope[0])] + inner.tolist()
-        s1 = _tridiagonal_solve(factors, b[:-1])
-        s_last = (b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / den
-        s = np.empty(n)
-        s[:-2] = s1 + s_last * s2
-        s[-2] = s_last
-        s[-1] = s[0]
-        return s
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    b0 = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d0
-    b1 = (dx[-1] * dx[-1] * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    return _tridiagonal_solve(system, [b0] + inner.tolist() + [b1])
+def _knot_system(n: int, period: float):
+    """What the knot slopes' linear system keeps between splines of n
+    values over the same period: the factored tridiagonal matrix of the
+    (n - 1) system left once the last unknown is condensed out, the
+    correction solve s2 and its denominator."""
+    dx = np.diff(np.linspace(0.0, period, n + 1))
+    m = n - 1
+    inner = (2 * (dx[:m - 1] + dx[1:m])).tolist()
+    factors = _tridiagonal(dx[1:m].tolist(), [2 * (dx[-1] + dx[0])] + inner,
+                           [dx[-1]] + dx[:m - 2].tolist())
+    b2 = [0.0] * m
+    b2[0], b2[-1] = -dx[0], -dx[-3]
+    s2 = _tridiagonal_solve(factors, b2)
+    den = 2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
+    return factors, s2, den
 
 
 class Curve:
-    """A function of time stored as a cubic spline through samples.
+    """A periodic function of time stored as a cubic spline through samples.
 
-    Curve(values, period) is periodic: values[k] sits at k*period/n, the
-    wrap value is appended at period, and t is first mapped into the
-    period.  Curve(values, knots=t) spans its knots, with not-a-knot ends,
-    and refuses a time outside them.  Values and knots must be finite and
-    the knots strictly increasing.
+    Curve(values, period): values[k] sits at k*period/n, the wrap value is
+    appended at period, and t is first mapped into the period.  It takes
+    at least 3 finite values and a finite period whose knots strictly
+    increase.
 
-    The spline is scipy 1.17.1's CubicSpline, operation for operation, so
-    it has its bits: the same tridiagonal system for the knot slopes,
-    solved as LAPACK's dgtsv solves it (its elimination cached per knot
-    vector), the same Hermite coefficients c (c[0] the cubic's, c[3] the
-    constant), and PPoly's evaluation: the interval is the last knot at or
-    below t, clamped to the end pieces, and the cubic is summed from its
-    constant term up, ((0 + c3) + c2*s) + c1*s**2 + c0*s**3, with powers
-    taken as repeated products.  A periodic curve maps t to
-    t % period % period first (the first remainder can round up to
-    period).  At one float the same sum runs on plain lists, free of
+    The spline is scipy 1.17.1's CubicSpline(bc_type="periodic"), operation
+    for operation, so it has its bits: the same condensed tridiagonal system
+    for the knot slopes, solved as LAPACK's dgtsv solves it (its
+    elimination cached per number of values and period), the same Hermite
+    coefficients c (c[0] the cubic's, c[3] the constant), and PPoly's
+    evaluation: t is mapped to t % period % period (the first remainder can
+    round up to period), the interval is the last knot at or below t,
+    clamped to the end pieces, and the cubic is summed from its constant
+    term up, ((0 + c3) + c2*s) + c1*s**2 + c0*s**3, with powers taken as
+    repeated products.  At one float the same sum runs on plain lists, free of
     numpy's per-call overhead; at_float() hands it out prebuilt, as a
     function of one float.  The lists and the antiderivative are built on
     first use.
@@ -197,16 +135,13 @@ class Curve:
 
     __slots__ = ("period", "knots", "coeffs", "_knot_list", "_pieces", "_anti")
 
-    def __init__(self, values, period: float | None = None, knots=None) -> None:
+    def __init__(self, values, period: float) -> None:
         values = np.asarray(values, dtype=float)
-        if period is not None:
-            knots = np.linspace(0.0, period, values.size + 1)
-            values = np.append(values, values[:1])
-        x = np.asarray(knots, dtype=float)
-        if x.ndim != 1 or x.size < 2 or values.shape != x.shape:
+        if values.ndim != 1 or values.size < 3:
             raise InvalidParameterError(
-                f"a curve needs one value per knot and at least 2 knots, got "
-                f"{values.size} values for {x.size} knots")
+                f"a periodic curve needs a 1-d array of at least 3 values, got shape "
+                f"{values.shape}")
+        x = np.linspace(0.0, period, values.size + 1)
         if not np.isfinite(x).all():
             raise InvalidParameterError("a curve's knots must be finite")
         if not np.isfinite(values).all():
@@ -214,8 +149,17 @@ class Curve:
         dx = np.diff(x)
         if not (dx > 0.0).all():
             raise InvalidParameterError("a curve's knots must be strictly increasing")
+        values = np.append(values, values[0])
         slope = np.diff(values) / dx
-        s = _knot_slopes(x, dx, slope, period is not None)
+        # the knot slopes s: the condensed-out unknown s_last, the others
+        # from the condensed system corrected by it, and the first's wrap
+        factors, s2, den = _knot_system(dx.size, period)
+        b = [3 * (dx[0] * slope[-1] + dx[-1] * slope[0])]
+        b += (3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist()
+        s1 = _tridiagonal_solve(factors, b[:-1])
+        s_last = (b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / den
+        s = np.append(s1 + s_last * s2, s_last)
+        s = np.append(s, s[0])
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.coeffs = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], values[:-1]))
         self.knots = x
@@ -228,16 +172,10 @@ class Curve:
             return self.at_float()(float(t))
         period = self.period
         shape = np.shape(t)
-        t = np.asarray(t, dtype=float).ravel()
-        if period is not None:
-            # t % period % period: the second remainder only maps a first
-            # one that rounded up to period back to 0
-            t = np.mod(t, period)
-            t[t == period] = 0.0
-        else:
-            inside = (t >= self.knots[0]) & (t <= self.knots[-1])
-            if not inside.all():
-                self._refuse(float(t[~inside][0]))
+        # t % period % period: the second remainder only maps a first one
+        # that rounded up to period back to 0
+        t = np.mod(np.asarray(t, dtype=float).ravel(), period)
+        t[t == period] = 0.0
         i, s = self._locate(t)
         c0, c1, c2, c3 = self.coeffs.take(i, axis=1)
         ss = s * s
@@ -256,13 +194,10 @@ class Curve:
             # last knot finds it
             self._pieces = list(zip(x, (c[3] + 0.0).tolist(), *c[2::-1].tolist()))
             self._pieces.append(self._pieces[-1])
-        pieces, period, first, last = self._pieces, self.period, x[0], x[-1]
+        pieces, period = self._pieces, self.period
 
         def at(t):
-            if period is not None:
-                t = t % period % period
-            elif not first <= t <= last:
-                self._refuse(t)
+            t = t % period % period
             xi, c3, c2, c1, c0 = pieces[bisect_right(x, t) - 1]
             s = t - xi
             ss = s * s
@@ -292,13 +227,8 @@ class Curve:
             left = x.take(i)
         return i, t - left
 
-    def _refuse(self, t: float):
-        x = self.knots
-        raise InvalidParameterError(
-            f"t={t} lies outside the curve's span [{x[0]}, {x[-1]}]; it does not extrapolate")
-
     def running_integral(self, t):
-        """Integral of a periodic curve from 0 to t: the antiderivative over
+        """Integral of the curve from 0 to t: the antiderivative over
         the last partial period plus the whole periods before it.
 
         The antiderivative is PPoly's: each coefficient divided by its new
@@ -336,7 +266,7 @@ class Curve:
         return out.reshape(t.shape)
 
     def minimum(self) -> float:
-        """Exact minimum over the knots' span: it sits at a knot or where the
+        """Exact minimum over a period: it sits at a knot or where the
         derivative vanishes.
 
         The roots are PPoly.roots' on the derivative a*s**2 + b*s + c of

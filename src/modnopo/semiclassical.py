@@ -61,10 +61,12 @@ class SemiclassicalTrajectory:
     """Photon-number curve n0(t) on a time grid.
 
     For converged periodic orbits t_grid covers exactly one period [0, T)
-    and interp() evaluates the periodic extension at any time.  n0 can
-    underflow to zero at double precision during deep below-threshold
-    excursions of the pump; the internal log-grid keeps interpolation
-    accurate through those dips.
+    and interp() evaluates the periodic extension at any time.  A transient
+    from integrate_n0 covers its t_span and carries no interpolant: its
+    t_grid and n0 are the result, and interp() refuses unless n0 is zero
+    throughout.  n0 can underflow to zero at double precision during deep
+    below-threshold excursions of the pump; the internal log-grid keeps
+    interpolation accurate through those dips.
     """
 
     t_grid: np.ndarray
@@ -78,7 +80,7 @@ class SemiclassicalTrajectory:
         self.is_zero = not np.any(self.n0 > 0.0)
 
     def interp(self, t):
-        """n0 at any time on a periodic orbit, and within t_span on a transient.
+        """n0 at any time on a periodic orbit.
 
         A float t gives a float, with the bits of the array path's element;
         anything else gives an array.
@@ -87,9 +89,7 @@ class SemiclassicalTrajectory:
             return self.interp_at_float()(float(t))
         if self.is_zero:
             return np.zeros_like(np.asarray(t, dtype=float))
-        if self._log_n0 is None:
-            raise ValueError("trajectory carries no interpolant")
-        return np.exp(self._log_n0(t))
+        return np.exp(self._curve()(t))
 
     def interp_at_float(self):
         """interp as a function of one Python float, prebuilt, with its
@@ -97,10 +97,14 @@ class SemiclassicalTrajectory:
         It keeps np.exp, whose rounding math.exp does not share."""
         if self.is_zero:
             return lambda t: 0.0
-        if self._log_n0 is None:
-            raise ValueError("trajectory carries no interpolant")
-        log_n0, exp = self._log_n0.at_float(), np.exp
+        log_n0, exp = self._curve().at_float(), np.exp
         return lambda t: float(exp(log_n0(t)))
+
+    def _curve(self) -> Curve:
+        if self._log_n0 is None:
+            raise ValueError("a transient from integrate_n0 has no interpolant; its "
+                             "t_grid and n0 are the result")
+        return self._log_n0
 
     def max_n0(self) -> float:
         return float(np.max(self.n0))
@@ -319,9 +323,10 @@ def integrate_n0(
     """Integrate the photon-number equation over t_span from n0_init.
 
     n0_init = 0 returns the exact zero fixed point without touching the
-    integrator.  Positive starts are integrated in u = ln n0.  t_span must
-    run forward between finite times, n0_init is finite and n_points is at
-    least 2.
+    integrator.  Positive starts are integrated in u = ln n0.  The result is
+    n0 on n_points evenly spaced times over t_span, with no interpolant
+    between them.  t_span must run forward between finite times, n0_init is
+    finite and n_points is at least 2.
     """
     if not 0.0 <= n0_init < math.inf:
         raise InvalidParameterError(f"n0_init must be finite and >= 0, got {n0_init}")
@@ -340,8 +345,7 @@ def integrate_n0(
               ODE_RTOL, "photon-number")[0][0]
     with np.errstate(under="ignore"):
         n0 = np.exp(u)
-    return SemiclassicalTrajectory(t_grid=t_eval, n0=n0, period=d.period,
-                                   _log_n0=Curve(u, knots=t_eval))
+    return SemiclassicalTrajectory(t_grid=t_eval, n0=n0, period=d.period)
 
 
 def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: float,

@@ -776,7 +776,7 @@ def test_cutoff_below_two_is_refused(tmp_path, capsys, command, nmax):
     assert main([command, "--out", str(tmp_path), "--traj", "4", "--grid-points", "3",
                  "--lam", "0.1", "--fbar", "0.3", "--relax", "0.5", f"--nmax={nmax}"]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: n_max must be an integer >= 2, got {nmax}\n"
+    assert err == f"error: need --nmax >= 2, got {nmax}\n"
     assert not list(tmp_path.iterdir())
 
 

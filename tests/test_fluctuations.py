@@ -442,20 +442,6 @@ class TestFrozenBytes:
         assert sha256([("cells", cells)]) == (
             "7be01683dd6414d9f1c8e7ca1e4d70e484bec1b420aec3adb25ea4ed95405433")
 
-    def test_transient(self):
-        # a non-periodic spline over a span that starts after t = 0; the
-        # digest was taken at the parent of the commit that made the curve
-        # refuse times outside its span, which 0.5 and 5.5 are
-        traj = integrate_n0(params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=2.0, phi=1.1),
-                            t_span=(1.3, 4.0), n0_init=2.0e7, n_points=257)
-        times = [1.3, 2.77, 4.0]
-        got = sha256([("n0", traj.n0), ("interp", [float(traj.interp(t)) for t in times])])
-        assert got == (
-            "ca4db8415971d0fd44ef2a796a8474368070b28e1a6dba131c6eb11e45c449a4")
-        for t in (0.5, 5.5):
-            with pytest.raises(InvalidParameterError, match="span"):
-                traj.interp(t)
-
     def test_transient_grid(self):
         # the same run's grid and photon numbers alone, without any
         # interpolation between them

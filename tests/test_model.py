@@ -314,12 +314,12 @@ class TestConfig:
 
 
 def _assert_scipys(curve: Curve, spl: CubicSpline, t: np.ndarray) -> None:
-    """curve is spl bit for bit: the coefficients, the curve at the array t
-    and at each of its floats, after pickling, the minimum from the
-    derivative's roots and, if periodic, the running integral."""
+    """curve is the periodic spl bit for bit: the coefficients, the curve at
+    the array t and at each of its floats, after pickling, the minimum from
+    the derivative's roots and the running integral."""
     assert (bits(curve.coeffs) == bits(spl.c)).all()
     period = curve.period
-    want = bits(spl(np.mod(t, period)) if period is not None else spl(t))
+    want = bits(spl(np.mod(t, period)))
     assert (bits(curve(t)) == want).all()
     assert (bits([curve(float(v)) for v in t]) == want).all()
     back = pickle.loads(pickle.dumps(curve))
@@ -328,11 +328,10 @@ def _assert_scipys(curve: Curve, spl: CubicSpline, t: np.ndarray) -> None:
     crit = crit[np.isfinite(crit)]  # identically flat pieces give nan
     low = min(np.min(spl(spl.x)), np.min(spl(crit), initial=np.inf))
     assert bits(curve.minimum()) == bits(low)
-    if period is not None:
-        anti = spl.antiderivative()
-        wraps = np.floor(t / period)
-        want = anti(t - wraps * period) + wraps * float(anti(period))
-        assert (bits(curve.running_integral(t)) == bits(want)).all()
+    anti = spl.antiderivative()
+    wraps = np.floor(t / period)
+    want = anti(t - wraps * period) + wraps * float(anti(period))
+    assert (bits(curve.running_integral(t)) == bits(want)).all()
 
 
 class TestScalarEvaluation:
@@ -340,47 +339,30 @@ class TestScalarEvaluation:
     array path's bits: a Curve against CubicSpline, and eps at one
     float against eps on an array, for both pump kinds."""
 
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_scalar_cubic_matches_scipy(self, periodic):
-        # 2 to 2,049 knots, scipy's special cases included: random values
-        # with signed zeros, and "flat" and "zeros" curves whose every piece
-        # is identically flat
+    def test_scalar_cubic_matches_scipy(self):
+        # 3 to 2,048 values: random values with signed zeros, and "flat"
+        # and "zeros" curves whose every piece is identically flat
         rng = np.random.default_rng(1503)
-        for n, shape in itertools.product((2, 3, 4, 65, 2049), ("random", "flat", "zeros")):
+        for n, shape in itertools.product((4, 5, 6, 65, 2049), ("random", "flat", "zeros")):
             y = {"random": rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3),
                  "flat": np.full(n, 1.5), "zeros": np.zeros(n)}[shape]
             y[3::7] = -0.0
             if shape == "random":
                 y[::7] = 0.0
-            if periodic:
-                x = np.linspace(0.0, rng.uniform(0.1, 50.0), n)
-                y[-1] = y[0]
-                at = Curve(y[:-1], period=x[-1])
-            else:
-                x = np.cumsum(rng.uniform(0.01, 2.0, n)) - 1.7
-                at = Curve(y, knots=x)
-            spl = CubicSpline(x, y, bc_type="periodic" if periodic else "not-a-knot")
+            x = np.linspace(0.0, rng.uniform(0.1, 50.0), n)
+            y[-1] = y[0]
+            at = Curve(y[:-1], x[-1])
+            spl = CubicSpline(x, y, bc_type="periodic")
             span = x[-1] - x[0]
             t = np.concatenate([x, rng.uniform(x[0] - 3 * span, x[-1] + 3 * span, 500),
                                 [np.nextafter(x[-1], x[0]), np.nextafter(x[0], x[-1]),
                                  np.nextafter(x[0], -np.inf), -0.0]])
-            if periodic:
-                # and times whose whole periods round past them: NaN integrals
-                ends = np.nextafter(np.arange(1, 400) * x[-1], 0.0)
-                late = ends[ends - np.floor(ends / x[-1]) * x[-1] < 0.0]
-                assert late.size
-                assert np.isnan(at.running_integral(late)).all()
-                t = np.concatenate([t, late])
-            else:
-                # a curve over its knots refuses the times past them
-                outside = (t < x[0]) | (t > x[-1])
-                for v in t[outside]:
-                    with pytest.raises(InvalidParameterError, match="span"):
-                        at(float(v))
-                with pytest.raises(InvalidParameterError, match="span"):
-                    at(t)
-                t = t[~outside]
-            _assert_scipys(at, spl, t)
+            # and times whose whole periods round past them: NaN integrals
+            ends = np.nextafter(np.arange(1, 400) * x[-1], 0.0)
+            late = ends[ends - np.floor(ends / x[-1]) * x[-1] < 0.0]
+            assert late.size
+            assert np.isnan(at.running_integral(late)).all()
+            _assert_scipys(at, spl, np.concatenate([t, late]))
 
     @pytest.mark.parametrize("kind", ["harmonic", "tabulated"])
     def test_eps_matches_array_path(self, kind):
@@ -429,53 +411,69 @@ class TestCurveIsScipys:
     """model.Curve builds scipy 1.17.1's CubicSpline itself; scipy stays as
     the reference here, and _assert_scipys compares them bit for bit."""
 
-    def test_unevenly_spaced_knots(self):
-        # knot gaps over six decades make dgtsv interchange rows
-        rng = np.random.default_rng(2302)
-        for n in (4, 5, 40):
-            x = np.cumsum(10.0 ** rng.uniform(-3, 3, n))
-            y = rng.normal(size=n)
-            _assert_scipys(Curve(y, knots=x), CubicSpline(x, y),
-                           np.concatenate([x, rng.uniform(x[0], x[-1], 200)]))
-
     def test_piece_lookup_is_searchsorteds(self):
         # the guessed piece, checked, against searchsorted alone: at and
-        # beside every knot, past both ends, on evenly spaced knots (where
-        # the guess rarely misses) and uneven ones (where it mostly does)
+        # beside every knot and past both ends, on periodic curves' knots
+        # from 3 to 2,048 values and periods from 1e-300 to 1e200
         rng = np.random.default_rng(2304)
-        for x in (np.linspace(0.0, 7.3, 2049), np.linspace(-1.7, 0.4, 5),
-                  np.cumsum(10.0 ** rng.uniform(-3, 3, 40))):
-            curve = Curve(rng.normal(size=x.size), knots=x)
+        for n, period in ((2048, 7.3), (3, 2.1), (40, 1e-300), (513, 1e200),
+                          (2048, 2 * math.pi / 0.05)):
+            curve = Curve(np.zeros(n), period)
+            x = curve.knots
             t = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-                                rng.uniform(x[0] - 1.0, x[-1] + 1.0, 5000)])
+                                rng.uniform(-0.2 * period, 1.2 * period, 5000)])
             i, s = curve._locate(t)
             want = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
             assert (i == want).all()
             assert (bits(s) == bits(t - x[want])).all()
 
     def test_tridiagonal_solve_is_lapacks(self):
-        # the knot-slope solver against scipy's solve_banded (LAPACK dgtsv):
-        # random systems with and without row interchanges, and one where
-        # dgtsv's 0.0*x[2] term turns x[0] from -0.0 into 0.0
+        # the knot-slope solver against scipy's solve_banded (LAPACK dgtsv)
+        # on systems dgtsv solves without row interchanges: column
+        # diagonally dominant ones, periodic knot systems, and one where
+        # dgtsv's 0.0*x[2] term turns x[0] from -0.0 into 0.0.  A system
+        # that needs an interchange is refused.
         from scipy.linalg import solve_banded
 
         from modnopo.model import _tridiagonal, _tridiagonal_solve
 
-        rng = np.random.default_rng(2303)
-        systems = [([0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5], [-0.0, -0.5, -1.0])]
-        for n in (2, 3, 5, 40, 300):
-            for weak in (False, True):
-                d = rng.uniform(0.1, 4.0, n) * (0.1 if weak else 4.0)
-                systems.append((rng.normal(size=n - 1).tolist(), d.tolist(),
-                                rng.normal(size=n - 1).tolist(), rng.normal(size=n).tolist()))
-        swapped = 0
-        for dl, d, du, b in systems:
-            factors = _tridiagonal(dl, d, du)
-            swapped += any(factors[0])
+        def solves_as_lapack(dl, d, du, b):
             ab = np.array([[0.0, *du], d, [*dl, 0.0]])
             want = solve_banded((1, 1), ab, np.array(b))
-            assert (bits(_tridiagonal_solve(factors, b)) == bits(want)).all()
-        assert 0 < swapped < len(systems)
+            assert (bits(_tridiagonal_solve(_tridiagonal(dl, d, du), b)) == bits(want)).all()
+
+        rng = np.random.default_rng(2303)
+        solves_as_lapack([0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5], [-0.0, -0.5, -1.0])
+        for n in (2, 3, 5, 40, 300):
+            dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
+            d = (np.abs(np.append(dl, 0.0)) + np.abs(np.append(0.0, du))
+                 + rng.uniform(0.1, 4.0, n)) * rng.choice([-1.0, 1.0], n)
+            solves_as_lapack(dl.tolist(), d.tolist(), du.tolist(), rng.normal(size=n).tolist())
+        for n, period in ((3, 2.1), (64, 1e-300), (2048, 1e200)):
+            dx = np.diff(np.linspace(0.0, period, n + 1))
+            solves_as_lapack(dx[1:n - 1].tolist(), [2 * (dx[-1] + dx[0])]
+                             + (2 * (dx[:n - 2] + dx[1:n - 1])).tolist(),
+                             [dx[-1]] + dx[:n - 3].tolist(), rng.normal(size=n - 1).tolist())
+        # dgtsv interchanges rows 0 and 1 (|0.1| < |1|), and rows 1 and 2
+        # once row 0 is eliminated (|1 - 0.5 * 2| < |3|); the last two are
+        # singular in their first and last pivot
+        for dl, d, du, what in (([1.0], [0.1, 1.0], [0.5], "needs a row interchange"),
+                                ([0.5, 3.0], [1.0, 1.0, 1.0], [2.0, 0.5], "row interchange"),
+                                ([0.0], [0.0, 1.0], [1.0], "or is singular"),
+                                ([1.0], [1.0, 1.0], [1.0], "system is singular")):
+            with pytest.raises(InvalidParameterError, match=what):
+                _tridiagonal(dl, d, du)
+
+    def test_periodic_knot_systems_need_no_pivot(self):
+        # what _tridiagonal's refusal rests on: no periodic knot system over
+        # linspace(0, T, n + 1) needs a row interchange, for n from 3 to 199
+        # and up to 16,384 values and periods from 1e-300 to 1e200
+        from modnopo.model import _knot_system
+
+        sizes = [*range(3, 200), 511, 512, 1023, 1024, 2047, 2048, 4095, 4096, 8192, 16384]
+        periods = [*(10.0 ** np.arange(-300, 201, 50)), 2 * math.pi / 0.05]
+        for n, period in itertools.product(sizes, periods):
+            _knot_system.__wrapped__(n, period)
 
     @pytest.mark.parametrize("name", ["near", "sign_change", "fast", "tabulated"])
     def test_variance_evaluator_curves(self, monkeypatch, name):
@@ -499,15 +497,18 @@ class TestCurveIsScipys:
                 curve.knots, np.append(curve.coeffs[3], curve.coeffs[3, 0]),
                 bc_type="periodic"), t)
 
-    @pytest.mark.parametrize("values,period,knots,what", [
-        ([1.0, np.nan, 2.0], None, [0.0, 1.0, 2.0], "values must be finite"),
-        ([1.0, np.inf], 2.0, None, "values must be finite"),
-        ([1.0, 2.0, 3.0], None, [0.0, np.inf, 2.0], "knots must be finite"),
-        ([1.0, 2.0], np.nan, None, "knots must be finite"),
-        ([1.0, 2.0, 3.0], None, [0.0, 1.0, 1.0], "strictly increasing"),
-        ([1.0, 2.0], -1.0, None, "strictly increasing"),
+    @pytest.mark.parametrize("values,period,what", [
+        ([1.0, np.nan, 2.0], 2.0, "values must be finite"),
+        ([1.0, np.inf, 2.0], 2.0, "values must be finite"),
+        ([1.0, 2.0, 3.0], np.nan, "knots must be finite"),
+        ([1.0, 2.0, 3.0], 0.0, "strictly increasing"),
+        ([1.0, 2.0, 3.0], -1.0, "strictly increasing"),
+        ([1.0, 2.0, 3.0], 1e-323, "strictly increasing"),
+        ([1.0, 2.0], 2.0, r"at least 3 values, got shape \(2,\)"),
+        ([], 2.0, r"at least 3 values, got shape \(0,\)"),
+        ([[1.0, 2.0, 3.0]], 2.0, r"1-d array of at least 3 values, got shape \(1, 3\)"),
     ])
-    def test_refuses_what_scipy_refused(self, values, period, knots, what):
+    def test_refuses_what_scipy_refused(self, values, period, what):
         with pytest.raises(InvalidParameterError, match=what) as err:
-            Curve(values, period, knots)
+            Curve(values, period)
         assert isinstance(err.value, ValueError) and "\n" not in str(err.value)
