@@ -189,6 +189,14 @@ class TestOrbitShape:
         assert float(asymptotic_n0(p_shallow, 2.51)) == pytest.approx(1.7027e8, rel=1e-3)
 
 
+_NO_INTERPOLANT = r"^a transient from integrate_n0 has no interpolant; its t_grid and n0 are the result$"
+
+
+def _transient():
+    return integrate_n0(params_from_ratios(f1_over_fbar=0.4), t_span=(1.3, 4.0),
+                        n0_init=1e7, n_points=101)
+
+
 class TestScalarInterp:
     """interp at one float takes a scalar branch (the ODE right-hand sides
     call it so); it must give the array path's element bit for bit."""
@@ -205,18 +213,16 @@ class TestScalarInterp:
         # np.float64, the solver's time type, is a float too
         assert (bits([orbit.interp(x) for x in t]) == want).all()
 
-    def test_transient_has_no_interpolant(self):
-        # a transient's result is its grid: interp at a float, on an array
-        # and prebuilt all refuse with one error that points to t_grid and
-        # n0, inside the transient's span and outside it
-        traj = integrate_n0(params_from_ratios(f1_over_fbar=0.4), t_span=(1.3, 4.0),
-                            n0_init=1e7, n_points=101)
-        for call in (lambda: traj.interp(2.0), lambda: traj.interp(9.0),
-                     lambda: traj.interp(traj.t_grid), lambda: traj.interp(np.array([2.0, 9.0])),
-                     traj.interp_at_float):
-            with pytest.raises(ValueError, match=r"^a transient from integrate_n0 has no "
-                               r"interpolant; its t_grid and n0 are the result$"):
-                call()
+    def test_transient_outside_its_span(self):
+        # a transient's result is its grid: interp refuses, at a float and
+        # on an array, past each edge of its span (1.3, 4.0), far out and at
+        # NaN, with one error that points to t_grid and n0
+        traj = _transient()
+        for x in (np.nextafter(1.3, 0.0), np.nextafter(4.0, 5.0), 0.0, 5.5, 9.0, math.nan):
+            with pytest.raises(ValueError, match=_NO_INTERPOLANT):
+                traj.interp(float(x))
+            with pytest.raises(ValueError, match=_NO_INTERPOLANT):
+                traj.interp(np.array([2.0, x]))
 
     def test_zero_orbit(self):
         zero = zero_trajectory(params_from_ratios(fbar_over_fth=0.5))
@@ -259,6 +265,21 @@ class TestPrebuiltInterp:
         got = [at(float(x)) for x in t]
         assert all(type(v) is float for v in got)
         assert (bits(got) == bits(0.0)).all() and (bits(zero.interp(t)) == bits(0.0)).all()
+
+    def test_transient_within_its_span(self):
+        # inside its span too a transient has no interpolant: interp_at_float
+        # refuses before building anything, and interp refuses at every
+        # knot, at random interior times and at both exact edges
+        traj = _transient()
+        with pytest.raises(ValueError, match=_NO_INTERPOLANT):
+            traj.interp_at_float()
+        t = np.concatenate([traj.t_grid, np.random.default_rng(1508).uniform(1.3, 4.0, 300),
+                            [1.3, 4.0]])
+        with pytest.raises(ValueError, match=_NO_INTERPOLANT):
+            traj.interp(t)
+        for x in t:
+            with pytest.raises(ValueError, match=_NO_INTERPOLANT):
+                traj.interp(float(x))
 
 
 class TestRK45:
