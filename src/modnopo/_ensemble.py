@@ -21,9 +21,10 @@ stream depends only on the seed, the route and the index: batching,
 worker count and scheduling cannot change what any trajectory draws, and
 the two salts keep the routes' draws for one seed decorrelated.
 
-Both drivers share their front and back too.  The front, step_layout,
-refuses fewer than 2 trajectories, a bad worker count or grid and a run
-past MAX_TRAJ_STEPS, and lays the steps onto the grid.  The back is
+Both drivers share their front and back too.  The front is check_seed,
+which refuses a seed outside [0, 2**64), and step_layout, which refuses
+fewer than 2 trajectories, a bad worker count or grid and a run past
+MAX_TRAJ_STEPS, and lays the steps onto the grid.  The back is
 check_survivors, which refuses a grid point with fewer than 2 live
 trajectories and a run that lost more than DIVERGENCE_BUDGET, and
 mean_and_stderr, which turns the reduced sums into a mean and its standard
@@ -126,6 +127,13 @@ def step_layout(t_grid, dt: float, relax: float, n_traj: int, n_workers: int):
             f"{MAX_TRAJ_STEPS} trajectory-steps; run fewer trajectories or steps")
     t_start = float(t_grid[0]) - n_relax * dt_eff
     return t_grid, spi, dt_eff, n_relax, t_start, n_steps
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64): trajectory_stream keys on the seed
+    modulo 2**64, so any other seed would repeat the draws of one inside."""
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def trajectory_stream(seed: int, index: int, salt: int) -> np.random.Generator:

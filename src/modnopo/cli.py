@@ -379,12 +379,14 @@ def cmd_fig4(args) -> list[str]:
 
 def _check_flags(args) -> None:
     """Refuse, by its flag and before any work, a count below its least
-    value, a step that is not positive and finite and a relaxation window
-    that is not finite."""
+    value, a seed outside [0, 2**64), a step that is not positive and finite
+    and a relaxation window that is not finite."""
     for name, least in (("traj", 2), ("qsd_traj", 2), ("workers", 1), ("nmax", 2)):
         n = getattr(args, name, None)
         if n is not None and n < least:
             raise InvalidParameterError(f"need --{name.replace('_', '-')} >= {least}, got {n}")
+    if not 0 <= getattr(args, "seed", 0) < 2**64:
+        raise InvalidParameterError(f"need 0 <= --seed < 2**64, got {args.seed}")
     if not 0.0 < getattr(args, "dt", 1.0) < math.inf:
         raise InvalidParameterError(f"need --dt > 0 and finite, got {args.dt}")
     if not math.isfinite(getattr(args, "relax", 0.0)):

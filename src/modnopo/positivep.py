@@ -25,9 +25,9 @@ from functools import partial
 
 import numpy as np
 
-from ._ensemble import (DIVERGENCE_BUDGET, SALT_PHASE_SPACE, check_survivors, map_ordered,
-                        mean_and_stderr, run_lockstep, slice_sums, step_layout,
-                        std_error, sum_parts)
+from ._ensemble import (DIVERGENCE_BUDGET, SALT_PHASE_SPACE, check_seed, check_survivors,
+                        map_ordered, mean_and_stderr, run_lockstep, slice_sums,
+                        step_layout, std_error, sum_parts)
 from .errors import InvalidParameterError
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import classical_orbit
@@ -274,6 +274,7 @@ def simulate_ensemble(
     batches' sums are reduced in batch order, so the grouping (which
     depends on n_workers) changes no byte.
     """
+    check_seed(seed)
     t_grid, spi, dt_eff, n_relax, t_start, n_steps = step_layout(
         t_grid, dt, relax, n_traj, n_workers)
     if collect_extended and t_grid.size < 3:

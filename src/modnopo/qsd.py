@@ -20,9 +20,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ConvergenceError, FockDimensionError, InvalidParameterError, TruncationError
-from ._ensemble import (DIVERGENCE_BUDGET, SALT_STATE_DIFFUSION, check_survivors,
-                        map_ordered, mean_and_stderr, run_lockstep, slice_sums,
-                        step_layout, std_error, sum_parts)
+from ._ensemble import (DIVERGENCE_BUDGET, SALT_STATE_DIFFUSION, check_seed,
+                        check_survivors, map_ordered, mean_and_stderr, run_lockstep,
+                        slice_sums, step_layout, std_error, sum_parts)
 from .model import DerivedParams, ModelParams, derive_params
 from .semiclassical import classical_orbit
 
@@ -279,6 +279,7 @@ def simulate_qsd_ensemble(
     """
     if n_max is not None and not (isinstance(n_max, (int, np.integer)) and n_max >= 2):
         raise InvalidParameterError(f"n_max must be an integer >= 2, got {n_max!r}")
+    check_seed(seed)
     t_grid, spi, dt_eff, n_relax, t_start, n_steps = step_layout(
         t_grid, dt, relax, n_traj, n_workers)
     n_grid = t_grid.size

@@ -734,6 +734,25 @@ def test_integer_flag_given_other_text_is_named(tmp_path, capsys, command, flag,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["semiclassical", "variance", "sweep", "positivep", "qsd",
+                                     "compare", "fig1", "fig2", "fig3", "fig4"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_is_refused(tmp_path, capsys, command, seed):
+    # the noise streams key on the seed modulo 2**64, so --seed
+    # 18446744073709551616 wrote seed 0's data rows and -1 ran as 2**64 - 1
+    assert main([command, "--out", str(tmp_path), f"--seed={seed}"]) == 1
+    assert capsys.readouterr().err == f"error: need 0 <= --seed < 2**64, got {seed}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+def test_seed_at_the_64_bit_ends_runs(tmp_path, capsys, seed):
+    assert main(["positivep", "--out", str(tmp_path), "--traj", "8", "--grid-points", "3",
+                 "--relax", "0.5", "--lam", "0.1", f"--seed={seed}"]) == 0
+    meta, _ = read_output(tmp_path / "positivep.csv")
+    assert meta["seed"] == seed
+
+
 @pytest.mark.parametrize("command", ["positivep", "qsd", "compare", "fig4"])
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_bad_grid_points_are_named(tmp_path, capsys, command, points):

@@ -370,6 +370,24 @@ def test_both_routes_refuse_one_trajectory_alike():
     assert refusals[0] == refusals[1]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 12345])
+def test_both_routes_refuse_a_seed_outside_64_bits(monkeypatch, seed):
+    # the streams key on the seed modulo 2**64: -1 ran as 2**64 - 1 and
+    # 2**64 + 12345 repeated seed 12345's draws byte for byte
+    monkeypatch.setattr(_ensemble, "trajectory_stream", None)   # no stream is built
+    for run in (lambda: positivep.simulate_ensemble(_P, 8, _GRID, seed=seed),
+                lambda: qsd.simulate_qsd_ensemble(_P, 8, _GRID, seed=seed, n_max=6)):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            run()
+
+
+def test_seeds_at_the_64_bit_ends_run():
+    for seed in (0, 2**64 - 1):
+        positivep.simulate_ensemble(_P, 8, _GRID, seed=seed, relax=0.1)
+        qsd.simulate_qsd_ensemble(_P, 8, _GRID, seed=seed, relax=0.1, n_max=6)
+
+
 def test_trajectory_steps_budget_is_checked_up_front():
     # 2^30 trajectories of 1,024 relaxation steps fill the budget; one more
     # trajectory is refused before any job list is built
