@@ -115,8 +115,8 @@ class Curve:
 
     Curve(values, period): values[k] sits at k*period/n, the wrap value is
     appended at period, and t is first mapped into the period.  It takes
-    at least 3 finite values and a finite period whose knots strictly
-    increase.
+    at least 3 finite values and a positive finite period whose knots
+    strictly increase, and refuses a spline whose coefficients overflow.
 
     The spline is scipy 1.17.1's CubicSpline(bc_type="periodic"), operation
     for operation, so it has its bits: the same condensed tridiagonal system
@@ -141,27 +141,34 @@ class Curve:
             raise InvalidParameterError(
                 f"a periodic curve needs a 1-d array of at least 3 values, got shape "
                 f"{values.shape}")
-        x = np.linspace(0.0, period, values.size + 1)
-        if not np.isfinite(x).all():
-            raise InvalidParameterError("a curve's knots must be finite")
+        if not 0.0 < period < math.inf:
+            raise InvalidParameterError(
+                f"a curve's knots must be finite and strictly increasing, got period {period}")
         if not np.isfinite(values).all():
             raise InvalidParameterError("a curve's values must be finite")
+        x = np.linspace(0.0, period, values.size + 1)
         dx = np.diff(x)
         if not (dx > 0.0).all():
             raise InvalidParameterError("a curve's knots must be strictly increasing")
         values = np.append(values, values[0])
-        slope = np.diff(values) / dx
         # the knot slopes s: the condensed-out unknown s_last, the others
-        # from the condensed system corrected by it, and the first's wrap
+        # from the condensed system corrected by it, and the first's wrap.
+        # Subnormal knot spacing can overflow them; that is refused below.
         factors, s2, den = _knot_system(dx.size, period)
-        b = [3 * (dx[0] * slope[-1] + dx[-1] * slope[0])]
-        b += (3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist()
-        s1 = _tridiagonal_solve(factors, b[:-1])
-        s_last = (b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / den
-        s = np.append(s1 + s_last * s2, s_last)
-        s = np.append(s, s[0])
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.coeffs = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], values[:-1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = np.diff(values) / dx
+            b = [3 * (dx[0] * slope[-1] + dx[-1] * slope[0])]
+            b += (3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist()
+            s1 = _tridiagonal_solve(factors, b[:-1])
+            s_last = (b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / den
+            s = np.append(s1 + s_last * s2, s_last)
+            s = np.append(s, s[0])
+            t = (s[:-1] + s[1:] - 2 * slope) / dx
+            self.coeffs = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], values[:-1]))
+        if not np.isfinite(self.coeffs).all():
+            raise InvalidParameterError(
+                f"a curve's spline coefficients must be finite: its values change too fast "
+                f"for its knot spacing {dx[0]:.3g}")
         self.knots = x
         self.period = period
         self._knot_list = self._anti = None
@@ -404,8 +411,8 @@ class TabulatedPeriodic:
     _curve: Curve = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        if not (self.period > 0.0):
-            raise InvalidParameterError(f"period must be > 0, got {self.period}")
+        if not 0.0 < self.period < math.inf:
+            raise InvalidParameterError(f"period must be > 0 and finite, got {self.period}")
         samples = tuple(float(s) for s in self.samples)
         if len(samples) < MIN_TABULATED_SAMPLES:
             raise InvalidParameterError(

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,16 @@ class TestTabulatedPeriodic:
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidParameterError):
             TabulatedPeriodic(period=1.0, samples=(1.0, 2.0, 1.5))
+
+    @pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_period_not_positive_and_finite_refused_without_warning(self, period):
+        # an infinite period built its knots and printed numpy's "invalid
+        # value encountered in multiply" before the curve refused it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError,
+                               match=rf"^period must be > 0 and finite, got {period}$"):
+                TabulatedPeriodic(period=period, samples=(1.0, 2.0) * 32)
 
 
 class TestDerivedParams:
@@ -512,3 +523,20 @@ class TestCurveIsScipys:
         with pytest.raises(InvalidParameterError, match=what) as err:
             Curve(values, period)
         assert isinstance(err.value, ValueError) and "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("values,period,what", [
+        ([1.0, 2.0, 3.0], math.inf, r"^a curve's knots must be finite and strictly increasing, "
+                                    r"got period inf$"),
+        ([1.0, 2.0, 3.0], -math.inf, "got period -inf$"),
+        ([1.0, 2.0, 3.0], 1e-320, r"^a curve's spline coefficients must be finite: its values "
+                                  r"change too fast for its knot spacing 3\.33e-321$"),
+        (np.arange(64.0), 1e-300, "spline coefficients must be finite"),
+    ])
+    def test_bad_period_refused_before_any_warning(self, values, period, what):
+        # an infinite period warned on building its knots before it was
+        # refused, and subnormal knot spacing overflowed the slopes into an
+        # all-NaN spline after two warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError, match=what):
+                Curve(values, period)
