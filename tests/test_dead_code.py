@@ -6,10 +6,13 @@ name must be read somewhere in the package, by name, as an attribute or
 through an import.  Docstrings and comments do not count as uses.  Every
 entry of the package's __all__ must name one of its attributes and be read
 outside __init__, in the package, the demos or perfbench: a public name
-that only tests read is surface kept for its tests.
+that only tests read is surface kept for its tests.  So must every
+module-level UPPER_CASE constant: a limit or tolerance whose code is gone
+is a number that no longer bounds anything.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,17 @@ def _private_defs(tree) -> list:
             if name.startswith("_") and not name.startswith("__")]
 
 
+def _constants(tree) -> list:
+    """(line, name) of each module-level UPPER_CASE constant."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((node.lineno, t.id) for t in targets
+                       if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id))
+    return out
+
+
 def _package_reads() -> set:
     names = set()
     for path in MODULES:
@@ -106,3 +120,17 @@ def test_every_public_name_has_a_caller():
     uncalled = [name for name in modnopo.__all__
                 if name != "__version__" and name not in reads]
     assert not uncalled
+
+
+def test_every_constant_has_a_caller():
+    # loaded names and attributes only: an __all__ entry is not a read
+    reads = set()
+    for path in CALLERS:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    unread = [f"{path.name}:{line} {name}" for path in MODULES
+              for line, name in _constants(_tree(path)) if name not in reads]
+    assert not unread
