@@ -18,11 +18,10 @@ class TruncationError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """A periodic state was not reached.  Raised before any work where no
     periodic state attracts: one period's decay D (a deviation shrinks by
-    exp(-D)) is not > 0, in the closed form and the ODE period loops alike.
-    Raised by a period loop that ran MAX_PERIODS periods; was refused after
-    its second period because its predicted period count was over twice
-    that, or once it ran past twice its prediction plus ten; or stopped
-    with an error bound over the routes' tolerance."""
+    exp(-D)) is not > 0, in the closed form and the ODE routes alike.
+    Raised by an ODE route whose shot periodic state has an error bound
+    over CROSS_TOL: its last period's end-to-start change, floored at a
+    rounding of the start, over 1 - exp(-D)."""
 
 
 class CrossCheckError(RuntimeError):

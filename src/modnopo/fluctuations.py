@@ -11,7 +11,7 @@ Two routes again, mirrors of the photon-number pair:
       dV/dt = -2 (gamma + eps(t) + lam n0(t)) V + 2 lam n0(t) + 2 gamma + J(t)
   where J is the memory of the pump-depletion channel,
       dJ/dt = -4 gamma J + 4 gamma lam n0(t),
-  driven to its periodic attractor;
+  shot to its periodic state;
 
 * asymptotic_variance: the closed-form periodic solution, a backward
   tail integral with the same kernel structure as the photon-number one.
@@ -40,9 +40,10 @@ from .model import (
 )
 from .semiclassical import (
     N_GRID,
-    PERIODIC_TOL,
     SemiclassicalTrajectory,
-    _periodic_attractor,
+    _closing_pass,
+    _period_pass,
+    _require_passes,
     asymptotic_log_n0,
     classical_orbit,
 )
@@ -106,11 +107,16 @@ class VarianceTrajectory:
 
 
 def integrate_variance(p: ModelParams) -> VarianceTrajectory:
-    """Drive the variance ODE to its periodic attractor.
+    """The periodic (V, J) pair of the variance ODE, by shooting.
 
-    Integrates the (V, J) pair from the vacuum start V = 1 with J seeded
-    at its stationary value for the mean photon number, period by period
-    until the sampled V changes by less than PERIODIC_TOL anywhere.
+    The pair obeys an affine ODE in which J does not see V, so one period
+    maps J to exp(-4 gamma T) J + c_J and, with J periodic, V to
+    exp(-D) V + c_V, D = 2 T <gamma + eps + lam n0>.  A period from
+    (0, 0) gives J* = J(T)/(1 - exp(-4 gamma T)), one from the vacuum
+    (1, J*) gives V* = 1 + (V(T) - 1)/(1 - exp(-D)), and a third from
+    (V*, J*) is the periodic state (see semiclassical._closing_pass for its
+    error bound).  With the pump off the vacuum is the periodic state, and
+    every pass from it stays exactly at V = 1.
     """
     d = derive_params(p)
     n0_traj = classical_orbit(p)
@@ -126,17 +132,17 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
         dV = -2.0 * (gamma + eps(t) + lam * n0) * V + two_lam * n0 + two_gamma + J
         return (dV, minus_four_gamma * J + four_gamma_lam * n0)
 
-    def gap(V_prev, V_now):
-        return np.max(np.abs(V_now - V_prev)), PERIODIC_TOL
-
-    # V's period map shrinks deviations by exp(-D) with D = 2 T <gamma + eps +
-    # lam n0>, J's with D = 4 gamma T; the slower of the two sets the pace.
-    offsets, V_grid, curve, periods = _periodic_attractor(
-        d, rhs, [1.0, lam * n0_traj.mean_n0()], gap, "the variance",
-        2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()),
-        min(2.0 * (gamma + d.eps_bar + lam * n0_traj.mean_n0()) * T, 4.0 * gamma * T))
+    route = "the variance"
+    decay_V = 2.0 * (gamma + d.eps_bar + lam * n0_traj.mean_n0()) * T
+    decay_J = 4.0 * gamma * T
+    _require_passes(d, route, 2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()),
+                    min(decay_V, decay_J))
+    J_star = _period_pass(d, rhs, [0.0, 0.0], route)[2][1] / -math.expm1(-decay_J)
+    V_star = 1.0 + (_period_pass(d, rhs, [1.0, J_star], route)[2][0] - 1.0) / -math.expm1(-decay_V)
+    offsets, V_grid, curve = _closing_pass(d, rhs, [V_star, J_star], route, decay_V,
+                                           abs(V_star))
     return VarianceTrajectory(t_grid=offsets, V=V_grid, period=T, n0_ref=n0_traj,
-                              periods_to_converge=periods, _curve=curve)
+                              periods_to_converge=3, _curve=curve)
 
 
 # --- closed-form route ------------------------------------------------

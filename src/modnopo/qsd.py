@@ -196,9 +196,11 @@ class _TailTripped(Exception):
 def auto_n_max(p: ModelParams) -> int:
     """Starting cutoff: four times the classical orbit peak plus headroom.
 
-    Just above threshold the orbit settles too slowly for the period loop,
-    which refuses it (ConvergenceError); the headroom alone is taken there,
-    as at or below threshold, and the cutoff grows as the run needs.
+    Where the orbit's shooting bound refuses it (ConvergenceError: at very
+    fast modulation, delta >= 1e12 at the default lam, one period changes
+    ln n0 by less than a rounding of it over 1 - exp(-D)), the headroom
+    alone is taken, as at or below threshold, and the cutoff grows as the
+    run needs.
     """
     try:
         peak = classical_orbit(p).max_n0()

@@ -33,14 +33,14 @@ from .errors import (BelowThresholdError, ConvergenceError, CrossCheckError,
                      InvalidParameterError)
 from .model import Curve, DerivedParams, ModelParams, Regime, derive_params, regime_classify
 
-# Constants of the period loop both ODE routes share, and of the orbit's
-# cross-check against the closed form.
-PERIODIC_TOL = 1e-8
-MAX_PERIODS = 10_000
+# Constants of the periodic states both ODE routes shoot for, and of the
+# orbit's cross-check against the closed form.
 N_GRID = 2048
 CROSS_TOL = 1e-4
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
+# RK45's relative tolerance on the one-period passes of the periodic states
+SHOOT_RTOL = 1e-10
 # RK45 steps one period of either ODE route may take.  RK45 is stable for
 # steps up to about 3.3/r on a damping of rate r, so a period takes about
 # r*T/3.3 steps whatever the tolerance (flat pump at delta=2: 1,995 steps
@@ -49,10 +49,9 @@ ODE_ATOL = 1e-12
 # At pump ratio 1e3 a step of the orbit costs 11-16 us and one of the
 # variance 16-20 us on a 2-vCPU x86 VM (22-25 us and 30-37 us with a
 # generic n-component step, 69-75 us for the orbit through scipy's
-# solve_ivp), and the period iteration runs several periods, so the budget
-# is a few seconds per period: pump ratio 1e4 still runs (a sweep cell in
-# 5.2 s, 6.9 s with the generic step, 15.1 s through solve_ivp), 1e6
-# would need about 2e6 steps per period.
+# solve_ivp), and each route runs two or three one-period passes, so the
+# budget is a few seconds per pass: pump ratio 1e4 still runs, 1e6 would
+# need about 2e6 steps per period.
 _STEP_BUDGET = 100_000
 
 
@@ -60,7 +59,7 @@ _STEP_BUDGET = 100_000
 class SemiclassicalTrajectory:
     """Photon-number curve n0(t) on a time grid.
 
-    For converged periodic orbits t_grid covers exactly one period [0, T)
+    For periodic orbits t_grid covers exactly one period [0, T)
     and interp() evaluates the periodic extension at any time.  A transient
     from integrate_n0 covers its t_span and carries no interpolant: its
     t_grid and n0 are the result, and interp() refuses unless n0 is zero
@@ -348,109 +347,81 @@ def integrate_n0(
     return SemiclassicalTrajectory(t_grid=t_eval, n0=n0, period=d.period)
 
 
-def _periodic_attractor(d: DerivedParams, rhs, y0: list, gap, route: str, rate: float,
-                        decay: float):
-    """Integrate rhs period by period from y0 until its first component
-    stops changing on the grid.
-
-    rate is the ODE's fastest damping rate; one period shrinks a deviation
-    from the attractor by m = exp(-decay).  gap(prev, now) returns the
-    change between two consecutive grids and the bound it must fall below.
-    Refuses before integrating a decay D not > 0 (no periodic state
-    attracts) and a period needing over _STEP_BUDGET RK45 steps; after the
-    second period a predicted count 2 + ln(change/bound)/D over twice
-    MAX_PERIODS; a loop past twice that prediction plus ten periods (it
-    chases integrator noise); and a stop whose error bound change*m/(1 - m)
-    exceeds CROSS_TOL/PERIODIC_TOL times the bound, a relative 1e-4 (one
-    period barely moved a slowly shrinking deviation, or moved it less than
-    a rounding).  Returns the grid, the first component on it, its periodic
-    Curve and the periods run.
-    """
+def _require_passes(d: DerivedParams, route: str, rate: float, decay: float) -> None:
+    """Refuse, before any step, a period decay D not > 0 (one period shrinks
+    a deviation from the periodic state by exp(-D), so none attracts) and a
+    period needing over _STEP_BUDGET RK45 steps at the fastest damping
+    rate."""
     _tailquad.require_decay(decay, route)
-    T = d.period
-    steps = rate * T / 3.3
+    steps = rate * d.period / 3.3
     if steps > _STEP_BUDGET:
         raise InvalidParameterError(
             f"{route} is too stiff at pump ratio fbar/f_th={d.pump_ratio:.3g}: "
             f"RK45 would need about {steps:.3g} steps per period, over the budget "
             f"of {_STEP_BUDGET:,}")
-    offsets = np.linspace(0.0, T, N_GRID, endpoint=False)
-    prev = None
-    # Solver reproducibility between consecutive periods must sit well below
-    # the convergence tolerance, or the iteration chases integrator noise.
-    rtol = min(ODE_RTOL, PERIODIC_TOL / 100.0)
-    need = math.inf
-    for period_idx in range(MAX_PERIODS):
-        t0 = period_idx * T
-        grid, y0 = _rk45(rhs, t0, t0 + T, y0, t0 + offsets, rtol, route)
-        now = grid[0]
-        if prev is not None:
-            change, bound = gap(prev, now)
-            if change < bound:
-                # a change under float64's spacing at the bound's scale is unseen
-                seen = max(change, bound * np.finfo(float).eps / PERIODIC_TOL)
-                error = seen * math.exp(-decay) / -math.expm1(-decay)
-                if error > (CROSS_TOL / PERIODIC_TOL) * bound:
-                    raise ConvergenceError(
-                        f"{route} changed by only {change:.3g} in period {period_idx + 1}, "
-                        f"but with decay D = {decay:.3g} a period it may still sit "
-                        f"{error:.3g} from its periodic state, over "
-                        f"{CROSS_TOL / PERIODIC_TOL:g} times the bound {bound:.3g}")
-                break
-            if period_idx + 1 > 2.0 * need + 10.0:
-                raise ConvergenceError(
-                    f"{route} did not become periodic in {period_idx + 1} periods, over "
-                    f"twice the {need:.3g} predicted after two (it chases integrator noise)")
-            if period_idx == 1:
-                # the change shrinks by about exp(-D) a period from here on
-                need = 2.0 + math.log(change / bound) / decay
-                if need > 2 * MAX_PERIODS:
-                    raise ConvergenceError(
-                        f"{route} would need about {need:.3g} periods to become periodic "
-                        f"(decay D = {decay:.3g} a period), over twice the limit of "
-                        f"{MAX_PERIODS:,}")
-        prev = now
-    else:
+
+
+def _period_pass(d: DerivedParams, rhs, y0: list, route: str):
+    """One period of rhs from y0 at t = 0: the N_GRID times of the period,
+    each component on them, and the state at its end."""
+    offsets = np.linspace(0.0, d.period, N_GRID, endpoint=False)
+    return (offsets, *_rk45(rhs, 0.0, d.period, y0, offsets, SHOOT_RTOL, route))
+
+
+def _closing_pass(d: DerivedParams, rhs, y0: list, route: str, decay: float, scale: float):
+    """The periodic state from its shot start y0: the grid, the first
+    component on it and that component's periodic Curve.
+
+    One period from the periodic state returns to it.  Where a period
+    shrinks a deviation by exp(-D), a start that one period moves by r
+    sits r/(1 - exp(-D)) from it.  r is the first component's end-to-start
+    change over scale, floored at the float spacing of the start, the least
+    change a pass can show; a bound over CROSS_TOL is refused.
+    """
+    offsets, grid, end = _period_pass(d, rhs, y0, route)
+    change = max(abs(end[0] - y0[0]), math.ulp(y0[0])) / scale
+    bound = change / -math.expm1(-decay)
+    if not bound <= CROSS_TOL:
         raise ConvergenceError(
-            f"{route} did not become periodic in {MAX_PERIODS:,} periods "
-            f"(pump ratio fbar/f_th={d.pump_ratio:.6g})")
-    return offsets, now, Curve(now, T), period_idx + 1
-
-
-def _orbit_gap(u_prev, u_now):
-    with np.errstate(under="ignore"):
-        n_now = np.exp(u_now)
-        n_prev = np.exp(u_prev)
-    scale = max(n_now.max(), n_prev.max())
-    return np.max(np.abs(n_now - n_prev)), PERIODIC_TOL * scale
+            f"{route} may sit {bound:.3g} from its periodic state, over CROSS_TOL = "
+            f"{CROSS_TOL:g}: one period from its shot start changed it by {change:.3g}, "
+            f"and a period's decay is D = {decay:.3g}")
+    return offsets, grid[0], Curve(grid[0], d.period)
 
 
 def periodic_steady_state(p: ModelParams) -> SemiclassicalTrajectory:
-    """Drive the photon-number ODE to its periodic attractor.
+    """The periodic photon-number orbit, by shooting.
 
-    Starts from n0 = gamma/lam (any positive start reaches the same
-    attractor; this one is within an order of magnitude of it for typical
-    above-threshold pumping) and integrates period by period until the
-    grid-sampled orbit changes by less than PERIODIC_TOL relative to its
-    peak.  The converged orbit is cross-checked pointwise against the
-    closed-form route.
+    w = 1/n0 obeys the linear w' = -2 (eps - gamma) w + 2 lam, so one
+    period maps w to m w + c with m = exp(-D), D = 2 (eps_bar - gamma) T.
+    One period of u = ln n0 from n0 = gamma/lam gives c, and the orbit
+    starts at the map's fixed point w* = w0 + (w(T) - w0)/(1 - m).  A
+    second period from there is the orbit (see _closing_pass for its error
+    bound), cross-checked pointwise against the closed-form route.
     """
     if regime_classify(p) is not Regime.ABOVE_THRESHOLD:
         raise BelowThresholdError(
             "periodic photon-number orbit requires period-averaged pump above threshold"
         )
     d = derive_params(p)
-    # Near the orbit ln n0 relaxes at rate 2*lam*n0, about 2*(eps - gamma);
-    # w = 1/n0 obeys a linear ODE whose period map multiplies by exp(-D),
-    # D = 2 (eps_bar - gamma) T.
-    offsets, u_grid, log_n0, periods = _periodic_attractor(
-        d, _du_dt(d), [math.log(d.gamma / d.lam)], _orbit_gap, "the photon-number orbit",
-        2.0 * max(d.eps_peak - d.gamma, 0.0), 2.0 * (d.eps_bar - d.gamma) * d.period)
+    route = "the photon-number orbit"
+    decay = 2.0 * (d.eps_bar - d.gamma) * d.period
+    # near the orbit ln n0 relaxes at rate 2*lam*n0, about 2*(eps - gamma)
+    _require_passes(d, route, 2.0 * max(d.eps_peak - d.gamma, 0.0), decay)
+    rhs = _du_dt(d)
+    u0 = math.log(d.gamma / d.lam)
+    u1 = _period_pass(d, rhs, [u0], route)[2][0]
+    # w* in logs, so that neither e^u nor e^-u can overflow:
+    # -ln w* = u(T) - ln(1 - m e^(u(T) - u0)) + ln(1 - m).  A pass whose
+    # change rounding hides leaves no fixed point to take; it closes from
+    # where it ended, and the bound decides.
+    gap = -math.expm1(u1 - u0 - decay)
+    u_star = u1 - math.log(gap) + math.log(-math.expm1(-decay)) if gap > 0.0 else u1
+    offsets, u_grid, log_n0 = _closing_pass(d, rhs, [u_star], route, decay, 1.0)
     with np.errstate(under="ignore"):
         n0 = np.exp(u_grid)
     traj = SemiclassicalTrajectory(
-        t_grid=offsets, n0=n0, periods_to_converge=periods, period=d.period,
-        _log_n0=log_n0,
+        t_grid=offsets, n0=n0, periods_to_converge=2, period=d.period, _log_n0=log_n0,
     )
 
     idx = np.linspace(0, N_GRID - 1, 64).astype(int)

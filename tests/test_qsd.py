@@ -20,6 +20,7 @@ import pytest
 
 from helpers import sha256
 from modnopo import (
+    ConvergenceError,
     FockDimensionError,
     InvalidParameterError,
     build_operators,
@@ -454,12 +455,18 @@ class TestEnsemble:
     def test_auto_cutoff(self):
         below = params_from_ratios(fbar_over_fth=0.2, lam_over_gamma=LAM)
         assert auto_n_max(below) == 10
-        # at threshold the cavity is empty; at 1.0001 the period loop
-        # refuses the orbit's predicted period count, and the headroom of
-        # 10 stands alone in both
-        for ratio in (1.0, 1.0001):
-            p = params_from_ratios(fbar_over_fth=ratio, lam_over_gamma=LAM)
-            assert auto_n_max(p) == 10, ratio
+        # at threshold the cavity is empty, and the headroom of 10 stands
+        # alone; at 1.0001 the orbit peaks at (r - 1) gamma/lam = 1e-3
+        assert auto_n_max(params_from_ratios(fbar_over_fth=1.0, lam_over_gamma=LAM)) == 10
+        assert auto_n_max(params_from_ratios(fbar_over_fth=1.0001, lam_over_gamma=LAM)) == 11
+        # at delta 1e13 a period moves ln n0 by less than a rounding of it
+        # over 1 - exp(-D) = 1.3e-12, so the orbit's error bound refuses it
+        # and the headroom stands alone again
+        fast = params_from_ratios(fbar_over_fth=2.0, delta_over_gamma=1e13,
+                                  lam_over_gamma=LAM)
+        with pytest.raises(ConvergenceError, match="from its periodic state"):
+            qsd.classical_orbit(fast)
+        assert auto_n_max(fast) == 10
         above = params_from_ratios(fbar_over_fth=2.0, lam_over_gamma=LAM)
         # classical orbit peaks at (r-1)*gamma/lam = 10; integrator noise
         # may push the ceiling up one

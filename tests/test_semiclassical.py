@@ -30,7 +30,8 @@ from modnopo import (
     zero_trajectory,
 )
 from modnopo import semiclassical
-from modnopo.semiclassical import _periodic_attractor, asymptotic_log_n0
+from modnopo.model import Regime, regime_classify
+from modnopo.semiclassical import _closing_pass, _period_pass, _require_passes, asymptotic_log_n0
 
 
 def oracle_inverse_n0(p, t):
@@ -309,17 +310,23 @@ class TestRK45:
     def test_both_routes_every_period(self, calls):
         # seeded points over delta 0.3-15 and f1/fbar 0-2, the pump ratio in
         # each twelfth of 0.4-3.9 (below and above threshold), a tabulated
-        # pump, and a stiff flat pump whose steps hold one grid point or none
+        # pump, and a stiff flat pump whose steps hold one grid point or none;
+        # each point shoots its orbit in two passes and its variance in three
         rng = np.random.default_rng(2111)
         points = [params_from_ratios(delta_over_gamma=rng.uniform(0.3, 15.0),
                                      fbar_over_fth=0.4 + 3.5 * (k + rng.uniform()) / 12,
                                      f1_over_fbar=rng.uniform(0.0, 2.0),
                                      phi=rng.uniform(0.0, 2.0 * math.pi))
                   for k in range(12)]
+        above = 0
         for p in [*points, tabulated_pump(), params_from_ratios(fbar_over_fth=1e3)]:
-            integrate_variance(p)
-        assert calls.count("the variance") >= 3 * 14
-        assert calls.count("the photon-number orbit") >= 3 * 12
+            del calls[:]
+            traj = integrate_variance(p)
+            orbit = 2 if regime_classify(p) is Regime.ABOVE_THRESHOLD else 0
+            above += orbit > 0
+            assert calls == ["the photon-number orbit"] * orbit + ["the variance"] * 3
+            assert (traj.n0_ref.periods_to_converge, traj.periods_to_converge) == (orbit, 3)
+        assert above == 12
 
     def test_transient(self, calls):
         p = params_from_ratios(f1_over_fbar=0.4)
@@ -346,70 +353,70 @@ class TestRK45:
             with pytest.raises(RuntimeError, match=(
                     r"^the variance integration failed: Required step size is less than "
                     r"spacing between numbers\.$")):
-                _periodic_attractor(d, rhs, [1.0], None, "the variance", 1.0, 0.5)
+                _period_pass(d, rhs, [1.0], "the variance")
 
     @pytest.mark.parametrize("decay", [0.0, -1.0, math.nan, -math.inf])
-    def test_decay_not_above_zero_is_refused_before_any_step(self, decay):
-        # a rate far over the step budget: the existence rule comes first
-        calls = []
-
-        def rhs(t, y):
-            calls.append(t)
-            return (-y[0],)
-
+    def test_decay_not_above_zero_is_refused_before_any_step(self, monkeypatch, decay):
+        # a rate far over the step budget: the existence rule comes first,
+        # and both routes check it before their first pass
+        monkeypatch.setattr(semiclassical, "_rk45", None)
         d = derive_params(params_from_ratios())
-        with pytest.raises(ConvergenceError, match=(
-                rf"^the variance: one period's decay D = {decay:.3g} is not > 0, so its "
-                rf"multiplier exp\(-D\) does not shrink a deviation and no periodic state "
-                rf"attracts$")):
-            _periodic_attractor(d, rhs, [1.0], None, "the variance", 1e12, decay)
-        assert calls == []
+        message = (rf"^the variance: one period's decay D = {decay:.3g} is not > 0, so its "
+                   rf"multiplier exp\(-D\) does not shrink a deviation and no periodic state "
+                   rf"attracts$")
+        with pytest.raises(ConvergenceError, match=message):
+            _require_passes(d, "the variance", 1e12, decay)
+        if decay == 0.0:
+            with pytest.raises(ConvergenceError, match="decay D = 0 is not > 0"):
+                integrate_variance(params_from_ratios(fbar_over_fth=-1.0))
 
     @staticmethod
-    def _drift(monkeypatch, decay, most):
-        """Run the loop on y' = 1, which never settles (each period moves y
-        by T), and return the periods it integrated; more than ``most``
-        fails at once."""
-        periods = []
+    def _close(monkeypatch, rhs, y0, decay):
+        """_closing_pass from y0 with the period decay D, and the number of
+        one-period passes it ran."""
+        passes = []
         rk45 = semiclassical._rk45
 
         def counted(*args):
-            periods.append(args[1])
-            assert len(periods) <= most, f"ran past {most} periods"
+            passes.append(args[1])
             return rk45(*args)
 
         monkeypatch.setattr(semiclassical, "_rk45", counted)
         d = derive_params(params_from_ratios())
-        gap = lambda prev, now: (float(np.max(np.abs(now - prev))), semiclassical.PERIODIC_TOL)
-        with pytest.raises(ConvergenceError) as err:
-            _periodic_attractor(d, lambda t, y: (1.0,), [0.0], gap, "the variance", 1.0, decay)
-        return len(periods), str(err.value)
+        try:
+            return _closing_pass(d, rhs, y0, "the variance", decay, abs(y0[0])), len(passes)
+        except ConvergenceError as err:
+            return str(err), len(passes)
 
-    def test_decay_too_small_to_shrink_m_is_refused_after_two_periods(self, monkeypatch):
-        # exp(-1e-300) rounds to 1; the predicted count divides by D, not by
-        # 1 - m or ln m, so it neither divides by zero nor waits
-        periods, message = self._drift(monkeypatch, 1e-300, 2)
-        assert periods == 2
-        assert message.startswith("the variance would need about 1.96e+301 periods"), message
+    def test_decay_too_small_to_shrink_m_is_refused_in_one_pass(self, monkeypatch):
+        # exp(-1e-300) rounds to 1, and 1 - exp(-D) is taken as -expm1(-D),
+        # so y' = 1, which never settles, is refused after its one pass with
+        # the bound T/(1 - exp(-D)) and neither divides by zero nor waits
+        message, passes = self._close(monkeypatch, lambda t, y: (1.0,), [1.0], 1e-300)
+        assert passes == 1
+        assert message == ("the variance may sit 3.14e+300 from its periodic state, over "
+                           "CROSS_TOL = 0.0001: one period from its shot start changed it "
+                           "by 3.14, and a period's decay is D = 1e-300")
 
-    @pytest.mark.parametrize("decay,need", [(1e3, "2.02"), (math.inf, "2")])
-    def test_fast_decay_gets_a_prediction(self, monkeypatch, decay, need):
-        # exp(-D) underflows to 0 here; the loop skipped its prediction at a
-        # zero multiplier, so a loop that never settles ran to MAX_PERIODS
-        periods, message = self._drift(monkeypatch, decay, 15)
-        assert periods == 15
-        assert message == (f"the variance did not become periodic in 15 periods, over twice "
-                           f"the {need} predicted after two (it chases integrator noise)")
+    @pytest.mark.parametrize("decay", [1e3, math.inf])
+    def test_fast_decay_answers_in_one_pass(self, monkeypatch, decay):
+        # exp(-D) underflows to 0 here: a start one period returns to is
+        # answered by that one pass, its change floored at a rounding of 1.0
+        (offsets, grid, curve), passes = self._close(monkeypatch, lambda t, y: (0.0,), [1.0],
+                                                     decay)
+        assert passes == 1
+        assert (grid == 1.0).all() and offsets.size == grid.size == semiclassical.N_GRID
+        assert curve(0.37) == 1.0
 
-    def test_change_below_rounding_is_no_convergence(self):
+    def test_change_below_rounding_is_no_convergence(self, monkeypatch):
         # a state that stands still in float64 while exp(-D) rounds to 1
         # (the variance below threshold at delta 1e308) is not shown to be
-        # periodic
-        d = derive_params(params_from_ratios())
-        gap = lambda prev, now: (0.0, semiclassical.PERIODIC_TOL)
-        with pytest.raises(ConvergenceError, match="changed by only 0 in period 2, but with "
-                                                   "decay D = 1e-300 a period it may still sit"):
-            _periodic_attractor(d, lambda t, y: (0.0,), [0.0], gap, "the variance", 1.0, 1e-300)
+        # periodic: its change counts as a rounding of the start
+        message, passes = self._close(monkeypatch, lambda t, y: (0.0,), [1.0], 1e-300)
+        assert passes == 1
+        assert message == ("the variance may sit 2.22e+284 from its periodic state, over "
+                           "CROSS_TOL = 0.0001: one period from its shot start changed it "
+                           "by 2.22e-16, and a period's decay is D = 1e-300")
 
     def test_backward_span_or_too_few_points_is_refused(self):
         # the integrator runs forward only; one point or none used to fail
