@@ -334,23 +334,25 @@ def _tabulated(samples):
 class TestFrozenBytes:
     """Regression freezes of the ODE routes: sha256 of the periodic orbit,
     the periodic variance, find_vmin's (v_min, t0, n0_at_t0) and the float
-    values of single-time evaluations of the orbit and the pump, taken before
-    the right-hand sides moved to scalar code.  A faster right-hand side must
-    keep every byte."""
+    values of single-time evaluations of the orbit and the pump.  Taken
+    before the right-hand sides moved to scalar code, and taken again when
+    the periodic states came to be shot instead of iterated (the ODE
+    routes' values, and the closed routes' n0_at_t0, which reads the ODE
+    orbit).  A faster right-hand side must keep every byte."""
 
     POINTS = {
         "below": (lambda: params_from_ratios(fbar_over_fth=0.5, f1_over_fbar=1.0, phi=0.4),
-                  "6b6e0951dffbdd1a1d9fcd2b908caeee21358f61e3a6797e57704ef68e3a434b"),
+                  "84c79bf08283876c344403467ba5ab68ca800e3f2501a63fd000f9e64453fe82"),
         "near": (lambda: params_from_ratios(fbar_over_fth=1.05, f1_over_fbar=0.75, phi=0.7),
-                 "08c4fa5472c49426750d94c582e85eb4fe8d88bbdf977c0a277465e9edbf315c"),
+                 "62ae7393a494c4a050b0d3e5502d75ef70b42aa48630aaf867719ee83c2561b4"),
         "sign_change": (lambda: params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=2.0,
                                                    phi=1.1),
-                        "97cf29773d8e3d0cd8bcbda5a24b65d3ce31a6e989a4524a00910585081de704"),
+                        "a9e4e7a713c7a7ff5861c0391ffe27e9aceb998bca1f91095ffca9759a8c9059"),
         "fast": (lambda: params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.8,
                                             delta_over_gamma=15.0),
-                 "3a5c94d9830488ef8c7fadb1f3dce154521945b8316873ae6b2913a4840f31ea"),
+                 "e4de45710bbc8d2bedc7b04edaa21835762256194c16ff637035f302e4156cf6"),
         "tabulated": (tabulated_pump,
-                      "123a626f77bdfcf117f123c87637e1019f94663cbdbe822c2db224b0263860c4"),
+                      "6e922989896f071fce642d34701dcaba884428616ef315be1d9752914160578f"),
     }
 
     @pytest.mark.parametrize("name", list(POINTS))
@@ -369,10 +371,12 @@ class TestFrozenBytes:
         ])
         assert got == want
 
-    # (orbit periods, variance periods), counted before the two period loops
-    # became one driver; the below-threshold orbit is the exact zero orbit
-    PERIODS = {"below": (0, 4), "near": (57, 4), "sign_change": (4, 4), "fast": (19, 11),
-               "tabulated": (7, 4), "delta100": (87, 37)}
+    # (orbit passes, variance passes) of one period each: the orbit shoots
+    # its periodic state in two and the variance in three at every point
+    # (a period loop took 4 to 87 and 4 to 37 here); the below-threshold
+    # orbit is the exact zero orbit
+    PERIODS = {"below": (0, 3), "near": (2, 3), "sign_change": (2, 3), "fast": (2, 3),
+               "tabulated": (2, 3), "delta100": (2, 3)}
 
     @pytest.mark.parametrize("name", list(PERIODS))
     def test_periods_to_converge(self, name):
@@ -390,12 +394,12 @@ class TestFrozenBytes:
     # find_vmin(route="closed"); the below-threshold point has no n0 curve
     CLOSED = {
         "below": "1c0512f45386dca21ffb6b305397b6e5e96865f9c1d6d5ece1d571670401311b",
-        "near": "a4c4c854f3dc78309fdd62705ef44a6d2a71a0895c37fcf49c41b9daa751a0fb",
-        "sign_change": "0118b8697af4c02348b3528027573d264a361db980cab3f203a538859d6480ab",
-        "fast": "7b6c2c8083a8156f29a4f9f90e9bc4b4be8ba0acba3a119c6895881c76b74018",
-        "tabulated": "e46d64a203e533fd321bc60e7e04048ce6418528fd2e602841f479890874352e",
-        "delta0.05": "1c6aca018509943e6034d5941da3abe4ed1518b9614885f2b711c8e5efaf49b1",
-        "delta100": "86b91399d473dc92822f9bbb14559aad233ad1f252d5d8d3ba41006b1c842707",
+        "near": "7eaf4f0b6018467e4086ea0b30bd60da786dc5515c65a57e11871a9062e90e12",
+        "sign_change": "6faf2cf75949258c3099734a44fa144b7a7b47ccc2fd52becfd38b37154f232f",
+        "fast": "f6e407309525ca4d064a20b82a2e71d51248365c95792647443568dac8228cd6",
+        "tabulated": "ab1b80f6135159ade729630d927a59a443d0611765096f24c6984fa262fb756c",
+        "delta0.05": "e8a1e5eb689fbd6d2beb93220c7b029112f220896dac2825191c22b0cae43acb",
+        "delta100": "bc50f4abe4113272829447cfa6f32f94d727bdc613d2a4351ef76b96f736b6bc",
     }
 
     @pytest.mark.parametrize("name", list(CLOSED))
@@ -419,9 +423,9 @@ class TestFrozenBytes:
     # modulated, one flat and one whose spread is a single subnormal
     TABLES = {
         "modulated": (tabulated_pump,
-                      "71ca90ccfe1201f1775610eabdb392a0690ef27f8e2404a44f901018129a938a"),
+                      "9681736a0cc6732f080b7ff57821612ecb75c1c82c38482c7c671477111edd28"),
         "flat": (lambda: _tabulated([2.0 * 25.0 / 5e-4] * 64),
-                 "7e4bbac1382be9be7e3b94686d3f1feb81f1009869c9206ab20102d42083d8bd"),
+                 "24da56bffe1875a9253e1081a6e7e54574e76dad7178c046e3d100126023908c"),
         "subnormal": (lambda: _tabulated([0.0] * 63 + [5e-324]),
                       "9546ce183bccd9ec0b26ba73bf5daaf76bba25e315c6df30a04bbd65f0eaa9af"),
     }
@@ -440,7 +444,7 @@ class TestFrozenBytes:
         # sha256 of a sweep cell whose depth is negative (a phase-flipped pump)
         cells = sweep_vmin(params_from_ratios(phi=0.4), [1.6], [-0.75])
         assert sha256([("cells", cells)]) == (
-            "7be01683dd6414d9f1c8e7ca1e4d70e484bec1b420aec3adb25ea4ed95405433")
+            "68f0acb637f3023f33b60090133bcc21e40bf60d60818b8cfcbec83e961d50bd")
 
     def test_transient_grid(self):
         # the same run's grid and photon numbers alone, without any

@@ -405,8 +405,11 @@ class TestFrozenBytes:
     """Regression freezes: sha256 of every result array of small runs.  The
     first four were taken at commit deb37af before the batch kernel was
     fused, the 1037-trajectory runs and the four masked batches before
-    several batches were stepped as one array.  A rewrite of the kernel or
-    the step loop must keep every byte."""
+    several batches were stepped as one array.  Those above threshold were
+    taken again when the classical orbit, their starting point, came to be
+    shot instead of iterated; with the earlier orbit's starting amplitude
+    each gives its earlier digest.  A rewrite of the kernel or the step
+    loop must keep every byte."""
 
     P = params_from_ratios(fbar_over_fth=2.0, f1_over_fbar=0.5,
                            delta_over_gamma=2.0, lam_over_gamma=LAM)
@@ -416,13 +419,13 @@ class TestFrozenBytes:
         ens = simulate_ensemble(self.P, 300, np.linspace(0.0, 0.5, 6),
                                 seed=1101, relax=0.3)
         assert _moments_digest(ens) == (
-            "6f508b2ed81532fa20e613f10dd78f24e95aa6f1a934a4db013ecf86aa55dbe1")
+            "c658e753b7d1c82ab8410f34d85a16167a72494876fd6c4ed7c028f4cf79c096")
 
     def test_extended_ensemble(self):
         ens = simulate_ensemble(self.P, 300, np.linspace(0.0, 0.6, 7),
                                 seed=1102, relax=0.2, collect_extended=True)
         assert _moments_digest(ens) == (
-            "f18d10cee01a3ce0b655cccd898a3319f8758f9b9a406c29204ec3c0e1deb294")
+            "94a9aa3666a6f97fe39cbe71fdac55327dfc8836303220c3246a9c92e3116691")
 
     def test_below_threshold_from_vacuum(self):
         # every amplitude starts at exactly 0, and the pump changes sign
@@ -442,7 +445,7 @@ class TestFrozenBytes:
         acc = _run_batch(np.arange(40, 140), *_masked_batch_args(self.P))[0]
         np.testing.assert_array_equal(acc["count"], [100, 96, 72, 39, 25, 21])
         assert sha256((k, acc[k]) for k in sorted(acc)) == (
-            "1048910354fedd1108d5138b0a581172d3c28685ec3e550c0b851c6574f019a9")
+            "799460be981eb7d9cfda966cbffc12bf2f5cb895a4f6aacd17c58f80da6ce8d0")
 
     def test_four_masked_batches(self):
         # the accumulators of four consecutive full batches at the masked
@@ -450,14 +453,14 @@ class TestFrozenBytes:
         accs = _run_batch(np.arange(40, 1064), *_masked_batch_args(self.P))
         assert sha256((f"{n}:{k}", acc[k]) for n, acc in enumerate(accs)
                       for k in sorted(acc)) == (
-            "53c18a292d24c599b88bfff3db6e13cf76a94cd0153e1ce565ea27e89ed3617d")
+            "4149c3bf68ab0607db6c3f2b376f2ce597ea00b4935d9bb29097ae491fbe160d")
 
     def test_four_full_batches_and_a_partial(self):
         for n_workers in (1, 2):
             ens = simulate_ensemble(self.P, 1037, np.linspace(0.0, 0.5, 6),
                                     seed=1105, relax=0.3, n_workers=n_workers)
             assert _moments_digest(ens) == (
-                "b40ff24b78fd3ccc92b0d6cf89efb15f1507bf4a102dd2cc2cbff30de98d6ffc")
+                "9272f399f6ce9d8dd55d50bfc8e86195ab5285a4396990b12a3bf8e6cdf46a2d")
 
     def test_four_full_batches_and_a_partial_extended(self):
         for n_workers in (1, 2):
@@ -465,7 +468,7 @@ class TestFrozenBytes:
                                     seed=1106, relax=0.2, n_workers=n_workers,
                                     collect_extended=True)
             assert _moments_digest(ens) == (
-                "6989a3fdd9a140e489a7b74ad1407d092e8b2e94fd40cbc46b15a93bf779e13a")
+                "ed25aa7cca4962842686504719c7c3a8bf16ca37f87331f1046ed5fe52dd99a9")
 
     def test_benchmark_cli_point(self):
         # the phase_space benchmark's CLI ensemble (delta 4, relax 1, one
@@ -479,7 +482,7 @@ class TestFrozenBytes:
             ens = simulate_ensemble(p, 1037, t_grid, seed=1107, relax=1.0,
                                     n_workers=n_workers)
             assert _moments_digest(ens) == (
-                "261d5067310f988a899d4fa0aea437a5e65562600311c34ca4fdf8a48458661d")
+                "1ff2b55bf149ef3e7bd62a90c487d69a10c8185907218e58b7d2532c41283c42")
 
 
 def _masked_batch_args(p):
