@@ -33,7 +33,7 @@ for level in (0.4, 1.2):
 p = params_from_ratios(fbar_over_fth=3.0, f1_over_fbar=1.2)
 print(f"validity ratio: {linearization_validity(p):.3e}")
 
-# Route cross-check: the ODE attractor and the quadrature closed form are
+# Route cross-check: the shot ODE periodic state and the quadrature closed form are
 # independent implementations of the same curve.
 ode = find_vmin(p, route="ode").v_min
 closed = find_vmin(p, route="closed").v_min

@@ -137,8 +137,10 @@ def integrate_variance(p: ModelParams) -> VarianceTrajectory:
     decay_J = 4.0 * gamma * T
     _require_passes(d, route, 2.0 * (gamma + d.eps_peak + lam * n0_traj.max_n0()),
                     min(decay_V, decay_J))
-    J_star = _period_pass(d, rhs, [0.0, 0.0], route)[2][1] / -math.expm1(-decay_J)
-    V_star = 1.0 + (_period_pass(d, rhs, [1.0, J_star], route)[2][0] - 1.0) / -math.expm1(-decay_V)
+    J_end = _period_pass(d, rhs, [0.0, 0.0], route)[2][1]
+    J_star = J_end / -math.expm1(-decay_J)
+    V_end = _period_pass(d, rhs, [1.0, J_star], route)[2][0]
+    V_star = 1.0 + (V_end - 1.0) / -math.expm1(-decay_V)
     offsets, V_grid, curve = _closing_pass(d, rhs, [V_star, J_star], route, decay_V,
                                            abs(V_star))
     return VarianceTrajectory(t_grid=offsets, V=V_grid, period=T, n0_ref=n0_traj,

@@ -473,7 +473,8 @@ def test_periodic_state_is_answered_or_refused_by_its_bound(tmp_path, argv, answ
     if argv[0] == "variance":
         got, want = cols["V"], asymptotic_variance(config_to_params(config), cols["t"])
     else:
-        config.update(fbar_over_fth=cols["fbar_over_fth"][0], f1_over_fbar=cols["f1_over_fbar"][0])
+        config.update(fbar_over_fth=cols["fbar_over_fth"][0],
+                      f1_over_fbar=cols["f1_over_fbar"][0])
         got, want = cols["v_min"], find_vmin(config_to_params(config), route="closed").v_min
     assert np.max(np.abs(got / want - 1.0)) < CROSS_TOL
 

@@ -31,7 +31,8 @@ from modnopo import (
 )
 from modnopo import semiclassical
 from modnopo.model import Regime, regime_classify
-from modnopo.semiclassical import _closing_pass, _period_pass, _require_passes, asymptotic_log_n0
+from modnopo.semiclassical import (_closing_pass, _period_pass, _require_passes,
+                                   asymptotic_log_n0)
 
 
 def oracle_inverse_n0(p, t):
