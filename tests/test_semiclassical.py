@@ -419,6 +419,17 @@ class TestRK45:
                            "CROSS_TOL = 0.0001: one period from its shot start changed it "
                            "by 2.22e-16, and a period's decay is D = 1e-300")
 
+    @pytest.mark.parametrize("fbar,delta", [(50.0, 1e17), (1e3, 1e18)])
+    def test_pass_too_short_to_show_its_offset_is_refused_by_the_bound(self, fbar, delta):
+        # one period moves ln n0 by D up to rounding, so u(T) - u0 - D comes
+        # out positive and 1 - m e^(u(T) - u0) has no logarithm; the orbit
+        # closes from the pass's end, and the bound, not a math domain
+        # error, refuses it
+        p = params_from_ratios(fbar_over_fth=fbar, f1_over_fbar=0.0, delta_over_gamma=delta)
+        with pytest.raises(ConvergenceError, match=r"^the photon-number orbit may sit .* "
+                                                   r"from its periodic state, over CROSS_TOL"):
+            periodic_steady_state(p)
+
     def test_backward_span_or_too_few_points_is_refused(self):
         # the integrator runs forward only; one point or none used to fail
         # with a bare IndexError or scipy's ValueError
