@@ -121,6 +121,12 @@ def images(psi, ops: OperatorSet) -> np.ndarray:
     return out
 
 
+def _ladder_means(psi, img) -> np.ndarray:
+    """<a1>, <a2> and <a1 a2> of each column of psi as one (3, batch) array,
+    from the first three rows of its images."""
+    return np.einsum("ib,kib->kb", psi.conj(), img[:3])
+
+
 def _step_batch(psi, eps_t, ops, dt, xi):
     """One Euler-Maruyama diffusion step on a (dim, batch) state block.
 
@@ -131,42 +137,28 @@ def _step_batch(psi, eps_t, ops, dt, xi):
     psi k0 - dt loss psi + k1 a1 psi + k2 a2 psi + k3 pair psi + k4 pair^dag psi,
     whose coefficients are per-trajectory scalars.  xi holds three complex
     pairs of standard normals per trajectory, shape (3, batch), as
-    run_lockstep hands them over, and dxi_k = sqrt(dt/2) xi[k].  Returns
-    the unnormalized updated block; the caller renormalizes and checks tails.
+    run_lockstep hands them over, and dxi_k = sqrt(dt/2) xi[k].  The ladder
+    means <a1>, <a2> and <a1 a2> come from _ladder_means, the channel
+    weights sqrt(2 rate) dxi and k1, k2 are stacked rows, one per channel,
+    and one loop adds the four images in the order a1, a2, pair, pair^dag.
+    Returns the unnormalized updated block; the caller renormalizes and
+    checks tails.
     """
-    a1p, a2p, prp, pdp = images(psi, ops)
+    img = images(psi, ops)
+    e = _ladder_means(psi, img)
+    rate = 2.0 * np.array([ops.derived.gamma, ops.derived.gamma, ops.derived.lam])
+    w = (np.sqrt(rate) * math.sqrt(0.5 * dt))[:, None] * xi
+    sq = np.abs(e) ** 2
+    half_sq = 0.5 * (rate[0] * (sq[0] + sq[1]) + rate[2] * sq[2])
 
-    psi_c = psi.conj()
-    e_a1 = np.einsum("ib,ib->b", psi_c, a1p)
-    e_a2 = np.einsum("ib,ib->b", psi_c, a2p)
-    e_pr = np.einsum("ib,ib->b", psi_c, prp)
-
-    two_g = 2.0 * ops.derived.gamma
-    two_l = 2.0 * ops.derived.lam
-    # sqrt(2 rate) dxi per channel
-    root = math.sqrt(0.5 * dt)
-    w1 = (math.sqrt(two_g) * root) * xi[0]
-    w2 = (math.sqrt(two_g) * root) * xi[1]
-    w3 = (math.sqrt(two_l) * root) * xi[2]
-    half_sq = 0.5 * (
-        two_g * (np.abs(e_a1) ** 2 + np.abs(e_a2) ** 2) + two_l * np.abs(e_pr) ** 2
-    )
-
-    k0 = 1.0 - dt * half_sq - w1 * e_a1 - w2 * e_a2 - w3 * e_pr
-    k1 = (dt * two_g) * e_a1.conj() + w1
-    k2 = (dt * two_g) * e_a2.conj() + w2
-    k3 = dt * (two_l * e_pr.conj() - eps_t) + w3
-    k4 = dt * eps_t
+    k0 = 1.0 - dt * half_sq - w[0] * e[0] - w[1] * e[1] - w[2] * e[2]
+    k12 = (dt * rate[:2, None]) * e[:2].conj() + w[:2]
+    k3 = dt * (rate[2] * e[2].conj() - eps_t) + w[2]
 
     out = (k0 - dt * ops.loss_diag[:, None]) * psi
-    a1p *= k1
-    out += a1p
-    a2p *= k2
-    out += a2p
-    prp *= k3
-    out += prp
-    pdp *= k4
-    out += pdp
+    for row, k in zip(img, (*k12, k3, dt * eps_t)):
+        row *= k
+        out += row
     return out
 
 
@@ -239,12 +231,12 @@ def _run_batch(indices, ops, seed, eps_steps, n_relax, spi, n_grid, dt):
         psi *= 1.0 / np.sqrt(nrm2)  # far cheaper than complex division
 
     # Recording reuses the diagonal number vectors; only the pair
-    # expectation needs an image.
+    # expectation needs the images.
     def record():
         w = np.abs(psi) ** 2
         n1 = ops.n1_diag @ w
         n2 = ops.n2_diag @ w
-        pair = np.einsum("ib,ib->b", psi.conj(), images(psi, ops)[2])
+        pair = _ladder_means(psi, images(psi, ops))[2]
         return {"v": 1.0 + n1 + n2 - 2.0 * pair.real, "n1": n1, "n2": n2,
                 "pair": pair, "tail": tail_rows @ w}
 

@@ -314,6 +314,35 @@ def test_qsd_skips_a_dead_column(monkeypatch):
     assert ens.discarded == 0
 
 
+def test_qsd_kernel_drops_a_column_that_turns_nan(monkeypatch):
+    # the kernel's own guard, not an edited row: column 3 of the step's
+    # output turns NaN at step 11 of 25, between grid points 2 and 3
+    ops = qsd.build_operators(_P, 14)
+    eps_steps = np.asarray(ops.derived.eps(1e-3 * np.arange(25)), dtype=float)
+    args = (ops, 9, eps_steps, 0, 5, 6, 1e-3)
+    plain = qsd._run_batch(np.arange(16), *args)
+    step_batch, calls = qsd._step_batch, []
+
+    def nan_at_step_11(*a):
+        out = step_batch(*a)
+        if len(calls) == 11:
+            out[:, 3] = np.nan
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(qsd, "_step_batch", nan_at_step_11)
+    rows = qsd._run_batch(np.arange(16), *args)   # no _TailTripped
+    assert len(calls) == 25
+    assert not rows["alive"][3] and rows["alive"].sum() == 15
+    assert rows["live"][:, 3].tolist() == [True] * 3 + [False] * 3
+    # the dead column is zeroed, so it records the empty state, not NaN
+    for key in ("n1", "n2", "pair", "tail"):
+        assert (rows[key][3:, 3] == 0.0).all(), key
+    others = np.arange(16) != 3
+    for key, want in plain.items():
+        assert rows[key][..., others].tobytes() == want[..., others].tobytes(), key
+
+
 def test_qsd_refuses_a_run_over_the_budget(monkeypatch):
     # one lost trajectory of 40 is past the 0.1% budget, though every grid
     # point keeps 40 live ones

@@ -258,16 +258,21 @@ class TestStepKernel:
                                lam_over_gamma=0.05)
         ops = build_operators(p, 4)
         t, dt = 0.37, 1e-2
+        H, Ls = _dense_model(ops, t)
+        for width in (1, 3, 16):
+            self._check_width(ops, t, dt, H, Ls, width)
+
+    @staticmethod
+    def _check_width(ops, t, dt, H, Ls, width):
         rng = np.random.default_rng(7)
-        psi = rng.standard_normal((ops.dim, 3)) + 1j * rng.standard_normal((ops.dim, 3))
+        psi = rng.standard_normal((ops.dim, width)) + 1j * rng.standard_normal((ops.dim, width))
         psi /= np.linalg.norm(psi, axis=0)
-        xi = rng.standard_normal((6, 3))
-        pairs = np.empty((3, 3), dtype=np.complex128)   # as run_lockstep hands them
+        xi = rng.standard_normal((6, width))
+        pairs = np.empty((3, width), dtype=np.complex128)   # as run_lockstep hands them
         pairs.real, pairs.imag = xi[0::2], xi[1::2]
         got = _step_batch(psi, float(ops.derived.eps(t)), ops, dt, pairs)
 
-        H, Ls = _dense_model(ops, t)
-        for b in range(3):
+        for b in range(width):
             v = psi[:, b]
             means = [complex(v.conj() @ L @ v) for L in Ls]
             gen = -1j * H - 0.5 * sum(np.abs(m) ** 2 for m in means) * np.eye(ops.dim)
@@ -392,7 +397,7 @@ class TestEnsemble:
         final = sorted((idx[0], idx[-1] + 1) for n, idx in calls if n == ens.n_max)
         assert final == [(0, 16), (16, 32), (32, 96), (96, 100)]
 
-    @pytest.mark.parametrize("n_max", [6, 14])
+    @pytest.mark.parametrize("n_max", [6, 14, 22, 26])
     @pytest.mark.parametrize("width,cut", [(32, 16), (24, 16), (17, 8)])
     def test_batch_rows_do_not_depend_on_the_split(self, monkeypatch, n_max, width, cut):
         # the premise of the split pilot and of every freeze: a trajectory's
