@@ -70,8 +70,6 @@ def _resolve_model(args, overrides=None, desk_lam=None) -> tuple[ModelParams, di
     if args.delta is not None:
         cfg["delta_over_gamma"] = args.delta
     lam = args.lam
-    if lam is not None and not (math.isfinite(lam) and lam > 0.0):
-        raise InvalidParameterError(f"--lam must be finite and > 0, got {lam}")
     if lam is None and "k_over_gamma" not in file_cfg:
         lam = desk_lam
     if lam is not None:
@@ -81,25 +79,12 @@ def _resolve_model(args, overrides=None, desk_lam=None) -> tuple[ModelParams, di
     return config_to_params(cfg), cfg
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    if not out.is_dir():
-        raise FileNotFoundError(f"output directory does not exist: {out}")
-    return out
-
-
 def _meta(args, cfg, extra=None) -> list[str]:
     return metadata_lines(__version__, cfg, args.seed, args.timestamp, extra)
 
 
-def _period_grid(p: ModelParams, points: int, flag: str, periods: float = 1.0) -> np.ndarray:
-    """points times over periods of p's pump, the count given by flag: a
-    curve's --points must be 2 or more, an ensemble's --grid-points 1 or more."""
-    least = 2 if flag == "--points" else 1
-    if not points >= least:
-        raise InvalidParameterError(f"need {flag} >= {least}, got {points}")
-    if not 0.0 < periods < math.inf:
-        raise InvalidParameterError(f"need a finite --periods > 0, got {periods}")
+def _period_grid(p: ModelParams, points: int, periods: float = 1.0) -> np.ndarray:
+    """points times over periods of p's pump."""
     return np.linspace(0.0, periods * derive_params(p).period, points)
 
 
@@ -140,18 +125,16 @@ def _variance_curves(ps, t: np.ndarray, what: str | None = None) -> tuple[list, 
 
 def cmd_semiclassical(args) -> list[str]:
     p, cfg = _resolve_model(args)
-    t = _period_grid(p, args.points, "--points", args.periods)
-    out = _out_dir(args)
-    write_csv(out / "semiclassical.csv", ["t", "n0"], [t, _orbit(p, t)], _meta(args, cfg))
+    t = _period_grid(p, args.points, args.periods)
+    write_csv(args.out / "semiclassical.csv", ["t", "n0"], [t, _orbit(p, t)], _meta(args, cfg))
     return []
 
 
 def cmd_variance(args) -> list[str]:
     p, cfg = _resolve_model(args)
-    t = _period_grid(p, args.points, "--points", args.periods)
-    out = _out_dir(args)
+    t = _period_grid(p, args.points, args.periods)
     (V,), warned, _ = _variance_curves([p], t)
-    write_csv(out / "variance.csv", ["t", "V", "n0"], [t, V, _orbit(p, t)], _meta(args, cfg))
+    write_csv(args.out / "variance.csv", ["t", "V", "n0"], [t, V, _orbit(p, t)], _meta(args, cfg))
     return warned
 
 
@@ -191,7 +174,6 @@ def _sweep_cells(p: ModelParams, grid, levels, n_workers: int) -> tuple[list, li
 
 def cmd_sweep(args) -> list[str]:
     p, cfg = _resolve_model(args)
-    out = _out_dir(args)
     grid = _parse_grid(args.fbar_grid)
     try:
         levels = [float(x) for x in args.f1_levels.split(",")]
@@ -201,7 +183,7 @@ def cmd_sweep(args) -> list[str]:
     cells, warned = _sweep_cells(p, grid, levels, args.workers)
     extra = {"fbar_grid": args.fbar_grid, "f1_levels": args.f1_levels}
     cols = [[getattr(c, f) for c in cells] for f in _SWEEP_FIELDS]
-    write_csv(out / "sweep.csv", _SWEEP_FIELDS, cols, _meta(args, cfg, extra))
+    write_csv(args.out / "sweep.csv", _SWEEP_FIELDS, cols, _meta(args, cfg, extra))
     return warned
 
 
@@ -213,14 +195,13 @@ def _run_flags(args, t: np.ndarray) -> dict:
 
 def cmd_positivep(args) -> list[str]:
     p, cfg = _resolve_model(args)
-    out = _out_dir(args)
-    t = _period_grid(p, args.grid_points, "--grid-points")
+    t = _period_grid(p, args.grid_points)
     m = simulate_ensemble(p, n_traj=args.traj, **_run_flags(args, t))
     # worker count deliberately left out: results must not depend on it
     extra = {"dt": m.dt, "traj": m.n_traj}
     cols = [f"{x}_{s}" for x in ("n_plus", "R", "Z", "V") for s in ("mean", "stderr")]
     write_csv(
-        out / "positivep.csv",
+        args.out / "positivep.csv",
         ["t", *cols, "n_traj", "discarded"],
         [m.t_grid, *(getattr(m, c) for c in cols), m.alive, m.n_traj - m.alive],
         _meta(args, cfg, extra),
@@ -230,14 +211,13 @@ def cmd_positivep(args) -> list[str]:
 
 def cmd_qsd(args) -> list[str]:
     p, cfg = _resolve_model(args)
-    out = _out_dir(args)
-    t = _period_grid(p, args.grid_points, "--grid-points")
+    t = _period_grid(p, args.grid_points)
     ens = simulate_qsd_ensemble(p, n_max=args.nmax, n_traj=args.traj,
                                 **_run_flags(args, t))
     extra = {"n_max": ens.n_max, "dt": ens.dt, "traj": ens.n_traj}
     cols = ["V_mean", "V_stderr", "n1_mean", "n2_mean"]
     write_csv(
-        out / "qsd.csv",
+        args.out / "qsd.csv",
         ["t", *cols, "tail_pop", "n_traj"],
         [ens.t_grid, *(getattr(ens, c) for c in cols), ens.tail_max,
          np.full(t.shape, ens.n_traj - ens.discarded)],
@@ -250,10 +230,9 @@ def cmd_compare(args) -> list[str]:
     # Desk-scale defaults: large enough nonlinearity that the quantum runs
     # are cheap, pump away from threshold so the linearization is trusted.
     p, cfg = _resolve_model(args, overrides={"fbar_over_fth": 2.0}, desk_lam=0.1)
-    out = _out_dir(args)
     d = derive_params(p)
     lam_ratio = d.lam / d.gamma
-    t = _period_grid(p, args.grid_points, "--grid-points")
+    t = _period_grid(p, args.grid_points)
     # The state-diffusion request is refused before the positive-P
     # ensemble runs, not after.
     step_layout(t, args.dt, args.relax, args.qsd_traj, args.workers)
@@ -287,7 +266,7 @@ def cmd_compare(args) -> list[str]:
         )
 
     write_csv(
-        out / "compare.csv",
+        args.out / "compare.csv",
         [
             "t",
             "V_linear",
@@ -316,12 +295,11 @@ def _level_figure(args, name, ylabel, curves, periods=1.0, **plot) -> list[str]:
     ``curves`` maps the levels' parameter sets and the grid to the curves
     and their warning, which this returns."""
     p, cfg = _resolve_model(args)
-    t = _period_grid(p, args.points, "--points", periods)
-    out = _out_dir(args)
+    t = _period_grid(p, args.points, periods)
     meta = _meta(args, cfg, {"f1_levels": "0,0.4,1.2"})
     ys, warned = curves([config_to_params(dict(cfg, f1_over_fbar=level))
                          for level in (0.0, 0.4, 1.2)], t)
-    _figure(out, name, ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
+    _figure(args.out, name, ["t", *(f"{ylabel}_curve{i}" for i in (1, 2, 3))],
             [t, *ys], meta, "t (1/gamma)", ylabel,
             ["f1=0", "f1=0.4 fbar", "f1=1.2 fbar"], **plot)
     return warned
@@ -340,14 +318,13 @@ def cmd_fig2(args) -> list[str]:
 
 def cmd_fig3(args) -> list[str]:
     p, cfg = _resolve_model(args)
-    out = _out_dir(args)
     grid = _parse_grid(args.fbar_grid)
     levels = (0.0, 0.75, 2.0)
     meta = _meta(args, cfg, {"fbar_grid": args.fbar_grid, "f1_levels": "0,0.75,2"})
     # one pool for all three levels; the cells come back levels outer
     cells, warned = _sweep_cells(p, grid, levels, args.workers)
     v_min = np.array([c.v_min for c in cells]).reshape(len(levels), grid.size)
-    _figure(out, "fig3", ["fbar_over_fth", "v_min_curve1", "v_min_curve2", "v_min_curve3"],
+    _figure(args.out, "fig3", ["fbar_over_fth", "v_min_curve1", "v_min_curve2", "v_min_curve3"],
             [grid, *v_min], meta, "fbar/f_th", "V_min",
             ["f1=0", "f1=0.75 fbar", "f1=2 fbar"])
     return warned
@@ -356,8 +333,7 @@ def cmd_fig3(args) -> list[str]:
 def cmd_fig4(args) -> list[str]:
     overrides = {"fbar_over_fth": 1.0, "f1_over_fbar": 0.5}
     p, cfg = _resolve_model(args, overrides, desk_lam=0.1)
-    out = _out_dir(args)
-    t = _period_grid(p, args.grid_points, "--grid-points")
+    t = _period_grid(p, args.grid_points)
     (v_lin,), warned, (ratio,) = _variance_curves([p], t)
     ens = simulate_qsd_ensemble(p, n_max=args.nmax, n_traj=args.traj,
                                 **_run_flags(args, t))
@@ -371,31 +347,46 @@ def cmd_fig4(args) -> list[str]:
             "traj": ens.n_traj,
         },
     )
-    _figure(out, "fig4", ["t", "V_analytic", "V_qsd", "V_qsd_stderr"],
+    _figure(args.out, "fig4", ["t", "V_analytic", "V_qsd", "V_qsd_stderr"],
             [t, v_lin, ens.V_mean, ens.V_stderr], meta, "t (1/gamma)", "V",
             ["linearized", "state diffusion"])
     return warned
 
 
-def _check_flags(args) -> None:
-    """Refuse, by its flag and before any work, a count below its least
-    value, a seed outside [0, 2**64), a step that is not positive and finite
-    and a relaxation window that is not finite."""
-    for name, least in (("traj", 2), ("qsd_traj", 2), ("workers", 1), ("nmax", 2)):
-        n = getattr(args, name, None)
-        if n is not None and n < least:
-            raise InvalidParameterError(f"need --{name.replace('_', '-')} >= {least}, got {n}")
-    if not 0 <= getattr(args, "seed", 0) < 2**64:
-        raise InvalidParameterError(f"need 0 <= --seed < 2**64, got {args.seed}")
-    if not 0.0 < getattr(args, "dt", 1.0) < math.inf:
-        raise InvalidParameterError(f"need --dt > 0 and finite, got {args.dt}")
-    if not math.isfinite(getattr(args, "relax", 0.0)):
-        raise InvalidParameterError(f"need --relax finite, got {args.relax}")
+def _checked(kind, need: str, ok):
+    """A flag's argparse type: the text read as kind (int or float) and
+    refused as "need {need}, got {text}" where ok(value) is false.  Text
+    kind cannot read keeps argparse's "invalid int value: '1e3'"."""
+    def read(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text}")
+        return value
+
+    read.__name__ = kind.__name__
+    return read
+
+
+def _at_least(least: int):
+    return _checked(int, f">= {least}", lambda n: n >= least)
+
+
+_SEED = _checked(int, "0 <= seed < 2**64", lambda n: 0 <= n < 2**64)
+_POSITIVE = _checked(float, "> 0 and finite", lambda x: 0.0 < x < math.inf)
+_FINITE = _checked(float, "finite", math.isfinite)
+
+
+def _directory(text: str) -> Path:
+    """--out's type: an existing directory, for this tool never creates one."""
+    if not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"output directory does not exist: {text}")
+    return Path(text)
 
 
 class _Parser(argparse.ArgumentParser):
-    """A subcommand's parser: main refuses a flag value it cannot read
-    (`--nmax 1e3`) as one error line, where argparse exits 2 with usage."""
+    """A subcommand's parser: main refuses a flag value its type refuses
+    (`--nmax 1e3`, `--traj 1`) as one "argument --FLAG: ..." error line,
+    where argparse exits 2 with usage."""
 
     def error(self, message):
         raise InvalidParameterError(message)
@@ -405,13 +396,13 @@ def _command(sub, name, func, help):
     """A subcommand parser that takes the model flags and runs func."""
     sp = sub.add_parser(name, help=help)
     sp.add_argument("--config", help="JSON configuration file")
-    sp.add_argument("--out", default=".", help="existing output directory")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--out", type=_directory, default=".", help="existing output directory")
+    sp.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     sp.add_argument("--fbar", type=float, default=None, help="fbar/f_th ratio")
     sp.add_argument("--f1", type=float, default=None, help="f1/fbar ratio")
     sp.add_argument("--delta", type=float, default=None, help="delta/gamma ratio")
     sp.add_argument(
-        "--lam", type=float, default=None,
+        "--lam", type=_POSITIVE, default=None,
         help="lambda/gamma ratio (overrides k to match)",
     )
     sp.add_argument(
@@ -424,11 +415,11 @@ def _command(sub, name, func, help):
 
 def _add_ensemble_flags(sp, traj_default, route):
     """Ensemble flags; the step and relaxation defaults are the route module's."""
-    sp.add_argument("--traj", type=int, default=traj_default)
-    sp.add_argument("--dt", type=float, default=route.DEFAULT_DT)
-    sp.add_argument("--relax", type=float, default=route.RELAX_WINDOW)
-    sp.add_argument("--grid-points", type=int, default=129)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--traj", type=_at_least(2), default=traj_default)
+    sp.add_argument("--dt", type=_POSITIVE, default=route.DEFAULT_DT)
+    sp.add_argument("--relax", type=_FINITE, default=route.RELAX_WINDOW)
+    sp.add_argument("--grid-points", type=_at_least(1), default=129)
+    sp.add_argument("--workers", type=_at_least(1), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,42 +432,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = _command(sub, "semiclassical", cmd_semiclassical, "periodic photon-number orbit")
-    sp.add_argument("--points", type=int, default=801)
-    sp.add_argument("--periods", type=float, default=2.0)
+    sp.add_argument("--points", type=_at_least(2), default=801)
+    sp.add_argument("--periods", type=_POSITIVE, default=2.0)
 
     sp = _command(sub, "variance", cmd_variance, "linearized squeezed variance V(t)")
-    sp.add_argument("--points", type=int, default=513)
-    sp.add_argument("--periods", type=float, default=1.0)
+    sp.add_argument("--points", type=_at_least(2), default=513)
+    sp.add_argument("--periods", type=_POSITIVE, default=1.0)
 
     sp = _command(sub, "sweep", cmd_sweep, "V_min over pump and modulation grids")
     sp.add_argument("--fbar-grid", default="0.1:4:0.05", help="lo:hi:step")
     sp.add_argument("--f1-levels", default="0,0.75,2", help="comma separated")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_at_least(1), default=1)
 
     sp = _command(sub, "positivep", cmd_positivep, "phase-space trajectory ensemble")
     _add_ensemble_flags(sp, 2000, positivep)
 
     sp = _command(sub, "qsd", cmd_qsd, "state-diffusion trajectory ensemble")
     _add_ensemble_flags(sp, 512, qsd)
-    sp.add_argument("--nmax", type=int, default=None, help="starting Fock cutoff")
+    sp.add_argument("--nmax", type=_at_least(2), default=None, help="starting Fock cutoff")
 
     sp = _command(sub, "compare", cmd_compare, "linearized vs both quantum ensembles")
     _add_ensemble_flags(sp, 4000, positivep)
-    sp.add_argument("--qsd-traj", type=int, default=256)
+    sp.add_argument("--qsd-traj", type=_at_least(2), default=256)
 
     sp = _command(sub, "fig1", cmd_fig1, "photon-number orbits at three modulations")
-    sp.add_argument("--points", type=int, default=801)
+    sp.add_argument("--points", type=_at_least(2), default=801)
 
     sp = _command(sub, "fig2", cmd_fig2, "variance curves at three modulations")
-    sp.add_argument("--points", type=int, default=513)
+    sp.add_argument("--points", type=_at_least(2), default=513)
 
     sp = _command(sub, "fig3", cmd_fig3, "V_min sweep at three modulation levels")
     sp.add_argument("--fbar-grid", default="0.1:4:0.05", help="lo:hi:step")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_at_least(1), default=1)
 
     sp = _command(sub, "fig4", cmd_fig4, "state-diffusion vs linearized overlay")
     _add_ensemble_flags(sp, 512, qsd)
-    sp.add_argument("--nmax", type=int, default=None)
+    sp.add_argument("--nmax", type=_at_least(2), default=None, help="starting Fock cutoff")
 
     return ap
 
@@ -489,7 +480,6 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = build_parser().parse_args(argv)
-            _check_flags(args)
             warned = args.func(args)
         except (ValueError, RuntimeError, OSError, MemoryError) as exc:
             print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -101,8 +101,6 @@ class VarianceTrajectory:
 
     def interp(self, t):
         """Periodic extension of V at arbitrary times; a float t gives a float."""
-        if self._curve is None:
-            raise ValueError("trajectory carries no interpolant")
         return self._curve(t)
 
 

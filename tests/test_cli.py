@@ -5,6 +5,7 @@ cross-worker byte-identity of the CLI surface is covered separately by
 the acceptance suite, which shells out for real.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -374,7 +375,7 @@ def test_non_numeric_config_with_lam_fails_cleanly(tmp_path, capsys):
     for lam in ("-0.1", "nan", "0", "inf"):
         assert main(["variance", "--out", str(out), f"--lam={lam}"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --lam") and err.count("\n") == 1, lam
+        assert err == f"error: argument --lam: need > 0 and finite, got {lam}\n", lam
         assert not list(out.iterdir())
 
 
@@ -683,7 +684,7 @@ def test_adiabatic_ratio_warning_is_one_line_after_success(tmp_path):
     refused = subprocess.run(cmd + [str(tmp_path / "missing")], capture_output=True,
                              text=True, timeout=60)
     assert (refused.returncode, refused.stderr) == (
-        1, f"error: output directory does not exist: {tmp_path / 'missing'}\n")
+        1, f"error: argument --out: output directory does not exist: {tmp_path / 'missing'}\n")
     ran = subprocess.run(cmd + [str(out)], capture_output=True, text=True, timeout=60)
     assert (ran.returncode, ran.stderr) == (
         0, "warning: gamma3/gamma = 5 < 10: pump-mode elimination is questionable at this "
@@ -703,9 +704,9 @@ def test_refused_run_prints_no_warning(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-_COUNTS = [("compare", flag, count, f"need {flag} >= 2, got {count}")
+_COUNTS = [("compare", flag, count, f"argument {flag}: need >= 2, got {count}")
            for flag in ("--traj", "--qsd-traj") for count in ("1", "0", "-3")]
-_TRAJ = [(command, "--traj", "1", "need --traj >= 2, got 1")
+_TRAJ = [(command, "--traj", "1", "argument --traj: need >= 2, got 1")
          for command in ("positivep", "qsd", "fig4")]
 
 
@@ -745,6 +746,58 @@ def test_integer_flag_given_other_text_is_named(tmp_path, capsys, command, flag,
     assert not list(tmp_path.iterdir())
 
 
+# Each option whose argparse type checks more than float() does: a value its
+# type cannot read, then one it reads but refuses.
+_REFUSED_VALUES = {
+    "--seed": ("1.5", "18446744073709551616"),
+    "--lam": ("x", "0"),
+    "--points": ("1e2", "1"),
+    "--periods": ("", "inf"),
+    "--traj": ("1e3", "1"),
+    "--qsd-traj": ("x", "-3"),
+    "--dt": ("1/2", "nan"),
+    "--relax": ("x", "-inf"),
+    "--grid-points": ("2.0", "0"),
+    "--workers": ("one", "0"),
+    "--nmax": ("1e3", "1"),
+}
+_COMMANDS = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_checked_flag_refuses_by_its_name_while_parsing(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # the ranges used to be checked in _check_flags, _period_grid, the model
+    # resolver and each command's output directory lookup, each in its own
+    # words; now the flag's type refuses, before any compute entry point
+    def no_work(*args, **kwargs):
+        raise AssertionError("a compute entry point ran for a refused flag")
+
+    for name in ("simulate_ensemble", "simulate_qsd_ensemble", "sweep_vmin",
+                 "asymptotic_variance", "integrate_variance", "asymptotic_n0"):
+        monkeypatch.setattr(cli, name, no_work)
+    missing = tmp_path / "missing"
+    cases = [("--out", str(missing), f"output directory does not exist: {missing}")]
+    for action in _COMMANDS[command]._actions:
+        flag = action.option_strings[-1] if action.option_strings else None
+        if flag == "--out" or action.type in (None, str, float):
+            continue
+        assert flag in _REFUSED_VALUES, f"{command} {flag} has no refusal cases"
+        unreadable, out_of_range = _REFUSED_VALUES[flag]
+        cases += [(flag, unreadable, f"invalid {action.type.__name__} value: '{unreadable}'"),
+                  (flag, out_of_range, "need ")]
+    for flag, value, message in cases:
+        assert main([command, "--out", str(tmp_path), f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and err.endswith("\n"), (flag, value, err)
+        assert lines[0].startswith(f"error: argument {flag}: {message}"), (flag, value, err)
+        if message == "need ":
+            assert lines[0].endswith(f", got {value}"), (flag, value, err)
+        assert not list(tmp_path.iterdir()), (flag, value)
+
+
 @pytest.mark.parametrize("command", ["semiclassical", "variance", "sweep", "positivep", "qsd",
                                      "compare", "fig1", "fig2", "fig3", "fig4"])
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
@@ -752,7 +805,8 @@ def test_seed_outside_64_bits_is_refused(tmp_path, capsys, command, seed):
     # the noise streams key on the seed modulo 2**64, so --seed
     # 18446744073709551616 wrote seed 0's data rows and -1 ran as 2**64 - 1
     assert main([command, "--out", str(tmp_path), f"--seed={seed}"]) == 1
-    assert capsys.readouterr().err == f"error: need 0 <= --seed < 2**64, got {seed}\n"
+    assert capsys.readouterr().err == (
+        f"error: argument --seed: need 0 <= seed < 2**64, got {seed}\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -771,7 +825,7 @@ def test_bad_grid_points_are_named(tmp_path, capsys, command, points):
     assert main([command, "--out", str(tmp_path), "--traj", "8",
                  f"--grid-points={points}"]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: need --grid-points >= 1, got {points}\n"
+    assert err == f"error: argument --grid-points: need >= 1, got {points}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -806,7 +860,7 @@ def test_cutoff_below_two_is_refused(tmp_path, capsys, command, nmax):
     assert main([command, "--out", str(tmp_path), "--traj", "4", "--grid-points", "3",
                  "--lam", "0.1", "--fbar", "0.3", "--relax", "0.5", f"--nmax={nmax}"]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: need --nmax >= 2, got {nmax}\n"
+    assert err == f"error: argument --nmax: need >= 2, got {nmax}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -944,7 +998,9 @@ def test_bad_relax_or_workers_fails_cleanly(tmp_path, capsys, command, flag, val
     assert main([command, "--out", str(tmp_path), *_SMALL_RUN[command],
                  flag, value]) == 1
     if flag == "--workers":
-        assert capsys.readouterr().err == f"error: need --workers >= 1, got {value}\n"
+        assert capsys.readouterr().err == f"error: argument --workers: need >= 1, got {value}\n"
+    elif value != "1e12":
+        assert capsys.readouterr().err == f"error: argument --relax: need finite, got {value}\n"
     else:
         assert _one_error_line(capsys)
     assert not list(tmp_path.iterdir())
