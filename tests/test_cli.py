@@ -780,7 +780,7 @@ def test_every_checked_flag_refuses_by_its_name_while_parsing(tmp_path, capsys, 
     missing = tmp_path / "missing"
     cases = [("--out", str(missing), f"output directory does not exist: {missing}")]
     for action in _COMMANDS[command]._actions:
-        flag = action.option_strings[-1] if action.option_strings else None
+        flag = action.option_strings[-1]
         if flag == "--out" or action.type in (None, str, float):
             continue
         assert flag in _REFUSED_VALUES, f"{command} {flag} has no refusal cases"
